@@ -10,10 +10,9 @@ CI uses this for two gates:
   campaign's overall fault-activation rate must not drop more than
   ``--tolerance`` below the recorded floor.
 
-It also understands ``BENCH_fabric.json`` (fabric loopback scaling),
-``BENCH_sequential.json`` (sequential-injection slot reduction) and
-``BENCH_dsl.json`` (DSL-operator scan relative throughput), all wired
-into the same bench-regression job.
+It also understands ``BENCH_fabric.json`` (fabric loopback scaling) and
+``BENCH_sequential.json`` (sequential-injection slot reduction), both
+wired into the same bench-regression job.
 
 Speedups are ratios (warm vs cold on the *same* host) and activation
 rates are workload facts, so both are largely machine-independent —
@@ -56,10 +55,6 @@ BENCH_KINDS = {
     "sequential": [
         ("sequential_injection", "slot_reduction_percent",
          "sequential-injection slot reduction"),
-    ],
-    "dsl": [
-        ("dsl_scan", "relative_throughput",
-         "DSL-operator scan relative throughput"),
     ],
 }
 

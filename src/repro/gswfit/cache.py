@@ -69,12 +69,12 @@ _fingerprint_cache = {}
 def library_fingerprint(build):
     """Hash of everything a scan's output depends on, for one build.
 
-    Covers the behaviour of the full operator library (search patterns
-    and preconditions shape the emitted sites; class operators
-    fingerprint their source, spec-compiled operators their canonical
-    spec JSON) and the source of the build's FIT modules (the code being
-    scanned).  The memo key includes the operator registry generation,
-    so installing or replacing a DSL operator invalidates it.
+    Covers the behaviour of the full operator library (each operator
+    fingerprints its canonical spec JSON plus the source of the DSL
+    vocabulary that interprets it) and the source of the build's FIT
+    modules (the code being scanned).  The memo key includes the
+    operator registry generation, so installing or replacing an
+    operator invalidates it.
     """
     memo_key = (build.codename, registry_generation())
     cached = _fingerprint_cache.get(memo_key)
@@ -186,8 +186,8 @@ MUTANT_CACHE_STATS = _MutantCacheStats()
 
 
 def _operator_fingerprint(fault_type):
-    # Memo key includes the registry generation: a DSL operator replacing
-    # this fault type's implementation must change the fingerprint.
+    # Memo key includes the registry generation: an installed spec
+    # replacing this fault type's operator must change the fingerprint.
     memo_key = (fault_type, registry_generation())
     cached = _operator_fp_memo.get(memo_key)
     if cached is None:

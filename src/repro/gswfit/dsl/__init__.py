@@ -1,15 +1,16 @@
 """Declarative operator specs compiled into the G-SWFIT scanner.
 
 The programmable-faultload DSL (DESIGN.md §16): a JSON spec describes a
-mutation operator as *pattern* (AST node types to anchor on) +
-*preconditions* (a composable predicate vocabulary over the
+mutation operator as *pattern* (AST node types, or statement blocks, to
+anchor on) + *preconditions* (a composable predicate vocabulary over the
 :class:`~repro.gswfit.astutils.FunctionImage` index) + *mutation rule*
 (an AST edit template), and :func:`~repro.gswfit.dsl.compile.compile_spec`
-turns it into a first-class scanner operator.  Specs either re-express
-a built-in Table 1 operator (``"replaces": true`` — same fault type,
-same fault ids, digest-identical campaigns) or define a brand-new
-fault type that rides every downstream pipeline: faultloads, sampling,
-sharding, caching, reports.
+turns it into a scanner operator.  The twelve Table 1 operators are
+themselves specs (:mod:`~repro.gswfit.dsl.builtin_specs`); a spec a user
+installs either re-expresses one of them (``"replaces": true`` — same
+fault type, same fault ids) or defines a brand-new fault type that
+rides every downstream pipeline: faultloads, sampling, sharding,
+caching, reports.
 
 :func:`install_spec_operators` is the one entry point the harness
 uses — the CLI, the campaign parent, and every worker process call it
@@ -19,13 +20,13 @@ spec digest, so re-installs across processes and resumes are free.
 """
 
 from repro.faults.types import register_fault_type
-from repro.gswfit.dsl.compile import DslOperator, compile_spec
+from repro.gswfit.dsl.compile import MutationOperator, compile_spec
 from repro.gswfit.dsl.schema import SpecValidationError, validate_spec
 from repro.gswfit.dsl.spec import OperatorSpec
-from repro.gswfit.operators import operator_library, register_operator
+from repro.gswfit.operators import register_operator
 
 __all__ = [
-    "DslOperator",
+    "MutationOperator",
     "OperatorSpec",
     "SpecValidationError",
     "compile_spec",
@@ -41,28 +42,19 @@ def install_spec_operators(specs):
     :class:`OperatorSpec` instances.  Re-expressions replace their
     built-in operator in the library; new fault types are registered
     with the fault-type registry first, then overlaid on the library.
-    Installing a spec whose digest is already live is a no-op, so the
-    campaign parent, pool workers, and fabric workers can all install
-    the same config unconditionally.
+    Installing a spec whose digest is already installed is a no-op, so
+    the campaign parent, pool workers, and fabric workers can all
+    install the same config unconditionally.
     """
     installed = []
-    library = operator_library()
     for entry in specs or ():
         spec = (
             entry if isinstance(entry, OperatorSpec)
             else OperatorSpec.from_dict(entry)
         )
-        operator = compile_spec(spec)
-        current = library.get(operator.fault_type)
-        if (
-            isinstance(current, DslOperator)
-            and current.spec.digest == spec.digest
-        ):
-            installed.append(current)
-            continue
         if not spec.replaces:
             register_fault_type(spec.fault_type_name, **spec.metadata())
-        register_operator(operator, replace=spec.replaces)
-        library[operator.fault_type] = operator
-        installed.append(operator)
+        installed.append(
+            register_operator(compile_spec(spec), replace=spec.replaces)
+        )
     return installed

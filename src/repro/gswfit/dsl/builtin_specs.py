@@ -1,30 +1,27 @@
-"""DSL re-expressions of the built-in Table 1 operators.
+"""The twelve Table 1 mutation operators, as declarative specs.
 
-Eight of the twelve built-in operator classes restated as declarative
-specs — the fidelity corpus.  The equivalence tests assert that each
-compiles to the same site set (keys, payloads, descriptions, line
-numbers) and byte-identical mutant bytecode as its class twin on both
-OS builds, and the ``dsl-gate`` CI job runs a campaign with them and
-``cmp``-s the ``metrics_digest`` against a built-in run.
+Each entry is one G-SWFIT fault type of the paper's Table 1 — a search
+pattern, the preconditions that keep the emulation representative, and
+a mutation rule — and :func:`~repro.gswfit.operators.operator_library`
+compiles them into the scanner's operator library.  Every spec is
+``"replaces": true``, so the same dict installed by a user (e.g. through
+``--operator-spec``) re-expresses the built-in under its own fault type.
 
-The remaining four (MLPC, WLEC, WAEP, WPFV) stay class-only: MLPC scans
-statement *blocks* for maximal runs and WLEC/WAEP/WPFV walk sub-trees
-with seen-sets or name tables — search logic beyond what a declarative
-pattern + predicate list can state, and deliberately out of the DSL's
-scope (DESIGN.md §16).
+``tests/gswfit/golden_operators.json`` pins what these specs produce on
+both OS builds: every fault id, site order, line number, description
+and mutant source.
 """
 
 import json
-import pathlib
 
 __all__ = [
     "BUILTIN_SPECS",
     "builtin_spec",
     "builtin_spec_names",
-    "write_builtin_specs",
 ]
 
-#: fault type name → raw spec dict (validated on first use).
+#: fault type name → raw spec dict, in Table 1 order (validated when
+#: the library is first compiled).
 BUILTIN_SPECS = {
     "MVI": {
         "fault_type": "MVI",
@@ -124,6 +121,17 @@ BUILTIN_SPECS = {
                 "remove 'if {test}:' and its {body_count} statement(s)",
         },
     },
+    "MLPC": {
+        "fault_type": "MLPC",
+        "replaces": True,
+        "pattern": {"scans_blocks": True},
+        "mutation": {
+            "kind": "remove-statement-run",
+            "description":
+                "remove {count} consecutive statement(s) "
+                "starting with '{first}'",
+        },
+    },
     "WVAV": {
         "fault_type": "WVAV",
         "replaces": True,
@@ -139,34 +147,49 @@ BUILTIN_SPECS = {
                 "'{name} = {old}' becomes '{name} = {new}'",
         },
     },
+    "WLEC": {
+        "fault_type": "WLEC",
+        "replaces": True,
+        "pattern": {"node_types": ["If"]},
+        "mutation": {
+            "kind": "swap-comparison-boundary",
+            "description": "boundary swap in '{comparison}'",
+        },
+    },
+    "WAEP": {
+        "fault_type": "WAEP",
+        "replaces": True,
+        "pattern": {"node_types": ["Call"]},
+        "preconditions": [
+            {"kind": "fit-boundary"},
+        ],
+        "mutation": {
+            "kind": "swap-argument-operator",
+            "description": "perturb argument '{argument}' of '{func}(...)'",
+        },
+    },
+    "WPFV": {
+        "fault_type": "WPFV",
+        "replaces": True,
+        "pattern": {"node_types": ["Call"]},
+        "preconditions": [
+            {"kind": "fit-boundary"},
+        ],
+        "mutation": {
+            "kind": "swap-argument-variable",
+            "description":
+                "argument '{argument}' of '{func}(...)' becomes "
+                "'{replacement}'",
+        },
+    },
 }
 
 
 def builtin_spec_names():
-    """The fault types re-expressed as specs, in Table 1 order."""
+    """The Table 1 fault type names, in Table 1 order."""
     return list(BUILTIN_SPECS)
 
 
 def builtin_spec(name):
     """A deep copy of the raw spec dict for ``name`` (e.g. ``"MVI"``)."""
     return json.loads(json.dumps(BUILTIN_SPECS[name]))
-
-
-def write_builtin_specs(directory):
-    """Write each re-expression to ``directory`` as ``<name>.json``.
-
-    Returns the written paths — the ``dsl-gate`` CI job uses this to
-    materialize spec files for ``--operator-spec`` without keeping a
-    second, driftable copy of the corpus in the repository.
-    """
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, spec in BUILTIN_SPECS.items():
-        path = directory / f"{name}.json"
-        path.write_text(
-            json.dumps(spec, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        paths.append(path)
-    return paths

@@ -1,32 +1,32 @@
 """Compilation of validated operator specs into scanner operators.
 
 :func:`compile_spec` turns an :class:`~repro.gswfit.dsl.spec.OperatorSpec`
-into a :class:`DslOperator` — a real
-:class:`~repro.gswfit.operators.base.MutationOperator` that plugs into
-both scan drivers (the per-operator ``find_sites`` reference pass and
-the single-pass ``collect_sites`` visitor registry) unchanged.  The
-compiled operator resolves the pattern's node-type names to the AST
-classes, instantiates the predicate and mutation-rule vocabulary
-entries, and renders the description template per site from a context
-computed off the anchor node.
-
-Fidelity contract: a spec that re-expresses a built-in operator
-(``"replaces": true``) must produce the *same sites* (keys, payloads,
-descriptions, line numbers) and the *same mutants* (byte-identical
-bytecode) as the class implementation — the equivalence tests and the
-``dsl-gate`` CI job hold it to that.
+into a :class:`MutationOperator` — the one operator class of the G-SWFIT
+scanner, used for the twelve Table 1 fault types
+(:mod:`~repro.gswfit.dsl.builtin_specs`) and for specs a user installs
+alike.  The compiled operator plugs into both scan drivers (the
+per-operator ``find_sites`` reference pass and the single-pass
+:func:`~repro.gswfit.operators.base.collect_sites`): it resolves the
+pattern's node-type names to the AST classes, instantiates the
+predicate and mutation-rule vocabulary entries, and renders the
+description template per site from a context computed off the anchor
+node.
 """
 
 import ast
+import functools
+import hashlib
+import inspect
 import string
+import sys
 
 from repro.faults.types import DynamicFaultType, FaultType
-from repro.gswfit.dsl.mutations import build_mutation
-from repro.gswfit.dsl.predicates import build_predicate
+from repro.gswfit.dsl import mutations, predicates
 from repro.gswfit.dsl.spec import OperatorSpec
-from repro.gswfit.operators.base import MutationOperator, Site
+from repro.gswfit.operators import base
+from repro.gswfit.operators.base import Site, _iter_statement_lists
 
-__all__ = ["DslOperator", "compile_spec"]
+__all__ = ["MutationOperator", "compile_spec"]
 
 
 def _call_of(node):
@@ -96,15 +96,65 @@ _EXTRACTORS = {
 }
 
 
-class DslOperator(MutationOperator):
-    """A mutation operator compiled from a declarative spec.
+@functools.cache
+def _vocabulary_digest():
+    """sha256 of the source of every module a compiled operator runs.
 
-    Every instance shares this class; behaviour lives in the spec, so
-    cache fingerprints use :meth:`fingerprint_payload` (the canonical
-    spec JSON) rather than class source.
+    Part of each operator's cache fingerprint: a spec's behaviour is its
+    canonical JSON *interpreted by* these modules, so editing a
+    predicate, a mutation rule or the compiler must invalidate cached
+    scans and mutants too.  Read once per process.
     """
+    hasher = hashlib.sha256()
+    for module in (predicates, mutations, sys.modules[__name__], base):
+        hasher.update(inspect.getsource(module).encode("utf-8"))
+    return hasher.hexdigest()
 
-    provenance = "dsl"
+
+def _matcher(image, checks, derive, state):
+    """One per-function closure: anchor → the sites the rule derives.
+
+    The preconditions fuse into a single short-circuit ``and`` chain
+    ahead of the rule, so a candidate costs one closure call instead of
+    a loop over (predicate, state) pairs.  The scan visits every
+    candidate node of both builds, so the per-node cost is the part
+    worth specializing.
+    """
+    if not checks:
+        return lambda node: derive(image, node, state)
+    if len(checks) == 1:
+        (c0, s0), = checks
+        return lambda node: (
+            derive(image, node, state) if c0(image, node, s0) else ()
+        )
+    if len(checks) == 2:
+        (c0, s0), (c1, s1) = checks
+        return lambda node: (
+            derive(image, node, state)
+            if c0(image, node, s0) and c1(image, node, s1) else ()
+        )
+    if len(checks) == 3:
+        (c0, s0), (c1, s1), (c2, s2) = checks
+        return lambda node: (
+            derive(image, node, state)
+            if c0(image, node, s0) and c1(image, node, s1)
+            and c2(image, node, s2) else ()
+        )
+    return lambda node: (
+        derive(image, node, state)
+        if all(check(image, node, s) for check, s in checks) else ()
+    )
+
+
+class MutationOperator:
+    """A G-SWFIT mutation operator: a search pattern plus a mutation rule.
+
+    Compiled from an :class:`~repro.gswfit.dsl.spec.OperatorSpec`: the
+    pattern names what the search anchors on (:attr:`node_types`, or
+    statement blocks when :attr:`scans_blocks`), the preconditions
+    filter anchors, and the mutation rule derives the sites of a passing
+    anchor and edits a fresh copy of the tree.
+    """
 
     def __init__(self, spec):
         self.spec = spec
@@ -113,15 +163,23 @@ class DslOperator(MutationOperator):
             self.fault_type = FaultType(name)
         else:
             self.fault_type = DynamicFaultType(name)
+        #: Concrete AST classes whose instances :meth:`visit_node`
+        #: receives.  Exact classes, not bases — the single-pass driver
+        #: dispatches by ``type(node)``.
         self.node_types = tuple(
             getattr(ast, type_name)
             for type_name in spec.pattern["node_types"]
         )
+        #: When True, :meth:`visit_block` receives every statement list
+        #: of the function (bodies, else/finally arms) in walk order.
+        self.scans_blocks = spec.pattern["scans_blocks"]
         self._predicates = tuple(
-            build_predicate(entry["kind"], entry)
+            predicates.build_predicate(entry["kind"], entry)
             for entry in spec.preconditions
         )
-        self._rule = build_mutation(spec.mutation["kind"], spec.mutation)
+        self._rule = mutations.build_mutation(
+            spec.mutation["kind"], spec.mutation
+        )
         self._template = spec.mutation.get("description", "")
         # Compile the template into (literal, field, extractor) parts:
         # the per-site render is then one join over direct extractions,
@@ -138,75 +196,78 @@ class DslOperator(MutationOperator):
         )
 
     def begin_scan(self, image):
-        """Fuse the predicates into one per-function checker closure.
+        """Per-function state: a closure from anchor to derived sites.
 
-        Preconditions prepare once per function, then fuse into a single
-        short-circuit ``and`` chain — one closure call per candidate
-        node instead of a loop over (predicate, state) pairs.  The scan
-        visits every candidate node of both builds, and the bench holds
-        the DSL path to >= 95% of class throughput, so the per-node cost
-        is the part worth specializing.
+        Preconditions and the rule prepare once per function; the
+        closure is passed to every :meth:`visit_node` /
+        :meth:`visit_block` call.
         """
-        pairs = [
-            (predicate.check, predicate.prepare(image))
-            for predicate in self._predicates
-        ]
-        if len(pairs) == 1:
-            (c0, s0), = pairs
-            return lambda image, node: c0(image, node, s0)
-        if len(pairs) == 2:
-            (c0, s0), (c1, s1) = pairs
-            return lambda image, node: (
-                c0(image, node, s0) and c1(image, node, s1)
-            )
-        if len(pairs) == 3:
-            (c0, s0), (c1, s1), (c2, s2) = pairs
-            return lambda image, node: (
-                c0(image, node, s0) and c1(image, node, s1)
-                and c2(image, node, s2)
-            )
-        return lambda image, node: all(
-            check(image, node, state) for check, state in pairs
+        return _matcher(
+            image,
+            [
+                (predicate.check, predicate.prepare(image))
+                for predicate in self._predicates
+            ],
+            self._rule.enumerate,
+            self._rule.prepare(image),
         )
 
-    def visit_node(self, image, node, accepts):
-        """Short-circuit the preconditions, then enumerate the rule."""
-        if not accepts(image, node):
+    def visit_node(self, image, node, match):
+        """Sites anchored on ``node`` (an instance of :attr:`node_types`).
+
+        A site sits on the rule's target (the anchor unless the rule
+        names a sub-node) and keeps the anchor's line number.
+        """
+        found = match(node)
+        if not found:
             return ()
-        pairs = self._rule.enumerate(image, node)
-        if not pairs:
-            return ()
-        # Site construction is the per-match hot path (the scan bench
-        # holds it to class speed): hoist everything the payload loop
-        # does not vary — node index, line number — and render through
-        # the precompiled template parts.
-        node_index = image.index_of(node)
+        anchor_index = image.index_of(node)
         lineno = image.absolute_lineno(node)
-        parts = self._parts
-        sites = []
-        for payload, extra in pairs:
-            pieces = []
-            for literal, field, extractor in parts:
-                if literal:
-                    pieces.append(literal)
-                if field is None:
-                    continue
-                if extractor is None:
-                    value = extra[field]
-                else:
-                    value = extractor(node)
-                    if value is None:
-                        self._missing_placeholder(field, node)
-                pieces.append(
-                    value if type(value) is str else str(value)
-                )
-            sites.append(Site(
-                node_index=node_index,
+        return [
+            Site(
+                node_index=(
+                    anchor_index if target is None
+                    else image.index_of(target)
+                ),
                 payload=payload,
-                description="".join(pieces),
+                description=self._describe(node, context),
                 lineno=lineno,
-            ))
-        return sites
+            )
+            for target, payload, context in found
+        ]
+
+    def visit_block(self, image, block, match):
+        """Sites anchored on the statement list ``block``.
+
+        Block rules always name their target statement, whose line the
+        site takes.
+        """
+        return [
+            Site(
+                node_index=image.index_of(target),
+                payload=payload,
+                description=self._describe(block, context),
+                lineno=image.absolute_lineno(target),
+            )
+            for target, payload, context in match(block)
+        ]
+
+    def _describe(self, node, context):
+        """Render the description template for one site."""
+        pieces = []
+        for literal, field, extractor in self._parts:
+            if literal:
+                pieces.append(literal)
+            if field is None:
+                continue
+            if extractor is None:
+                value = context[field]
+            else:
+                value = extractor(node)
+                if value is None:
+                    self._missing_placeholder(field, node)
+            pieces.append(value if type(value) is str else str(value))
+        return "".join(pieces)
 
     def _missing_placeholder(self, field, node):
         raise ValueError(
@@ -216,17 +277,46 @@ class DslOperator(MutationOperator):
             "preconditions so only nodes providing it match"
         )
 
-    def apply(self, tree, node_list, site):
-        """Delegate the edit to the spec's mutation rule."""
+    def find_sites(self, image):
+        """Scan ``image`` with this operator alone (reference pass).
+
+        Performs one full tree traversal — the historical per-operator
+        scan shape.  :func:`~repro.gswfit.operators.base.collect_sites`
+        produces the same sites for the whole library in a single shared
+        pass; use that on hot paths.
+        """
+        state = self.begin_scan(image)
+        sites = []
+        if self.node_types:
+            for node in ast.walk(image.fdef):
+                if isinstance(node, self.node_types):
+                    sites.extend(self.visit_node(image, node, state))
+        if self.scans_blocks:
+            for _owner, _field, block in _iter_statement_lists(image.fdef):
+                sites.extend(self.visit_block(image, block, state))
+        return sites
+
+    def mutate(self, image, site):
+        """Return a mutated copy of the image's tree."""
+        tree, node_list = image.fresh_copy()
         self._rule.apply(tree, node_list[site.node_index], site.payload)
+        ast.fix_missing_locations(tree)
+        return tree
 
     def fingerprint_payload(self):
-        """Canonical spec JSON: the behaviour-complete cache-key input."""
-        return self.spec.canonical_json()
+        """Text that captures this operator's behaviour for cache keys.
+
+        The canonical spec JSON plus a digest of the vocabulary source
+        that interprets it.
+        """
+        return self.spec.canonical_json() + _vocabulary_digest()
+
+    def __repr__(self):
+        return f"<MutationOperator ({self.fault_type.value})>"
 
 
 def compile_spec(spec):
     """Compile ``spec`` (an :class:`OperatorSpec` or raw dict) to an operator."""
     if not isinstance(spec, OperatorSpec):
         spec = OperatorSpec.from_dict(spec)
-    return DslOperator(spec)
+    return MutationOperator(spec)

@@ -1,14 +1,22 @@
 """The mutation-rule vocabulary of the operator-spec DSL.
 
-A rule is the edit half of an operator: given an anchor node that passed
+A rule is the edit half of an operator: given an anchor that passed
 every precondition, :meth:`MutationRule.enumerate` returns the sites the
-rule derives from it — ``(payload, context)`` pairs, where ``payload``
-becomes the :class:`~repro.gswfit.operators.base.Site` payload (part of
-the stable site key) and ``context`` feeds extra placeholders into the
-spec's description template — and :meth:`MutationRule.apply` performs
-the edit on a fresh copy of the tree.  Rules that derive exactly one
-site per anchor return one empty-payload pair, matching the built-in
-operators' site keys.
+rule derives from it — ``(target, payload, context)`` triples — and
+:meth:`MutationRule.apply` performs the edit on a fresh copy of the
+tree.  ``target`` is the node the site is placed on: ``None`` for the
+anchor itself, or a sub-node of it (the ``Compare`` inside an ``If``
+test).  ``payload`` becomes the
+:class:`~repro.gswfit.operators.base.Site` payload (part of the stable
+site key) and ``context`` feeds extra placeholders into the spec's
+description template.  Rules that derive exactly one site per anchor
+return one empty-payload triple, matching the Table 1 site keys.
+
+Most rules anchor on AST nodes; a rule with :attr:`MutationRule.scans_blocks`
+anchors on statement lists instead (a spec using it sets
+``"scans_blocks": true``) and always names its target statement.
+Rules that need per-function state implement
+:meth:`MutationRule.prepare`, the rule analogue of ``Predicate.prepare``.
 
 Rules address sub-nodes through dotted *field paths* (``"test"``,
 ``"value"``); :func:`resolve_field` walks them.  Rules that inject new
@@ -20,11 +28,17 @@ impossible for a validated spec.
 
 import ast
 
+from repro.gswfit.astutils import is_infra_call
 from repro.gswfit.dsl.predicates import Param
-from repro.gswfit.operators.assignment import perturb_constant
-from repro.gswfit.operators.base import replace_statement
+from repro.gswfit.operators.base import remove_statements, replace_statement
 
-__all__ = ["MUTATIONS", "MutationRule", "build_mutation", "resolve_field"]
+__all__ = [
+    "MUTATIONS",
+    "MutationRule",
+    "build_mutation",
+    "perturb_constant",
+    "resolve_field",
+]
 
 _BOOL_OP_NAMES = {ast.And: "and", ast.Or: "or"}
 
@@ -34,6 +48,13 @@ _ARITH_SWAP = {
     ast.Mult: ast.Add,
     ast.FloorDiv: ast.Mult,
     ast.Mod: ast.FloorDiv,
+}
+
+_BOUNDARY_SWAP = {
+    ast.Lt: ast.LtE,
+    ast.LtE: ast.Lt,
+    ast.Gt: ast.GtE,
+    ast.GtE: ast.Gt,
 }
 
 _ARITH_SYMBOLS = {
@@ -59,8 +80,23 @@ def _perturbable(value):
     return isinstance(value, (bool, int, float, str))
 
 
+def perturb_constant(value):
+    """The wrong value WVAV writes for ``value`` (deterministic)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * 2.0 + 1.0
+    if isinstance(value, str):
+        if len(value) > 1:
+            return value[:-1]
+        return value + "x"
+    raise TypeError(f"not a perturbable constant: {value!r}")
+
+
 #: The single empty-payload site most rules derive per anchor.
-_ONE_SITE = (("", {}),)
+_ONE_SITE = ((None, "", {}),)
 
 
 class MutationRule:
@@ -68,12 +104,18 @@ class MutationRule:
 
     #: Extra description-template placeholders this rule provides.
     context_keys = frozenset()
+    #: True when the rule anchors on statement lists, not AST nodes.
+    scans_blocks = False
 
     def __init__(self, params):
         self.params = params
 
-    def enumerate(self, image, node):
-        """The ``(payload, context)`` pairs this rule derives.
+    def prepare(self, image):
+        """Per-function precomputation; the result is passed to enumerate."""
+        return None
+
+    def enumerate(self, image, node, state):
+        """The ``(target, payload, context)`` triples this rule derives.
 
         Rules return sequences (tuples/lists), not generators, to keep
         the scan's per-passing-node cost flat.
@@ -95,7 +137,7 @@ class _DeleteNode(MutationRule):
 class _ReplaceWithBody(MutationRule):
     """Replace the anchor with its own body (drop a guard, keep code)."""
 
-    def enumerate(self, image, node):
+    def enumerate(self, image, node, state):
         return _ONE_SITE if getattr(node, "body", None) else ()
 
     def apply(self, tree, node, payload):
@@ -107,13 +149,13 @@ class _PerturbConstant(MutationRule):
 
     context_keys = frozenset({"old", "new"})
 
-    def enumerate(self, image, node):
+    def enumerate(self, image, node, state):
         constant = resolve_field(node, self.params["field"])
         if not isinstance(constant, ast.Constant):
             return ()
         if not _perturbable(constant.value):
             return ()
-        return (("", {
+        return ((None, "", {
             "old": repr(constant.value),
             "new": repr(perturb_constant(constant.value)),
         }),)
@@ -128,12 +170,12 @@ class _RemoveBoolOperand(MutationRule):
 
     context_keys = frozenset({"clause", "position"})
 
-    def enumerate(self, image, node):
+    def enumerate(self, image, node, state):
         chain = resolve_field(node, self.params["field"])
         if not isinstance(chain, ast.BoolOp):
             return ()
         return [
-            (str(position), {
+            (None, str(position), {
                 "clause": ast.unparse(operand),
                 "position": str(position),
             })
@@ -156,13 +198,13 @@ class _SwapBoolOperator(MutationRule):
 
     context_keys = frozenset({"old_op", "new_op"})
 
-    def enumerate(self, image, node):
+    def enumerate(self, image, node, state):
         chain = resolve_field(node, self.params["field"])
         if not isinstance(chain, ast.BoolOp):
             return ()
         old = _BOOL_OP_NAMES[type(chain.op)]
         new = "or" if old == "and" else "and"
-        return (("", {"old_op": old, "new_op": new}),)
+        return ((None, "", {"old_op": old, "new_op": new}),)
 
     def apply(self, tree, node, payload):
         chain = resolve_field(node, self.params["field"])
@@ -174,14 +216,14 @@ class _SwapBinopOperator(MutationRule):
 
     context_keys = frozenset({"old_op", "new_op"})
 
-    def enumerate(self, image, node):
+    def enumerate(self, image, node, state):
         binop = resolve_field(node, self.params["field"])
         if not isinstance(binop, ast.BinOp):
             return ()
         replacement = _ARITH_SWAP.get(type(binop.op))
         if replacement is None:
             return ()
-        return (("", {
+        return ((None, "", {
             "old_op": _ARITH_SYMBOLS[type(binop.op)],
             "new_op": _ARITH_SYMBOLS[replacement],
         }),)
@@ -196,10 +238,10 @@ class _ReplaceField(MutationRule):
 
     context_keys = frozenset({"source"})
 
-    def enumerate(self, image, node):
+    def enumerate(self, image, node, state):
         if resolve_field(node, self.params["field"]) is None:
             return ()
-        return (("", {"source": self.params["source"]}),)
+        return ((None, "", {"source": self.params["source"]}),)
 
     def apply(self, tree, node, payload):
         replacement = ast.parse(
@@ -215,10 +257,10 @@ class _WrapCondition(MutationRule):
 
     context_keys = frozenset({"source"})
 
-    def enumerate(self, image, node):
+    def enumerate(self, image, node, state):
         if not isinstance(node, ast.stmt):
             return ()
-        return (("", {"source": self.params["source"]}),)
+        return ((None, "", {"source": self.params["source"]}),)
 
     def apply(self, tree, node, payload):
         guard = ast.If(
@@ -234,14 +276,168 @@ class _InsertBefore(MutationRule):
 
     context_keys = frozenset({"source"})
 
-    def enumerate(self, image, node):
+    def enumerate(self, image, node, state):
         if not isinstance(node, ast.stmt):
             return ()
-        return (("", {"source": self.params["source"]}),)
+        return ((None, "", {"source": self.params["source"]}),)
 
     def apply(self, tree, node, payload):
         inserted = ast.parse(self.params["source"]).body
         replace_statement(tree, node, inserted + [node])
+
+
+#: MLPC: a run of at least this many simple statements is a site ...
+_RUN_MIN_LENGTH = 2
+#: ... and the mutation removes at most this many of them.
+_RUN_MAX_REMOVED = 3
+
+#: Parameters WPFV never rewrites: the process context is plumbing, not
+#: a data parameter a programmer would confuse with another variable.
+_WPFV_EXCLUDED_NAMES = frozenset({"ctx", "self"})
+_WPFV_MIN_CALL_ARGS = 2
+
+
+def _is_simple(stmt):
+    """An assignment or a call statement: one step of an algorithm."""
+    if isinstance(stmt, ast.Expr):
+        return isinstance(stmt.value, ast.Call)
+    return isinstance(stmt, (ast.Assign, ast.AugAssign))
+
+
+def _is_meaningful(stmt):
+    """A run member that makes the run worth removing (non-infra)."""
+    if isinstance(stmt, ast.Expr):
+        return not is_infra_call(stmt.value)
+    return True
+
+
+class _RemoveStatementRun(MutationRule):
+    """Remove a short run of consecutive simple statements (MLPC).
+
+    One site per maximal run of two or more assignments and call
+    statements in one block, past the initialization prefix of the
+    top-level body, unless every member is an infrastructure call.  The
+    edit removes the first ``min(len, 3)`` statements of the run — a
+    programmer who skipped a short step of the algorithm.
+    """
+
+    context_keys = frozenset({"count", "first"})
+    scans_blocks = True
+
+    def enumerate(self, image, block, state):
+        start = image.init_block_length() if block is image.fdef.body else 0
+        sites = []
+        run = []
+        for stmt in block[start:] + [None]:
+            if stmt is not None and _is_simple(stmt):
+                run.append(stmt)
+                continue
+            if len(run) >= _RUN_MIN_LENGTH and any(
+                _is_meaningful(member) for member in run
+            ):
+                count = str(min(len(run), _RUN_MAX_REMOVED))
+                sites.append((run[0], count, {
+                    "count": count,
+                    "first": ast.unparse(run[0]),
+                }))
+            run = []
+        return sites
+
+    def apply(self, tree, node, payload):
+        remove_statements(tree, node, int(payload))
+
+
+class _SwapComparisonBoundary(MutationRule):
+    """Off-by-one boundary swap in the anchor's ``test`` (WLEC).
+
+    One site per single-operator ordering comparison (``<``, ``<=``,
+    ``>``, ``>=``) anywhere in the test, placed on the ``Compare``
+    itself; the edit swaps ``<`` ↔ ``<=`` and ``>`` ↔ ``>=``.
+    """
+
+    context_keys = frozenset({"comparison"})
+
+    def enumerate(self, image, node, state):
+        test = getattr(node, "test", None)
+        if not isinstance(test, ast.AST):
+            return ()
+        return [
+            (sub, "", {"comparison": ast.unparse(sub)})
+            for sub in ast.walk(test)
+            if isinstance(sub, ast.Compare) and len(sub.ops) == 1
+            and type(sub.ops[0]) in _BOUNDARY_SWAP
+        ]
+
+    def apply(self, tree, node, payload):
+        node.ops[0] = _BOUNDARY_SWAP[type(node.ops[0])]()
+
+
+class _SwapArgumentOperator(MutationRule):
+    """Wrong arithmetic operator in a call argument (WAEP).
+
+    One site per positional argument whose top-level node is a binary
+    arithmetic expression; the edit swaps its operator (``+`` ↔ ``-``,
+    ``*`` → ``+``, ...).
+    """
+
+    context_keys = frozenset({"argument"})
+
+    def enumerate(self, image, node, state):
+        if not isinstance(node, ast.Call):
+            return ()
+        return [
+            (None, str(position), {"argument": ast.unparse(arg)})
+            for position, arg in enumerate(node.args)
+            if isinstance(arg, ast.BinOp) and type(arg.op) in _ARITH_SWAP
+        ]
+
+    def apply(self, tree, node, payload):
+        arg = node.args[int(payload)]
+        arg.op = _ARITH_SWAP[type(arg.op)]()
+
+
+class _SwapArgumentVariable(MutationRule):
+    """Pass the wrong local variable to a call (WPFV).
+
+    On a call with at least two positional arguments, the first one that
+    is a local variable (never ``ctx`` or ``self``) becomes the
+    alphabetically next local, wrapping around.  One site per call; the
+    replacement is chosen at scan time and recorded in the payload, so
+    the faultload fully describes the mutant.
+    """
+
+    context_keys = frozenset({"argument", "replacement"})
+
+    def prepare(self, image):
+        """``{local: alphabetically next local}``; empty below two locals."""
+        names = sorted(
+            name for name in image.local_names()
+            if name not in _WPFV_EXCLUDED_NAMES
+        )
+        if len(names) < 2:
+            return {}
+        return {
+            name: names[(position + 1) % len(names)]
+            for position, name in enumerate(names)
+        }
+
+    def enumerate(self, image, node, successors):
+        if not successors or not isinstance(node, ast.Call):
+            return ()
+        if len(node.args) < _WPFV_MIN_CALL_ARGS:
+            return ()
+        for position, arg in enumerate(node.args):
+            if isinstance(arg, ast.Name) and arg.id in successors:
+                replacement = successors[arg.id]
+                return ((None, f"{position}:{replacement}", {
+                    "argument": arg.id,
+                    "replacement": replacement,
+                }),)
+        return ()
+
+    def apply(self, tree, node, payload):
+        position, replacement = payload.split(":", 1)
+        node.args[int(position)].id = replacement
 
 
 #: kind → (rule class, params schema, source-parse mode or None).
@@ -272,6 +468,10 @@ MUTATIONS = {
     "insert-before": (_InsertBefore, {
         "source": Param("string", required=True),
     }, "exec"),
+    "remove-statement-run": (_RemoveStatementRun, {}, None),
+    "swap-comparison-boundary": (_SwapComparisonBoundary, {}, None),
+    "swap-argument-operator": (_SwapArgumentOperator, {}, None),
+    "swap-argument-variable": (_SwapArgumentVariable, {}, None),
 }
 
 

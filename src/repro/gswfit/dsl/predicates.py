@@ -27,9 +27,26 @@ from repro.gswfit.astutils import (
     is_simple_constant_assign,
     node_contains,
 )
-from repro.gswfit.operators.assignment import _is_interesting_constant
 
 __all__ = ["PREDICATES", "Param", "Predicate", "build_predicate"]
+
+
+def _is_interesting_constant(value):
+    """Constants WVAV perturbs: flags, non-zero numbers, non-empty text.
+
+    Zero/None/empty initializations are excluded — at machine level those
+    are register-clearing idioms, not immediate-operand stores, so the
+    original operator never matches them.
+    """
+    if isinstance(value, bool):
+        return True
+    if isinstance(value, int):
+        return value != 0
+    if isinstance(value, float):
+        return value != 0.0
+    if isinstance(value, str):
+        return len(value) > 0
+    return False
 
 
 class Param:
@@ -299,7 +316,6 @@ PREDICATES = {
     "no-control-transfer": (_NoControlTransfer, {}),
     "is-call-statement": (_IsCallStatement, {}),
     "fit-boundary": (_FitBoundary, {}),
-    "not-infra-call": (_FitBoundary, {}),
     "test-is-and-chain": (_TestIsAndChain, {}),
     "test-is-bool-chain": (_TestIsBoolChain, {}),
     "not-first-in-block": (_NotFirstInBlock, {}),

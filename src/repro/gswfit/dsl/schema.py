@@ -119,12 +119,21 @@ def _validate_pattern(pattern, source):
             key in ("node_types", "scans_blocks"), f"$.pattern.{key}",
             "unknown key (pattern has: node_types, scans_blocks)", source,
         )
-    node_types = pattern.get("node_types")
-    _require(
-        isinstance(node_types, list) and node_types,
-        "$.pattern.node_types",
-        "a non-empty list of AST node type names is required", source,
-    )
+    scans_blocks = pattern.get("scans_blocks", False)
+    _check_type(scans_blocks, "bool", "$.pattern.scans_blocks", source)
+    node_types = pattern.get("node_types", [])
+    if scans_blocks:
+        _require(
+            node_types == [], "$.pattern.scans_blocks",
+            "scans_blocks is not supported together with node_types: a "
+            "pattern anchors on AST nodes or on statement blocks", source,
+        )
+    else:
+        _require(
+            isinstance(node_types, list) and node_types,
+            "$.pattern.node_types",
+            "a non-empty list of AST node type names is required", source,
+        )
     for position, name in enumerate(node_types):
         path = f"$.pattern.node_types[{position}]"
         _require(isinstance(name, str), path,
@@ -134,14 +143,7 @@ def _validate_pattern(pattern, source):
             isinstance(resolved, type) and issubclass(resolved, ast.AST),
             path, f"unknown AST node type {name!r}", source,
         )
-    scans_blocks = pattern.get("scans_blocks", False)
-    _check_type(scans_blocks, "bool", "$.pattern.scans_blocks", source)
-    _require(
-        not scans_blocks, "$.pattern.scans_blocks",
-        "block-scanning specs are not supported; anchor the pattern "
-        "on node_types instead", source,
-    )
-    return {"node_types": list(node_types), "scans_blocks": False}
+    return {"node_types": list(node_types), "scans_blocks": scans_blocks}
 
 
 def _validate_preconditions(preconditions, source):
@@ -193,7 +195,7 @@ def _template_placeholders(template, path, source):
     return names
 
 
-def _validate_mutation(mutation, source):
+def _validate_mutation(mutation, scans_blocks, source):
     _require(
         isinstance(mutation, dict), "$.mutation",
         f"expected object, got {type(mutation).__name__}", source,
@@ -207,6 +209,13 @@ def _validate_mutation(mutation, source):
         f"(known: {', '.join(sorted(MUTATIONS))})", source,
     )
     cls, schema, source_mode = MUTATIONS[kind]
+    _require(
+        cls.scans_blocks == scans_blocks, "$.mutation.kind",
+        f"{kind!r} anchors on "
+        f"{'statement blocks' if cls.scans_blocks else 'AST nodes'}; "
+        f"set $.pattern.scans_blocks to {str(cls.scans_blocks).lower()}",
+        source,
+    )
     params = _validate_params(mutation, schema, kind, "$.mutation", source)
     if "field" in params and params["field"] is not None:
         _require(
@@ -225,7 +234,11 @@ def _validate_mutation(mutation, source):
             )
     template = mutation.get("description", "")
     _check_type(template, "string", "$.mutation.description", source)
-    allowed = BASE_PLACEHOLDERS | cls.context_keys
+    # Base placeholders are read off an anchor node; a block has none.
+    allowed = (
+        cls.context_keys if cls.scans_blocks
+        else BASE_PLACEHOLDERS | cls.context_keys
+    )
     for name in sorted(_template_placeholders(
             template, "$.mutation.description", source)):
         _require(
@@ -319,11 +332,20 @@ def validate_spec(data, source=None):
 
     _require("pattern" in data, "$.pattern", "a pattern is required",
              source)
-    canonical["pattern"] = _validate_pattern(data["pattern"], source)
-    canonical["preconditions"] = _validate_preconditions(
+    pattern = canonical["pattern"] = _validate_pattern(
+        data["pattern"], source
+    )
+    preconditions = canonical["preconditions"] = _validate_preconditions(
         data.get("preconditions", []), source
+    )
+    _require(
+        not (preconditions and pattern["scans_blocks"]), "$.preconditions",
+        "block-scanning specs take no preconditions (predicates test "
+        "AST nodes)", source,
     )
     _require("mutation" in data, "$.mutation",
              "a mutation rule is required", source)
-    canonical["mutation"] = _validate_mutation(data["mutation"], source)
+    canonical["mutation"] = _validate_mutation(
+        data["mutation"], pattern["scans_blocks"], source
+    )
     return canonical

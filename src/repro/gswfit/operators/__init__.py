@@ -1,51 +1,28 @@
 """Mutation operator library.
 
-One operator per fault type of the paper's Table 1.  Each operator is a
-search pattern (:meth:`~repro.gswfit.operators.base.MutationOperator.find_sites`)
-plus a mutation rule
-(:meth:`~repro.gswfit.operators.base.MutationOperator.mutate`) with the
+One operator per fault type of the paper's Table 1, each compiled from
+its declarative spec in :mod:`repro.gswfit.dsl.builtin_specs`: a search
+pattern (``find_sites``) plus a mutation rule (``mutate``) with the
 preconditions that keep the emulation representative (e.g. MIFS never
-removes an ``if`` whose body returns, MVI only removes initializations of
-variables that are used later).
+removes an ``if`` whose body returns, MVI only removes initializations
+of variables that are used later).  Every operator is a
+:class:`~repro.gswfit.dsl.compile.MutationOperator`.
 
 The library is extensible at runtime: :func:`register_operator` overlays
-dynamic operators — compiled from declarative specs (DESIGN.md §16) —
-on top of the Table 1 classes, either *replacing* a built-in (a DSL
-re-expression keeps its fault type, fault ids and digests) or *adding*
-a new dynamic fault type.  :func:`registry_generation` is a counter the
-cache layer folds into its memo keys so fingerprints never go stale
-across registrations.
+operators compiled from specs a user installs (DESIGN.md §16) on top of
+the Table 1 twelve, either *replacing* a built-in (a re-expression keeps
+its fault type, fault ids and digests) or *adding* a new dynamic fault
+type.  :func:`operator_provenance` tells the two apart.
+:func:`registry_generation` is a counter the cache layer folds into its
+memo keys so fingerprints never go stale across registrations.
 """
 
+import functools
+
 from repro.faults.types import FaultType, lookup_fault_type
-from repro.gswfit.operators.base import (
-    MutationOperator,
-    Site,
-    collect_sites,
-)
-from repro.gswfit.operators.assignment import (
-    MissingVariableInitialization,
-    MissingAssignmentWithValue,
-    MissingAssignmentWithExpression,
-    WrongValueAssigned,
-)
-from repro.gswfit.operators.checking import (
-    MissingIfAroundStatements,
-    MissingAndClause,
-    WrongLogicalExpression,
-)
-from repro.gswfit.operators.algorithm import (
-    MissingFunctionCall,
-    MissingIfPlusStatements,
-    MissingLocalPartOfAlgorithm,
-)
-from repro.gswfit.operators.interface import (
-    WrongArithmeticExpressionInParameter,
-    WrongVariableInParameter,
-)
+from repro.gswfit.operators.base import Site, collect_sites
 
 __all__ = [
-    "MutationOperator",
     "Site",
     "collect_sites",
     "operator_for",
@@ -54,29 +31,30 @@ __all__ = [
     "register_operator",
     "registry_generation",
     "reset_dynamic_operators",
-    "unregister_operator",
 ]
 
-_LIBRARY = {
-    FaultType.MVI: MissingVariableInitialization(),
-    FaultType.MVAV: MissingAssignmentWithValue(),
-    FaultType.MVAE: MissingAssignmentWithExpression(),
-    FaultType.MIA: MissingIfAroundStatements(),
-    FaultType.MLAC: MissingAndClause(),
-    FaultType.MFC: MissingFunctionCall(),
-    FaultType.MIFS: MissingIfPlusStatements(),
-    FaultType.MLPC: MissingLocalPartOfAlgorithm(),
-    FaultType.WVAV: WrongValueAssigned(),
-    FaultType.WLEC: WrongLogicalExpression(),
-    FaultType.WAEP: WrongArithmeticExpressionInParameter(),
-    FaultType.WPFV: WrongVariableInParameter(),
-}
+
+@functools.cache
+def _builtin_operators():
+    """The Table 1 operators in Table 1 order, compiled on first use.
+
+    Imported here rather than at module level: the DSL compiler imports
+    :mod:`repro.gswfit.operators.base`, so importing it while this
+    package initializes would be a cycle.
+    """
+    from repro.gswfit.dsl.builtin_specs import BUILTIN_SPECS
+    from repro.gswfit.dsl.compile import compile_spec
+
+    return {
+        fault_type: compile_spec(BUILTIN_SPECS[fault_type.value])
+        for fault_type in FaultType
+    }
 
 
-#: Dynamic overlay: spec-compiled operators, keyed by fault type.  A key
-#: also present in ``_LIBRARY`` is a re-expression of that built-in; a
-#: key absent from it is a new dynamic fault type (appended after the
-#: Table 1 twelve in library order).
+#: Dynamic overlay: operators compiled from installed specs, keyed by
+#: fault type.  A Table 1 key is a re-expression of that built-in; any
+#: other key is a new dynamic fault type (appended after the Table 1
+#: twelve in library order).
 _DYNAMIC = {}
 
 #: Bumped on every overlay change; cache memo keys include it.
@@ -91,10 +69,10 @@ def registry_generation():
 def operator_library():
     """The full operator library, keyed by fault type.
 
-    Table 1 order first (built-ins, with any DSL re-expression applied
-    in place), then dynamic fault types in registration order.
+    Table 1 order first (built-ins, with any installed re-expression
+    applied in place), then dynamic fault types in registration order.
     """
-    library = dict(_LIBRARY)
+    library = dict(_builtin_operators())
     library.update(_DYNAMIC)
     return library
 
@@ -105,16 +83,16 @@ def operator_for(fault_type):
         fault_type = lookup_fault_type(fault_type)
     if fault_type in _DYNAMIC:
         return _DYNAMIC[fault_type]
-    return _LIBRARY[fault_type]
+    return _builtin_operators()[fault_type]
 
 
 def operator_provenance(fault_type):
-    """``"builtin"`` or ``"dsl"`` for the operator behind ``fault_type``."""
+    """``"builtin"`` for a shipped spec, ``"dsl"`` for an installed one."""
     try:
         operator = operator_for(fault_type)
     except (KeyError, ValueError):
         return "unknown"
-    return getattr(operator, "provenance", "builtin")
+    return "dsl" if operator.fault_type in _DYNAMIC else "builtin"
 
 
 def register_operator(operator, replace=False):
@@ -122,30 +100,27 @@ def register_operator(operator, replace=False):
 
     ``replace=True`` is required to shadow a built-in Table 1 operator
     (the deliberate act of a ``"replaces": true`` spec); without it a
-    built-in collision raises ``ValueError``.  Registering a dynamic
-    fault type again simply updates the overlay.  Every change bumps
-    :func:`registry_generation`, invalidating fingerprint memos.
+    built-in collision raises ``ValueError``.  Returns the live
+    operator: registering a spec whose digest is already overlaid keeps
+    the existing operator and changes nothing, so the campaign parent
+    and every worker can install the same specs unconditionally.  Any
+    other change bumps :func:`registry_generation`, invalidating
+    fingerprint memos.
     """
     global _generation
     fault_type = operator.fault_type
-    if fault_type in _LIBRARY and not replace:
+    if fault_type in _builtin_operators() and not replace:
         raise ValueError(
             f"operator for {fault_type.value} would shadow the built-in "
             "Table 1 operator; pass replace=True (spec: \"replaces\": "
             "true) to re-express it"
         )
+    current = _DYNAMIC.get(fault_type)
+    if current is not None and current.spec.digest == operator.spec.digest:
+        return current
     _DYNAMIC[fault_type] = operator
     _generation += 1
     return operator
-
-
-def unregister_operator(fault_type):
-    """Remove one dynamic overlay entry (no-op if absent)."""
-    global _generation
-    if isinstance(fault_type, str):
-        fault_type = lookup_fault_type(fault_type)
-    if _DYNAMIC.pop(fault_type, None) is not None:
-        _generation += 1
 
 
 def reset_dynamic_operators():

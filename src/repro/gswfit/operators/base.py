@@ -1,32 +1,30 @@
-"""Operator framework: sites, search patterns, tree surgery helpers.
+"""Operator framework: sites, scan drivers, tree surgery helpers.
 
-Operators are written against a **visitor protocol**: each declares the
-AST node classes its search pattern anchors on (:attr:`node_types`), or
-that it scans statement blocks (:attr:`scans_blocks`), and implements
-:meth:`visit_node` / :meth:`visit_block` plus an optional per-function
-:meth:`begin_scan` that precomputes shared state.  Two drivers consume
-the protocol:
+An operator (:class:`~repro.gswfit.dsl.compile.MutationOperator`)
+declares the AST node classes its search pattern anchors on
+(``node_types``), or that it scans statement blocks (``scans_blocks``),
+and implements ``visit_node`` / ``visit_block`` plus a per-function
+``begin_scan`` that precomputes shared state.  Two drivers consume that
+protocol:
 
-* :meth:`MutationOperator.find_sites` — the per-operator reference pass:
+* ``MutationOperator.find_sites`` — the per-operator reference pass:
   one full tree traversal dispatching to this operator only.  This is
-  the historical 12-pass scan shape; the equivalence tests and the
-  hot-path bench use it as the baseline.
+  the historical 12-pass scan shape; the scanner equivalence tests and
+  the hot-path bench use it as the baseline.
 * :func:`collect_sites` — the single-pass driver: one indexed walk per
   function (already paid for at :class:`FunctionImage` construction),
   dispatching every node to all interested operators at once.  The
-  per-operator site order is identical to :meth:`find_sites` by
+  per-operator site order is identical to ``find_sites`` by
   construction, because both deliver candidates in walk order to the
   same visit methods.
 """
 
 import ast
-import inspect
 from dataclasses import dataclass
 
 from repro.gswfit.astutils import STATEMENT_BLOCK_FIELDS
 
 __all__ = [
-    "MutationOperator",
     "Site",
     "collect_sites",
     "replace_statement",
@@ -63,89 +61,6 @@ class Site:
         else:
             index_text, payload = key, ""
         return int(index_text), payload
-
-
-class MutationOperator:
-    """Base class: a search pattern plus a mutation rule.
-
-    Subclasses set :attr:`fault_type`, declare what the search pattern
-    anchors on (:attr:`node_types` and/or :attr:`scans_blocks`), and
-    implement :meth:`visit_node` / :meth:`visit_block` (emit sites for
-    one candidate, in deterministic order) and :meth:`apply` (mutate a
-    *fresh copy* of the tree in place, given the re-indexed node list).
-    """
-
-    fault_type = None
-    #: Concrete AST classes whose instances :meth:`visit_node` receives.
-    #: Exact classes, not bases — dispatch is by ``type(node)`` (AST
-    #: trees produced by :func:`ast.parse` never contain subclasses).
-    node_types = ()
-    #: When True, :meth:`visit_block` receives every statement list of
-    #: the function (bodies, else/finally arms) in walk order.
-    scans_blocks = False
-    #: Where the operator came from: ``"builtin"`` for the Table 1
-    #: classes, ``"dsl"`` for operators compiled from declarative specs.
-    provenance = "builtin"
-
-    def begin_scan(self, image):
-        """Per-function precomputation; its result is passed to visits."""
-        return None
-
-    def visit_node(self, image, node, state):
-        """Sites anchored on ``node`` (an instance of :attr:`node_types`)."""
-        return ()
-
-    def visit_block(self, image, block, state):
-        """Sites anchored on the statement list ``block``."""
-        return ()
-
-    def find_sites(self, image):
-        """Scan ``image`` with this operator alone (reference pass).
-
-        Performs one full tree traversal — the historical per-operator
-        scan shape.  :func:`collect_sites` produces the same sites for
-        the whole library in a single shared pass; use that on hot
-        paths.
-        """
-        state = self.begin_scan(image)
-        sites = []
-        if self.node_types:
-            for node in ast.walk(image.fdef):
-                if isinstance(node, self.node_types):
-                    sites.extend(self.visit_node(image, node, state))
-        if self.scans_blocks:
-            for _owner, _field, block in _iter_statement_lists(image.fdef):
-                sites.extend(self.visit_block(image, block, state))
-        return sites
-
-    def apply(self, tree, node_list, site):
-        """Mutate ``tree`` (already a fresh copy) at ``site``.
-
-        ``node_list`` is the walk index of ``tree``; the anchor node is
-        ``node_list[site.node_index]``.
-        """
-        raise NotImplementedError
-
-    def mutate(self, image, site):
-        """Return a mutated copy of the image's tree."""
-        tree, node_list = image.fresh_copy()
-        self.apply(tree, node_list, site)
-        ast.fix_missing_locations(tree)
-        return tree
-
-    def fingerprint_payload(self):
-        """Text that captures this operator's behaviour for cache keys.
-
-        Class operators fingerprint their source code, so editing an
-        operator invalidates scan and mutant caches.  Spec-compiled
-        operators override this with the canonical spec JSON — many
-        share one class, so class source alone would under-key them.
-        """
-        return inspect.getsource(type(self))
-
-    def __repr__(self):
-        name = self.fault_type.value if self.fault_type else "?"
-        return f"<{type(self).__name__} ({name})>"
 
 
 def collect_sites(image, operators):

@@ -105,3 +105,33 @@ def test_disk_roundtrip_preserves_faultload_fidelity(tmp_path):
     assert [loc.to_dict() for loc in restored] == [
         loc.to_dict() for loc in original
     ]
+
+
+def test_vocabulary_source_change_rekeys_scans_and_mutants(monkeypatch):
+    """Editing a predicate re-keys both caches though no spec changed."""
+    import inspect
+
+    from repro.gswfit.cache import clear_mutant_cache, mutant_fingerprint
+    from repro.gswfit.dsl import compile as dsl_compile
+    from repro.gswfit.dsl import predicates
+
+    location = scan_build(NT50).locations[0]
+    before = (library_fingerprint(NT50), mutant_fingerprint(location))
+    real = inspect.getsource
+
+    def edited(obj):
+        source = real(obj)
+        return source + "# edited\n" if obj is predicates else source
+
+    monkeypatch.setattr(inspect, "getsource", edited)
+    dsl_compile._vocabulary_digest.cache_clear()
+    clear_scan_cache()
+    clear_mutant_cache()
+    try:
+        after = (library_fingerprint(NT50), mutant_fingerprint(location))
+    finally:
+        monkeypatch.undo()
+        dsl_compile._vocabulary_digest.cache_clear()
+        clear_mutant_cache()
+    assert after[0] != before[0]
+    assert after[1] != before[1]

@@ -15,7 +15,7 @@ from repro.gswfit.dsl import (
     compile_spec,
     install_spec_operators,
 )
-from repro.gswfit.dsl.builtin_specs import builtin_spec
+from repro.gswfit.dsl.builtin_specs import builtin_spec, builtin_spec_names
 from repro.gswfit.operators import (
     operator_library,
     reset_dynamic_operators,
@@ -65,11 +65,16 @@ def test_unknown_node_type_is_path_precise():
 
 
 def test_unknown_predicate_kind_lists_the_vocabulary():
-    exc = _error(_new_type_spec(
-        preconditions=[{"kind": "has-els"}]
-    ))
-    assert exc.path == "$.preconditions[0].kind"
-    assert "has-else" in str(exc)
+    # No aliases (e.g. 'not-infra-call' for 'fit-boundary'): two
+    # spellings of one behaviour would give identical specs different
+    # digests.
+    for kind in ("has-els", "not-infra-call"):
+        exc = _error(_new_type_spec(
+            preconditions=[{"kind": kind}]
+        ))
+        assert exc.path == "$.preconditions[0].kind"
+        assert f"unknown predicate {kind!r}" in str(exc)
+        assert "has-else" in str(exc)
 
 
 def test_predicate_arity_unknown_parameter():
@@ -124,11 +129,30 @@ def test_replaces_true_requires_a_builtin_name():
 
 
 def test_scans_blocks_specs_are_rejected():
-    exc = _error(_new_type_spec(
-        pattern={"node_types": ["If"], "scans_blocks": True}
+    """A block-scanning spec pairs a block rule with nothing else."""
+    block_rule = {"kind": "remove-statement-run", "description": ""}
+    cases = [
+        ({"pattern": {"node_types": ["If"], "scans_blocks": True}},
+         "$.pattern.scans_blocks", "not supported"),
+        ({"pattern": {"scans_blocks": True}, "preconditions": []},
+         "$.mutation.kind", "anchors on AST nodes"),
+        ({"mutation": block_rule},
+         "$.mutation.kind", "anchors on statement blocks"),
+        ({"pattern": {"scans_blocks": True}, "mutation": block_rule},
+         "$.preconditions", "take no preconditions"),
+        ({"pattern": {"scans_blocks": True}, "preconditions": [],
+          "mutation": {**block_rule, "description": "{test}"}},
+         "$.mutation.description", "unknown placeholder {test}"),
+    ]
+    for overrides, path, message in cases:
+        exc = _error(_new_type_spec(**overrides))
+        assert exc.path == path
+        assert message in str(exc)
+    spec = OperatorSpec.from_dict(_new_type_spec(
+        pattern={"scans_blocks": True}, preconditions=[],
+        mutation=block_rule,
     ))
-    assert exc.path == "$.pattern.scans_blocks"
-    assert "not supported" in str(exc)
+    assert spec.pattern == {"node_types": [], "scans_blocks": True}
 
 
 def test_new_type_requires_metadata():
@@ -223,6 +247,24 @@ def test_builtin_replacement_via_register_requires_replace_flag(
     operator = compile_spec(builtin_spec("MVI"))
     with pytest.raises(ValueError):
         register_operator(operator, replace=False)
+
+
+def test_single_pass_scan_identical_with_dsl_replacements(
+        build, dsl_registry):
+    """Installing the shipped specs as user specs flips their provenance
+    to ``dsl`` and leaves the scan byte-identical (JSON)."""
+    from repro.gswfit.operators import operator_provenance
+    from repro.gswfit.scanner import scan_build
+
+    def as_json(faultload):
+        return json.dumps([loc.to_dict() for loc in faultload.locations])
+
+    names = builtin_spec_names()
+    reference = as_json(scan_build(build))
+    assert {operator_provenance(name) for name in names} == {"builtin"}
+    install_spec_operators([builtin_spec(name) for name in names])
+    assert {operator_provenance(name) for name in names} == {"dsl"}
+    assert as_json(scan_build(build)) == reference
 
 
 def test_shipped_example_spec_validates_and_scans(dsl_registry):

@@ -176,7 +176,7 @@ def test_wvav_perturbs_nonzero_constant():
 
 
 def test_wvav_flips_booleans_and_trims_strings():
-    from repro.gswfit.operators.assignment import perturb_constant
+    from repro.gswfit.dsl.mutations import perturb_constant
 
     assert perturb_constant(True) is False
     assert perturb_constant(False) is True
