@@ -180,7 +180,6 @@ class MutationOperator:
         self._rule = mutations.build_mutation(
             spec.mutation["kind"], spec.mutation
         )
-        self._template = spec.mutation.get("description", "")
         # Compile the template into (literal, field, extractor) parts:
         # the per-site render is then one join over direct extractions,
         # no context dict and no format machinery.  Rule-provided keys
@@ -191,7 +190,7 @@ class MutationOperator:
              None if field is None or field in rule_keys
              else _EXTRACTORS[field])
             for literal, field, _spec, _conv in string.Formatter().parse(
-                self._template
+                spec.mutation["description"]
             )
         )
 
