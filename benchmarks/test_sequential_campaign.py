@@ -7,8 +7,9 @@ faultload — at fixed metric error, meaning the sequential estimates of
 the tracked derived metrics stay inside the configured confidence band
 of the exhaustive values.  The slot reduction is recorded in
 ``BENCH_sequential.json`` for the bench-regression gate, and digest
-parity between worker counts is asserted inline (the sequential-gate CI
-job re-checks it across backends on every push).
+parity between worker counts is asserted inline (the tier-1 parity
+harness, ``tests/harness/test_parity.py``, re-checks it across backends
+and resumes on every push).
 """
 
 import json

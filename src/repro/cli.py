@@ -57,8 +57,8 @@ def _add_snapshot(parser):
         "--no-snapshot-epochs", action="store_true",
         help="boot + warm up every machine epoch from scratch instead "
              "of restoring the copy-on-write epoch snapshot "
-             "(digest-identical either way; this is the slow path the "
-             "determinism gate compares against)",
+             "(digest-identical either way, which the parity "
+             "harness checks)",
     )
     parser.add_argument(
         "--pristine-slots", action="store_true",
@@ -67,19 +67,11 @@ def _add_snapshot(parser):
              "snapshots on, changes the measured timeline so digests "
              "differ from the default back-to-back schedule",
     )
-    parser.add_argument(
-        "--snapshot-cache", type=int, metavar="N",
-        help="per-process LRU capacity of the epoch snapshot cache "
-             "(default 8 entries)",
-    )
 
 
 def _apply_snapshot(args, config):
     config.snapshot_epochs = not args.no_snapshot_epochs
     config.pristine_slots = args.pristine_slots
-    if args.snapshot_cache is not None:
-        from repro.harness.snapshot import snapshot_cache
-        snapshot_cache().resize(args.snapshot_cache)
 
 
 def _add_operator_specs(parser):
@@ -403,7 +395,6 @@ def _campaign_kwargs(args):
         "journal_path": args.journal,
         "resume": args.resume,
         "cache_dir": args.cache_dir,
-        "warm_mutants": not args.no_warm_mutants,
         "shard_timeout": args.shard_timeout,
         "max_retries": args.max_retries,
         "telemetry_path": args.telemetry,
@@ -430,11 +421,10 @@ def _cmd_campaign(args):
     print(f"campaign: {campaign.workers} worker(s), "
           f"{config.rules.iterations} iteration(s), "
           f"shard size {campaign.slots_per_shard} slots")
-    if campaign.warmup_stats is not None:
-        stats = campaign.warmup_stats
-        print(f"mutant warm-up: {stats['compiled']} compiled, "
-              f"{stats['cached']} cached, {stats['failed']} failed "
-              f"of {stats['slots']} slots")
+    stats = campaign.warmup_stats
+    print(f"mutant warm-up: {stats['compiled']} compiled, "
+          f"{stats['cached']} cached, {stats['failed']} failed "
+          f"of {stats['slots']} slots")
     manifest = campaign.manifest
     print(f"metrics digest: {manifest.metrics_digest}")
     if campaign.manifest_path:
@@ -703,10 +693,6 @@ def build_parser():
         help="disk cache directory for build scans and compiled mutants",
     )
     campaign.add_argument(
-        "--no-warm-mutants", action="store_true",
-        help="skip the up-front mutant compilation pass",
-    )
-    campaign.add_argument(
         "--shard-timeout", type=float, default=None,
         help="wall-clock deadline in seconds per shard attempt; a "
              "shard exceeding it is treated as hung and retried",
@@ -749,7 +735,8 @@ def build_parser():
         "--no-inject", action="store_true",
         help="control run: walk the slot protocol with the injector "
              "attached but swap no code (any integrity violation is an "
-             "auditor false positive — the clean-machine CI gate)",
+             "auditor false positive; the parity harness's no-inject "
+             "rows check for none)",
     )
     campaign.add_argument(
         "--backend", choices=("pool", "fabric"), default="pool",

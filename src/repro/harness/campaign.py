@@ -36,8 +36,8 @@ wall-clock deadline, and a shard that keeps failing is quarantined
 then completes with ``degraded=True``.  Every supervision decision and
 phase boundary is streamed to a telemetry JSONL file, and the run ends
 by writing a :class:`~repro.harness.telemetry.RunManifest` whose
-``metrics_digest`` is byte-identical for any worker count — the hook CI
-gates determinism on.
+``metrics_digest`` is byte-identical for any worker count — the hook the
+parity harness (``tests/harness/test_parity.py``) checks determinism on.
 """
 
 import hashlib
@@ -455,12 +455,11 @@ class ParallelCampaign:
         Checkpointing (see :class:`CampaignJournal`).
     cache_dir:
         Disk cache directory for the build scan and the precompiled
-        mutants (see :mod:`repro.gswfit.cache`).
-    warm_mutants:
-        Batch-compile the sampled faultload's mutants once, up-front,
-        before any worker process exists (default True).  On fork-based
-        platforms every worker inherits the warm in-process memo; with a
-        ``cache_dir`` the compiled code objects are shared on disk too.
+        mutants (see :mod:`repro.gswfit.cache`).  :meth:`run` compiles
+        the sampled faultload's mutants once, up-front, before any
+        worker process exists: on fork-based platforms every worker
+        inherits the warm in-process memo, and with a ``cache_dir`` the
+        compiled code objects are shared on disk too.
     shard_timeout:
         Wall-clock deadline in seconds for one shard attempt; a shard
         exceeding it is treated as hung (default None: no deadline).
@@ -495,7 +494,7 @@ class ParallelCampaign:
 
     def __init__(self, config, workers=None, slots_per_shard=None,
                  journal_path=None, resume=False, cache_dir=None,
-                 warm_mutants=True, shard_timeout=None,
+                 shard_timeout=None,
                  max_retries=DEFAULT_MAX_RETRIES,
                  max_pool_rebuilds=DEFAULT_MAX_POOL_REBUILDS,
                  telemetry_path=None, manifest_path=None,
@@ -539,7 +538,6 @@ class ParallelCampaign:
         self.journal_path = journal_path
         self.resume = resume
         self.cache_dir = cache_dir
-        self.warm_mutants = warm_mutants
         self.shard_timeout = shard_timeout
         self.max_retries = max_retries
         self.max_pool_rebuilds = max_pool_rebuilds
@@ -806,20 +804,17 @@ class ParallelCampaign:
             timings["activation_profile"] = round(
                 time.perf_counter() - started, 6
             )
-        if self.warm_mutants:
-            # Compile every sampled mutant exactly once, before any
-            # worker process exists: fork-started workers inherit the
-            # warm memo, and the disk tier covers spawn-started ones.
-            # Probed variants when activation tracking is on — the same
-            # entries the slot runs will request.
-            started = time.perf_counter()
-            self.warmup_stats = warm_mutant_cache(
-                faultload, cache_dir=self.cache_dir,
-                probed=self.config.track_activation,
-            )
-            timings["warm_mutants"] = round(
-                time.perf_counter() - started, 6
-            )
+        # Compile every sampled mutant exactly once, before any worker
+        # process exists: fork-started workers inherit the warm memo,
+        # and the disk tier covers spawn-started ones.  Probed variants
+        # when activation tracking is on — the same entries the slot
+        # runs will request.
+        started = time.perf_counter()
+        self.warmup_stats = warm_mutant_cache(
+            faultload, cache_dir=self.cache_dir,
+            probed=self.config.track_activation,
+        )
+        timings["warm_mutants"] = round(time.perf_counter() - started, 6)
         strata = None
         if self.config.sequential:
             # Sequential mode: the shard plan is the stratified batch

@@ -63,7 +63,7 @@ class ExperimentConfig:
     # every later epoch — contamination reboot, pristine-slot restart,
     # retried shard — a verified restore instead of a boot + warm-up.
     # Digest-neutral by construction (boot + warm-up is deterministic),
-    # which the restored-vs-booted CI gate proves on every push.
+    # which the parity harness (tests/harness/test_parity.py) checks.
     snapshot_epochs: bool = True
 
     # Paper-faithful Fig. 4 isolation: retire and replace the machine
@@ -76,7 +76,7 @@ class ExperimentConfig:
     # False = control run: walk the full slot protocol with the injector
     # attached in profile mode but no code swapped.  Any integrity
     # violation reported in such a run is an auditor false positive —
-    # the clean-machine CI gate relies on this.
+    # the parity harness's no-inject rows rely on this.
     inject_faults: bool = True
 
     # Fault-activation telemetry (DESIGN.md §11).  When on, mutants carry

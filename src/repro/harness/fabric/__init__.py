@@ -15,7 +15,8 @@ carries exactly the dict :meth:`ShardOutcome.to_dict` writes into the
 v5 journal, tagged with the journal version so skewed workers are
 rejected rather than silently merged.  Because the campaign's merge is
 exactly-once and order-independent, an N-worker fabric campaign is
-byte-digest-identical to a serial run — the determinism gate holds.
+byte-digest-identical to a serial run, even with a worker killed
+mid-campaign (``tests/harness/test_parity.py``).
 """
 
 from repro.harness.fabric.backend import FabricExecutorBackend

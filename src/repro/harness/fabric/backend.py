@@ -7,7 +7,7 @@ deployment shapes share it:
 * **loopback** — the backend spawns N local worker processes itself
   (``multiprocessing.Process`` running :class:`.FabricWorker`); this is
   single-machine scale-out with the full wire protocol in the loop, and
-  what the determinism/fabric CI gates exercise.  Workers are forked
+  what the parity harness's fabric rows exercise.  Workers are forked
   after the campaign warms the mutant cache, so they inherit the warm
   cache exactly like pool workers do.
 * **listen** — the backend binds a caller-chosen address and waits for

@@ -172,6 +172,13 @@ class FabricCoordinator:
 
     def stop(self):
         self._stopping = True
+        # On Linux, close() alone does not wake a thread blocked in
+        # accept(); shutdown() does, so the accept loop exits now
+        # instead of outliving the join deadline below.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

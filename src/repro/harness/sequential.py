@@ -22,7 +22,7 @@ evaluated per stratum, in fault-type order, from that stratum's batch
 outcomes alone — never from arrival order, worker count, or backend.
 Two campaigns with the same stopping schedule therefore execute the
 *same slot set* and merge to byte-identical ``metrics_digest`` values,
-which the sequential-gate CI job enforces.
+which the parity harness (``tests/harness/test_parity.py``) enforces.
 """
 
 from dataclasses import dataclass, field
@@ -237,8 +237,8 @@ class SequentialController:
 
         Diagnostic — written to the manifest *outside* the metrics
         digest.  ``stopping_points`` (fault type → slots executed) is
-        what the sequential-gate CI job compares across worker counts
-        and backends.
+        part of what the parity harness compares across worker counts,
+        backends and resumes.
         """
         planned = sum(state.plan.planned_slots for state in self.states)
         executed = sum(state.executed_slots for state in self.states)

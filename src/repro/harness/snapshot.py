@@ -163,11 +163,6 @@ class SnapshotCache:
     def discard(self, key):
         self._entries.pop(key, None)
 
-    def resize(self, max_entries):
-        self.max_entries = max(1, int(max_entries))
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
     def clear(self):
         self._entries.clear()
         self.hits = 0

@@ -17,10 +17,11 @@ campaign journal:
   identifies the run: campaign key, seed, build fingerprint, faultload
   digest, worker count, per-phase wall timings, everything supervision
   had to do, and a **metrics digest** — a SHA-256 over the merged,
-  deterministic results.  The digest is the contract the determinism
-  CI gate checks: ``workers=N`` and ``workers=1`` must produce
-  byte-identical digests, so the gate is a one-line comparison of two
-  manifest fields.
+  deterministic results.  The digest is the contract the parity
+  harness (``tests/harness/test_parity.py``) checks: every way of
+  executing a campaign — any worker count, backend, snapshot setting
+  or resume — must produce a byte-identical digest, so each check is a
+  comparison of manifest fields.
 
 The split matters: timings and timestamps vary run to run, so they live
 *outside* :func:`metrics_digest`, which covers only fields that are pure
@@ -155,8 +156,8 @@ def metrics_digest(result):
     ``(config, seed, faultload)`` — metrics plus :data:`DIGEST_FIELDS`
     — and nothing that varies run to run (wall timings, retry counts,
     host facts).  ``workers=N`` and ``workers=1`` therefore hash
-    identically, which is the property the determinism CI gate enforces
-    byte-for-byte.
+    identically, which the parity harness
+    (``tests/harness/test_parity.py``) enforces byte-for-byte.
     """
     payload = {
         "baseline": _metrics_dict(result.baseline),
@@ -218,14 +219,14 @@ class RunManifest:
       and pristine-slot mode were on, campaign totals for booted vs
       restored epochs and pristine restarts, and the restore rate.
       Diagnostic only — restored and booted epochs are digest-identical
-      by construction, which the restored-vs-booted CI gate enforces.
+      by construction, which the parity harness enforces.
     * ``fabric`` — the executor-backend summary: which backend
       dispatched the shards (``pool`` or ``fabric``) and, for the
       fabric, the worker roster (name/pid/host/shards done/alive) with
       steal/requeue/heartbeat/worker-death/version-skew counters.
       Diagnostic only — the shard plan, seeds, and merge are
       backend-blind, so the digest is identical across backends, which
-      the fabric CI gate enforces.
+      the parity harness enforces.
     * ``sequential`` — the sequential-sampling summary: whether the
       mode ran, the full stopping schedule (target, confidence, batch /
       min / max slots), planned vs executed slots with
@@ -234,10 +235,10 @@ class RunManifest:
       only — the stopping decisions are *reflected in* the executed
       slot set (which the digest covers); the block itself is never
       hashed, so interval bookkeeping can evolve without breaking
-      digest parity.  The sequential-gate CI job compares
-      ``stopping_points`` across worker counts and backends.
+      digest parity.  The parity harness compares the whole block
+      across worker counts, backends and resumes.
     * ``metrics_digest`` — :func:`metrics_digest` of the final result;
-      the determinism gate's comparand.
+      the parity harness's main comparand.
     * ``created_at`` — unix time the manifest was written.
     """
 

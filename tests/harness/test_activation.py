@@ -8,14 +8,13 @@ The contract under test, end to end:
 * the ``__gswfit_activation__`` hook lives in the FIT module for exactly
   the lifetime of an injection (refcounted across overlapping faults);
 * a real slot walk observes activations through the probe;
-* campaigns stay bit-deterministic across worker counts — digests and
-  per-slot activation records identical for workers=1 vs workers=4,
-  with and without ``--adaptive-slots``, on both OS builds;
 * adaptive scheduling only ever truncates slots whose fault never
   activated.
-"""
 
-import pytest
+Activation records and digests staying identical across worker counts,
+backends and resumes, with and without ``--adaptive-slots``, on both OS
+builds, are rows of ``test_parity.py``.
+"""
 
 from repro.gswfit import ACTIVATION_HOOK, ActivationTracker
 from repro.gswfit.injector import FaultInjector
@@ -25,21 +24,9 @@ from repro.harness.campaign import (
     ParallelCampaign,
     derive_activation_deadlines,
 )
-from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import WebServerExperiment
 from repro.ossim.builds import NT50
-
-
-def tiny_config(fault_sample=6, os_codename="nt50"):
-    config = ExperimentConfig.smoke()
-    config.os_codename = os_codename
-    config.fault_sample = fault_sample
-    config.rules = type(config.rules)(
-        warmup_seconds=3.0, rampup_seconds=1.0, rampdown_seconds=1.0,
-        iterations=1, slot_seconds=4.0, slot_gap_seconds=1.0,
-        baseline_seconds=12.0,
-    )
-    return config
+from tests.harness.configs import tiny_config
 
 
 # ----------------------------------------------------------------------
@@ -115,34 +102,6 @@ def test_slot_walk_observes_activations():
             assert 0.0 <= record["first_hit"] <= config.rules.slot_seconds
         else:
             assert record["first_hit"] is None
-
-
-# ----------------------------------------------------------------------
-# Campaign determinism across worker counts, builds, and modes
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("os_codename", ["nt50", "nt51"])
-@pytest.mark.parametrize("adaptive", [False, True])
-def test_campaign_activation_determinism(os_codename, adaptive):
-    def run(workers):
-        config = tiny_config(os_codename=os_codename)
-        config.adaptive_slots = adaptive
-        campaign = ParallelCampaign(config, workers=workers)
-        result = campaign.run(
-            include_baseline=False, include_profile_mode=False
-        )
-        return result, campaign.manifest
-
-    serial, serial_manifest = run(workers=1)
-    parallel, parallel_manifest = run(workers=4)
-    assert serial_manifest.metrics_digest == parallel_manifest.metrics_digest
-    for a, b in zip(serial.iterations, parallel.iterations):
-        assert a.activations == b.activations
-        assert a.faults_activated == b.faults_activated
-        assert a.slots_truncated == b.slots_truncated
-        assert a.truncated_seconds == b.truncated_seconds
-    assert serial_manifest.activation == parallel_manifest.activation
-    assert serial_manifest.activation["enabled"]
-    assert serial_manifest.activation["adaptive"] == adaptive
 
 
 # ----------------------------------------------------------------------

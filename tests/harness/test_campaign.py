@@ -19,20 +19,9 @@ from repro.harness.campaign import (
     plan_shards,
     run_shard,
 )
-from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import WebServerExperiment
 from repro.specweb.metrics import MetricsPartial
-
-
-def tiny_config(iterations=1, fault_sample=8):
-    config = ExperimentConfig.smoke()
-    config.fault_sample = fault_sample
-    config.rules = type(config.rules)(
-        warmup_seconds=3.0, rampup_seconds=1.0, rampdown_seconds=1.0,
-        iterations=iterations, slot_seconds=4.0, slot_gap_seconds=1.0,
-        baseline_seconds=12.0,
-    )
-    return config
+from tests.harness.configs import tiny_config
 
 
 def iterations_equal(a, b):
@@ -143,34 +132,8 @@ def test_merge_outcomes_ignores_arrival_order():
 
 
 # ----------------------------------------------------------------------
-# Equivalence (the CI gate: workers=1 vs workers=2)
+# Mutant warm-up and merge (worker-count parity: test_parity.py)
 # ----------------------------------------------------------------------
-def test_campaign_workers_1_and_2_bit_identical():
-    config = tiny_config(iterations=1)
-    serial = ParallelCampaign(config, workers=1).run(
-        include_baseline=False, include_profile_mode=False
-    )
-    parallel = ParallelCampaign(config, workers=2).run(
-        include_baseline=False, include_profile_mode=False
-    )
-    assert len(serial.iterations) == len(parallel.iterations) == 1
-    iterations_equal(serial.iterations[0], parallel.iterations[0])
-
-
-def test_campaign_workers_1_and_2_bit_identical_with_mutant_cache(tmp_path):
-    """The precompiled-mutant pipeline must not leak into the metrics:
-    serial and sharded runs stay bit-identical with warm-up plus the
-    disk cache tier enabled."""
-    config = tiny_config(iterations=1)
-    serial = ParallelCampaign(
-        config, workers=1, cache_dir=tmp_path / "serial"
-    ).run(include_baseline=False, include_profile_mode=False)
-    parallel = ParallelCampaign(
-        config, workers=2, cache_dir=tmp_path / "parallel"
-    ).run(include_baseline=False, include_profile_mode=False)
-    iterations_equal(serial.iterations[0], parallel.iterations[0])
-
-
 def test_campaign_warmup_compiles_sampled_faultload():
     from repro.gswfit.cache import clear_mutant_cache
 

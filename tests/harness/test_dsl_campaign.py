@@ -12,7 +12,7 @@ from repro.faults.types import reset_dynamic_fault_types
 from repro.gswfit.dsl.builtin_specs import builtin_spec
 from repro.gswfit.operators import reset_dynamic_operators
 from repro.harness.campaign import campaign_key
-from tests.harness.test_supervised_campaign import tiny_config
+from tests.harness.configs import tiny_config
 
 
 @pytest.fixture

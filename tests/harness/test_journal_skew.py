@@ -17,7 +17,7 @@ from repro.harness.campaign import (
     CampaignJournal,
     ParallelCampaign,
 )
-from tests.harness.test_supervised_campaign import tiny_config
+from tests.harness.configs import tiny_config
 
 
 def _run(tmp_path, name, resume=False):

@@ -3,9 +3,9 @@
 Covers the estimator layer (streaming moments, interval half-widths,
 the stopping rule), the stratified batch plan, the controller's
 edge-case decisions (small strata, zero variance, ceilings, quarantine),
-and the end-to-end properties the sequential-gate CI job enforces:
-worker-count digest parity and resume reproducing the uninterrupted
-run's stopping decisions.
+and resume reproducing the uninterrupted run's stopping decisions and
+batch audit records.  Digest and stopping-schedule parity across worker
+counts, backends and resumes are rows of ``test_parity.py``.
 """
 
 import math
@@ -19,7 +19,6 @@ from repro.harness.campaign import (
     CampaignShard,
     ParallelCampaign,
 )
-from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import WebServerExperiment
 from repro.harness.metrics import (
     SEQUENTIAL_TRACKED_METRICS,
@@ -35,20 +34,7 @@ from repro.harness.sequential import (
 )
 from repro.sim.rng import SeededRng
 from repro.specweb.metrics import MetricsPartial
-
-
-def tiny_config(iterations=1, fault_sample=24, **sequential):
-    config = ExperimentConfig.smoke()
-    config.fault_sample = fault_sample
-    config.rules = type(config.rules)(
-        warmup_seconds=3.0, rampup_seconds=1.0, rampdown_seconds=1.0,
-        iterations=iterations, slot_seconds=4.0, slot_gap_seconds=1.0,
-        baseline_seconds=12.0,
-    )
-    config.sequential = True
-    for key, value in sequential.items():
-        setattr(config, key, value)
-    return config
+from tests.harness.configs import SEQUENTIAL, tiny_config
 
 
 # ----------------------------------------------------------------------
@@ -327,21 +313,8 @@ def _run_sequential(config, tmp_path, name, workers=1, resume=False):
     return result, campaign.manifest
 
 
-def test_sequential_campaign_worker_count_parity(tmp_path):
-    config = tiny_config(ci_target=0.5, sequential_batch_slots=2)
-    serial, manifest1 = _run_sequential(config, tmp_path, "w1", workers=1)
-    parallel, manifest2 = _run_sequential(
-        tiny_config(ci_target=0.5, sequential_batch_slots=2),
-        tmp_path, "w2", workers=2,
-    )
-    assert manifest1.metrics_digest == manifest2.metrics_digest
-    assert manifest1.sequential == manifest2.sequential
-    assert manifest1.sequential["enabled"]
-    assert serial.sequential == parallel.sequential
-
-
 def test_sequential_resume_mid_batch_matches_uninterrupted(tmp_path):
-    config = tiny_config(ci_target=0.5, sequential_batch_slots=2)
+    config = tiny_config(**SEQUENTIAL)
     full, full_manifest = _run_sequential(config, tmp_path, "full")
     journal_path = tmp_path / "full" / "journal.jsonl"
     lines = journal_path.read_text().splitlines(keepends=True)
@@ -352,7 +325,7 @@ def test_sequential_resume_mid_batch_matches_uninterrupted(tmp_path):
     cut = tmp_path / "cut" / "journal.jsonl"
     cut.parent.mkdir()
     cut.write_text("".join(lines[:1 + len(lines) // 2]))
-    resumed_config = tiny_config(ci_target=0.5, sequential_batch_slots=2)
+    resumed_config = tiny_config(**SEQUENTIAL)
     resumed, resumed_manifest = _run_sequential(
         resumed_config, tmp_path, "cut", workers=2, resume=True
     )
@@ -370,7 +343,7 @@ def test_sequential_resume_mid_batch_matches_uninterrupted(tmp_path):
 
 
 def test_sequential_schedule_is_in_campaign_key():
-    config = tiny_config(ci_target=0.5)
+    config = tiny_config(**SEQUENTIAL)
     faultload = WebServerExperiment(config).prepared_faultload()
     from repro.harness.campaign import campaign_key
     base = campaign_key(config, faultload)
@@ -382,13 +355,13 @@ def test_sequential_schedule_is_in_campaign_key():
         ("sequential_max_slots", 12),
         ("sequential", False),
     ):
-        changed = tiny_config(ci_target=0.5)
+        changed = tiny_config(**SEQUENTIAL)
         setattr(changed, attribute, value)
         assert campaign_key(changed, faultload) != base, attribute
 
 
 def test_sequential_executes_a_subset_and_reports_savings(tmp_path):
-    config = tiny_config(fault_sample=48, ci_target=0.8,
+    config = tiny_config(fault_sample=48, sequential=True, ci_target=0.8,
                          sequential_batch_slots=2,
                          sequential_min_slots=4)
     result, manifest = _run_sequential(config, tmp_path, "save")

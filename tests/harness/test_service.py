@@ -82,6 +82,8 @@ def test_spec_accepts_underscores_and_faults_zero():
     ({"workers": True}, "expects a value"),
     ({"no-baseline": 1}, "must be a boolean"),
     ("not a dict", "must be a JSON object"),
+    ({"snapshot-cache": 4}, "unknown spec key"),
+    ({"no-warm-mutants": True}, "unknown spec key"),
 ])
 def test_spec_rejections(spec, fragment):
     with pytest.raises(SpecError, match=re.escape(fragment)):

@@ -4,10 +4,11 @@ The contract under test: a restored epoch is indistinguishable from a
 booted one.  Same simulated clock, same RNG streams, same workload
 trajectory — so a campaign that restores between slots must produce a
 ``metrics_digest`` byte-identical to one that boots between slots.
-Everything here parametrizes that claim: machine-level replay, digest
-parity across builds / worker counts / adaptive mode, contamination
-reboots served from the cache, and the restore-verify fallback when an
-image goes stale.
+Here: machine-level replay, a warm cache serving every epoch,
+contamination reboots served from the cache, and the restore-verify
+fallback when an image goes stale.  Restored-vs-booted campaign digests
+across builds, servers, worker counts and modes are rows of
+``test_parity.py``.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import dataclasses
 import pytest
 
 from repro.faults.faultload import Faultload
-from repro.harness.campaign import ParallelCampaign, campaign_key
+from repro.harness.campaign import campaign_key
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import WebServerExperiment
 from repro.harness.machine import ServerMachine
@@ -28,6 +29,7 @@ from repro.harness.snapshot import (
 )
 from repro.harness.telemetry import metrics_digest
 from repro.ossim.integrity import IntegrityAuditor
+from tests.harness.configs import tiny_config
 
 LEAK_FAULT = "repro.ossim.modules.ntdll50:RtlFreeHeap:MIA:5"
 
@@ -42,17 +44,6 @@ def fresh_cache():
 
 def smoke_config(**overrides):
     return ExperimentConfig.smoke(**overrides)
-
-
-def tiny_config(**overrides):
-    """Campaign-sized smoke config (mirrors test_campaign.tiny_config)."""
-    config = smoke_config(fault_sample=8, **overrides)
-    config.rules = type(config.rules)(
-        warmup_seconds=3.0, rampup_seconds=1.0, rampdown_seconds=1.0,
-        iterations=1, slot_seconds=4.0, slot_gap_seconds=1.0,
-        baseline_seconds=12.0,
-    )
-    return config
 
 
 def single_run_digest(config, faultload=None, iteration=1):
@@ -157,34 +148,6 @@ def test_dirty_snapshot_falls_back_to_boot():
 # ----------------------------------------------------------------------
 # Digest parity: restored epochs == booted epochs
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("os_codename", ["nt50", "nt51"])
-def test_pristine_digest_parity_restored_vs_booted(os_codename):
-    base = smoke_config(pristine_slots=True, os_codename=os_codename)
-    snap_digest, snap_run = single_run_digest(
-        dataclasses.replace(base, snapshot_epochs=True)
-    )
-    boot_digest, boot_run = single_run_digest(
-        dataclasses.replace(base, snapshot_epochs=False)
-    )
-    assert snap_digest == boot_digest
-    # The snapshot run really did restore: one boot, the rest restores.
-    assert snap_run.epochs_booted == 1
-    assert snap_run.epochs_restored == snap_run.pristine_restarts > 0
-    assert boot_run.epochs_restored == 0
-    assert boot_run.epochs_booted == boot_run.pristine_restarts + 1
-
-
-def test_nonpristine_digest_parity_restored_vs_booted():
-    base = smoke_config()
-    snap_digest, _ = single_run_digest(
-        dataclasses.replace(base, snapshot_epochs=True)
-    )
-    boot_digest, _ = single_run_digest(
-        dataclasses.replace(base, snapshot_epochs=False)
-    )
-    assert snap_digest == boot_digest
-
-
 def test_pristine_digest_stable_across_runs_and_warm_cache():
     config = smoke_config(pristine_slots=True)
     first_digest, first_run = single_run_digest(config)
@@ -221,36 +184,6 @@ def test_contamination_reboot_served_by_restore():
     assert snap_run.epochs_restored == 1
     assert snap_run.epochs_booted == 1
     assert boot_run.epochs_booted == 2
-    assert snap_digest == boot_digest
-
-
-def test_campaign_parity_workers_and_snapshots():
-    config = tiny_config(pristine_slots=True)
-    serial = ParallelCampaign(config, workers=1).run(
-        include_baseline=False, include_profile_mode=False
-    )
-    snapshot_cache().clear()
-    parallel = ParallelCampaign(config, workers=2).run(
-        include_baseline=False, include_profile_mode=False
-    )
-    snapshot_cache().clear()
-    booted = ParallelCampaign(
-        dataclasses.replace(config, snapshot_epochs=False), workers=1
-    ).run(include_baseline=False, include_profile_mode=False)
-    digests = {
-        metrics_digest(result) for result in (serial, parallel, booted)
-    }
-    assert len(digests) == 1
-
-
-def test_adaptive_slots_digest_parity():
-    base = smoke_config(adaptive_slots=True)
-    snap_digest, _ = single_run_digest(
-        dataclasses.replace(base, snapshot_epochs=True)
-    )
-    boot_digest, _ = single_run_digest(
-        dataclasses.replace(base, snapshot_epochs=False)
-    )
     assert snap_digest == boot_digest
 
 
@@ -295,8 +228,11 @@ def test_snapshot_cache_lru_eviction_and_counters():
     assert (cache.hits, cache.misses) == (3, 1)
     cache.discard("a")
     assert cache.get("a") is None
-    cache.resize(1)
-    assert len(cache) == 1
     cache.clear()
     assert len(cache) == 0
     assert (cache.hits, cache.misses) == (0, 0)
+    single = SnapshotCache(max_entries=1)
+    single.put(_fake_snapshot("a"))
+    single.put(_fake_snapshot("b"))
+    assert len(single) == 1
+    assert single.get("a") is None

@@ -16,19 +16,8 @@ from repro.harness.campaign import (
     plan_shards,
     run_shard,
 )
-from repro.harness.config import ExperimentConfig
 from repro.harness.telemetry import RunManifest, read_telemetry
-
-
-def tiny_config(iterations=1, fault_sample=8):
-    config = ExperimentConfig.smoke()
-    config.fault_sample = fault_sample
-    config.rules = type(config.rules)(
-        warmup_seconds=3.0, rampup_seconds=1.0, rampdown_seconds=1.0,
-        iterations=iterations, slot_seconds=4.0, slot_gap_seconds=1.0,
-        baseline_seconds=12.0,
-    )
-    return config
+from tests.harness.configs import tiny_config
 
 
 def _sabotaged_run_shard(config, iteration, cache_dir, plan, marker_dir,
@@ -160,28 +149,6 @@ def test_transient_crash_retries_and_stays_bit_identical(tmp_path):
     iterations_equal(clean_result.iterations[0], result.iterations[0])
     assert (supervised.manifest.metrics_digest
             == clean.manifest.metrics_digest)
-
-
-def test_manifest_digest_identical_across_worker_counts(tmp_path):
-    """The determinism-gate property, in miniature."""
-    serial = ParallelCampaign(
-        tiny_config(), workers=1,
-        manifest_path=tmp_path / "w1.manifest.json",
-    )
-    serial.run(include_baseline=False, include_profile_mode=False)
-    parallel = ParallelCampaign(
-        tiny_config(), workers=2,
-        manifest_path=tmp_path / "w2.manifest.json",
-    )
-    parallel.run(include_baseline=False, include_profile_mode=False)
-    w1 = RunManifest.load(tmp_path / "w1.manifest.json")
-    w2 = RunManifest.load(tmp_path / "w2.manifest.json")
-    assert w1.metrics_digest == w2.metrics_digest
-    assert w1.campaign_key == w2.campaign_key
-    assert w1.faultload_digest == w2.faultload_digest
-    assert w1.build_fingerprint == w2.build_fingerprint
-    # Execution shape is recorded but never part of the digest.
-    assert (w1.workers, w2.workers) == (1, 2)
 
 
 def test_manifest_and_telemetry_default_to_journal_siblings(tmp_path):
