@@ -149,6 +149,30 @@ def test_simbuffer_equality_and_hash():
     assert a != c
 
 
+# Fingerprints feed every campaign digest (the client checks each
+# response body against one), so they are pinned, not recomputed.
+@pytest.mark.parametrize("content_id, offset, length, fingerprint", [
+    (0, 0, 0, 0x5A91843FD3897F57),
+    (123456789, 0, 1024, 0x8421D00D8309ED2B),
+    (2**63 - 1, 4096, 900000, 0xD582772CCA40363B),
+    ("/dir00002/class3_8", 17, 5000, 0x1C075D859AD10070),
+    ("/site/résumé-日本.html", 0, 100, 0x3B52E4F08F396E81),
+])
+def test_simbuffer_fingerprint_golden(content_id, offset, length,
+                                      fingerprint):
+    buffer = SimBuffer.for_content(content_id, offset, length)
+    assert buffer.fingerprint == fingerprint
+
+
+def test_content_id_golden_for_non_ascii_path():
+    fs = VirtualFileSystem()
+    fs.mkdir("/site", parents=True)
+    node = fs.create_file("/site/résumé.html", size=10)
+    assert node.content_id == 0xA57C7F97C985BF9E
+    node.touch()
+    assert node.content_id == 0x19D6931F0B6E693A
+
+
 def test_count_files(vfs):
     assert vfs.count_files() == 1
     vfs.create_file("/site/docs/b", size=1)

@@ -91,6 +91,72 @@ def test_workload_deterministic_per_connection(fileset):
     assert ops_a != ops_c
 
 
+# The first 50 draws of connection 3 at seed 5.  Every campaign digest
+# rests on this sequence, so any change to how the generator draws
+# (weights, their running sums, the order of RNG calls) must fail here.
+GOLDEN_DRAWS = """
+    static_get /dir00002/class1_7
+    dynamic_get /dir00001/class0_5
+    static_get /dir00000/class1_3
+    static_get /dir00000/class2_5
+    static_get /dir00001/class0_5
+    static_get /dir00002/class1_7
+    static_get /dir00000/class2_1
+    static_get /dir00001/class0_5
+    static_get /dir00001/class1_6
+    dynamic_get /dir00001/class0_3
+    static_get /dir00001/class0_5
+    static_get /dir00001/class1_6
+    dynamic_get /dir00001/class0_5
+    post /postlog/form
+    dynamic_get /dir00001/class0_2
+    static_get /dir00002/class1_4
+    dynamic_get /dir00001/class1_3
+    static_get /dir00001/class1_2
+    static_get /dir00002/class0_3
+    static_get /dir00001/class1_5
+    dynamic_get /dir00002/class0_0
+    static_get /dir00002/class1_3
+    static_get /dir00000/class2_2
+    static_get /dir00000/class2_5
+    dynamic_get /dir00000/class1_4
+    static_get /dir00002/class2_3
+    dynamic_get /dir00001/class2_5
+    static_get /dir00001/class1_3
+    static_get /dir00002/class1_3
+    dynamic_get /dir00000/class1_2
+    static_get /dir00001/class1_4
+    post /postlog/form
+    static_get /dir00002/class0_0
+    static_get /dir00001/class1_5
+    static_get /dir00001/class0_2
+    static_get /dir00000/class0_3
+    static_get /dir00001/class0_4
+    static_get /dir00000/class0_5
+    post /postlog/form
+    dynamic_get /dir00002/class1_5
+    static_get /dir00001/class1_5
+    static_get /dir00000/class2_2
+    static_get /dir00000/class1_3
+    static_get /dir00000/class0_6
+    static_get /dir00000/class0_6
+    dynamic_get /dir00002/class0_3
+    static_get /dir00002/class1_6
+    dynamic_get /dir00000/class1_2
+    dynamic_get /dir00000/class0_3
+    dynamic_get /dir00000/class0_7
+""".split()
+
+
+def test_workload_draws_golden(fileset):
+    generator = WorkloadGenerator(fileset, SeededRng(5)).for_connection(3)
+    draws = []
+    for _ in range(50):
+        operation = generator.next_operation()
+        draws += [operation.kind.value, operation.request.path]
+    assert draws == GOLDEN_DRAWS
+
+
 def test_static_operations_carry_checkable_truth(fileset):
     generator = WorkloadGenerator(fileset, SeededRng(9))
     for _ in range(100):
