@@ -79,11 +79,19 @@ class Simulator:
             raise SchedulingError(
                 f"cannot run backwards to t={time:.6f} (now {self.now:.6f})"
             )
+        # The hot loop: one queue call per event, with step() inlined.
+        pop = self.events.pop
         while True:
-            next_time = self.events.peek_time()
-            if next_time is None or next_time > time:
+            event = pop(time)
+            if event is None:
                 break
-            self.step()
+            if event.time < self.now:
+                raise SchedulingError(
+                    "event queue returned an event in the past"
+                )
+            self.now = event.time
+            self._events_fired += 1
+            event.callback(*event.args)
         self.now = time
 
     def run(self, max_events=None):

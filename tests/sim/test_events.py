@@ -1,8 +1,10 @@
 """Unit tests for the event queue."""
 
+import random
+
 import pytest
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import PURGE_MIN_ENTRIES, Event, EventQueue
 
 
 def test_push_pop_orders_by_time():
@@ -52,16 +54,52 @@ def test_cancel_twice_is_safe():
     assert queue.pop() is None
 
 
-def test_peek_time_skips_cancelled():
+def test_pop_limit_skips_cancelled_head_and_stops_past_limit():
     queue = EventQueue()
-    event = queue.push(1.0, lambda: None)
-    queue.push(4.0, lambda: None)
-    queue.cancel(event)
-    assert queue.peek_time() == 4.0
+    head = queue.push(1.0, lambda: None)
+    keeper = queue.push(4.0, lambda: None)
+    queue.cancel(head)
+    assert queue.pop(limit=3.0) is None
+    assert len(queue) == 1  # the later event stays queued
+    assert queue.pop(limit=4.0) is keeper  # the limit is inclusive
+    assert queue.pop(limit=10.0) is None
 
 
-def test_peek_time_empty_queue():
-    assert EventQueue().peek_time() is None
+def _order(event):
+    return event.time, event.sequence
+
+
+def test_purge_keeps_live_events_in_time_sequence_order():
+    rng = random.Random(2004)
+    queue = EventQueue()
+    live = {}
+    purges = 0
+    for _ in range(4 * PURGE_MIN_ENTRIES):
+        for _ in range(rng.randint(1, 4)):
+            # Few distinct times, so many ties fall back to sequence.
+            event = queue.push(rng.randint(0, 40) / 4, lambda: None)
+            live[event.sequence] = event
+        for event in rng.sample(list(live.values()),
+                                min(len(live), rng.randint(0, 4))):
+            size = len(queue._heap)
+            queue.cancel(event)
+            del live[event.sequence]
+            purges += len(queue._heap) < size
+        if rng.random() < 0.2:
+            limit = rng.randint(0, 40) / 4
+            due = min(live.values(), key=_order, default=None)
+            if due is not None and due.time > limit:
+                due = None
+            assert queue.pop(limit=limit) is due
+            if due is not None:
+                del live[due.sequence]
+        assert len(queue) == len(live)
+    assert purges > 0
+    drained = []
+    while queue:
+        drained.append(queue.pop())
+    assert drained == sorted(live.values(), key=_order)
+    assert queue.pop() is None
 
 
 def test_pop_empty_returns_none():
