@@ -16,11 +16,11 @@ __all__ = ["SimBuffer", "FileNode", "VirtualFileSystem"]
 
 
 def _digest(*parts):
-    hasher = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        hasher.update(str(part).encode("utf-8"))
-        hasher.update(b"\x00")
-    return int.from_bytes(hasher.digest(), "big")
+    # Each part's UTF-8 text followed by a NUL, hashed in one call.
+    data = ("\x00".join(map(str, parts)) + "\x00").encode("utf-8")
+    return int.from_bytes(
+        hashlib.blake2b(data, digest_size=8).digest(), "big"
+    )
 
 
 class SimBuffer:

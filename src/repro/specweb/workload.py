@@ -8,6 +8,7 @@ its ground-truth expectation so the client can validate the response.
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.specweb.fileset import (
     CLASS_COUNT,
@@ -36,6 +37,14 @@ OPERATION_MIX = (
     (OperationKind.POST, 0.05),
 )
 
+# Running sums of the weights, as ``choices`` would otherwise rebuild
+# them on every draw (the same sums, so the same draws).
+_KIND_CUM_WEIGHTS = tuple(
+    accumulate(weight for _kind, weight in OPERATION_MIX)
+)
+_CLASS_CUM_WEIGHTS = tuple(accumulate(CLASS_WEIGHTS))
+_FILE_CUM_WEIGHTS = tuple(accumulate(WITHIN_CLASS_WEIGHTS))
+
 POST_BODY_BYTES = 320
 DYNAMIC_WRAPPER_BYTES = 128
 
@@ -62,7 +71,6 @@ class WorkloadGenerator:
         self.fileset = fileset
         self.rng = rng
         self._kinds = [kind for kind, _weight in OPERATION_MIX]
-        self._kind_weights = [weight for _kind, weight in OPERATION_MIX]
         self._class_indices = list(range(CLASS_COUNT))
         self._file_indices = list(range(FILES_PER_CLASS))
 
@@ -77,10 +85,10 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------
     def _draw_file(self):
         class_index = self.rng.choices(
-            self._class_indices, weights=CLASS_WEIGHTS
+            self._class_indices, cum_weights=_CLASS_CUM_WEIGHTS
         )[0]
         file_index = self.rng.choices(
-            self._file_indices, weights=WITHIN_CLASS_WEIGHTS
+            self._file_indices, cum_weights=_FILE_CUM_WEIGHTS
         )[0]
         dir_index = self.rng.randint(0, self.fileset.directories - 1)
         return self.fileset.url_path(dir_index, class_index, file_index)
@@ -88,7 +96,7 @@ class WorkloadGenerator:
     def next_operation(self, connection_id=0, request_id=0):
         """Generate the next :class:`PlannedOperation`."""
         kind = self.rng.choices(self._kinds,
-                                weights=self._kind_weights)[0]
+                                cum_weights=_KIND_CUM_WEIGHTS)[0]
         if kind == OperationKind.POST:
             request = HttpRequest(
                 "POST",
