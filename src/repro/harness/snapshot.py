@@ -27,8 +27,11 @@ Two objects are deliberately *not* captured:
   globally (``__code__`` swaps), so a restored machine must dispatch
   against the *live* build, not a frozen copy of it.
 
-Both are tunnelled through the pickle as persistent IDs and re-attached
-by reference on restore.
+Both are pickled by reference, never by value: the pickler's
+``dispatch_table`` reduces each of them (keyed by its type, so the C
+pickler looks it up without a Python call per object) to
+``_shared(index)``, and the restoring unpickler's ``find_class`` resolves
+``_shared`` to that snapshot's own tuple of live objects.
 
 Restore-verify protocol: alongside the image, the capturer stores the
 :class:`~repro.ossim.integrity.IntegrityAuditor`'s capture-time audit
@@ -37,6 +40,7 @@ that report byte-for-byte; a mismatch discards the snapshot and the
 caller falls back to a full boot + warm-up.
 """
 
+import copyreg
 import hashlib
 import io
 import json
@@ -73,6 +77,45 @@ def snapshot_key(config, iteration):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _shared(index):
+    """Placeholder for an object a snapshot holds by reference.
+
+    Images name this function where the config or build belongs;
+    :class:`_SharedUnpickler` resolves the name to the restoring
+    snapshot's object, so it is never called.
+    """
+    raise pickle.UnpicklingError(
+        f"shared object #{index} outside a snapshot restore"
+    )
+
+
+def _shared_dispatch_table(shared):
+    """A pickler ``dispatch_table`` that reduces each object of
+    ``shared`` to ``_shared(index)``.  Another instance of the same
+    type is pickled by value, as it would be without the entry."""
+    table = copyreg.dispatch_table.copy()
+    for index, obj in enumerate(shared):
+        def reduce(candidate, index=index, obj=obj):
+            if candidate is obj:
+                return _shared, (index,)
+            return candidate.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+        table[type(obj)] = reduce
+    return table
+
+
+class _SharedUnpickler(pickle.Unpickler):
+    """Unpickler that resolves ``_shared`` to a snapshot's objects."""
+
+    def __init__(self, image, shared):
+        super().__init__(io.BytesIO(image))
+        self._shared = shared
+
+    def find_class(self, module, name):
+        if module == __name__ and name == _shared.__name__:
+            return self._shared.__getitem__
+        return super().find_class(module, name)
+
+
 class MachineSnapshot:
     """One warmed-up machine epoch, frozen as immutable bytes.
 
@@ -96,12 +139,11 @@ class MachineSnapshot:
         and stays the canonical first epoch.
         """
         shared = (machine.config, machine.build)
-        by_id = {id(obj): index for index, obj in enumerate(shared)}
         buffer = io.BytesIO()
         pickler = pickle.Pickler(
             buffer, protocol=pickle.HIGHEST_PROTOCOL
         )
-        pickler.persistent_id = lambda obj: by_id.get(id(obj))
+        pickler.dispatch_table = _shared_dispatch_table(shared)
         pickler.dump({"machine": machine, "auditor": auditor})
         return cls(key, buffer.getvalue(), shared)
 
@@ -112,9 +154,7 @@ class MachineSnapshot:
         can reach the image or any other epoch's copy.  The config and
         build come back by reference (see module docstring).
         """
-        unpickler = pickle.Unpickler(io.BytesIO(self._image))
-        unpickler.persistent_load = self._shared.__getitem__
-        state = unpickler.load()
+        state = _SharedUnpickler(self._image, self._shared).load()
         self.restores += 1
         return state["machine"], state["auditor"]
 

@@ -12,6 +12,7 @@ across builds, servers, worker counts and modes are rows of
 """
 
 import dataclasses
+import warnings
 
 import pytest
 
@@ -127,6 +128,38 @@ def test_restored_machine_replays_booted_machine_exactly():
     assert second.sim.now == restored.sim.now
     assert second.client.total_ops() == restored.client.total_ops()
     assert snapshot.restores == 2
+
+
+def test_capture_and_restore_raise_no_deprecation_warning():
+    """Nothing in an image relies on pickle support Python 3.14 drops,
+    such as pickling ``itertools`` objects (deprecated since 3.12)."""
+    config = smoke_config()
+    machine = ServerMachine(config, iteration=1)
+    assert machine.boot()
+    machine.client.start()
+    machine.run_for(
+        config.rules.warmup_seconds + config.rules.rampup_seconds
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        snapshot = MachineSnapshot.capture(
+            snapshot_key(config, 1), machine
+        )
+        restored, _ = snapshot.restore()
+    assert restored.sim.now == machine.sim.now
+    assert restored.config is machine.config
+
+
+def test_only_the_machines_own_config_is_shared_by_reference():
+    """Another object of a shared type is pickled by value."""
+    config = smoke_config()
+    machine = ServerMachine(config, iteration=1)
+    machine.other_config = dataclasses.replace(config, seed=config.seed + 1)
+    snapshot = MachineSnapshot.capture(snapshot_key(config, 1), machine)
+    restored, _ = snapshot.restore()
+    assert restored.config is machine.config
+    assert restored.other_config is not machine.other_config
+    assert restored.other_config == machine.other_config
 
 
 def test_dirty_snapshot_falls_back_to_boot():
