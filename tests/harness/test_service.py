@@ -607,16 +607,44 @@ def _spawn_daemon(home):
         part for part in (str(repo / "src"), env.get("PYTHONPATH"))
         if part
     )
+    # Its own session, so the daemon leads a process group that also
+    # holds the pool workers it forks: _kill_daemon_group reaps them all.
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--home", str(home), "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        cwd=repo, env=env,
+        cwd=repo, env=env, start_new_session=True,
     )
     line = process.stdout.readline()
     match = re.search(r"http://[\d.]+:(\d+)", line)
     assert match, f"no listening line, got {line!r}"
     return process, int(match.group(1))
+
+
+def _kill_daemon_group(process):
+    """SIGKILL the daemon and every process it forked, then wait until
+    none of them is left.
+
+    The pool workers fork after ``serve()`` installs its SIGTERM drain
+    handler, so they ignore SIGTERM and outlive a daemon killed alone.
+    """
+    pgid = process.pid  # start_new_session: the daemon leads the group
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait(10)
+    process.stdout.close()
+
+    def _group_gone():
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        return False
+
+    _await(_group_gone, deadline=30.0,
+           message=f"daemon process group {pgid} to exit")
 
 
 @pytest.mark.slow
@@ -632,9 +660,7 @@ def test_chaos_sigkill_mid_campaign_recovers_identical_digest(
         _await(lambda: journal.exists() and _journal_units(journal),
                deadline=60.0, message="first shard before the kill")
     finally:
-        if process.poll() is None:
-            os.kill(process.pid, signal.SIGKILL)
-        process.wait(10)
+        _kill_daemon_group(process)
     pre = _journal_units(journal)
     queue_states = [
         json.loads(line)
@@ -665,5 +691,4 @@ def test_chaos_sigkill_mid_campaign_recovers_identical_digest(
             status["metrics_digest"]
         assert _http(port, "POST", "/drain", {})[0] == 202
     finally:
-        process.terminate()
-        process.wait(10)
+        _kill_daemon_group(process)
