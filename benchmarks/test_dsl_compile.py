@@ -8,16 +8,12 @@ single whole-build scan, so it stays invisible next to the scan it feeds
 (and the scan itself is cached).  Scan throughput is guarded end to end
 by the ``faultload`` workload of ``benchmarks/e2e``.
 
-Results are written to ``BENCH_dsl.json`` at the repo root.  Set
-``REPRO_BENCH_SMOKE=1`` (the CI bench-smoke job does) to shrink the
-workloads — smoke mode checks the machinery, not the numbers.
+Set ``REPRO_BENCH_SMOKE=1`` (the CI bench-smoke job does) to shrink
+the workloads — smoke mode checks the machinery, not the numbers.
 """
 
-import json
 import os
-import sys
 import time
-from pathlib import Path
 
 from repro.gswfit.astutils import FunctionImage
 from repro.gswfit.dsl import OperatorSpec, compile_spec
@@ -27,9 +23,6 @@ from repro.ossim.builds import NT50, NT51
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 COMPILE_ROUNDS = 3 if SMOKE else 10
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_dsl.json"
-RESULTS = {}
 
 
 def _fit_functions(build):
@@ -73,12 +66,6 @@ def test_spec_compile_overhead(benchmark):
                                            iterations=1)
     per_spec = compile_all / len(corpus)
     scans_per_compile = scan / max(compile_all, 1e-9)
-    RESULTS["spec_compile"] = {
-        "specs": len(corpus),
-        "compile_ms_per_spec": round(per_spec * 1e3, 4),
-        "corpus_compile_ms": round(compile_all * 1e3, 3),
-        "scans_per_compile": round(scans_per_compile, 1),
-    }
     print()
     print(f"compile: {per_spec * 1e3:.3f}ms/spec  "
           f"corpus={compile_all * 1e3:.2f}ms  "
@@ -88,18 +75,3 @@ def test_spec_compile_overhead(benchmark):
         f"costs more than a whole-build scan ({scan * 1e3:.1f}ms)"
     )
 
-
-# ----------------------------------------------------------------------
-# Emit the checked-in record (runs last in this file)
-# ----------------------------------------------------------------------
-def test_write_bench_json():
-    assert RESULTS, "run the compile bench before the JSON writer"
-    payload = {
-        "bench": "dsl",
-        "python": sys.version.split()[0],
-        "smoke": SMOKE,
-        **RESULTS,
-    }
-    BENCH_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
