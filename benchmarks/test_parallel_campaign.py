@@ -5,11 +5,10 @@ Four claims, all load-bearing for production-scale campaigns:
 * **Equivalence + speedup** — a sharded campaign run with several
   workers produces metrics bit-identical to the single-worker run, and
   finishes faster (each worker simulates its shards concurrently).
-* **Fabric scaling** — the socket coordinator/worker backend
-  (``--backend fabric``) scales the same way in loopback mode, with
-  byte-identical digests between 1 and N workers; its wall-clock at 4
-  workers is recorded in ``BENCH_fabric.json`` for the bench-regression
-  gate.
+* **Fabric scaling** — ``--workers 4`` (four loopback workers of the
+  socket coordinator/worker fabric) gives a digest byte-identical to
+  the in-process ``--workers 1`` run; its wall-clock at 4 workers is
+  recorded in ``BENCH_fabric.json`` for the bench-regression gate.
 * **Adaptive slots** — activation-aware slot scheduling
   (``--adaptive-slots``) cuts campaign wall-clock by >= 25% at equal
   worker count on a *generic* (non-fine-tuned) faultload, because slots
@@ -98,12 +97,13 @@ def test_parallel_campaign_equivalence_and_speedup(benchmark):
         assert parallel_s < serial_s
     else:
         # Single-core host: no speedup is possible, so just bound the
-        # pool's overhead — the mechanism must stay near-free.
+        # workers' overhead — the mechanism must stay near-free.
         assert parallel_s < serial_s * 1.6
 
 
 # ----------------------------------------------------------------------
-# Fabric scaling (1 vs 4 loopback workers) — emits BENCH_fabric.json
+# Fabric scaling (in-process vs 4 loopback workers) — emits
+# BENCH_fabric.json
 # ----------------------------------------------------------------------
 def _fabric_config():
     config = bench_config("apache", "nt50")
@@ -118,16 +118,16 @@ def _fabric_config():
 
 def _run_fabric_campaign(workers):
     config = _fabric_config()
-    campaign = ParallelCampaign(config, workers=workers,
-                                backend="fabric")
+    campaign = ParallelCampaign(config, workers=workers)
     started = time.perf_counter()
     campaign.run(include_baseline=False, include_profile_mode=False)
     return campaign.manifest, time.perf_counter() - started
 
 
 def test_fabric_scaling(benchmark):
-    """Loopback fabric: digest parity between 1 and 4 workers, and the
-    wall-clock scaling recorded for the regression gate."""
+    """Digest parity between the in-process run and 4 loopback fabric
+    workers, and the wall-clock scaling recorded for the regression
+    gate."""
     def regenerate():
         return _run_fabric_campaign(1), _run_fabric_campaign(FABRIC_WORKERS)
 
@@ -137,7 +137,7 @@ def test_fabric_scaling(benchmark):
     speedup = single_s / multi_s
     cpus = os.cpu_count() or 1
     print()
-    print(f"fabric loopback: workers=1 {single_s:.1f}s, "
+    print(f"fabric: workers=1 (in-process) {single_s:.1f}s, "
           f"workers={FABRIC_WORKERS} {multi_s:.1f}s "
           f"({speedup:.2f}x on {cpus} cpus)")
     assert single.metrics_digest == multi.metrics_digest, (

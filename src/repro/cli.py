@@ -321,8 +321,12 @@ def _validate_campaign_args(args):
     )
     if error is not None:
         return error
-    if args.workers is not None and args.workers < 1:
-        return f"--workers must be >= 1, got {args.workers}"
+    if args.workers is not None:
+        if args.fabric_listen is None and args.workers < 1:
+            return (f"--workers must be >= 1, got {args.workers} "
+                    f"(0 needs --fabric-listen)")
+        if args.workers < 0:
+            return f"--workers must be >= 0, got {args.workers}"
     if args.slots_per_shard is not None and args.slots_per_shard < 1:
         return (f"--slots-per-shard must be >= 1, "
                 f"got {args.slots_per_shard}")
@@ -334,25 +338,12 @@ def _validate_campaign_args(args):
     error = _validate_sequential_args(args)
     if error is not None:
         return error
-    if args.backend != "fabric":
-        if args.fabric_listen is not None:
-            return "--fabric-listen requires --backend fabric"
-        if args.fabric_loopback is not None:
-            return "--fabric-loopback requires --backend fabric"
-        return None
     if args.fabric_listen is not None:
         from repro.harness.fabric.protocol import parse_address
         try:
             parse_address(args.fabric_listen)
         except ValueError as exc:
             return f"--fabric-listen: {exc}"
-    if args.fabric_loopback is not None:
-        if args.fabric_loopback < 0:
-            return (f"--fabric-loopback must be >= 0, "
-                    f"got {args.fabric_loopback}")
-        if args.fabric_loopback == 0 and args.fabric_listen is None:
-            return ("--fabric-loopback 0 needs --fabric-listen so "
-                    "external workers can supply the capacity")
     return None
 
 
@@ -399,14 +390,12 @@ def _campaign_kwargs(args):
         "max_retries": args.max_retries,
         "telemetry_path": args.telemetry,
         "manifest_path": args.manifest,
-        "backend": args.backend,
         "fabric_listen": fabric_listen,
-        "fabric_loopback": args.fabric_loopback,
     }
 
 
 def _cmd_campaign(args):
-    from repro.harness.campaign import ParallelCampaign
+    from repro.harness.campaign import JournalMismatch, ParallelCampaign
 
     error = _validate_campaign_args(args)
     if error is not None:
@@ -414,10 +403,14 @@ def _cmd_campaign(args):
         return 2
     config = _campaign_config(args)
     campaign = ParallelCampaign(config, **_campaign_kwargs(args))
-    result = campaign.run(
-        include_baseline=not args.no_baseline,
-        include_profile_mode=not args.no_profile,
-    )
+    try:
+        result = campaign.run(
+            include_baseline=not args.no_baseline,
+            include_profile_mode=not args.no_profile,
+        )
+    except JournalMismatch as exc:
+        print(exc, file=sys.stderr)
+        return 2
     print(f"campaign: {campaign.workers} worker(s), "
           f"{config.rules.iterations} iteration(s), "
           f"shard size {campaign.slots_per_shard} slots")
@@ -673,8 +666,10 @@ def build_parser():
     campaign.add_argument("--connections", type=int, default=16)
     campaign.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes (default: cpu count); results are "
-             "identical for any worker count",
+        help="worker processes (default: cpu count): 1 runs shards "
+             "in-process, N forks N local fabric workers, 0 (only with "
+             "--fabric-listen) leaves all work to external workers; "
+             "results are identical for any worker count",
     )
     campaign.add_argument(
         "--slots-per-shard", type=int, default=None,
@@ -739,20 +734,10 @@ def build_parser():
              "rows check for none)",
     )
     campaign.add_argument(
-        "--backend", choices=("pool", "fabric"), default="pool",
-        help="shard dispatch backend: in-process worker pool "
-             "(default) or the socket coordinator/worker fabric; the "
-             "metrics digest is identical either way",
-    )
-    campaign.add_argument(
         "--fabric-listen", metavar="HOST:PORT",
-        help="fabric only: accept external campaign-worker processes "
-             "on this address (default: loopback, ephemeral port)",
-    )
-    campaign.add_argument(
-        "--fabric-loopback", type=int, default=None, metavar="N",
-        help="fabric only: local worker processes to spawn (default: "
-             "--workers when no --fabric-listen, else 0)",
+        help="also accept external campaign-worker processes on this "
+             "address, alongside the --workers local ones (default: "
+             "local workers only)",
     )
     _add_activation(campaign)
     _add_snapshot(campaign)

@@ -43,8 +43,8 @@ def install_spec_operators(specs):
     built-in operator in the library; new fault types are registered
     with the fault-type registry first, then overlaid on the library.
     Installing a spec whose digest is already installed is a no-op, so
-    the campaign parent, pool workers, and fabric workers can all
-    install the same config unconditionally.
+    the campaign parent and its fabric workers can all install the
+    same config unconditionally.
     """
     installed = []
     for entry in specs or ():

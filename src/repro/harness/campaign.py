@@ -56,6 +56,7 @@ from repro.gswfit.cache import (
     warm_mutant_cache,
 )
 from repro.harness.experiment import WebServerExperiment, profile_servers
+from repro.harness.fabric import FabricExecutorBackend
 from repro.harness.jsonl import read_jsonl
 from repro.harness.results import (
     BenchmarkResult,
@@ -88,6 +89,7 @@ __all__ = [
     "CampaignInterrupted",
     "CampaignJournal",
     "CampaignShard",
+    "JournalMismatch",
     "ParallelCampaign",
     "ShardOutcome",
     "campaign_key",
@@ -116,6 +118,11 @@ class CampaignInterrupted(RuntimeError):
         self.campaign_key = campaign_key
         self.completed = completed
         self.remaining = remaining
+
+
+class JournalMismatch(ValueError):
+    """``resume=True`` over a journal another campaign wrote."""
+
 
 # v7: shard outcomes are a SlotTally; the unread ``snapshot_enabled``
 # flag is gone.
@@ -230,14 +237,14 @@ def shard_seed(base_seed, shard_index):
 def run_shard(config, iteration, shard, mutant_cache_dir=None):
     """Run one shard's slots on a private machine (worker entry point).
 
-    Top-level so it pickles into a :class:`ProcessPoolExecutor`; it is
-    also what ``workers=1`` calls directly, keeping the two modes on one
-    code path.  ``mutant_cache_dir`` is passed alongside the config (not
+    Top-level so it pickles into a fabric assignment; it is also what
+    ``workers=1`` calls directly, keeping the two modes on one code
+    path.  ``mutant_cache_dir`` is passed alongside the config (not
     inside it) so the campaign key — a pure function of the experiment's
     parameters — is unaffected by where a machine keeps its caches.
     """
     if config.operator_specs:
-        # Workers may be freshly spawned (or remote fabric) processes:
+        # Workers may be remote or freshly started processes:
         # the dynamic operators behind the shard's fault ids must exist
         # before any mutant is resolved.  Idempotent by spec digest.
         from repro.gswfit.dsl import install_spec_operators
@@ -446,8 +453,13 @@ class ParallelCampaign:
     config:
         The :class:`~repro.harness.config.ExperimentConfig` to run.
     workers:
-        Process count (default: ``os.cpu_count()``).  ``1`` runs every
-        shard in-process on the same code path.
+        Local worker processes (default: ``os.cpu_count()``).  ``1`` runs
+        every shard in-process on the same code path; ``N >= 2`` forks N
+        loopback workers of the socket fabric
+        (:mod:`repro.harness.fabric`) after the mutant warm-up; ``0`` is
+        valid only with ``fabric_listen`` (external workers only).
+        Because the shard plan, seeds, and merge ignore where a shard
+        ran, the ``metrics_digest`` is identical for every value.
     slots_per_shard:
         Shard size in slots; defaults to ``config.conformance_slots`` so
         each shard is exactly one conformance batch.
@@ -467,8 +479,9 @@ class ParallelCampaign:
         Charged failures (crash / worker death / hang) a shard may
         accumulate before it is quarantined.
     max_pool_rebuilds:
-        Pool losses tolerated before the supervisor falls back to
-        in-process serial execution for the remaining shards.
+        Worker replacements (a loopback worker killed, hung, or every
+        worker gone) tolerated before the supervisor stops dispatching
+        and runs the remaining shards in-process, serially.
     telemetry_path / manifest_path:
         Where to stream supervision events (JSONL) and write the run
         manifest.  Default: derived siblings of ``journal_path``
@@ -476,20 +489,10 @@ class ParallelCampaign:
         journal is configured, otherwise off / in-memory only.  The
         manifest is always available as ``campaign.manifest`` after
         :meth:`run`.
-    backend:
-        Shard dispatch mechanics: ``"pool"`` (default — in-process
-        ``ProcessPoolExecutor``) or ``"fabric"`` (the socket
-        coordinator/worker backend of :mod:`repro.harness.fabric`).
-        Because the shard plan, seeds, and merge are backend-blind, the
-        ``metrics_digest`` is identical across backends.
     fabric_listen:
         ``(host, port)`` for the fabric coordinator to accept external
-        ``campaign-worker`` processes on; None (default) binds loopback
-        on an ephemeral port.
-    fabric_loopback:
-        Local worker processes the fabric spawns itself.  Default: None
-        → ``workers`` when no listen address is given, else 0 (external
-        workers only).
+        ``campaign-worker`` processes on, alongside the ``workers``
+        local ones; None (default) binds loopback on an ephemeral port.
     """
 
     def __init__(self, config, workers=None, slots_per_shard=None,
@@ -498,21 +501,16 @@ class ParallelCampaign:
                  max_retries=DEFAULT_MAX_RETRIES,
                  max_pool_rebuilds=DEFAULT_MAX_POOL_REBUILDS,
                  telemetry_path=None, manifest_path=None,
-                 backend="pool", fabric_listen=None,
-                 fabric_loopback=None, stop_event=None):
-        if backend not in ("pool", "fabric"):
+                 fabric_listen=None, stop_event=None):
+        if workers is None:
+            workers = os.cpu_count() or 1
+        if workers < (0 if fabric_listen is not None else 1):
             raise ValueError(
-                f"unknown backend {backend!r}: expected 'pool' or "
-                "'fabric'"
+                f"workers must be >= 1 (0 needs fabric_listen), "
+                f"got {workers}"
             )
-        if backend != "fabric" and (fabric_listen is not None
-                                    or fabric_loopback is not None):
-            raise ValueError(
-                "fabric_listen/fabric_loopback require backend='fabric'"
-            )
-        self.backend = backend
+        self.workers = int(workers)
         self.fabric_listen = fabric_listen
-        self.fabric_loopback = fabric_loopback
         if config.operator_specs:
             # Install DSL operators in the parent before anything scans
             # or computes fingerprints; workers repeat this in
@@ -521,17 +519,6 @@ class ParallelCampaign:
 
             install_spec_operators(config.operator_specs)
         self.config = config
-        self.workers = max(1, int(workers or os.cpu_count() or 1))
-        if backend == "fabric":
-            loopback = fabric_loopback
-            if loopback is None:
-                loopback = self.workers if fabric_listen is None else 0
-            if loopback <= 0 and fabric_listen is None:
-                raise ValueError(
-                    "fabric backend with fabric_loopback=0 needs a "
-                    "fabric_listen address for external workers"
-                )
-            self.fabric_loopback = loopback
         self.slots_per_shard = int(
             slots_per_shard or config.conformance_slots
         )
@@ -576,7 +563,7 @@ class ParallelCampaign:
             journal = CampaignJournal.load(self.journal_path)
             if journal.header is not None:
                 if journal.header.get("campaign_key") != key:
-                    raise ValueError(
+                    raise JournalMismatch(
                         f"journal {self.journal_path} belongs to a "
                         "different campaign (config/faultload changed); "
                         "delete it or drop --resume"
@@ -616,28 +603,20 @@ class ParallelCampaign:
                        mutant_cache_dir=self.cache_dir)
 
     def _backend_factory(self):
-        """The supervisor's backend recipe; None selects the default
-        process pool."""
-        if self.backend == "pool":
+        """The supervisor's fabric: ``workers`` loopback workers plus
+        any external ones on ``fabric_listen``, their result fragments
+        decoded back into :class:`ShardOutcome`.  None when one worker
+        and no listen address leave every shard in-process."""
+        if self.workers <= 1 and self.fabric_listen is None:
             return None
-        listen = self.fabric_listen
-        loopback = self.fabric_loopback
-        shard_timeout = self.shard_timeout
-
-        def factory():
-            # Imported lazily: the fabric imports campaign (for the
-            # journal version the wire contract is pinned to), so the
-            # top level must not import the fabric back.
-            from repro.harness.fabric.backend import FabricExecutorBackend
-            return FabricExecutorBackend(
-                loopback_workers=loopback,
-                listen=listen,
-                shard_timeout=shard_timeout,
-                journal_version=JOURNAL_VERSION,
-                decoder=ShardOutcome.from_dict,
-            )
-
-        return factory
+        return partial(
+            FabricExecutorBackend,
+            loopback_workers=self.workers,
+            listen=self.fabric_listen,
+            shard_timeout=self.shard_timeout,
+            journal_version=JOURNAL_VERSION,
+            decoder=ShardOutcome.from_dict,
+        )
 
     def _dispatch(self, journal, shards, iteration, supervisor, done):
         """Replay the journaled ``shards`` into ``done`` and run the
@@ -683,9 +662,9 @@ class ParallelCampaign:
         stratum stops.
 
         Each round dispatches the next pending batch of every open
-        stratum through the supervisor (pool and fabric benefit
-        identically), then feeds completions back to the controller in
-        fault-type order — arrival order never reaches a decision.
+        stratum through the supervisor, then feeds completions back to
+        the controller in fault-type order — arrival order never reaches
+        a decision.
         Journaled batches replay instead of dispatching, and because the
         controller's decisions are pure functions of the replayed
         outcomes, a resumed campaign stops every stratum exactly where
@@ -820,7 +799,7 @@ class ParallelCampaign:
             # Sequential mode: the shard plan is the stratified batch
             # plan — still a pure function of (faultload, config), so
             # the campaign key and every shard seed are unchanged by
-            # worker count or backend.
+            # worker count.
             strata = plan_sequential_strata(
                 faultload, self.config.resolved_sequential_batch()
             )
@@ -862,7 +841,7 @@ class ParallelCampaign:
             "serial_fallback": False,
             "quarantined": [],
         }
-        # One supervisor (and thus at most one pool) for the whole
+        # One supervisor (and thus at most one fabric) for the whole
         # campaign: fork cost is paid once, not once per iteration.
         supervisor = ShardSupervisor(
             workers=self.workers,

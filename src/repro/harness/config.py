@@ -120,7 +120,7 @@ class ExperimentConfig:
     # tighter than the target — "run until confidence, not until done".
     # Every knob below is part of the campaign key, so two runs with the
     # same stopping schedule produce byte-identical digests for any
-    # worker count or backend.
+    # worker count.
     sequential: bool = False
 
     # Target relative half-width: a stratum's interval for a metric is
@@ -147,7 +147,7 @@ class ExperimentConfig:
     # Declarative operator specs (DESIGN.md §16): a tuple of *canonical*
     # spec dicts, installed into the operator registry by the campaign
     # parent and by every worker before scanning (the config pickles to
-    # them, so pool, spawn, and fabric workers all see the same library).
+    # them, so local and remote fabric workers see the same library).
     # Part of ``asdict()``, hence of the campaign key — and each spec's
     # canonical JSON is the operator's cache fingerprint, so scan and
     # mutant caches stay sound across spec edits.  None = built-ins only.

@@ -1,26 +1,33 @@
 """The supervisor-facing face of the fabric.
 
 :class:`FabricExecutorBackend` adapts a :class:`.FabricCoordinator` to
-the executor-backend interface of :mod:`repro.harness.executors`.  Two
-deployment shapes share it:
+the four calls :class:`~repro.harness.supervisor.ShardSupervisor`
+makes::
 
-* **loopback** — the backend spawns N local worker processes itself
+    submit_shard(ticket, shard, task)           # queue one shard
+    drain(timeout)     -> list[ShardEvent]      # what happened since
+    shutdown()                                  # release everything
+    stats()            -> dict                  # manifest `fabric` block
+
+Two deployment shapes share it, and combine:
+
+* **loopback** — the backend forks N local worker processes itself
   (``multiprocessing.Process`` running :class:`.FabricWorker`); this is
-  single-machine scale-out with the full wire protocol in the loop, and
-  what the parity harness's fabric rows exercise.  Workers are forked
-  after the campaign warms the mutant cache, so they inherit the warm
-  cache exactly like pool workers do.
+  what ``--workers N`` runs.  Workers are forked after the campaign
+  warms the mutant cache, so they inherit the warm cache.  A loopback
+  worker the coordinator reports dead — killed, or dropped for a hang —
+  is killed outright (a hung one would otherwise run on) and re-forked
+  under the same name, and each such replacement is one ``backend_lost``
+  event: one charge against the supervisor's rebuild budget.
 * **listen** — the backend binds a caller-chosen address and waits for
   external ``repro campaign-worker host:port`` processes to register;
-  nothing is spawned locally (loopback workers may still be added on
-  top).
+  those are never respawned (they are not ours to fork).
 
-``can_accept`` is always true: the coordinator queues everything and
-workers *pull*, so admission control is the queue and the per-shard
+The coordinator queues everything and workers *pull*, so the per-shard
 deadline clock starts at assignment (steal) time, not submit time — a
 shard is never charged for time spent waiting on a busy fabric.
 
-Result fragments arrive as journal-v5 dicts; ``decoder`` (the campaign
+Result fragments arrive as journal-record dicts; ``decoder`` (the campaign
 passes ``ShardOutcome.from_dict``) rebuilds the outcome object before
 the supervisor sees it, and a fragment the decoder rejects is converted
 to a charged failure rather than poisoning the merge.
@@ -29,24 +36,27 @@ to a charged failure rather than poisoning the merge.
 import multiprocessing
 import os
 
-from repro.harness.executors import ShardEvent
-from repro.harness.fabric.coordinator import FabricCoordinator
+from repro.harness.fabric.coordinator import FabricCoordinator, ShardEvent
 
 __all__ = ["FabricExecutorBackend", "CHAOS_KILL_ENV"]
 
-# CI chaos hook: when set to N, loopback worker 0 SIGKILLs itself on its
-# Nth assignment (see FabricWorker.chaos_kill_after_assignments).
+# CI chaos hook: when set to N, the first loopback-0 process SIGKILLs
+# itself on its Nth assignment (see
+# FabricWorker.chaos_kill_after_assignments); its replacement is unarmed.
 CHAOS_KILL_ENV = "REPRO_FABRIC_CHAOS_KILL_AFTER"
 
 
-def _loopback_worker_main(host, port, index, journal_version,
+def _loopback_worker_main(host, port, name, journal_version,
                           chaos_kill_after):
     from repro.harness.fabric.worker import FabricWorker
+    # No redial: once the coordinator's socket closes — its process
+    # exited or was killed — the worker exits instead of outliving it.
     FabricWorker(
         host, port,
-        name=f"loopback-{index}",
+        name=name,
         journal_version=journal_version,
         chaos_kill_after_assignments=chaos_kill_after,
+        max_reconnects=0,
     ).run()
 
 
@@ -70,6 +80,7 @@ class FabricExecutorBackend:
         if worker_grace is not None:
             kwargs["worker_grace"] = worker_grace
         self._decoder = decoder
+        self._journal_version = journal_version
         self._coordinator = FabricCoordinator(
             host, port,
             shard_timeout=shard_timeout,
@@ -82,40 +93,51 @@ class FabricExecutorBackend:
             chaos_env = os.environ.get(CHAOS_KILL_ENV)
             if chaos_env:
                 chaos_kill_after = int(chaos_env)
-        self._processes = []
         coordinator_host, coordinator_port = self.address
-        connect_host = ("127.0.0.1"
-                        if coordinator_host in ("0.0.0.0", "::")
-                        else coordinator_host)
+        self._connect = (
+            "127.0.0.1" if coordinator_host in ("0.0.0.0", "::")
+            else coordinator_host,
+            coordinator_port,
+        )
+        self._processes = {}  # loopback worker name -> Process
         for index in range(loopback_workers):
-            process = multiprocessing.Process(
-                target=_loopback_worker_main,
-                args=(connect_host, coordinator_port, index,
-                      journal_version,
-                      chaos_kill_after if index == 0 else None),
-                name=f"fabric-loopback-{index}",
-                daemon=True,
-            )
-            process.start()
-            self._processes.append(process)
+            self._fork(f"loopback-{index}",
+                       chaos_kill_after if index == 0 else None)
+
+    def _fork(self, name, chaos_kill_after=None):
+        process = multiprocessing.Process(
+            target=_loopback_worker_main,
+            args=(*self._connect, name, self._journal_version,
+                  chaos_kill_after),
+            name=f"fabric-{name}",
+            daemon=True,
+        )
+        process.start()
+        self._processes[name] = process
+
+    def _respawn(self, name):
+        """Replace a loopback worker the coordinator has reported dead.
+
+        The report is what frees the name for the replacement to
+        register under.  SIGKILL, not SIGTERM: the worker may be hung
+        in a shard, and it may have inherited a SIGTERM handler from
+        the process that forked it.
+        """
+        process = self._processes[name]
+        process.kill()
+        process.join(timeout=5.0)
+        self._fork(name)
 
     # ------------------------------------------------------------------
     # Executor backend interface
     # ------------------------------------------------------------------
-    def can_accept(self):
-        return True
-
     def submit_shard(self, ticket, shard, task):
         self._coordinator.submit(ticket, shard, task)
-        return []
 
     def drain(self, timeout):
-        events = self._coordinator.drain(timeout)
-        if self._decoder is None:
-            return events
-        decoded = []
-        for event in events:
-            if event.kind == "done":
+        events = []
+        for event in self._coordinator.drain(timeout):
+            if event.kind == "done" and self._decoder is not None:
                 try:
                     event.outcome = self._decoder(event.outcome)
                 except Exception as exception:  # noqa: BLE001
@@ -123,17 +145,25 @@ class FabricExecutorBackend:
                         "failed", ticket=event.ticket,
                         reason=f"undecodable fragment: {exception!r}",
                     )
-            decoded.append(event)
-        return decoded
+            events.append(event)
+            if (event.event == "fabric_worker_dead"
+                    and event.fields["worker"] in self._processes):
+                name = event.fields["worker"]
+                self._respawn(name)
+                events.append(ShardEvent(
+                    "backend_lost", reason=event.fields["reason"],
+                    fields={"worker": name},
+                ))
+        return events
 
     def shutdown(self):
         self._coordinator.stop()
-        for process in self._processes:
+        for process in self._processes.values():
             process.join(timeout=2.0)
             if process.is_alive():
-                process.terminate()
+                process.kill()
                 process.join(timeout=2.0)
-        self._processes = []
+        self._processes = {}
 
     def stats(self):
         summary = self._coordinator.stats()

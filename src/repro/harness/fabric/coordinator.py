@@ -24,21 +24,19 @@ coordinator → worker
     ``shutdown``   drain finished, exit
     ``reject``     protocol mismatch; exit
 
-Failure translation mirrors the rest of the supervision protocol but
-with one difference from the process pool: a fabric dispatch is always
-attributable (one shard, one worker, one connection), so a lost worker
-*charges* its shard directly instead of routing survivors through the
-probation queue — there is no ambiguity to resolve, and the bounded
-retry budget still caps a poison shard that kills every worker it
-lands on.  A result frame whose ``journal_version`` does not match ours
-is a *fragment version skew*: the fragment is discarded and the shard
-charged (re-run by an honest worker), never merged.
+A fabric dispatch is always attributable (one shard, one worker, one
+connection), so a lost worker *charges* its shard directly: there is no
+ambiguity to resolve, and the bounded retry budget still caps a poison
+shard that kills every worker it lands on.  A result frame whose
+``journal_version`` does not match ours is a *fragment version skew*:
+the fragment is discarded and the shard charged (re-run by an honest
+worker), never merged.
 
 Everything the coordinator's threads learn is funnelled to the
-supervisor as :class:`~repro.harness.executors.ShardEvent` records
-through a thread-safe queue drained from the supervisor's thread — the
-telemetry writer is single-threaded by design, so the coordinator never
-emits telemetry itself.
+supervisor as :class:`ShardEvent` records through a thread-safe queue
+drained from the supervisor's thread — the telemetry writer is
+single-threaded by design, so the coordinator never emits telemetry
+itself.
 """
 
 import base64
@@ -48,8 +46,8 @@ import select
 import socket
 import threading
 import time
+from dataclasses import dataclass, field
 
-from repro.harness.executors import ShardEvent
 from repro.harness.fabric.protocol import (
     PROTOCOL_VERSION,
     FrameError,
@@ -57,7 +55,7 @@ from repro.harness.fabric.protocol import (
     send_frame,
 )
 
-__all__ = ["FabricCoordinator"]
+__all__ = ["FabricCoordinator", "ShardEvent"]
 
 # How long the work queue may sit non-empty with zero live workers
 # before the coordinator gives the shards back to the supervisor (which
@@ -65,6 +63,34 @@ __all__ = ["FabricCoordinator"]
 # serial execution).
 DEFAULT_WORKER_GRACE = 30.0
 DEFAULT_HEARTBEAT_SECONDS = 0.5
+
+
+@dataclass
+class ShardEvent:
+    """One thing the fabric has to tell the supervisor.
+
+    ``kind`` is one of:
+
+    * ``done``         — ``ticket`` completed with ``outcome``.
+    * ``failed``       — ``ticket`` suffered a *charged* failure
+      (``reason``); the supervisor retries or quarantines it.
+    * ``requeue``      — ``ticket`` must re-run but is *not* charged
+      (handed back by a fabric with no live workers).
+    * ``backend_lost`` — a loopback worker was replaced, or every worker
+      is gone; counts against the supervisor's rebuild budget, whose
+      exhaustion ends in serial fallback.
+    * ``info``         — telemetry only: emit ``event`` with ``fields``
+      on the supervisor's stream (the coordinator's own threads must
+      not write it).
+    """
+
+    kind: str
+    ticket: int | None = None
+    outcome: object = None
+    seconds: float = 0.0
+    reason: str = ""
+    event: str = ""
+    fields: dict = field(default_factory=dict)
 
 
 class _WorkerState:
@@ -433,7 +459,7 @@ class FabricCoordinator:
         if assignment is not None:
             self._events.put(ShardEvent(
                 "failed", ticket=assignment[0],
-                reason=f"worker {state.name} died ({reason})",
+                reason=f"worker died: {state.name} ({reason})",
             ))
 
     def _monitor_loop(self):

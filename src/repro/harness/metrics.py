@@ -117,7 +117,7 @@ class StratumEstimator:
     :meth:`half_widths`, so the stopping decision is a pure function of
     (observations, seed) — which is what lets two campaigns with the
     same stopping schedule make byte-identical decisions on any worker
-    count or backend.
+    count.
     """
 
     def __init__(self, confidence=0.95, bootstrap_below=8,

@@ -9,49 +9,46 @@ interpreter down, a host can OOM-kill a worker, a pathological fault can
 hang a shard forever.  Before this module, any of those raised straight
 out of ``as_completed`` and lost the entire campaign.
 
-:class:`ShardSupervisor` sits between the campaign and its executor
-backend and turns worker failure into an explicit, bounded protocol:
+:class:`ShardSupervisor` sits between the campaign and its worker
+processes and turns worker failure into an explicit, bounded protocol:
 
 * **Crash** — a shard task that raises is retried on a fresh dispatch,
   up to ``max_retries`` retries.
-* **Worker death** — a worker that disappears (``BrokenProcessPool``,
-  e.g. ``SIGKILL`` or an interpreter abort) poisons every in-flight
-  future, so the culprit is ambiguous.  All in-flight shards are
-  requeued *uncharged* onto a **probation** queue and re-run one at a
-  time on a rebuilt pool: a shard that dies solo is unambiguously
-  guilty and is charged; innocents complete and are cleared.  This is
-  what keeps one poison shard from dragging its neighbours into
-  quarantine.  (Backends where every dispatch is solo — the fabric —
-  charge a lost dispatch directly; there is no ambiguity to resolve.)
+* **Worker death** — a worker that disappears (``SIGKILL``, OOM, an
+  interpreter abort) loses the one shard it was running: every
+  dispatch goes to one worker, so that shard is charged and retried,
+  and its neighbours on other workers are untouched.  A loopback
+  worker is re-forked in its place, which counts as one rebuild.
 * **Hang** — every dispatch carries a wall-clock deadline
-  (``shard_timeout``).  A shard that exceeds it is charged and the
-  backend reclaims whatever it must to preempt it (the pool backend
-  tears the whole pool down; the fabric drops one worker).
+  (``shard_timeout``).  A shard that exceeds it is charged, and its
+  worker is killed and re-forked (a hung worker cannot be preempted any
+  other way) — also one rebuild.
 * **Quarantine** — a shard charged more than ``max_retries`` times is
   recorded as a :class:`QuarantinedShard` (with the fault ids it was
   carrying) instead of being retried forever.  The campaign then
   completes with ``degraded=True`` rather than dying.
-* **Serial fallback** — if the backend is lost more than
-  ``max_pool_rebuilds`` times the supervisor stops trusting it and runs
-  the remaining shards in-process, serially.  Hangs cannot be detected
-  in this mode (there is no one left to watch), but crashes are still
-  retried and quarantined.
+* **Serial fallback** — once the workers have been rebuilt more than
+  ``max_pool_rebuilds`` times the supervisor submits nothing new: the
+  fabric finishes the shards it holds, and the rest run in-process,
+  serially.  Hangs cannot be detected in this mode (there is no one
+  left to watch), but crashes are still retried and quarantined.
 
-The *mechanics* of dispatch live behind the executor-backend interface
-of :mod:`repro.harness.executors`: the supervisor owns only the policy
-above and is generic over any backend — the default process pool, the
-socket fabric of :mod:`repro.harness.fabric`, or a test double.  It is
-also generic over the task: ``run(shards, task)`` accepts any picklable
-``task(shard) -> outcome`` callable, which is what the supervision tests
-exploit to inject crashes, kills, and hangs without a real campaign
-underneath.
+With one worker (or one shard) every shard runs in-process on that same
+serial path.  With more, the shards go to the loopback fabric of
+:mod:`repro.harness.fabric` — ``workers`` local worker processes —
+unless ``backend_factory`` supplies another fabric (the campaign's adds
+a result decoder and, optionally, a listen address for remote
+workers).  The supervisor is generic over the task: ``run(shards,
+task)`` accepts any picklable ``task(shard) -> outcome`` callable, which
+is what the supervision tests exploit to inject crashes, kills, and
+hangs without a real campaign underneath.
 """
 
 import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.harness.executors import PoolExecutorBackend
+from repro.harness.fabric.backend import FabricExecutorBackend
 from repro.harness.telemetry import NullTelemetry
 
 __all__ = [
@@ -136,14 +133,14 @@ class _Attempt:
 
 
 class ShardSupervisor:
-    """Runs shard tasks on an executor backend and survives the backend.
+    """Runs shard tasks on worker processes and survives the workers.
 
-    One supervisor owns at most one backend at a time and may be reused
+    One supervisor owns at most one fabric at a time and may be reused
     across many :meth:`run` calls (the campaign reuses it across
-    iterations so the pool-fork or worker-registration cost is paid
-    once).  ``backend_factory`` selects the dispatch mechanics; the
-    default builds a :class:`~repro.harness.executors.PoolExecutorBackend`
-    over ``workers`` processes.  Call :meth:`close` — or use it as a
+    iterations so the fork and registration cost is paid once).
+    ``backend_factory`` builds that fabric; the default is a
+    :class:`~repro.harness.fabric.FabricExecutorBackend` with
+    ``workers`` loopback workers.  Call :meth:`close` — or use it as a
     context manager — when done.
     """
 
@@ -187,29 +184,27 @@ class ShardSupervisor:
             if self._backend_factory is not None:
                 self._backend = self._backend_factory()
             else:
-                self._backend = PoolExecutorBackend(
-                    self.workers, shard_timeout=self.shard_timeout
+                self._backend = FabricExecutorBackend(
+                    loopback_workers=self.workers,
+                    shard_timeout=self.shard_timeout,
                 )
         return self._backend
 
     def _release_backend(self):
         if self._backend is None:
             return
-        stats = getattr(self._backend, "stats", None)
-        if stats is not None:
-            self._last_stats = dict(stats())
+        self._last_stats = self._backend.stats()
         self._backend.shutdown()
         self._backend = None
 
     def backend_stats(self):
-        """Supervision hook: the active backend's manifest summary."""
+        """The manifest's ``fabric`` block: the active (or last) fabric's
+        summary, or the in-process executor's when none ran."""
         if self._backend is not None:
-            stats = getattr(self._backend, "stats", None)
-            if stats is not None:
-                return dict(stats())
+            return self._backend.stats()
         if self._last_stats is not None:
             return dict(self._last_stats)
-        return {"backend": "pool", "workers": self.workers}
+        return {"backend": "serial", "workers": self.workers}
 
     # ------------------------------------------------------------------
     # Entry point
@@ -237,7 +232,7 @@ class ShardSupervisor:
         return report
 
     # ------------------------------------------------------------------
-    # Backend mode
+    # Fabric mode
     # ------------------------------------------------------------------
     def _stopped(self):
         return self.stop_event is not None and self.stop_event.is_set()
@@ -252,67 +247,45 @@ class ShardSupervisor:
     def _run_backend(self, shards, task, report, on_outcome):
         backend = self._ensure_backend()
         pending = deque(_Attempt(shard) for shard in shards)
-        probation = deque()
         inflight = {}
-        queues = (pending, probation, inflight)
-        while pending or probation or inflight:
+        while pending or inflight:
             if self._stopped():
                 # Graceful stop: dispatch nothing new, let the in-flight
                 # round finish (journaled via on_outcome), then raise.
                 if not inflight:
-                    self._interrupt(report,
-                                    len(pending) + len(probation))
-                events = backend.drain(self.poll_seconds)
-                self._apply_events(events, queues, report, on_outcome)
-                continue
-            if (report.pool_rebuilds > self.max_pool_rebuilds
-                    and not inflight):
-                # The backend keeps dying under us: stop trusting it and
-                # finish in-process.
+                    self._interrupt(report, len(pending))
+            elif report.pool_rebuilds <= self.max_pool_rebuilds:
+                while pending:
+                    self._submit(backend, pending.popleft(), task,
+                                 inflight)
+            elif not inflight:
+                # The workers keep dying under us: the fabric has
+                # finished what it held, the rest runs in-process.
                 report.serial_fallback = True
                 self.telemetry.emit(
                     "serial_fallback",
-                    remaining=len(probation) + len(pending),
+                    remaining=len(pending),
                     pool_rebuilds=report.pool_rebuilds,
                 )
-                queue = deque(probation)
-                queue.extend(pending)
-                probation.clear()
-                pending.clear()
                 self._release_backend()
-                self._run_serial(queue, task, report, on_outcome)
+                self._run_serial(pending, task, report, on_outcome)
                 return
-            # Dispatch.  While probation is non-empty, shards run one at
-            # a time: a solo failure identifies its culprit exactly.
-            if probation:
-                if not inflight:
-                    self._submit(backend, probation.popleft(), task,
-                                 queues, report, on_outcome)
-            else:
-                while pending and backend.can_accept():
-                    self._submit(backend, pending.popleft(), task,
-                                 queues, report, on_outcome)
-            if not inflight:
-                continue
-            events = backend.drain(self.poll_seconds)
-            self._apply_events(events, queues, report, on_outcome)
+            if inflight:
+                events = backend.drain(self.poll_seconds)
+                self._apply_events(events, pending, inflight, report,
+                                   on_outcome)
 
-    def _submit(self, backend, attempt, task, queues, report, on_outcome):
-        _pending, _probation, inflight = queues
-        ticket = attempt.shard.index
-        inflight[ticket] = attempt
-        events = backend.submit_shard(ticket, attempt.shard, task)
-        if events:
-            self._apply_events(events, queues, report, on_outcome)
-        if ticket in inflight and not events:
-            self.telemetry.emit(
-                "shard_dispatch",
-                shard=attempt.shard.index,
-                attempt=len(attempt.failures) + 1,
-            )
+    def _submit(self, backend, attempt, task, inflight):
+        inflight[attempt.shard.index] = attempt
+        backend.submit_shard(attempt.shard.index, attempt.shard, task)
+        self.telemetry.emit(
+            "shard_dispatch",
+            shard=attempt.shard.index,
+            attempt=len(attempt.failures) + 1,
+        )
 
-    def _apply_events(self, events, queues, report, on_outcome):
-        pending, probation, inflight = queues
+    def _apply_events(self, events, pending, inflight, report,
+                      on_outcome):
         for event in events:
             if event.kind == "info":
                 self.telemetry.emit(event.event, **event.fields)
@@ -330,22 +303,12 @@ class ShardSupervisor:
             if event.kind == "done":
                 self._complete(report, attempt, event.outcome,
                                event.seconds, on_outcome)
-            elif event.kind == "failed":
-                if not self._fail(report, attempt, event.reason):
-                    self._requeue(attempt, event, pending, probation)
-            elif event.kind == "requeue":
-                self._requeue(attempt, event, pending, probation)
-
-    @staticmethod
-    def _requeue(attempt, event, pending, probation):
-        queue = probation if event.probation else pending
-        if event.front:
-            queue.appendleft(attempt)
-        else:
-            queue.append(attempt)
+            elif (event.kind == "requeue"
+                  or not self._fail(report, attempt, event.reason)):
+                pending.append(attempt)
 
     # ------------------------------------------------------------------
-    # Serial mode (workers=1, single shard, or backend fallback)
+    # Serial mode (workers=1, single shard, or fallback)
     # ------------------------------------------------------------------
     def _run_serial(self, queue, task, report, on_outcome):
         while queue:

@@ -19,8 +19,8 @@ campaign journal:
   had to do, and a **metrics digest** — a SHA-256 over the merged,
   deterministic results.  The digest is the contract the parity
   harness (``tests/harness/test_parity.py``) checks: every way of
-  executing a campaign — any worker count, backend, snapshot setting
-  or resume — must produce a byte-identical digest, so each check is a
+  executing a campaign — any worker count, snapshot setting or
+  resume — must produce a byte-identical digest, so each check is a
   comparison of manifest fields.
 
 The split matters: timings and timestamps vary run to run, so they live
@@ -220,13 +220,13 @@ class RunManifest:
       restored epochs and pristine restarts, and the restore rate.
       Diagnostic only — restored and booted epochs are digest-identical
       by construction, which the parity harness enforces.
-    * ``fabric`` — the executor-backend summary: which backend
-      dispatched the shards (``pool`` or ``fabric``) and, for the
-      fabric, the worker roster (name/pid/host/shards done/alive) with
+    * ``fabric`` — the executor summary: what ran the shards
+      (``serial`` in-process, or ``fabric``) and, for the fabric, the
+      worker roster (name/pid/host/shards done/alive) with
       steal/requeue/heartbeat/worker-death/version-skew counters.
-      Diagnostic only — the shard plan, seeds, and merge are
-      backend-blind, so the digest is identical across backends, which
-      the parity harness enforces.
+      Diagnostic only — the shard plan, seeds, and merge ignore where
+      a shard ran, so the digest is identical for any worker count,
+      which the parity harness enforces.
     * ``sequential`` — the sequential-sampling summary: whether the
       mode ran, the full stopping schedule (target, confidence, batch /
       min / max slots), planned vs executed slots with
@@ -236,7 +236,7 @@ class RunManifest:
       slot set (which the digest covers); the block itself is never
       hashed, so interval bookkeeping can evolve without breaking
       digest parity.  The parity harness compares the whole block
-      across worker counts, backends and resumes.
+      across worker counts and resumes.
     * ``metrics_digest`` — :func:`metrics_digest` of the final result;
       the parity harness's main comparand.
     * ``created_at`` — unix time the manifest was written.

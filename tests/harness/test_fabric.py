@@ -11,10 +11,11 @@ Three layers, in rising order of integration:
   vanishes);
 * the full campaign's fabric telemetry and manifest surface.
 
-Loopback fabric campaigns landing on the digests of pool and serial
-runs — also with a worker chaos-killed mid-campaign — are rows of
-``test_parity.py``: that is what makes the fabric a backend rather
-than a different experiment.
+Loopback fabric campaigns landing on the digests of serial runs — with
+a worker chaos-killed mid-campaign — are rows of ``test_parity.py``:
+that is what makes the fabric an executor rather than a different
+experiment.  The supervision scenarios (crash, kill, hang, serial
+fallback) on loopback workers are in ``test_supervisor.py``.
 """
 
 import json
@@ -202,6 +203,26 @@ def test_coordinator_completes_work_and_counts_steals():
         kinds = {e.event for e in events if e.kind == "info"}
         assert "fabric_worker_register" in kinds
         assert "fabric_steal" in kinds
+    finally:
+        coordinator.stop()
+
+
+def test_worker_round_trips_do_not_wait_on_delayed_acks():
+    """A worker sends each result and its next steal back to back; with
+    Nagle's algorithm on, the steal would sit out the coordinator's
+    delayed ACK (40 ms on Linux) once per shard."""
+    coordinator = FabricCoordinator(journal_version=JOURNAL_VERSION)
+    try:
+        for index in range(20):
+            coordinator.submit(index, _shard(index), _ok_task)
+        started = time.monotonic()
+        _worker_thread(coordinator, name="w0",
+                       journal_version=JOURNAL_VERSION)
+        _drain_until(
+            coordinator,
+            lambda es: sum(e.kind == "done" for e in es) == 20,
+        )
+        assert time.monotonic() - started < 0.4
     finally:
         coordinator.stop()
 
@@ -433,7 +454,7 @@ def test_external_worker_via_listen_address():
 @pytest.mark.slow
 def test_fabric_telemetry_and_manifest_surface(tmp_path):
     campaign = ParallelCampaign(
-        tiny_config(), workers=2, backend="fabric",
+        tiny_config(), workers=2,
         journal_path=tmp_path / "fabric" / "journal.jsonl",
     )
     campaign.run(include_baseline=False, include_profile_mode=False)

@@ -3,19 +3,20 @@
 A campaign's results are a function of what it measures — the variant
 (plain, adaptive slots, pristine slots, sequential stopping, or the
 no-inject control run), the OS build and the server — and never of how
-it was executed: worker count, pool or fabric backend, epoch snapshots,
-a built-in operator re-expressed through ``operator_specs``, or a kill
-and resume.  That is what lets a faultload's results repeat across runs
-and port across hosts.
+it was executed: worker count (in-process, or loopback fabric workers
+with one of them killed mid-run), epoch snapshots, a built-in operator
+re-expressed through ``operator_specs``, or a kill and resume.  That is
+what lets a faultload's results repeat across runs and port across
+hosts.
 
 Checking each toggle alone against a base run leaves their interactions
-unchecked, and the full product is 5 x 2^7 = 640 campaigns.  ``ROWS`` is
+unchecked, and the full product is 5 x 2^6 = 320 campaigns.  ``ROWS`` is
 a pairwise covering array instead: every pair of levels of any two
 factors appears in some row (``test_rows_cover_every_pair_of_levels``).
 Each row runs a two-iteration campaign, because a snapshot filed under
 the wrong iteration only shows in the second one, with four shards per
 iteration, and must match the base run of its variant, build and server
-(one worker, pool, snapshots on, built-in operators, no resume) on every
+(one worker, snapshots on, built-in operators, no resume) on every
 deterministic field of the run manifest.  Its manifest must also show
 that each of its toggles engaged.
 """
@@ -40,7 +41,6 @@ class Row(NamedTuple):
     os: str
     server: str
     workers: int
-    backend: str
     snapshots: bool
     specs: bool
     resumed: bool
@@ -51,14 +51,13 @@ LEVELS = {
     "os": ("nt50", "nt51"),
     "server": ("apache", "abyss"),
     "workers": (1, 2),
-    "backend": ("pool", "fabric"),
     "snapshots": (True, False),
     "specs": (False, True),
     "resumed": (False, True),
 }
 
 #: The toggles of a base run.
-BASE = (1, "pool", True, False, False)
+BASE = (1, True, False, False)
 
 VARIANTS = {
     "plain": {},
@@ -72,17 +71,17 @@ VARIANTS = {
 # sequential and no-inject variants each have a base row; any other
 # base run is made on first use.
 ROWS = [
-    #   variant       os      server  workers backend snaps specs resumed
-    Row("plain",      "nt50", "apache", 2, "pool",   True,  True,  False),
-    Row("plain",      "nt51", "abyss",  1, "fabric", False, False, True),
-    Row("adaptive",   "nt50", "abyss",  1, "fabric", True,  True,  True),
-    Row("adaptive",   "nt51", "apache", 2, "pool",   False, False, False),
-    Row("pristine",   "nt50", "abyss",  1, "pool",   False, False, True),
-    Row("pristine",   "nt51", "apache", 2, "fabric", True,  True,  False),
-    Row("sequential", "nt50", "abyss",  1, "pool",   True,  False, False),
-    Row("sequential", "nt51", "apache", 2, "fabric", False, True,  True),
-    Row("no-inject",  "nt51", "apache", 1, "pool",   True,  False, False),
-    Row("no-inject",  "nt50", "abyss",  2, "fabric", False, True,  True),
+    #   variant       os      server  workers snaps specs resumed
+    Row("plain",      "nt50", "apache", 2, True,  True,  False),
+    Row("plain",      "nt51", "abyss",  1, False, False, True),
+    Row("adaptive",   "nt50", "abyss",  1, True,  True,  True),
+    Row("adaptive",   "nt51", "apache", 2, False, False, False),
+    Row("pristine",   "nt50", "abyss",  1, False, False, True),
+    Row("pristine",   "nt51", "apache", 2, True,  True,  False),
+    Row("sequential", "nt50", "abyss",  1, True,  False, False),
+    Row("sequential", "nt51", "apache", 2, False, True,  True),
+    Row("no-inject",  "nt51", "apache", 1, True,  False, False),
+    Row("no-inject",  "nt50", "abyss",  2, False, True,  True),
 ]
 
 #: Manifest fields no execution toggle may change.
@@ -92,7 +91,7 @@ PARITY_FIELDS = ("metrics_digest", "faultload_digest", "build_fingerprint",
 
 def row_id(row):
     return "-".join([
-        row.variant, row.os, row.server, f"w{row.workers}", row.backend,
+        row.variant, row.os, row.server, f"w{row.workers}",
         "snap" if row.snapshots else "boot",
         *(["specs"] if row.specs else []),
         *(["resumed"] if row.resumed else []),
@@ -116,8 +115,7 @@ def run_campaign(row, cache_dir=None, journal=None, resume=False):
     )
     campaign = ParallelCampaign(
         config, workers=row.workers, slots_per_shard=2,
-        backend=row.backend, cache_dir=cache_dir, journal_path=journal,
-        resume=resume,
+        cache_dir=cache_dir, journal_path=journal, resume=resume,
     )
     try:
         campaign.run(include_baseline=False, include_profile_mode=False)
@@ -137,14 +135,15 @@ def check_toggles_engaged(row, manifest):
     assert manifest.num_shards >= 4
     assert not manifest.supervision["degraded"]
     fabric = manifest.fabric
-    assert fabric["backend"] == row.backend
-    if row.backend == "fabric":
+    if row.workers == 1:
+        assert fabric["backend"] == "serial"
+    else:
+        assert fabric["backend"] == "fabric"
         assert fabric["results"] >= 1
-        if row.workers == 2:
-            # Loopback worker 0 was killed on its first assignment.
-            assert fabric["worker_deaths"] >= 1
-            assert fabric["requeues"] >= 1
-            assert fabric["steals"] >= 1
+        # Loopback worker 0 was killed on its first assignment.
+        assert fabric["worker_deaths"] >= 1
+        assert fabric["requeues"] >= 1
+        assert fabric["steals"] >= 1
     snapshot = manifest.snapshot
     if not row.snapshots:
         assert not snapshot["enabled"]
@@ -199,7 +198,7 @@ def test_row_matches_its_base_run(row, base_runs, tmp_path, monkeypatch):
     if row[3:] == BASE:
         runs = [base]
     else:
-        if row.backend == "fabric" and row.workers == 2:
+        if row.workers == 2:
             monkeypatch.setenv(CHAOS_KILL_ENV, "1")
         journal = tmp_path / "journal.jsonl" if row.resumed else None
         runs = [run_campaign(row, tmp_path / "cache", journal)]

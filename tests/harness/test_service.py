@@ -76,7 +76,7 @@ def test_spec_accepts_underscores_and_faults_zero():
     ({"bogus": 1}, "unknown spec key"),
     ({"workers": 0}, "--workers must be >= 1"),
     ({"ci-target": 0.1}, "requires --sequential"),
-    ({"fabric-listen": "h:1"}, "requires --backend fabric"),
+    ({"fabric-listen": "nohost"}, "must be host:port"),
     ({"server": "nope"}, "invalid choice"),
     ({"workers": "two"}, "invalid int value"),
     ({"workers": True}, "expects a value"),
@@ -84,6 +84,8 @@ def test_spec_accepts_underscores_and_faults_zero():
     ("not a dict", "must be a JSON object"),
     ({"snapshot-cache": 4}, "unknown spec key"),
     ({"no-warm-mutants": True}, "unknown spec key"),
+    ({"backend": "fabric"}, "unknown spec key"),
+    ({"fabric-loopback": 0}, "unknown spec key"),
 ])
 def test_spec_rejections(spec, fragment):
     with pytest.raises(SpecError, match=re.escape(fragment)):
@@ -608,7 +610,7 @@ def _spawn_daemon(home):
         if part
     )
     # Its own session, so the daemon leads a process group that also
-    # holds the pool workers it forks: _kill_daemon_group reaps them all.
+    # holds the fabric workers it forks.
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--home", str(home), "--port", "0"],
@@ -621,13 +623,17 @@ def _spawn_daemon(home):
     return process, int(match.group(1))
 
 
+def _group_gone(pgid):
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
 def _kill_daemon_group(process):
     """SIGKILL the daemon and every process it forked, then wait until
-    none of them is left.
-
-    The pool workers fork after ``serve()`` installs its SIGTERM drain
-    handler, so they ignore SIGTERM and outlive a daemon killed alone.
-    """
+    none of them is left."""
     pgid = process.pid  # start_new_session: the daemon leads the group
     try:
         os.killpg(pgid, signal.SIGKILL)
@@ -635,15 +641,7 @@ def _kill_daemon_group(process):
         pass
     process.wait(10)
     process.stdout.close()
-
-    def _group_gone():
-        try:
-            os.killpg(pgid, 0)
-        except ProcessLookupError:
-            return True
-        return False
-
-    _await(_group_gone, deadline=30.0,
+    _await(lambda: _group_gone(pgid), deadline=30.0,
            message=f"daemon process group {pgid} to exit")
 
 
@@ -659,6 +657,12 @@ def test_chaos_sigkill_mid_campaign_recovers_identical_digest(
         journal = home / "campaigns" / campaign_id / "journal.jsonl"
         _await(lambda: journal.exists() and _journal_units(journal),
                deadline=60.0, message="first shard before the kill")
+        # SIGKILL the daemon alone: its loopback workers lose their
+        # coordinator connection and must exit by themselves.
+        os.kill(process.pid, signal.SIGKILL)
+        process.wait(10)
+        _await(lambda: _group_gone(process.pid), deadline=30.0,
+               message="orphaned fabric workers to exit")
     finally:
         _kill_daemon_group(process)
     pre = _journal_units(journal)

@@ -5,7 +5,8 @@ tests exploit: a top-level ``_behave`` task interprets a behaviour
 encoded in each shard's fault ids (``ok``, ``crash``, ``kill``,
 ``hang``, plus ``*_once`` transient variants that leave a marker file
 so the retry succeeds) and simulates every failure mode the supervisor
-must absorb — without a campaign underneath.
+must absorb — without a campaign underneath.  With ``workers=2`` the
+shards run on the default backend: two loopback fabric workers.
 """
 
 import os
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness.campaign import CampaignShard
+from repro.harness.fabric.backend import CHAOS_KILL_ENV
 from repro.harness.supervisor import ShardSupervisor
 from repro.harness.telemetry import TelemetryWriter, read_telemetry
 
@@ -53,8 +55,24 @@ def _behave(marker_dir, shard):
     if behaviour == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
     if behaviour == "hang":
+        (Path(marker_dir) / f"hang-{shard.index}.pid").write_text(
+            str(os.getpid()))
         time.sleep(60.0)
     return {"shard": shard.index}
+
+
+def _report_pid(shard):
+    """Worker task: take a moment, then say which process ran it."""
+    time.sleep(0.2)
+    return {"shard": shard.index, "pid": os.getpid()}
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def run_supervised(tmp_path, shards, **kwargs):
@@ -129,7 +147,7 @@ def test_serial_mode_also_quarantines(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Worker death: SIGKILL breaks the whole pool
+# Worker death: SIGKILL takes down one loopback worker
 # ----------------------------------------------------------------------
 def test_killed_worker_recovers_on_rebuilt_pool(tmp_path):
     shards = [make_shard(0, "kill_once"), make_shard(1), make_shard(2),
@@ -141,8 +159,8 @@ def test_killed_worker_recovers_on_rebuilt_pool(tmp_path):
 
 
 def test_poison_kill_quarantines_only_the_offender(tmp_path):
-    """Probation isolates the shard that keeps killing its worker:
-    the neighbours sharing its pool are never charged for its deaths."""
+    """A worker runs one shard at a time, so the shard that keeps
+    killing its worker is the only one charged for the deaths."""
     shards = [make_shard(0, "kill"), make_shard(1), make_shard(2),
               make_shard(3)]
     report = run_supervised(tmp_path, shards, workers=2, max_retries=1,
@@ -159,8 +177,8 @@ def test_repeated_pool_loss_falls_back_to_serial(tmp_path):
     shards = [make_shard(0, "kill_once"), make_shard(1), make_shard(2)]
     report = run_supervised(tmp_path, shards, workers=2, max_retries=3,
                             max_pool_rebuilds=0)
-    # The first kill exhausts the pool budget; the survivors (including
-    # the killer's now-marked retry) finish in-process.
+    # The first kill spends the rebuild budget; the survivors
+    # (including the killer's now-marked retry) finish in-process.
     assert sorted(report.outcomes) == [0, 1, 2]
     assert report.serial_fallback
     assert report.quarantined == []
@@ -187,6 +205,53 @@ def test_transient_hang_is_retried(tmp_path):
     assert sorted(report.outcomes) == [0, 1]
     assert report.retries == 1
     assert report.quarantined == []
+
+
+def test_hung_worker_is_killed_and_replaced_during_the_run(tmp_path):
+    """The worker stuck in a hung shard is killed while the run goes on,
+    so close() has no straggler to wait out."""
+    shards = [make_shard(0, "hang_once"), make_shard(1), make_shard(2)]
+    supervisor = ShardSupervisor(workers=2, max_retries=1,
+                                 shard_timeout=0.5, poll_seconds=0.02)
+    try:
+        report = supervisor.run(shards, partial(_behave, str(tmp_path)))
+        hung_pid = int((tmp_path / "hang-0.pid").read_text())
+        assert not _alive(hung_pid)
+    finally:
+        started = time.monotonic()
+        supervisor.close()
+    assert time.monotonic() - started < 1.5
+    assert sorted(report.outcomes) == [0, 1, 2]
+    assert report.retries == 1
+    assert report.pool_rebuilds == 1
+
+
+def test_chaos_killed_loopback_worker_is_replaced_once(tmp_path,
+                                                       monkeypatch):
+    """The chaos hook arms only the first loopback-0: it dies on its
+    first assignment, and its replacement runs later shards."""
+    monkeypatch.setenv(CHAOS_KILL_ENV, "1")
+    telemetry_path = tmp_path / "events.jsonl"
+    with TelemetryWriter(telemetry_path) as telemetry:
+        with ShardSupervisor(workers=2, poll_seconds=0.02,
+                             telemetry=telemetry) as supervisor:
+            report = supervisor.run(
+                [make_shard(i) for i in range(8)], _report_pid)
+            stats = supervisor.backend_stats()
+    registered = [
+        event["pid"] for event in read_telemetry(telemetry_path)
+        if event["event"] == "fabric_worker_register"
+        and event["worker"] == "loopback-0"
+    ]
+    assert len(registered) == 2
+    first, replacement = registered
+    ran_on = {outcome["pid"] for outcome in report.outcomes.values()}
+    assert replacement in ran_on
+    assert first not in ran_on
+    assert sorted(report.outcomes) == list(range(8))
+    assert report.retries == 1
+    assert report.pool_rebuilds == 1
+    assert stats["worker_deaths"] == 1
 
 
 # ----------------------------------------------------------------------

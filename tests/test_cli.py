@@ -90,17 +90,11 @@ def test_campaign_command_writes_manifest(tmp_path, capsys):
          "--shard-timeout must be positive"),
         (["campaign", "--max-retries", "-1"],
          "--max-retries must be >= 0"),
-        (["campaign", "--fabric-listen", "127.0.0.1:9"],
-         "--fabric-listen requires --backend fabric"),
-        (["campaign", "--fabric-loopback", "2"],
-         "--fabric-loopback requires --backend fabric"),
-        (["campaign", "--backend", "fabric",
-          "--fabric-listen", "no-port"],
+        (["campaign", "--fabric-listen", "no-port"],
          "must be host:port"),
-        (["campaign", "--backend", "fabric", "--fabric-loopback", "-1"],
-         "--fabric-loopback must be >= 0"),
-        (["campaign", "--backend", "fabric", "--fabric-loopback", "0"],
-         "needs --fabric-listen"),
+        (["campaign", "--fabric-listen", "127.0.0.1:9",
+          "--workers", "-1"],
+         "--workers must be >= 0"),
     ],
 )
 def test_campaign_flag_validation(capsys, argv, message):
@@ -110,14 +104,32 @@ def test_campaign_flag_validation(capsys, argv, message):
 
 def test_campaign_backend_defaults():
     args = build_parser().parse_args(["campaign"])
-    assert args.backend == "pool"
+    assert args.workers is None
     assert args.fabric_listen is None
-    assert args.fabric_loopback is None
 
 
 def test_campaign_rejects_unknown_backend():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["campaign", "--backend", "carrier"])
+    """There is one multi-worker backend: the flags that chose between
+    two are parse errors."""
+    for argv in (["--backend", "fabric"], ["--fabric-loopback", "2"]):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["campaign", *argv])
+
+
+def test_campaign_resume_of_another_campaigns_journal_exits_2(
+        tmp_path, capsys):
+    journal = tmp_path / "campaign.jsonl"
+    argv = [
+        "campaign", "--faults", "4", "--connections", "2",
+        "--workers", "1", "--no-baseline", "--no-profile",
+        "--journal", str(journal),
+    ]
+    assert main([*argv, "--seed", "2004"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--seed", "7", "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert "belongs to a different campaign" in err
+    assert "Traceback" not in err
 
 
 def test_campaign_worker_parses_address():
@@ -138,7 +150,7 @@ def test_campaign_fabric_backend_end_to_end(tmp_path, capsys):
     manifest_path = tmp_path / "run.manifest.json"
     code = main([
         "campaign", "--faults", "8", "--connections", "4",
-        "--workers", "2", "--backend", "fabric",
+        "--workers", "2",
         "--no-baseline", "--no-profile",
         "--manifest", str(manifest_path),
     ])
