@@ -236,7 +236,7 @@ def test_chaos_killed_loopback_worker_is_replaced_once(tmp_path,
         with ShardSupervisor(workers=2, poll_seconds=0.02,
                              telemetry=telemetry) as supervisor:
             report = supervisor.run(
-                [make_shard(i) for i in range(8)], _report_pid)
+                [make_shard(i) for i in range(10)], _report_pid)
             stats = supervisor.backend_stats()
     registered = [
         event["pid"] for event in read_telemetry(telemetry_path)
@@ -248,7 +248,7 @@ def test_chaos_killed_loopback_worker_is_replaced_once(tmp_path,
     ran_on = {outcome["pid"] for outcome in report.outcomes.values()}
     assert replacement in ran_on
     assert first not in ran_on
-    assert sorted(report.outcomes) == list(range(8))
+    assert sorted(report.outcomes) == list(range(10))
     assert report.retries == 1
     assert report.pool_rebuilds == 1
     assert stats["worker_deaths"] == 1
