@@ -1,11 +1,12 @@
 """The supervisor-facing face of the fabric.
 
 :class:`FabricExecutorBackend` adapts a :class:`.FabricCoordinator` to
-the four calls :class:`~repro.harness.supervisor.ShardSupervisor`
+the five calls :class:`~repro.harness.supervisor.ShardSupervisor`
 makes::
 
     submit_shard(ticket, shard, task)           # queue one shard
     drain(timeout)     -> list[ShardEvent]      # what happened since
+    withdraw()         -> list[ShardEvent]      # unqueue unstarted shards
     shutdown()                                  # release everything
     stats()            -> dict                  # manifest `fabric` block
 
@@ -17,8 +18,9 @@ Two deployment shapes share it, and combine:
   warms the mutant cache, so they inherit the warm cache.  A loopback
   worker the coordinator reports dead — killed, or dropped for a hang —
   is killed outright (a hung one would otherwise run on) and re-forked
-  under the same name, and each such replacement is one ``backend_lost``
-  event: one charge against the supervisor's rebuild budget.
+  under the same name at the next drain, and each such replacement is
+  one ``backend_lost`` event: one charge against the supervisor's
+  rebuild budget.
 * **listen** — the backend binds a caller-chosen address and waits for
   external ``repro campaign-worker host:port`` processes to register;
   those are never respawned (they are not ours to fork).
@@ -100,6 +102,7 @@ class FabricExecutorBackend:
             coordinator_port,
         )
         self._processes = {}  # loopback worker name -> Process
+        self._replace = []    # names killed, to re-fork at next drain
         for index in range(loopback_workers):
             self._fork(f"loopback-{index}",
                        chaos_kill_after if index == 0 else None)
@@ -115,18 +118,20 @@ class FabricExecutorBackend:
         process.start()
         self._processes[name] = process
 
-    def _respawn(self, name):
-        """Replace a loopback worker the coordinator has reported dead.
+    def _retire(self, name):
+        """Kill a loopback worker the coordinator has reported dead.
 
         The report is what frees the name for the replacement to
         register under.  SIGKILL, not SIGTERM: the worker may be hung
         in a shard, and it may have inherited a SIGTERM handler from
-        the process that forked it.
+        the process that forked it.  The replacement is forked at the
+        next drain, once the supervisor has seen the loss and had its
+        chance to withdraw the queue.
         """
         process = self._processes[name]
         process.kill()
         process.join(timeout=5.0)
-        self._fork(name)
+        self._replace.append(name)
 
     # ------------------------------------------------------------------
     # Executor backend interface
@@ -135,6 +140,9 @@ class FabricExecutorBackend:
         self._coordinator.submit(ticket, shard, task)
 
     def drain(self, timeout):
+        for name in self._replace:
+            self._fork(name)
+        self._replace = []
         events = []
         for event in self._coordinator.drain(timeout):
             if event.kind == "done" and self._decoder is not None:
@@ -149,12 +157,20 @@ class FabricExecutorBackend:
             if (event.event == "fabric_worker_dead"
                     and event.fields["worker"] in self._processes):
                 name = event.fields["worker"]
-                self._respawn(name)
+                self._retire(name)
                 events.append(ShardEvent(
                     "backend_lost", reason=event.fields["reason"],
                     fields={"worker": name},
                 ))
         return events
+
+    def withdraw(self):
+        """Requeue events for every shard no worker has started, so
+        only the assigned ones finish here."""
+        return [
+            ShardEvent("requeue", ticket=ticket, reason="withdrawn")
+            for ticket in self._coordinator.withdraw()
+        ]
 
     def shutdown(self):
         self._coordinator.stop()

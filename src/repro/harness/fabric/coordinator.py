@@ -75,7 +75,8 @@ class ShardEvent:
     * ``failed``       — ``ticket`` suffered a *charged* failure
       (``reason``); the supervisor retries or quarantines it.
     * ``requeue``      — ``ticket`` must re-run but is *not* charged
-      (handed back by a fabric with no live workers).
+      (handed back by a fabric with no live workers, or withdrawn
+      before any worker started it).
     * ``backend_lost`` — a loopback worker was replaced, or every worker
       is gone; counts against the supervisor's rebuild budget, whose
       exhaustion ends in serial fallback.
@@ -171,6 +172,14 @@ class FabricCoordinator:
                 events.append(self._events.get_nowait())
             except queue.Empty:
                 return events
+
+    def withdraw(self):
+        """Take back every queued shard no worker has started; returns
+        their tickets in queue order.  Assigned shards run on."""
+        with self._lock:
+            tickets = [ticket for ticket, _payload in self._work]
+            self._work.clear()
+        return tickets
 
     def stats(self):
         with self._lock:

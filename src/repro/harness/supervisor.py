@@ -28,10 +28,11 @@ processes and turns worker failure into an explicit, bounded protocol:
   carrying) instead of being retried forever.  The campaign then
   completes with ``degraded=True`` rather than dying.
 * **Serial fallback** — once the workers have been rebuilt more than
-  ``max_pool_rebuilds`` times the supervisor submits nothing new: the
-  fabric finishes the shards it holds, and the rest run in-process,
-  serially.  Hangs cannot be detected in this mode (there is no one
-  left to watch), but crashes are still retried and quarantined.
+  ``max_pool_rebuilds`` times the supervisor withdraws every shard no
+  worker has started: the fabric finishes the ones it is running, and
+  the rest run in-process, serially.  Hangs cannot be detected in this
+  mode (there is no one left to watch), but crashes are still retried
+  and quarantined.
 
 With one worker (or one shard) every shard runs in-process on that same
 serial path.  With more, the shards go to the loopback fabric of
@@ -65,15 +66,15 @@ DEFAULT_MAX_POOL_REBUILDS = 3
 class SupervisionInterrupted(RuntimeError):
     """A supervised pass stopped early at a shard boundary.
 
-    Raised when the supervisor's ``stop_event`` is set: dispatching
-    stops immediately, every in-flight shard is allowed to finish (and
-    is reported through ``on_outcome``, so the campaign journal has it),
-    and then this is raised instead of returning a report.  ``report``
-    carries everything that completed before the stop; ``remaining`` is
-    the number of shards that never ran.  This is what lets the service
-    daemon drain gracefully — finish the active shard round, persist
-    state, refuse new work — and enforce per-campaign wall-clock
-    budgets without killing workers mid-slot.
+    Raised when the supervisor's ``stop_event`` is set: every shard no
+    worker has started is withdrawn, every running shard is allowed to
+    finish (and is reported through ``on_outcome``, so the campaign
+    journal has it), and then this is raised instead of returning a
+    report.  ``report`` carries everything that completed before the
+    stop; ``remaining`` is the number of shards that never ran.  This is
+    what lets the service daemon drain gracefully — finish the running
+    shards, persist state, refuse new work — and enforce per-campaign
+    wall-clock budgets without killing workers mid-slot.
     """
 
     def __init__(self, report, remaining):
@@ -160,8 +161,9 @@ class ShardSupervisor:
         self.poll_seconds = poll_seconds
         self.telemetry = telemetry if telemetry is not None else NullTelemetry()
         # Cooperative interruption (graceful drain / wall-clock budget):
-        # when set, no new shard is dispatched, in-flight shards finish
-        # and are journaled, then run() raises SupervisionInterrupted.
+        # when set, unstarted shards are withdrawn, running shards
+        # finish and are journaled, then run() raises
+        # SupervisionInterrupted.
         self.stop_event = stop_event
         self._backend_factory = backend_factory
         self._backend = None
@@ -216,8 +218,8 @@ class ShardSupervisor:
         ``report.outcomes`` keyed by shard index, and ``on_outcome`` (if
         given) is called in the parent as each one lands — the campaign
         journals through it.  The only exception a caller sees is
-        :class:`SupervisionInterrupted`, raised after the in-flight
-        round finishes when ``stop_event`` is set.
+        :class:`SupervisionInterrupted`, raised after the running
+        shards finish when ``stop_event`` is set.
         """
         report = SupervisionReport()
         shards = list(shards)
@@ -249,27 +251,29 @@ class ShardSupervisor:
         pending = deque(_Attempt(shard) for shard in shards)
         inflight = {}
         while pending or inflight:
-            if self._stopped():
-                # Graceful stop: dispatch nothing new, let the in-flight
-                # round finish (journaled via on_outcome), then raise.
+            stopped = self._stopped()
+            if stopped or report.pool_rebuilds > self.max_pool_rebuilds:
+                # Graceful stop, or the workers keep dying under us:
+                # take back every shard no worker has started, so only
+                # the assigned ones finish (journaled via on_outcome).
+                self._apply_events(backend.withdraw(), pending, inflight,
+                                   report, on_outcome)
                 if not inflight:
-                    self._interrupt(report, len(pending))
-            elif report.pool_rebuilds <= self.max_pool_rebuilds:
+                    if stopped:
+                        self._interrupt(report, len(pending))
+                    report.serial_fallback = True
+                    self.telemetry.emit(
+                        "serial_fallback",
+                        remaining=len(pending),
+                        pool_rebuilds=report.pool_rebuilds,
+                    )
+                    self._release_backend()
+                    self._run_serial(pending, task, report, on_outcome)
+                    return
+            else:
                 while pending:
                     self._submit(backend, pending.popleft(), task,
                                  inflight)
-            elif not inflight:
-                # The workers keep dying under us: the fabric has
-                # finished what it held, the rest runs in-process.
-                report.serial_fallback = True
-                self.telemetry.emit(
-                    "serial_fallback",
-                    remaining=len(pending),
-                    pool_rebuilds=report.pool_rebuilds,
-                )
-                self._release_backend()
-                self._run_serial(pending, task, report, on_outcome)
-                return
             if inflight:
                 events = backend.drain(self.poll_seconds)
                 self._apply_events(events, pending, inflight, report,

@@ -3,14 +3,16 @@
 The supervisor is generic over the task it runs, which is what these
 tests exploit: a top-level ``_behave`` task interprets a behaviour
 encoded in each shard's fault ids (``ok``, ``crash``, ``kill``,
-``hang``, plus ``*_once`` transient variants that leave a marker file
-so the retry succeeds) and simulates every failure mode the supervisor
+``hang``, ``slow``, plus ``*_once`` transient variants that leave a
+marker file so the retry succeeds) and simulates every failure mode the
+supervisor
 must absorb — without a campaign underneath.  With ``workers=2`` the
 shards run on the default backend: two loopback fabric workers.
 """
 
 import os
 import signal
+import threading
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -20,7 +22,7 @@ import pytest
 
 from repro.harness.campaign import CampaignShard
 from repro.harness.fabric.backend import CHAOS_KILL_ENV
-from repro.harness.supervisor import ShardSupervisor
+from repro.harness.supervisor import ShardSupervisor, SupervisionInterrupted
 from repro.harness.telemetry import TelemetryWriter, read_telemetry
 
 
@@ -58,7 +60,9 @@ def _behave(marker_dir, shard):
         (Path(marker_dir) / f"hang-{shard.index}.pid").write_text(
             str(os.getpid()))
         time.sleep(60.0)
-    return {"shard": shard.index}
+    if behaviour == "slow":
+        time.sleep(0.25)
+    return {"shard": shard.index, "pid": os.getpid()}
 
 
 def _report_pid(shard):
@@ -174,14 +178,21 @@ def test_poison_kill_quarantines_only_the_offender(tmp_path):
 
 
 def test_repeated_pool_loss_falls_back_to_serial(tmp_path):
-    shards = [make_shard(0, "kill_once"), make_shard(1), make_shard(2)]
+    shards = [make_shard(0, "kill_once"), make_shard(1, "slow"),
+              make_shard(2, "slow"), make_shard(3, "slow")]
     report = run_supervised(tmp_path, shards, workers=2, max_retries=3,
                             max_pool_rebuilds=0)
-    # The first kill spends the rebuild budget; the survivors
-    # (including the killer's now-marked retry) finish in-process.
-    assert sorted(report.outcomes) == [0, 1, 2]
+    # The first kill spends the rebuild budget: the other worker
+    # finishes the shard it is running, and the rest (including the
+    # killer's now-marked retry) are withdrawn and run in-process.
+    assert sorted(report.outcomes) == [0, 1, 2, 3]
     assert report.serial_fallback
     assert report.quarantined == []
+    assert report.pool_rebuilds == 1
+    on_workers = [index for index, outcome in report.outcomes.items()
+                  if outcome["pid"] != os.getpid()]
+    assert 0 not in on_workers
+    assert len(on_workers) <= 1
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +263,23 @@ def test_chaos_killed_loopback_worker_is_replaced_once(tmp_path,
     assert report.retries == 1
     assert report.pool_rebuilds == 1
     assert stats["worker_deaths"] == 1
+
+
+# ----------------------------------------------------------------------
+# Graceful stop: unstarted shards are withdrawn, running ones finish
+# ----------------------------------------------------------------------
+def test_stop_withdraws_shards_no_worker_has_started(tmp_path):
+    stop = threading.Event()
+    shards = [make_shard(i, "slow") for i in range(12)]
+    with ShardSupervisor(workers=2, poll_seconds=0.02,
+                         stop_event=stop) as supervisor:
+        with pytest.raises(SupervisionInterrupted) as interrupted:
+            supervisor.run(shards, partial(_behave, str(tmp_path)),
+                           on_outcome=lambda _outcome: stop.set())
+    completed = len(interrupted.value.report.outcomes)
+    assert completed >= 1
+    assert completed + interrupted.value.remaining == 12
+    assert interrupted.value.remaining >= 6
 
 
 # ----------------------------------------------------------------------

@@ -95,6 +95,7 @@ def test_campaign_command_writes_manifest(tmp_path, capsys):
         (["campaign", "--fabric-listen", "127.0.0.1:9",
           "--workers", "-1"],
          "--workers must be >= 0"),
+        (["campaign", "--workers", "0"], "(0 needs --fabric-listen)"),
     ],
 )
 def test_campaign_flag_validation(capsys, argv, message):
