@@ -269,7 +269,7 @@ def run_shard(config, iteration, shard, mutant_cache_dir=None):
         shard_index=shard.index,
         first_slot=shard.first_slot,
         num_slots=len(shard.locations),
-        partial=run.compute_partial(config.conformance_slots),
+        partial=run.compute_partial(),
     )
 
 

@@ -49,30 +49,26 @@ class SlotRunResult(SlotTally):
     """Everything one slot walk produced, across machine epochs.
 
     A verified reboot splits the run into *segments* — each a
-    ``(machine, windows)`` pair on its own simulated timeline.  Metrics
-    merge across segments through :class:`MetricsPartial` (associative,
-    slot-ordered), so a run with reboots reduces exactly like a
-    campaign merging shards.  Activation records' ``first_hit`` is
-    sim-seconds from slot start (None if never hit).
+    ``(partial, windows)`` pair from one machine's own simulated
+    timeline, the partial reduced when that machine was retired, so no
+    retired machine outlives its epoch.  Metrics merge across segments
+    through :class:`MetricsPartial` (associative, slot-ordered), so a
+    run with reboots reduces exactly like a campaign merging shards.
+    Activation records' ``first_hit`` is sim-seconds from slot start
+    (None if never hit).
     """
 
     segments: list = field(default_factory=list)
     audits_performed: int = 0
 
-    def compute_partial(self, conformance_group):
-        """Reduce every segment's windows to one mergeable partial."""
-        partials = [
-            machine.client.collector.compute_partial(
-                windows, conformance_group=conformance_group
-            )
-            for machine, windows in self.segments
-            if windows
-        ]
-        return MetricsPartial.merge(partials)
+    def compute_partial(self):
+        """Merge every segment's partial into one."""
+        return MetricsPartial.merge(
+            [partial for partial, windows in self.segments if windows]
+        )
 
-    def compute_metrics(self, num_connections, conformance_group):
-        partial = self.compute_partial(conformance_group)
-        return partial.to_metrics(num_connections)
+    def compute_metrics(self, num_connections):
+        return self.compute_partial().to_metrics(num_connections)
 
 
 class _Epoch:
@@ -370,7 +366,10 @@ class WebServerExperiment:
             )
         if epoch.auditor is not None:
             result.audits_performed += epoch.auditor.audits_performed
-        result.segments.append((epoch.machine, epoch.windows))
+        partial = epoch.machine.client.collector.compute_partial(
+            epoch.windows, conformance_group=self.config.conformance_slots
+        )
+        result.segments.append((partial, epoch.windows))
 
     def _activation_deadline(self, location, slot_seconds):
         """Seconds from slot start after which a hit-less slot truncates.
@@ -553,9 +552,7 @@ class WebServerExperiment:
         """One full pass over the faultload (one Table 5 iteration)."""
         faultload = self.prepared_faultload(faultload)
         run = self.run_slots(faultload, iteration=iteration)
-        metrics = run.compute_metrics(
-            self.config.client.connections, self.config.conformance_slots
-        )
+        metrics = run.compute_metrics(self.config.client.connections)
         return InjectionIteration.merge(
             [run], iteration=iteration, metrics=metrics
         )

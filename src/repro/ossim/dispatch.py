@@ -24,14 +24,6 @@ tracing overhead.  Built wrappers are also published into the table's
 instance dictionary, so repeat ``ctx.api.NtWriteFile`` lookups bypass
 ``__getattr__`` entirely.
 
-Both classes implement ``__deepcopy__`` because the machine snapshot
-layer (:mod:`repro.harness.snapshot`) deep-copies whole machines:
-``copy.deepcopy`` treats function objects as atomic, so without help a
-copied table would keep the *original* machine's wrappers — closures
-over the original ``ctx`` — and every API call on the copy would
-silently mutate the machine it was copied from.  The copies instead
-drop the wrapper cache and rebuild lazily against the copied state.
-
 Failure semantics: simulated machine conditions (``SimSegfault``,
 ``SimBlockedForever``, ``CpuBudgetExceeded``) always propagate.  Any *other*
 Python exception escaping OS code is a bug of ours when the OS is pristine
@@ -41,7 +33,6 @@ access violation.  ``fault_mode`` is read live — but only on the
 exceptional path, so it costs nothing per successful call.
 """
 
-import copy
 import weakref
 
 from repro.sim.errors import (
@@ -97,28 +88,6 @@ class OsInstance:
         ctx.api = ApiTable(self, ctx)
         return ctx
 
-    def __deepcopy__(self, memo):
-        """Deep-copy for machine snapshots.
-
-        The build is module-level code shared by every machine (the
-        injector mutates it globally, per slot) — it is referenced, not
-        copied.  The table set is rebuilt *before* the tables are
-        copied so each copied table can register itself with the copied
-        instance mid-copy (the default reduce path would try to deep-
-        copy a half-constructed WeakSet instead).
-        """
-        clone = type(self).__new__(type(self))
-        memo[id(self)] = clone
-        clone.build = self.build
-        clone._tables = weakref.WeakSet()
-        clone.kernel = copy.deepcopy(self.kernel, memo)
-        clone.tracer = copy.deepcopy(self.tracer, memo)
-        clone.activation = copy.deepcopy(self.activation, memo)
-        clone.fault_mode = self.fault_mode
-        for table in list(self._tables):
-            copy.deepcopy(table, memo)  # registers with clone._tables
-        return clone
-
     def __getstate__(self):
         """Pickle for machine snapshots: tables re-register on load."""
         state = self.__dict__.copy()
@@ -167,25 +136,6 @@ class ApiTable:
             self._wrappers[name] = wrapper
             self.__dict__[name] = wrapper
 
-    def __deepcopy__(self, memo):
-        """Deep-copy for machine snapshots.
-
-        Wrappers are closures over ``ctx``/``os`` — ``deepcopy`` would
-        share them, aiming the copied table at the original machine.
-        The copy starts with an empty cache and rebuilds lazily against
-        the copied state on first attribute access.  (This method must
-        exist as a real attribute: the ``getattr(x, '__deepcopy__')``
-        probe in :mod:`copy` otherwise lands in ``__getattr__`` on a
-        half-constructed copy and recurses without end.)
-        """
-        clone = type(self).__new__(type(self))
-        memo[id(self)] = clone
-        clone.__dict__["_wrappers"] = {}
-        clone.__dict__["os"] = copy.deepcopy(self.os, memo)
-        clone.__dict__["ctx"] = copy.deepcopy(self.ctx, memo)
-        clone.os._tables.add(clone)
-        return clone
-
     def __getstate__(self):
         """Pickle for machine snapshots: drop the closure cache."""
         return {"os": self.os, "ctx": self.ctx}
@@ -218,14 +168,18 @@ class ApiTable:
         base_cost = self.os.build.base_cost(name)
         os_instance = self.os
         ctx = self.ctx
+        charge = ctx.charge
         tracer = os_instance.tracer
 
+        # Positional only: a ``**kwargs`` parameter builds a dict on
+        # every call.  A keyword argument raises TypeError at its call
+        # site; test_dispatch.py checks that no caller passes one.
         if tracer is None:
-            def call(*args, **kwargs):
+            def call(*args):
                 ctx.api_calls += 1
-                ctx.charge(base_cost)
+                charge(base_cost)
                 try:
-                    return function(ctx, *args, **kwargs)
+                    return function(ctx, *args)
                 except _PASSTHROUGH:
                     raise
                 except Exception as exc:
@@ -239,12 +193,12 @@ class ApiTable:
         else:
             record = tracer.record
 
-            def call(*args, **kwargs):
+            def call(*args):
                 record(module_display, name)
                 ctx.api_calls += 1
-                ctx.charge(base_cost)
+                charge(base_cost)
                 try:
-                    return function(ctx, *args, **kwargs)
+                    return function(ctx, *args)
                 except _PASSTHROUGH:
                     raise
                 except Exception as exc:

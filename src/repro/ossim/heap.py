@@ -69,15 +69,12 @@ class SimHeap:
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _round(size):
-        return max(_ALIGNMENT,
-                   (size + _ALIGNMENT - 1) // _ALIGNMENT * _ALIGNMENT)
-
     def _tick_corruption(self, operation):
-        """Advance the post-corruption countdown; maybe blow up."""
-        if self.corruption_score <= 0:
-            return
+        """Advance the post-corruption countdown; maybe blow up.
+
+        Callers check ``corruption_score > 0`` first, so a clean heap
+        pays one comparison per operation and no call.
+        """
         self._ops_since_corruption += 1
         if self._ops_since_corruption % self.corruption_blast_radius == 0:
             raise SimSegfault(
@@ -99,8 +96,12 @@ class SimHeap:
             self.mark_corrupted("negative allocation size")
             self._tick_corruption("allocate")
             return 0
-        self._tick_corruption("allocate")
-        rounded = self._round(size)
+        if self.corruption_score > 0:
+            self._tick_corruption("allocate")
+        rounded = (size + _ALIGNMENT - 1) // _ALIGNMENT * _ALIGNMENT
+        if not rounded > _ALIGNMENT:
+            # What max(_ALIGNMENT, rounded) picks, ties and NaN included.
+            rounded = _ALIGNMENT
         if self.live_bytes + rounded > self.commit_limit:
             self.failed_allocs += 1
             return 0
@@ -117,7 +118,8 @@ class SimHeap:
             block = HeapBlock(address, rounded, tag=tag)
             self._blocks[address] = block
         self.live_bytes += rounded
-        self.peak_bytes = max(self.peak_bytes, self.live_bytes)
+        if self.live_bytes > self.peak_bytes:
+            self.peak_bytes = self.live_bytes
         self.alloc_count += 1
         return address
 
@@ -129,7 +131,8 @@ class SimHeap:
         that into a success status anyway, which is precisely how a silent
         heap-corruption fault propagates.
         """
-        self._tick_corruption("free")
+        if self.corruption_score > 0:
+            self._tick_corruption("free")
         block = self._blocks.get(address)
         if block is None:
             self.mark_corrupted(f"free of unknown address 0x{address:x}")

@@ -10,6 +10,7 @@ transfer, or returns a stale buffer produces a detectable content error at
 the client exactly like a corrupted response body would.
 """
 
+import functools
 import hashlib
 
 __all__ = ["SimBuffer", "FileNode", "VirtualFileSystem"]
@@ -21,6 +22,13 @@ def _digest(*parts):
     return int.from_bytes(
         hashlib.blake2b(data, digest_size=8).digest(), "big"
     )
+
+
+# Buffer fingerprints repeat: reads cover the same few dozen (content,
+# offset, length) windows over and over, and the client re-derives the
+# fingerprint of every static GET it checks.  ``typed`` keeps 10 and
+# 10.0 apart, which ``_digest`` hashes as different text.
+_buffer_digest = functools.lru_cache(maxsize=4096, typed=True)(_digest)
 
 
 class SimBuffer:
@@ -35,13 +43,13 @@ class SimBuffer:
     @staticmethod
     def for_content(content_id, offset, length):
         """Fingerprint of ``length`` bytes at ``offset`` of ``content_id``."""
-        return SimBuffer(length, _digest(content_id, offset, length))
+        return SimBuffer(length, _buffer_digest(content_id, offset, length))
 
     def matches(self, content_id, offset, length):
         """True when this buffer is exactly that slice of that content."""
         return (
             self.length == length
-            and self.fingerprint == _digest(content_id, offset, length)
+            and self.fingerprint == _buffer_digest(content_id, offset, length)
         )
 
     def __eq__(self, other):
@@ -64,6 +72,7 @@ class FileNode:
     __slots__ = (
         "name",
         "parent",
+        "_path",
         "is_dir",
         "children",
         "size",
@@ -78,6 +87,13 @@ class FileNode:
                  content_id=None):
         self.name = name
         self.parent = parent
+        # The VFS has no rename, so a node's path is fixed at creation.
+        if parent is None:
+            self._path = "/"
+        elif parent.parent is None:
+            self._path = "/" + name
+        else:
+            self._path = parent._path + "/" + name
         self.is_dir = is_dir
         self.children = {} if is_dir else None
         self.size = size
@@ -92,12 +108,7 @@ class FileNode:
         self.version = 0
 
     def path(self):
-        parts = []
-        node = self
-        while node is not None and node.parent is not None:
-            parts.append(node.name)
-            node = node.parent
-        return "/" + "/".join(reversed(parts))
+        return self._path
 
     def touch(self):
         """Record a content change: new version, new content identity."""

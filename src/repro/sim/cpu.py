@@ -18,6 +18,8 @@ from repro.sim.errors import CpuBudgetExceeded
 
 __all__ = ["CpuMeter"]
 
+_UNLIMITED = float("inf")
+
 
 class CpuMeter:
     """Accumulates simulated CPU cycles for one process.
@@ -38,8 +40,14 @@ class CpuMeter:
         self.speed_hz = speed_hz
         self.operation_budget = operation_budget
         self.total_cycles = 0
-        self._operation_cycles = 0
-        self._operation_active = False
+        # An operation is the span of the running total between these
+        # two marks; the end is None while the operation is in progress.
+        self._operation_start = 0
+        self._operation_end = 0
+        # The running total a charge may not exceed: the start plus the
+        # budget during a budgeted operation, infinite otherwise.  One
+        # comparison per charge stands in for a per-operation sum.
+        self._limit = _UNLIMITED
 
     # ------------------------------------------------------------------
     # Charging
@@ -52,37 +60,39 @@ class CpuMeter:
         """
         if cycles < 0:
             cycles = 0
-        cycles = int(cycles)
-        self.total_cycles += cycles
-        if self._operation_active:
-            self._operation_cycles += cycles
-            if (
-                self.operation_budget is not None
-                and self._operation_cycles > self.operation_budget
-            ):
-                raise CpuBudgetExceeded(
-                    f"operation exceeded CPU budget "
-                    f"({self._operation_cycles} > {self.operation_budget})",
-                    cycles=self._operation_cycles,
-                )
+        total = self.total_cycles + int(cycles)
+        self.total_cycles = total
+        if total > self._limit:
+            used = total - self._operation_start
+            raise CpuBudgetExceeded(
+                f"operation exceeded CPU budget "
+                f"({used} > {self.operation_budget})",
+                cycles=used,
+            )
 
     # ------------------------------------------------------------------
     # Per-operation bracketing
     # ------------------------------------------------------------------
     def begin_operation(self):
         """Start metering one operation (e.g. handling one HTTP request)."""
-        self._operation_active = True
-        self._operation_cycles = 0
+        self._operation_start = self.total_cycles
+        self._operation_end = None
+        if self.operation_budget is not None:
+            self._limit = self.total_cycles + self.operation_budget
 
     def end_operation(self):
         """Stop metering and return the cycles charged by the operation."""
-        self._operation_active = False
-        return self._operation_cycles
+        self._limit = _UNLIMITED
+        self._operation_end = self.total_cycles
+        return self._operation_end - self._operation_start
 
     @property
     def operation_cycles(self):
         """Cycles charged by the operation in progress (or the last one)."""
-        return self._operation_cycles
+        end = self._operation_end
+        if end is None:
+            end = self.total_cycles
+        return end - self._operation_start
 
     # ------------------------------------------------------------------
     # Conversion

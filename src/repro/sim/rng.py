@@ -59,10 +59,8 @@ class SeededRng:
     def choice(self, sequence):
         return self._random.choice(sequence)
 
-    def choices(self, population, weights=None, k=1, *, cum_weights=None):
-        return self._random.choices(
-            population, weights=weights, cum_weights=cum_weights, k=k
-        )
+    def choices(self, population, weights=None, k=1):
+        return self._random.choices(population, weights=weights, k=k)
 
     def shuffle(self, items):
         self._random.shuffle(items)

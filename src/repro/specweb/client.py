@@ -49,10 +49,9 @@ class _Responder:
     """Completion callback for one in-flight request.
 
     A class rather than a closure so that an in-flight request survives a
-    machine snapshot: ``copy.deepcopy`` copies instances (re-aiming
-    ``client``/``connection`` at the copied machine via the memo) but
-    treats closures as atomic, which would leak the original machine into
-    the copy's event queue.
+    machine snapshot: the snapshot pickles the event queue, and pickle
+    can store an instance (its ``client`` and ``connection`` pickled
+    with the rest of the machine) but not a closure.
     """
 
     __slots__ = ("client", "connection", "seq")

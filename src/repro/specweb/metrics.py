@@ -17,6 +17,7 @@ windows for baseline runs) and reduced to the paper's measures:
 
 import bisect
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.specweb.conformance import connection_conforms
 
@@ -28,9 +29,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OpRecord:
-    """One finished operation as the client saw it."""
+class OpRecord(NamedTuple):
+    """One finished operation as the client saw it.
+
+    A tuple, not a frozen dataclass: a campaign makes one per simulated
+    operation, warm-up traffic included, and every snapshot image
+    carries the warm-up ones.  A tuple is built without a
+    ``__setattr__`` call per field and pickles smaller.
+    """
 
     completed_at: float
     connection_id: int

@@ -7,6 +7,7 @@ its ground-truth expectation so the client can validate the response.
 """
 
 import enum
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -37,13 +38,38 @@ OPERATION_MIX = (
     (OperationKind.POST, 0.05),
 )
 
-# Running sums of the weights, as ``choices`` would otherwise rebuild
-# them on every draw (the same sums, so the same draws).
-_KIND_CUM_WEIGHTS = tuple(
-    accumulate(weight for _kind, weight in OPERATION_MIX)
+
+class _WeightedDraw:
+    """One weighted pick from a fixed population.
+
+    :meth:`draw` is ``Random.choices(population, cum_weights=...)[0]``
+    as Python 3.10 to 3.13 compute it: the same expression, one
+    ``random()`` call, so the same index and the same generator state.
+    The running sums, their float total and the search bound are fixed
+    here once instead of on every draw, and no result list is built.
+    """
+
+    __slots__ = ("population", "cum_weights", "total", "hi")
+
+    def __init__(self, population, weights):
+        self.population = tuple(population)
+        self.cum_weights = tuple(accumulate(weights))
+        self.total = self.cum_weights[-1] + 0.0
+        self.hi = len(self.population) - 1
+
+    def draw(self, random):
+        """Pick one member, calling ``random()`` once."""
+        return self.population[
+            bisect(self.cum_weights, random() * self.total, 0, self.hi)
+        ]
+
+
+_KIND_DRAW = _WeightedDraw(
+    [kind for kind, _weight in OPERATION_MIX],
+    [weight for _kind, weight in OPERATION_MIX],
 )
-_CLASS_CUM_WEIGHTS = tuple(accumulate(CLASS_WEIGHTS))
-_FILE_CUM_WEIGHTS = tuple(accumulate(WITHIN_CLASS_WEIGHTS))
+_CLASS_DRAW = _WeightedDraw(range(CLASS_COUNT), CLASS_WEIGHTS)
+_FILE_DRAW = _WeightedDraw(range(FILES_PER_CLASS), WITHIN_CLASS_WEIGHTS)
 
 POST_BODY_BYTES = 320
 DYNAMIC_WRAPPER_BYTES = 128
@@ -70,9 +96,6 @@ class WorkloadGenerator:
     def __init__(self, fileset, rng):
         self.fileset = fileset
         self.rng = rng
-        self._kinds = [kind for kind, _weight in OPERATION_MIX]
-        self._class_indices = list(range(CLASS_COUNT))
-        self._file_indices = list(range(FILES_PER_CLASS))
 
     def for_connection(self, connection_id):
         """A generator bound to one connection's random substream."""
@@ -84,19 +107,15 @@ class WorkloadGenerator:
     # Drawing
     # ------------------------------------------------------------------
     def _draw_file(self):
-        class_index = self.rng.choices(
-            self._class_indices, cum_weights=_CLASS_CUM_WEIGHTS
-        )[0]
-        file_index = self.rng.choices(
-            self._file_indices, cum_weights=_FILE_CUM_WEIGHTS
-        )[0]
+        random = self.rng.random
+        class_index = _CLASS_DRAW.draw(random)
+        file_index = _FILE_DRAW.draw(random)
         dir_index = self.rng.randint(0, self.fileset.directories - 1)
         return self.fileset.url_path(dir_index, class_index, file_index)
 
     def next_operation(self, connection_id=0, request_id=0):
         """Generate the next :class:`PlannedOperation`."""
-        kind = self.rng.choices(self._kinds,
-                                cum_weights=_KIND_CUM_WEIGHTS)[0]
+        kind = _KIND_DRAW.draw(self.rng.random)
         if kind == OperationKind.POST:
             request = HttpRequest(
                 "POST",

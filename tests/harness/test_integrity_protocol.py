@@ -70,11 +70,9 @@ def test_heap_leak_triggers_verified_reboot_and_clean_continuation():
     # The reboot split the run into two machine epochs, and the benign
     # slots after it ran on the clean machine without new flags.
     assert len(run.segments) == 2
-    assert [len(windows) for _machine, windows in run.segments] == [1, 2]
+    assert [len(windows) for _partial, windows in run.segments] == [1, 2]
     # The merged metrics cover all three slots.
-    metrics = run.compute_metrics(
-        config.client.connections, config.conformance_slots
-    )
+    metrics = run.compute_metrics(config.client.connections)
     assert metrics.total_ops > 0
     assert metrics.measured_seconds == pytest.approx(
         3 * config.rules.slot_seconds

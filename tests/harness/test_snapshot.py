@@ -12,7 +12,9 @@ across builds, servers, worker counts and modes are rows of
 """
 
 import dataclasses
+import gc
 import warnings
+import weakref
 
 import pytest
 
@@ -198,6 +200,25 @@ def test_pristine_digest_stable_across_runs_and_warm_cache():
     assert metrics_digest(result) == first_digest
     assert second_run.epochs_booted == 0
     assert second_run.epochs_restored == first_run.epochs_restored + 1
+
+
+def test_retired_pristine_epochs_free_their_machines(monkeypatch):
+    """A retired epoch keeps its reduced metrics, not its machine."""
+    machines = []
+    note_epoch = WebServerExperiment._note_epoch
+
+    def watch(self, result, epoch):
+        machines.append(weakref.ref(epoch.machine))
+        return note_epoch(self, result, epoch)
+
+    monkeypatch.setattr(WebServerExperiment, "_note_epoch", watch)
+    config = smoke_config(pristine_slots=True)
+    experiment = WebServerExperiment(config)
+    run = experiment.run_slots(experiment.prepared_faultload(), iteration=1)
+    assert run.pristine_restarts > 0
+    assert len(machines) == len(run.segments) == run.pristine_restarts + 1
+    gc.collect()
+    assert [ref() for ref in machines] == [None] * len(machines)
 
 
 def test_contamination_reboot_served_by_restore():

@@ -1,5 +1,8 @@
 """Tests for the API dispatcher (tracing, charging, fault semantics)."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.ossim.builds import NT50
@@ -160,3 +163,35 @@ def test_boot_count_increments():
     OsInstance(NT50, kernel)
     OsInstance(NT50, kernel)
     assert kernel.boot_count == 2
+
+
+def _through_api_table(call):
+    """True for ``api.X(...)`` and ``<anything>.api.X(...)`` calls."""
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return False
+    owner = func.value
+    return (
+        (isinstance(owner, ast.Name) and owner.id == "api")
+        or (isinstance(owner, ast.Attribute) and owner.attr == "api")
+    )
+
+
+def test_wrappers_take_positional_arguments_only(osi):
+    """A wrapper has no ``**kwargs``, so no caller may pass a keyword:
+    inside a request handler the TypeError would read as a crash."""
+    set_last_error = osi.new_process().api.SetLastError
+    with pytest.raises(TypeError):
+        set_last_error(error_code=5)
+    root = Path(__file__).resolve().parents[2]
+    offenders = []
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((root / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            offenders += [
+                f"{path.relative_to(root)}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and _through_api_table(node) and node.keywords
+            ]
+    assert offenders == []

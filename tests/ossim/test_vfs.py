@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ossim.vfs import SimBuffer, VirtualFileSystem
+from repro.ossim.vfs import SimBuffer, VirtualFileSystem, _digest
 
 
 @pytest.fixture
@@ -29,6 +29,11 @@ def test_lookup_file_and_missing(vfs):
 def test_path_roundtrip(vfs):
     node = vfs.lookup("/site/docs/a.html")
     assert node.path() == "/site/docs/a.html"
+    assert vfs.root.path() == "/"
+    assert vfs.lookup("/site").path() == "/site"
+    gone = vfs.create_file("/site/docs/gone.html", size=10)
+    assert vfs.delete("/site/docs/gone.html")
+    assert gone.path() == "/site/docs/gone.html"
 
 
 def test_mkdir_idempotent(vfs):
@@ -160,8 +165,22 @@ def test_simbuffer_equality_and_hash():
 ])
 def test_simbuffer_fingerprint_golden(content_id, offset, length,
                                       fingerprint):
-    buffer = SimBuffer.for_content(content_id, offset, length)
-    assert buffer.fingerprint == fingerprint
+    assert _digest(content_id, offset, length) == fingerprint
+    for _ in range(2):  # a repeat is served from the memo
+        buffer = SimBuffer.for_content(content_id, offset, length)
+        assert buffer.fingerprint == fingerprint
+        assert buffer.matches(content_id, offset, length)
+
+
+def test_fingerprints_keep_equal_lengths_of_other_types_apart():
+    # 10 == 10.0 and 1 == True, but the digest hashes their text.
+    lengths = (10, 10.0, 1, True)
+    fingerprints = [
+        SimBuffer.for_content(42, 0, length).fingerprint
+        for length in lengths
+    ]
+    assert fingerprints == [_digest(42, 0, length) for length in lengths]
+    assert len(set(fingerprints)) == len(lengths)
 
 
 def test_content_id_golden_for_non_ascii_path():

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.ossim.builds import NT50
+from repro.ossim.context import SimKernel
+from repro.ossim.dispatch import OsInstance
 from repro.sim.cpu import CpuMeter
 from repro.sim.errors import CpuBudgetExceeded
 
@@ -45,11 +48,56 @@ def test_begin_operation_resets_counter():
 
 def test_budget_enforced_within_operation():
     meter = CpuMeter(speed_hz=1000, operation_budget=100)
+    meter.charge(500)  # before the operation: not part of it
     meter.begin_operation()
     meter.charge(60)
+    meter.charge(40)  # exactly the budget still fits
     with pytest.raises(CpuBudgetExceeded) as exc_info:
-        meter.charge(60)
+        meter.charge(20.9)
     assert exc_info.value.cycles == 120
+    assert str(exc_info.value) == (
+        "operation exceeded CPU budget (120 > 100)"
+    )
+    assert meter.total_cycles == 620
+
+
+def test_operation_cycles_during_after_and_past_a_trip():
+    meter = CpuMeter(speed_hz=1000, operation_budget=50)
+    assert meter.operation_cycles == 0
+    meter.charge(7)
+    meter.begin_operation()
+    meter.charge(20)
+    assert meter.operation_cycles == 20
+    assert meter.end_operation() == 20
+    meter.charge(9)  # outside any operation
+    assert meter.operation_cycles == 20
+    meter.begin_operation()
+    meter.charge(30)
+    with pytest.raises(CpuBudgetExceeded):
+        meter.charge(30)
+    assert meter.operation_cycles == 60
+    # Still inside the tripped operation: every further charge trips.
+    with pytest.raises(CpuBudgetExceeded) as exc_info:
+        meter.charge(1)
+    assert exc_info.value.cycles == 61
+    assert meter.end_operation() == 61
+    meter.charge(1000)  # the budget ended with the operation
+    assert meter.operation_cycles == 61
+    assert meter.total_cycles == 1097
+
+
+def test_budget_trips_on_dispatch_cost_before_the_api_body_runs():
+    cost = NT50.base_cost("SetLastError")
+    osi = OsInstance(NT50, SimKernel())
+    ctx = osi.new_process(
+        cpu=CpuMeter(speed_hz=1000, operation_budget=cost - 1)
+    )
+    ctx.cpu.begin_operation()
+    with pytest.raises(CpuBudgetExceeded) as exc_info:
+        ctx.api.SetLastError(5)
+    assert exc_info.value.cycles == cost
+    assert ctx.last_error == 0  # the body never ran
+    assert ctx.api_calls == 1
 
 
 def test_budget_not_enforced_outside_operation():

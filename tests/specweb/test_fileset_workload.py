@@ -1,15 +1,24 @@
 """Tests for the SPECWeb99 fileset and workload generator."""
 
+import random
+from itertools import accumulate
+
 import pytest
 
 from repro.ossim.vfs import VirtualFileSystem
 from repro.sim.rng import SeededRng
 from repro.specweb.fileset import (
     CLASS_COUNT,
+    CLASS_WEIGHTS,
     FILES_PER_CLASS,
+    WITHIN_CLASS_WEIGHTS,
     SpecWebFileset,
 )
 from repro.specweb.workload import (
+    _CLASS_DRAW,
+    _FILE_DRAW,
+    _KIND_DRAW,
+    OPERATION_MIX,
     OperationKind,
     WorkloadGenerator,
     POST_BODY_BYTES,
@@ -155,6 +164,27 @@ def test_workload_draws_golden(fileset):
         operation = generator.next_operation()
         draws += [operation.kind.value, operation.request.path]
     assert draws == GOLDEN_DRAWS
+
+
+@pytest.mark.parametrize("draw, population, weights", [
+    (_KIND_DRAW, [kind for kind, _weight in OPERATION_MIX],
+     [weight for _kind, weight in OPERATION_MIX]),
+    (_CLASS_DRAW, list(range(CLASS_COUNT)), CLASS_WEIGHTS),
+    (_FILE_DRAW, list(range(FILES_PER_CLASS)), WITHIN_CLASS_WEIGHTS),
+], ids=["kind", "class", "file"])
+def test_direct_draw_is_random_choices(draw, population, weights):
+    """Each direct draw picks what ``Random.choices`` picks and leaves
+    the generator where ``choices`` leaves it."""
+    cum_weights = list(accumulate(weights))
+    for seed in range(200):
+        direct = random.Random(seed)
+        reference = random.Random(seed)
+        for _ in range(5):
+            expected = reference.choices(
+                population, cum_weights=cum_weights
+            )[0]
+            assert draw.draw(direct.random) == expected
+        assert direct.getstate() == reference.getstate()
 
 
 def test_static_operations_carry_checkable_truth(fileset):

@@ -1,5 +1,7 @@
 """Tests for conformance and metric reduction."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +37,22 @@ def _collector(records, connections=2):
     for record in records:
         collector.record(record)
     return collector
+
+
+def test_op_record_is_an_immutable_picklable_record():
+    record = OpRecord(
+        completed_at=1.5, connection_id=3, ok=True, latency=0.25,
+        bytes_received=900,
+    )
+    assert record.error_kind == ""
+    assert record.connection_id == 3
+    restored = pickle.loads(
+        pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+    )
+    assert type(restored) is OpRecord
+    assert restored == record
+    with pytest.raises(AttributeError):
+        record.ok = False
 
 
 def test_records_between_bounds():
