@@ -5,9 +5,14 @@ Subcommands mirror the methodology's steps and the paper's exhibits:
 * ``scan``      — G-SWFIT step 1: scan an OS build, print/save the faultload
 * ``profile``   — profiling phase: print the Table 2 analogue
 * ``faultload`` — full pipeline: scan + profile + fine-tune (Table 3 row)
-* ``run``       — one server/OS campaign (Table 5 rows)
-* ``campaign``  — the same campaign sharded across worker processes,
-  with scan caching and checkpoint/resume
+* ``run``       — one server/OS campaign (Table 5 rows), unsharded: its
+  machines are seeded from ``--seed``
+* ``campaign``  — one server/OS campaign cut into shards and run across
+  worker processes, with scan caching and checkpoint/resume.  Each
+  shard's machine is seeded from (``--seed``, shard index), so ``run``
+  and ``campaign`` with the same settings draw different workloads and
+  give different numbers; ``campaign`` gives the same numbers for any
+  worker count
 * ``serve``     — campaign-as-a-service: accept specs over HTTP into a
   durable queue, run them with crash-safe recovery
 * ``tables``    — regenerate every table for a scaled campaign
@@ -52,26 +57,15 @@ def _add_common(parser):
     )
 
 
-def _add_snapshot(parser):
-    parser.add_argument(
-        "--no-snapshot-epochs", action="store_true",
-        help="boot + warm up every machine epoch from scratch instead "
-             "of restoring the copy-on-write epoch snapshot "
-             "(digest-identical either way, which the parity "
-             "harness checks)",
-    )
+def _add_pristine(parser):
     parser.add_argument(
         "--pristine-slots", action="store_true",
         help="restart the machine after every injection slot (the "
-             "paper's Fig. 4 isolation protocol); near-free with epoch "
-             "snapshots on, changes the measured timeline so digests "
-             "differ from the default back-to-back schedule",
+             "paper's Fig. 4 isolation protocol); near-free because "
+             "each restart restores the epoch snapshot, changes the "
+             "measured timeline so digests differ from the default "
+             "back-to-back schedule",
     )
-
-
-def _apply_snapshot(args, config):
-    config.snapshot_epochs = not args.no_snapshot_epochs
-    config.pristine_slots = args.pristine_slots
 
 
 def _add_operator_specs(parser):
@@ -85,18 +79,12 @@ def _add_operator_specs(parser):
     )
 
 
-def _add_activation(parser):
+def _add_adaptive(parser):
     parser.add_argument(
         "--adaptive-slots", action="store_true",
         help="truncate a slot once the faulted function's profiled "
              "activation deadline passes with zero probe hits; cuts "
              "campaign time, deterministic for any worker count",
-    )
-    parser.add_argument(
-        "--no-track-activation", action="store_true",
-        help="disable fault-activation probes (the ACT%% column and "
-             "adaptive slots need them; mutants revert to unprobed "
-             "bytecode)",
     )
 
 
@@ -301,9 +289,8 @@ def _cmd_run(args):
         args, fault_sample=args.faults, connections=args.connections
     )
     config.server_name = args.server
-    config.track_activation = not args.no_track_activation
     config.adaptive_slots = args.adaptive_slots
-    _apply_snapshot(args, config)
+    config.pristine_slots = args.pristine_slots
     experiment = WebServerExperiment(config)
     result = experiment.run_campaign()
     _print_campaign_result(args, config, result)
@@ -335,6 +322,9 @@ def _validate_campaign_args(args):
                 f"got {args.shard_timeout}")
     if args.max_retries < 0:
         return f"--max-retries must be >= 0, got {args.max_retries}"
+    if args.adaptive_slots and args.no_inject:
+        return ("--adaptive-slots cannot be combined with --no-inject: "
+                "a no-inject run has no fault for a probe to hit")
     error = _validate_sequential_args(args)
     if error is not None:
         return error
@@ -362,13 +352,12 @@ def _campaign_config(args):
     if args.reboot_budget is not None:
         config.reboot_budget = args.reboot_budget
     config.inject_faults = not args.no_inject
-    config.track_activation = not args.no_track_activation
     config.adaptive_slots = args.adaptive_slots
+    config.pristine_slots = args.pristine_slots
     specs, _error = _load_operator_specs(
         getattr(args, "operator_specs", None)
     )
     config.operator_specs = specs
-    _apply_snapshot(args, config)
     _apply_sequential(args, config)
     return config
 
@@ -482,13 +471,12 @@ def _cmd_campaign(args):
                              in sorted(reasons.items()))
             print(f"  stratum stop reasons: {text}")
     snapshot = manifest.snapshot
-    if snapshot["enabled"]:
-        total = snapshot["epochs_booted"] + snapshot["epochs_restored"]
-        line = (f"snapshots: {snapshot['epochs_restored']} of "
-                f"{total} epoch(s) restored")
-        if snapshot["pristine_slots"]:
-            line += f" ({snapshot['pristine_restarts']} pristine restart(s))"
-        print(line)
+    total = snapshot["epochs_booted"] + snapshot["epochs_restored"]
+    line = (f"snapshots: {snapshot['epochs_restored']} of "
+            f"{total} epoch(s) restored")
+    if snapshot["pristine_slots"]:
+        line += f" ({snapshot['pristine_restarts']} pristine restart(s))"
+    print(line)
     if result.degraded:
         print(f"WARNING: campaign degraded — "
               f"{len(result.quarantine)} shard(s) quarantined:",
@@ -647,8 +635,8 @@ def build_parser():
     run.add_argument("--faults", type=int, default=96,
                      help="faultload subsample size (None-like: 0 = full)")
     run.add_argument("--connections", type=int, default=16)
-    _add_activation(run)
-    _add_snapshot(run)
+    _add_adaptive(run)
+    _add_pristine(run)
     run.add_argument("--export", help="write results to this directory")
     run.set_defaults(func=_cmd_run)
 
@@ -739,8 +727,8 @@ def build_parser():
              "address, alongside the --workers local ones (default: "
              "local workers only)",
     )
-    _add_activation(campaign)
-    _add_snapshot(campaign)
+    _add_adaptive(campaign)
+    _add_pristine(campaign)
     _add_sequential(campaign)
     _add_operator_specs(campaign)
     campaign.add_argument("--export",

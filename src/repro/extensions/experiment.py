@@ -15,6 +15,7 @@ from repro.extensions.statefaults import (
 )
 from repro.harness.machine import ServerMachine
 from repro.harness.watchdog import Watchdog
+from repro.specweb.rules import CONFORMANCE_SLOTS
 
 __all__ = ["ExtendedFaultCampaign", "FaultClassResult"]
 
@@ -53,13 +54,7 @@ class ExtendedFaultCampaign:
         if not machine.boot():
             raise RuntimeError("server failed to start pristine")
         injector = StateFaultInjector(machine)
-        watchdog = Watchdog(
-            machine.sim,
-            machine.runtime,
-            poll_seconds=config.watchdog_poll_seconds,
-            unresponsive_after=config.unresponsive_after_seconds,
-            restart_grace=config.restart_grace_seconds,
-        )
+        watchdog = Watchdog(machine.sim, machine.runtime)
         machine.client.start()
         machine.run_for(rules.warmup_seconds + rules.rampup_seconds)
         watchdog.start()
@@ -96,7 +91,7 @@ class ExtendedFaultCampaign:
         results = {}
         for fault_class, windows in windows_by_class.items():
             metrics = machine.client.collector.compute(
-                windows, conformance_group=config.conformance_slots
+                windows, conformance_group=CONFORMANCE_SLOTS
             )
             mis, kns, kcp = counters_before[fault_class]
             results[fault_class] = FaultClassResult(

@@ -111,10 +111,6 @@ class FunctionImage:
         self._init_block_length = None
         self._body_positions = None
 
-    def node_at(self, index):
-        """Node at walk position ``index`` (scanner-time tree)."""
-        return self._index[index]
-
     def index_of(self, node):
         """Walk position of ``node`` (identity comparison, O(1))."""
         position = self._positions.get(id(node))
@@ -125,10 +121,6 @@ class FunctionImage:
     def nodes_of_type(self, node_type):
         """Every node of exactly ``node_type``, in walk order."""
         return self._by_type.get(node_type, ())
-
-    def parent_of(self, node):
-        """Parent of ``node`` in the tree (None for the Module root)."""
-        return self._parents.get(id(node))
 
     def statement_blocks(self):
         """Every ``(block,)`` statement list of the function, walk order.

@@ -3,8 +3,8 @@
 Both expensive halves of the pipeline are pure functions of source text:
 
 * **Scans** — the faultload an OS build produces depends only on the
-  build's module sources, the mutation-operator library, and the
-  ``include_internal`` switch.
+  build's module sources and the mutation-operator library (every scan
+  covers each module's exports and internal helpers).
 * **Mutants** — the code object a fault location compiles to depends
   only on the target function's source and the operator implementing
   the location's fault type.
@@ -21,14 +21,14 @@ every call/slot.  This module caches each at two levels:
   persisted under a cache directory so repeat *runs* and freshly
   spawned worker processes skip the work entirely.
 
-The scan cache key is ``(build codename, library fingerprint,
-include_internal)``; the mutant cache key is ``(source fingerprint,
-fault_id, probed)`` where the source fingerprint hashes the target
-function's current source plus the operator's implementation and
-``probed`` distinguishes activation-instrumented variants.  Fingerprints hash
-the source they depend on, so editing it invalidates the cache
-automatically — stale entries are simply never looked up again (their
-key no longer matches) and can be garbage-collected at leisure.
+The scan cache key is ``(build codename, library fingerprint)``; the
+mutant cache key is ``(source fingerprint, fault_id, probed)`` where the
+source fingerprint hashes the target function's current source plus the
+operator's implementation and ``probed`` distinguishes
+activation-instrumented variants.  Fingerprints hash the source they
+depend on, so editing it invalidates the cache automatically — stale
+entries are simply never looked up again (their key no longer matches)
+and can be garbage-collected at leisure.
 """
 
 import hashlib
@@ -95,33 +95,25 @@ def library_fingerprint(build):
     return fingerprint
 
 
-def cache_key(build, include_internal=True):
+def cache_key(build):
     """The tuple a cached scan is filed under."""
-    return (
-        build.codename,
-        library_fingerprint(build),
-        bool(include_internal),
-    )
+    return (build.codename, library_fingerprint(build))
 
 
 def cache_path(cache_dir, key):
     """Disk location for one cache key (fingerprint is in the name)."""
-    codename, fingerprint, include_internal = key
-    scope = "all" if include_internal else "exports"
-    return (
-        Path(cache_dir)
-        / f"scan-{codename}-{scope}-{fingerprint[:16]}.json"
-    )
+    codename, fingerprint = key
+    return Path(cache_dir) / f"scan-{codename}-{fingerprint[:16]}.json"
 
 
-def scan_build_cached(build, include_internal=True, cache_dir=None):
+def scan_build_cached(build, cache_dir=None):
     """:func:`~repro.gswfit.scanner.scan_build` behind the cache.
 
     Returns a fresh :class:`Faultload` wrapper on every call (the
     location records are shared — they are frozen), so callers may
     derive/flag the result without poisoning the cache.
     """
-    key = cache_key(build, include_internal)
+    key = cache_key(build)
     faultload = _memory_cache.get(key)
     if faultload is None and cache_dir is not None:
         path = cache_path(cache_dir, key)
@@ -129,7 +121,7 @@ def scan_build_cached(build, include_internal=True, cache_dir=None):
             faultload = Faultload.load(path)
             _memory_cache[key] = faultload
     if faultload is None:
-        faultload = scan_build(build, include_internal=include_internal)
+        faultload = scan_build(build)
         _memory_cache[key] = faultload
         if cache_dir is not None:
             path = cache_path(cache_dir, key)

@@ -88,13 +88,11 @@ def scan_function_per_operator(function, module_name=None,
     )
 
 
-def scan_module(module, display_module=None, include_internal=True):
-    """Scan every export (and optionally internal helper) of a FIT module."""
+def scan_module(module, display_module=None):
+    """Scan every export, then every internal helper, of a FIT module."""
     if display_module is None:
         display_module = getattr(module, "__module_name__", module.__name__)
-    names = list(module.__exports__)
-    if include_internal:
-        names.extend(getattr(module, "__internal__", []))
+    names = [*module.__exports__, *getattr(module, "__internal__", ())]
     locations = []
     for name in names:
         function = getattr(module, name)
@@ -106,7 +104,7 @@ def scan_module(module, display_module=None, include_internal=True):
     return locations
 
 
-def scan_build(build, include_internal=True):
+def scan_build(build):
     """Scan a whole OS build; returns the build's raw faultload.
 
     This is the un-tuned faultload: the profiling phase later restricts it
@@ -114,10 +112,6 @@ def scan_build(build, include_internal=True):
     """
     locations = []
     for display_name, module in build.modules:
-        locations.extend(scan_module(
-            module,
-            display_module=display_name,
-            include_internal=include_internal,
-        ))
+        locations.extend(scan_module(module, display_module=display_name))
     return Faultload(build.codename, locations,
                      name=f"gswfit-{build.codename}")

@@ -44,7 +44,6 @@ import hashlib
 import json
 import os
 import time
-import warnings
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -55,7 +54,11 @@ from repro.gswfit.cache import (
     scan_build_cached,
     warm_mutant_cache,
 )
-from repro.harness.experiment import WebServerExperiment, profile_servers
+from repro.harness.experiment import (
+    ACTIVATION_FLOOR_FRACTION,
+    WebServerExperiment,
+    profile_servers,
+)
 from repro.harness.fabric import FabricExecutorBackend
 from repro.harness.jsonl import read_jsonl
 from repro.harness.results import (
@@ -84,6 +87,7 @@ from repro.harness.telemetry import (
 from repro.ossim.builds import get_build
 from repro.sim.rng import derive_seed
 from repro.specweb.metrics import MetricsPartial, SpecWebMetrics
+from repro.specweb.rules import CONFORMANCE_SLOTS
 
 __all__ = [
     "CampaignInterrupted",
@@ -121,7 +125,9 @@ class CampaignInterrupted(RuntimeError):
 
 
 class JournalMismatch(ValueError):
-    """``resume=True`` over a journal another campaign wrote."""
+    """``resume=True`` over a journal this campaign cannot replay: one
+    another campaign wrote, one of another journal version, or one with
+    a record today's classes cannot rebuild."""
 
 
 # v7: shard outcomes are a SlotTally; the unread ``snapshot_enabled``
@@ -130,8 +136,8 @@ class JournalMismatch(ValueError):
 # stopping decisions — alongside the shard outcomes they were derived
 # from, so a resumed run can be audited against the uninterrupted one.
 # v5: shard outcomes carry epoch-setup accounting (booted vs restored
-# epochs, pristine restarts); older journals rerun rather than merge
-# half-schema outcomes.
+# epochs, pristine restarts).
+# A journal of any other version is an error on resume, never merged.
 JOURNAL_VERSION = 7
 
 
@@ -205,7 +211,7 @@ def derive_activation_deadlines(config):
     function's call rate into a truncation deadline: a function called
     every ``gap`` seconds that has not activated within ``4 * gap`` of
     slot start almost certainly never will this slot.  The deadline is
-    clamped between the configured floor fraction and the slot length.
+    clamped between the floor fraction and the slot length.
 
     The table is a pure function of the config (trace seeded like every
     other machine), so the campaign parent derives it once *before* the
@@ -218,7 +224,7 @@ def derive_activation_deadlines(config):
         config, [config.server_name], seconds=seconds
     )[config.server_name]
     slot = config.rules.slot_seconds
-    floor = slot * config.activation_floor_fraction
+    floor = slot * ACTIVATION_FLOOR_FRACTION
     per_function = {}
     for (_module_display, function), count in tracer.counts.items():
         per_function[function] = per_function.get(function, 0) + count
@@ -335,6 +341,9 @@ class CampaignJournal:
 
     @classmethod
     def load(cls, path):
+        """Read a journal back; raises :class:`JournalMismatch` for one
+        of another version or with a shard record today's classes cannot
+        rebuild — replaying either could change the digest."""
         journal = cls(path)
         # The shared torn-tail reader (also behind the telemetry reader
         # and the service's spec queue): a torn final line reruns its
@@ -342,21 +351,14 @@ class CampaignJournal:
         for lineno, entry in read_jsonl(journal.path):
             kind = entry.get("kind")
             if kind == "header":
-                journal.header = entry
-                if entry.get("version") != JOURNAL_VERSION:
-                    # Version skew: the payload schema below may not
-                    # round-trip through today's classes.  Keep the
-                    # header (so the caller can diagnose) but replay
-                    # nothing — every unit reruns, which is always
-                    # correct, just slower.
-                    warnings.warn(
-                        f"journal {journal.path} is version "
-                        f"{entry.get('version')} (current "
-                        f"{JOURNAL_VERSION}); ignoring its completed "
-                        "units — they will rerun",
-                        RuntimeWarning, stacklevel=2,
+                version = entry.get("version")
+                if version != JOURNAL_VERSION:
+                    raise JournalMismatch(
+                        f"journal {journal.path} is version {version}, "
+                        f"current {JOURNAL_VERSION}: rerun without "
+                        "--resume"
                     )
-                    break
+                journal.header = entry
             elif kind == "phase":
                 journal.phases[entry["phase"]] = SpecWebMetrics(
                     **entry["metrics"]
@@ -365,16 +367,11 @@ class CampaignJournal:
                 try:
                     outcome = ShardOutcome.from_dict(entry["outcome"])
                 except (KeyError, TypeError, ValueError) as exc:
-                    # A record today's schema cannot rebuild (e.g. a
-                    # fragment written by a skewed worker): rerun that
-                    # unit instead of dying on it.
-                    warnings.warn(
+                    raise JournalMismatch(
                         f"journal {journal.path} line {lineno}: "
-                        f"unreadable shard record ({exc!r}); that unit "
-                        "will rerun",
-                        RuntimeWarning, stacklevel=2,
-                    )
-                    continue
+                        f"unreadable shard record ({exc!r}); rerun "
+                        "without --resume"
+                    ) from exc
                 journal.shards[
                     (entry["iteration"], entry["shard"])
                 ] = outcome
@@ -403,13 +400,6 @@ class CampaignJournal:
             "iterations": iterations,
         }
         self._append(self.header)
-
-    def matches(self, key):
-        return (
-            self.header is not None
-            and self.header.get("campaign_key") == key
-            and self.header.get("version") == JOURNAL_VERSION
-        )
 
     def record_phase(self, phase, metrics):
         self.phases[phase] = metrics
@@ -461,8 +451,8 @@ class ParallelCampaign:
         Because the shard plan, seeds, and merge ignore where a shard
         ran, the ``metrics_digest`` is identical for every value.
     slots_per_shard:
-        Shard size in slots; defaults to ``config.conformance_slots`` so
-        each shard is exactly one conformance batch.
+        Shard size in slots; defaults to ``CONFORMANCE_SLOTS`` so each
+        shard is exactly one conformance batch.
     journal_path / resume:
         Checkpointing (see :class:`CampaignJournal`).
     cache_dir:
@@ -519,9 +509,7 @@ class ParallelCampaign:
 
             install_spec_operators(config.operator_specs)
         self.config = config
-        self.slots_per_shard = int(
-            slots_per_shard or config.conformance_slots
-        )
+        self.slots_per_shard = int(slots_per_shard or CONFORMANCE_SLOTS)
         self.journal_path = journal_path
         self.resume = resume
         self.cache_dir = cache_dir
@@ -549,11 +537,7 @@ class ParallelCampaign:
         """Scan (through the cache) and prepare, exactly once."""
         if faultload is None:
             build = get_build(self.config.os_codename)
-            faultload = scan_build_cached(
-                build,
-                include_internal=self.config.include_internal_functions,
-                cache_dir=self.cache_dir,
-            )
+            faultload = scan_build_cached(build, cache_dir=self.cache_dir)
         return self.experiment.prepared_faultload(faultload)
 
     def _open_journal(self, key, num_shards):
@@ -568,13 +552,7 @@ class ParallelCampaign:
                         "different campaign (config/faultload changed); "
                         "delete it or drop --resume"
                     )
-                if journal.matches(key):
-                    return journal
-                # Same campaign, older journal version: load() already
-                # warned and dropped its units — start a fresh journal
-                # and rerun everything rather than merging half-schema
-                # records.
-                Path(self.journal_path).unlink(missing_ok=True)
+                return journal
         else:
             Path(self.journal_path).unlink(missing_ok=True)
         journal = CampaignJournal(self.journal_path)
@@ -769,7 +747,7 @@ class ParallelCampaign:
         started = time.perf_counter()
         faultload = self.prepared_faultload(faultload)
         timings["prepare"] = round(time.perf_counter() - started, 6)
-        if (self.config.adaptive_slots and self.config.track_activation
+        if (self.config.adaptive_slots
                 and self.config.activation_deadlines is None):
             # Derive the deadline table before the campaign key is
             # computed: the table becomes part of the config, hence of
@@ -785,13 +763,11 @@ class ParallelCampaign:
             )
         # Compile every sampled mutant exactly once, before any worker
         # process exists: fork-started workers inherit the warm memo,
-        # and the disk tier covers spawn-started ones.  Probed variants
-        # when activation tracking is on — the same entries the slot
-        # runs will request.
+        # and the disk tier covers spawn-started ones.  Probed variants:
+        # the same entries the slot runs will request.
         started = time.perf_counter()
         self.warmup_stats = warm_mutant_cache(
-            faultload, cache_dir=self.cache_dir,
-            probed=self.config.track_activation,
+            faultload, cache_dir=self.cache_dir, probed=True,
         )
         timings["warm_mutants"] = round(time.perf_counter() - started, 6)
         strata = None
@@ -976,7 +952,11 @@ class ParallelCampaign:
             rate = round(tally.faults_activated / tally.faults_injected, 6)
         return {
             "enabled": tally.activation_enabled,
-            "adaptive": bool(self.config.adaptive_slots),
+            # Adaptive scheduling needs probe hits: without activation
+            # tracking no slot can truncate.
+            "adaptive": bool(
+                self.config.adaptive_slots and tally.activation_enabled
+            ),
             "faults_injected": tally.faults_injected,
             "faults_activated": tally.faults_activated,
             "activation_rate": rate,
@@ -988,7 +968,6 @@ class ParallelCampaign:
     def _snapshot_summary(self, tally):
         total = tally.epochs_booted + tally.epochs_restored
         return {
-            "enabled": bool(self.config.snapshot_epochs),
             "pristine_slots": bool(self.config.pristine_slots),
             "epochs_booted": tally.epochs_booted,
             "epochs_restored": tally.epochs_restored,
@@ -1003,14 +982,22 @@ class ParallelCampaign:
         for record in tally.contaminated_slots:
             for kind in record["kinds"]:
                 kinds[kind] = kinds.get(kind, 0) + 1
+        # Under pristine slots a contaminated slot's record keeps
+        # ``rebooted: false`` (records are hashed, so they stay as they
+        # are), yet no slot ever runs on its machine: a fresh machine
+        # follows every slot but a shard's last, and nothing follows
+        # that one.
+        unrebooted = 0
+        if not self.config.pristine_slots:
+            unrebooted = sum(
+                not record["rebooted"] for record in tally.contaminated_slots
+            )
         return {
             "enabled": bool(self.config.integrity_audit),
             "reboot_budget": self.config.reboot_budget,
             "contaminated_slots": len(tally.contaminated_slots),
             "reboots": len(tally.reboots),
-            "unrebooted_contamination": sum(
-                not record["rebooted"] for record in tally.contaminated_slots
-            ),
+            "unrebooted_contamination": unrebooted,
             "unverified_reboots": sum(
                 not record["verified"] for record in tally.reboots
             ),

@@ -1,16 +1,24 @@
 """Experiment configuration.
 
 One :class:`ExperimentConfig` describes a full benchmark campaign for one
-server/OS pair: workload scale, run rules, watchdog thresholds, and the
-knobs that trade fidelity for host time (connection count, faultload
-subsampling).  ``paper_scale()`` reproduces the paper's parameters;
-``scaled()`` (the default) preserves the structure at laptop cost.
+server/OS pair: workload scale, run rules, the slot protocol's variants,
+and the knobs that trade fidelity for host time (connection count,
+faultload subsampling).  Model constants that nothing varies live next
+to the code that uses them: the watchdog thresholds in
+:class:`~repro.harness.watchdog.Watchdog`, the server CPU in
+:mod:`repro.webservers.runtime`, the injector's CPU share in
+:mod:`repro.harness.machine`, the conformance batch in
+:mod:`repro.specweb.rules` and the activation-deadline fractions in
+:mod:`repro.harness.experiment`.
+
+``paper_scale()`` reproduces the paper's parameters; ``scaled()`` (the
+default) preserves the structure at laptop cost.
 """
 
 from dataclasses import dataclass, field, replace
 
 from repro.specweb.client import ClientConfig
-from repro.specweb.rules import RunRules
+from repro.specweb.rules import CONFORMANCE_SLOTS, RunRules
 
 __all__ = ["ExperimentConfig"]
 
@@ -29,26 +37,9 @@ class ExperimentConfig:
     # Fileset scale (directories of 36 files each).
     fileset_directories: int = 8
 
-    # Server machine.
-    cpu_hz: int = 400_000_000
-    operation_budget_seconds: float = 8.0
-
-    # Injector sharing the server machine: fraction of CPU it consumes
-    # while attached (profile mode and live injection alike).  The value
-    # models mutant preparation plus monitoring on the single-CPU server
-    # box of the paper's testbed.
-    injector_cpu_fraction: float = 0.05
-
     # Fault application cadence: each fault stays injected for one slot
     # (rules.slot_seconds, 10 s in the paper).
     fault_sample: int | None = None  # None = full faultload
-    include_internal_functions: bool = True
-
-    # Watchdog.
-    watchdog_poll_seconds: float = 1.0
-    unresponsive_after_seconds: float = 4.0
-    restart_grace_seconds: float = 5.0
-    watchdog_max_restart_attempts: int = 5
 
     # Slot-gap state-integrity auditing (DESIGN.md §10): after each
     # fault is removed, audit the machine for residual damage; on
@@ -58,19 +49,12 @@ class ExperimentConfig:
     integrity_audit: bool = True
     reboot_budget: int = 2
 
-    # Copy-on-write epoch snapshots (DESIGN.md §12): capture the
-    # post-warm-up machine state once per (config, iteration) and make
-    # every later epoch — contamination reboot, pristine-slot restart,
-    # retried shard — a verified restore instead of a boot + warm-up.
-    # Digest-neutral by construction (boot + warm-up is deterministic),
-    # which the parity harness (tests/harness/test_parity.py) checks.
-    snapshot_epochs: bool = True
-
     # Paper-faithful Fig. 4 isolation: retire and replace the machine
     # after *every* slot, so no fault can see another fault's residue
     # even in principle.  Changes the measured timeline (each slot
     # starts at the post-warm-up instant), so it is an explicit opt-in
-    # (--pristine-slots); affordable when snapshot_epochs is on.
+    # (--pristine-slots); affordable because every replacement machine
+    # is an epoch-snapshot restore (DESIGN.md §12).
     pristine_slots: bool = False
 
     # False = control run: walk the full slot protocol with the injector
@@ -78,12 +62,6 @@ class ExperimentConfig:
     # violation reported in such a run is an auditor false positive —
     # the parity harness's no-inject rows rely on this.
     inject_faults: bool = True
-
-    # Fault-activation telemetry (DESIGN.md §11).  When on, mutants carry
-    # an entry probe and each slot records whether/when the faulty code
-    # executed; the ACT% report column and the activation-gate CI job
-    # come from this.
-    track_activation: bool = True
 
     # Adaptive slot scheduling: truncate a slot once the faulted
     # function's activation deadline passes with zero probe hits.  Off by
@@ -97,21 +75,8 @@ class ExperimentConfig:
     # None = no table; adaptive slots fall back to the grace fraction.
     activation_deadlines: dict | None = None
 
-    # Fallback deadline (fraction of slot_seconds) used when no deadline
-    # table is available at all (e.g. single runs outside a campaign).
-    activation_grace_fraction: float = 0.5
-
-    # Deadline floor (fraction of slot_seconds) given to functions the
-    # profiling trace never observed — mostly internal helpers that only
-    # run on rare paths.
-    activation_floor_fraction: float = 0.15
-
     # Length of the profiling trace used to derive the deadline table.
     activation_profile_seconds: float = 20.0
-
-    # SPECWeb99 judges connection conformance over whole measurement
-    # batches; we group this many consecutive slots per conformance batch.
-    conformance_slots: int = 6
 
     # Sequential statistical injection (DESIGN.md §14).  When on, the
     # campaign stratifies the faultload by fault type, runs each stratum
@@ -155,7 +120,7 @@ class ExperimentConfig:
 
     def resolved_sequential_batch(self):
         """The effective sequential batch size in slots."""
-        return int(self.sequential_batch_slots or self.conformance_slots)
+        return int(self.sequential_batch_slots or CONFORMANCE_SLOTS)
 
     def resolved_sequential_min_slots(self):
         """The effective per-stratum slot floor (>= two batches)."""
@@ -166,10 +131,6 @@ class ExperimentConfig:
     def iteration_seed(self, iteration):
         """Seed for one iteration: same workload family, fresh draws."""
         return self.seed * 1_000 + iteration
-
-    @property
-    def operation_budget_cycles(self):
-        return int(self.operation_budget_seconds * self.cpu_hz)
 
     def with_target(self, server_name=None, os_codename=None):
         """A copy of this config aimed at another server/OS pair."""

@@ -39,9 +39,26 @@ from repro.ossim.builds import get_build
 from repro.ossim.integrity import IntegrityAuditor
 from repro.profiling.tracer import ApiCallTracer
 from repro.specweb.metrics import MetricsPartial
+from repro.specweb.rules import CONFORMANCE_SLOTS
 from repro.webservers.runtime import WorkerState
 
-__all__ = ["SlotRunResult", "WebServerExperiment", "profile_servers"]
+__all__ = [
+    "ACTIVATION_FLOOR_FRACTION",
+    "ACTIVATION_GRACE_FRACTION",
+    "SlotRunResult",
+    "WebServerExperiment",
+    "profile_servers",
+]
+
+# Fallback activation deadline (fraction of slot_seconds) used when no
+# deadline table is available at all (e.g. single runs outside a
+# campaign).
+ACTIVATION_GRACE_FRACTION = 0.5
+
+# Deadline floor (fraction of slot_seconds) given to functions the
+# profiling trace never observed — mostly internal helpers that only
+# run on rare paths.
+ACTIVATION_FLOOR_FRACTION = 0.15
 
 
 @dataclass
@@ -77,7 +94,7 @@ class _Epoch:
     __slots__ = ("machine", "injector", "watchdog", "auditor", "tracker",
                  "windows", "finished", "restored")
 
-    def __init__(self, machine, injector, watchdog, auditor, tracker=None,
+    def __init__(self, machine, injector, watchdog, auditor, tracker,
                  restored=False):
         self.machine = machine
         self.injector = injector
@@ -101,10 +118,7 @@ class WebServerExperiment:
     # ------------------------------------------------------------------
     def raw_faultload(self):
         """Scan the OS build (G-SWFIT step 1, before fine-tuning)."""
-        return scan_build(
-            self.build,
-            include_internal=self.config.include_internal_functions,
-        )
+        return scan_build(self.build)
 
     def prepared_faultload(self, faultload=None):
         """Apply the config's sampling to a faultload (default: raw scan).
@@ -170,7 +184,7 @@ class WebServerExperiment:
         machine.client.pause()
         machine.run_for(rules.rampdown_seconds)
         return machine.client.collector.compute(
-            windows, conformance_group=self.config.conformance_slots
+            windows, conformance_group=CONFORMANCE_SLOTS
         )
 
     def run_profile_mode(self, iteration=0, faultload=None):
@@ -178,13 +192,11 @@ class WebServerExperiment:
         faultload = self.prepared_faultload(faultload)
         machine = self._boot_machine(iteration)
         machine.set_injector_attached(True)
-        tracker = None
-        if self.config.track_activation:
-            # Attach a tracker even though no code is swapped: the
-            # injector then prepares *probed* mutants, so profile mode
-            # warms the same cache entries the live run will hit.
-            tracker = ActivationTracker(clock=machine._now)
-            machine.attach_activation(tracker)
+        # Attach a tracker even though no code is swapped: the injector
+        # then prepares *probed* mutants, so profile mode warms the same
+        # cache entries the live run will hit.
+        tracker = ActivationTracker(clock=machine._now)
+        machine.attach_activation(tracker)
         injector = FaultInjector(
             os_instances=[machine.os_instance], profile_mode=True,
             activation_tracker=tracker,
@@ -213,7 +225,7 @@ class WebServerExperiment:
         machine.client.pause()
         machine.run_for(rules.rampdown_seconds)
         return machine.client.collector.compute(
-            windows, conformance_group=self.config.conformance_slots
+            windows, conformance_group=CONFORMANCE_SLOTS
         )
 
     def _make_injector(self, machine, tracker, mutant_cache_dir):
@@ -224,35 +236,25 @@ class WebServerExperiment:
             activation_tracker=tracker,
         )
 
-    def _make_watchdog(self, machine):
-        config = self.config
-        return Watchdog(
-            machine.sim,
-            machine.runtime,
-            poll_seconds=config.watchdog_poll_seconds,
-            unresponsive_after=config.unresponsive_after_seconds,
-            restart_grace=config.restart_grace_seconds,
-            max_restart_attempts=config.watchdog_max_restart_attempts,
-        )
-
     def _bring_up(self, iteration, mutant_cache_dir):
         """Boot or restore one machine epoch, ready to run.
 
         Deterministic for a given ``iteration``: the replacement machine
         built by a verified reboot is seeded exactly like the original.
-        With ``config.snapshot_epochs`` the post-warm-up state is
-        captured once per ``(config, iteration)`` and every later epoch
-        is a restore of that image — digest-identical to a fresh boot
-        because boot + warm-up is itself deterministic (DESIGN.md §12).
+        The post-warm-up state is captured once per ``(config,
+        iteration)`` and every later epoch is a restore of that image —
+        digest-identical to a fresh boot because boot + warm-up is itself
+        deterministic (DESIGN.md §12).  The boot path brings up the
+        first epoch and is the fallback when the restore-verify audit
+        rejects an image.
         """
-        if self.config.snapshot_epochs:
-            epoch = self._restore_epoch(iteration, mutant_cache_dir)
-            if epoch is not None:
-                return epoch
+        epoch = self._restore_epoch(iteration, mutant_cache_dir)
+        if epoch is not None:
+            return epoch
         return self._boot_epoch(iteration, mutant_cache_dir)
 
     def _boot_epoch(self, iteration, mutant_cache_dir):
-        """Full boot + warm-up; captures a snapshot when enabled.
+        """Full boot + warm-up, captured as the epoch snapshot.
 
         Epoch assembly order is load-bearing: the watchdog starts (its
         first poll event enters the queue) only *after* the auditor
@@ -263,36 +265,32 @@ class WebServerExperiment:
         config = self.config
         machine = self._boot_machine(iteration)
         machine.set_injector_attached(True)
-        tracker = None
-        if config.track_activation:
-            tracker = ActivationTracker(clock=machine._now)
-            machine.attach_activation(tracker)
+        tracker = ActivationTracker(clock=machine._now)
+        machine.attach_activation(tracker)
         self._warm_up(machine)
         auditor = None
         if config.integrity_audit:
             auditor = IntegrityAuditor(machine.kernel)
             auditor.snapshot(machine.runtime.ctx)
-        if config.snapshot_epochs:
-            snapshot = MachineSnapshot.capture(
-                snapshot_key(config, iteration), machine, auditor
-            )
-            if auditor is not None:
-                # Capture-time audit, taken mid-workload: requests are
-                # in flight, so it may legitimately report violations
-                # (e.g. transient allocations above the startup
-                # footprint).  It is the restore-verify comparand, not
-                # a contamination record.  Audited after the image,
-                # and marked internal so it never shows up in the
-                # experiment's ``audits_performed`` count.
-                snapshot.reference = auditor.audit(
-                    machine.runtime.ctx, self._live_threads(machine),
-                    internal=True,
-                ).to_dict()
-            snapshot_cache().put(snapshot)
+        snapshot = MachineSnapshot.capture(
+            snapshot_key(config, iteration), machine, auditor
+        )
+        if auditor is not None:
+            # Capture-time audit, taken mid-workload: requests are in
+            # flight, so it may legitimately report violations (e.g.
+            # transient allocations above the startup footprint).  It is
+            # the restore-verify comparand, not a contamination record.
+            # Audited after the image, and marked internal so it never
+            # shows up in the experiment's ``audits_performed`` count.
+            snapshot.reference = auditor.audit(
+                machine.runtime.ctx, self._live_threads(machine),
+                internal=True,
+            ).to_dict()
+        snapshot_cache().put(snapshot)
         injector = self._make_injector(machine, tracker, mutant_cache_dir)
-        watchdog = self._make_watchdog(machine)
+        watchdog = Watchdog(machine.sim, machine.runtime)
         watchdog.start()
-        return _Epoch(machine, injector, watchdog, auditor, tracker=tracker)
+        return _Epoch(machine, injector, watchdog, auditor, tracker)
 
     def _restore_epoch(self, iteration, mutant_cache_dir):
         """Restore a captured epoch; None = no usable snapshot.
@@ -318,10 +316,10 @@ class WebServerExperiment:
                 return None
         tracker = machine.os_instance.activation
         injector = self._make_injector(machine, tracker, mutant_cache_dir)
-        watchdog = self._make_watchdog(machine)
+        watchdog = Watchdog(machine.sim, machine.runtime)
         watchdog.start()
-        return _Epoch(machine, injector, watchdog, auditor,
-                      tracker=tracker, restored=True)
+        return _Epoch(machine, injector, watchdog, auditor, tracker,
+                      restored=True)
 
     def _note_epoch(self, result, epoch):
         if epoch.restored:
@@ -367,7 +365,7 @@ class WebServerExperiment:
         if epoch.auditor is not None:
             result.audits_performed += epoch.auditor.audits_performed
         partial = epoch.machine.client.collector.compute_partial(
-            epoch.windows, conformance_group=self.config.conformance_slots
+            epoch.windows, conformance_group=CONFORMANCE_SLOTS
         )
         result.segments.append((partial, epoch.windows))
 
@@ -385,9 +383,9 @@ class WebServerExperiment:
         if deadlines:
             deadline = deadlines.get(location.function)
             if deadline is None:
-                deadline = slot_seconds * config.activation_floor_fraction
+                deadline = slot_seconds * ACTIVATION_FLOOR_FRACTION
         else:
-            deadline = slot_seconds * config.activation_grace_fraction
+            deadline = slot_seconds * ACTIVATION_GRACE_FRACTION
         return max(0.0, min(float(deadline), slot_seconds))
 
     def run_slots(self, faultload, iteration=0, mutant_cache_dir=None,
@@ -421,7 +419,9 @@ class WebServerExperiment:
         """
         config = self.config
         rules = config.rules
-        track = config.track_activation and config.inject_faults
+        # Probes are on whenever faults are injected: a no-inject run
+        # has no fault for a probe to hit.
+        track = config.inject_faults
         adaptive = config.adaptive_slots and track
         pristine = config.pristine_slots
         result = SlotRunResult(
@@ -468,7 +468,7 @@ class WebServerExperiment:
                     machine.sim.run_until(slot_start + rules.slot_seconds)
                 epoch.injector.restore(location)
                 epoch.windows.append((slot_start, slot_start + slot_len))
-                if track and epoch.tracker is not None:
+                if track:
                     # Harvest after restore: the probe cannot fire once
                     # the original code is swapped back.
                     record = epoch.tracker.take(location.fault_id)

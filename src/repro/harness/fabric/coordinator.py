@@ -201,10 +201,6 @@ class FabricCoordinator:
             summary.update(self._counters)
         return summary
 
-    def live_workers(self):
-        with self._lock:
-            return sum(1 for s in self._workers.values() if s.alive)
-
     def stop(self):
         self._stopping = True
         # On Linux, close() alone does not wake a thread blocked in

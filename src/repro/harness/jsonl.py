@@ -28,7 +28,7 @@ def read_jsonl(path):
     """Parse an append-only JSONL file into ``[(lineno, entry), ...]``.
 
     ``lineno`` is 1-based over the *non-blank* lines, matching the
-    positions the journal's warnings report.  A torn (undecodable)
+    positions the journal's errors report.  A torn (undecodable)
     final line is dropped; a torn interior line raises
     :class:`json.JSONDecodeError`.  A missing file is an empty log.
     """

@@ -16,7 +16,13 @@ from repro.specweb.fileset import SpecWebFileset
 from repro.webservers.registry import create_server
 from repro.webservers.runtime import ServerRuntime
 
-__all__ = ["ServerMachine"]
+__all__ = ["INJECTOR_CPU_FRACTION", "ServerMachine"]
+
+# Injector sharing the server machine: fraction of CPU it consumes while
+# attached (profile mode and live injection alike).  The value models
+# mutant preparation plus monitoring on the single-CPU server box of the
+# paper's testbed.
+INJECTOR_CPU_FRACTION = 0.05
 
 _CONFIG_FILE_BYTES = 1536
 _MIME_FILE_BYTES = 840
@@ -37,11 +43,7 @@ class ServerMachine:
         )
         self.server = create_server(config.server_name)
         self.runtime = ServerRuntime(
-            self.server,
-            self.os_instance,
-            self.sim,
-            cpu_hz=config.cpu_hz,
-            operation_budget=config.operation_budget_cycles,
+            self.server, self.os_instance, self.sim
         )
         self.client = SpecWebClient(
             self.sim,
@@ -103,7 +105,7 @@ class ServerMachine:
     def set_injector_attached(self, attached):
         """Model the injector competing for machine CPU (Table 4)."""
         if attached:
-            self.runtime.cpu_scale = 1.0 - self.config.injector_cpu_fraction
+            self.runtime.cpu_scale = 1.0 - INJECTOR_CPU_FRACTION
         else:
             self.runtime.cpu_scale = 1.0
 

@@ -6,7 +6,7 @@ an HTTP front end accepts campaign *specs* (JSON bodies naming the same
 flags the ``campaign`` subcommand takes), a durable append-only queue
 on disk absorbs them, and a scheduler loop drains the queue through
 :class:`~repro.harness.campaign.ParallelCampaign` — every existing
-execution mode (any worker count, snapshots, adaptive slots,
+execution mode (any worker count, pristine slots, adaptive slots,
 sequential sampling) composes unchanged, because the daemon builds the
 exact config the CLI would have built.
 

@@ -46,6 +46,8 @@ __all__ = [
     "read_telemetry",
 ]
 
+# v7: the ``snapshot`` block drops ``enabled`` — epoch snapshots are
+# always on.
 # v6: sequential-sampling summary (``sequential`` block: stopping
 # schedule, per-stratum stopping points, interval trajectories,
 # slots_skipped) — diagnostic only, never part of the metrics digest.
@@ -54,7 +56,7 @@ __all__ = [
 # never part of the metrics digest.
 # v4: snapshot summary (epoch-setup accounting: booted vs restored
 # epochs, pristine restarts).
-MANIFEST_VERSION = 6
+MANIFEST_VERSION = 7
 TELEMETRY_VERSION = 1
 
 
@@ -215,11 +217,12 @@ class RunManifest:
       whether adaptive slots were on, faults injected/activated, the
       overall activation rate, slots truncated with the simulated
       seconds saved, and the deadline-table size.
-    * ``snapshot`` — the epoch-setup summary: whether epoch snapshots
-      and pristine-slot mode were on, campaign totals for booted vs
-      restored epochs and pristine restarts, and the restore rate.
-      Diagnostic only — restored and booted epochs are digest-identical
-      by construction, which the parity harness enforces.
+    * ``snapshot`` — the epoch-setup summary: whether pristine-slot
+      mode was on, campaign totals for booted vs restored epochs and
+      pristine restarts, and the restore rate.  Epoch snapshots are
+      always on, so the block has no on/off flag.  Diagnostic only —
+      restored and booted epochs are digest-identical by construction,
+      which the parity harness enforces.
     * ``fabric`` — the executor summary: what ran the shards
       (``serial`` in-process, or ``fabric``) and, for the fabric, the
       worker roster (name/pid/host/shards done/alive) with

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from repro.gswfit.injector import FaultInjector
 from repro.gswfit.mutator import MutantError
+from repro.harness.machine import INJECTOR_CPU_FRACTION
 from repro.harness.watchdog import Watchdog
 from repro.oltp.engines import create_engine
 from repro.oltp.workload import OltpClient, OltpClientConfig
@@ -34,11 +35,7 @@ class OltpMachine:
         self.os_instance = OsInstance(self.build, self.kernel)
         self.engine = create_engine(config.server_name)
         self.runtime = ServerRuntime(
-            self.engine,
-            self.os_instance,
-            self.sim,
-            cpu_hz=config.cpu_hz,
-            operation_budget=config.operation_budget_cycles,
+            self.engine, self.os_instance, self.sim
         )
         client_config = OltpClientConfig(
             terminals=config.client.connections,
@@ -159,16 +156,9 @@ class OltpExperiment:
         config = self.config
         rules = config.rules
         machine = self._boot(iteration)
-        machine.runtime.cpu_scale = 1.0 - config.injector_cpu_fraction
+        machine.runtime.cpu_scale = 1.0 - INJECTOR_CPU_FRACTION
         injector = FaultInjector(os_instances=[machine.os_instance])
-        watchdog = Watchdog(
-            machine.sim,
-            machine.runtime,
-            poll_seconds=config.watchdog_poll_seconds,
-            unresponsive_after=config.unresponsive_after_seconds,
-            restart_grace=config.restart_grace_seconds,
-            max_restart_attempts=config.watchdog_max_restart_attempts,
-        )
+        watchdog = Watchdog(machine.sim, machine.runtime)
         machine.client.start()
         machine.run_for(rules.warmup_seconds + rules.rampup_seconds)
         watchdog.start()

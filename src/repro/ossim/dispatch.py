@@ -152,9 +152,6 @@ class ApiTable:
             os_instance.__dict__["_tables"] = weakref.WeakSet()
         os_instance._tables.add(self)
 
-    def has_export(self, name):
-        return name in self.os.build.exports()
-
     def export_names(self):
         return self.os.build.export_names()
 

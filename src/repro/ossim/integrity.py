@@ -94,12 +94,6 @@ class IntegrityReport:
         """Sorted unique violation kinds (the contamination signature)."""
         return sorted({violation.kind for violation in self.violations})
 
-    def count_by_kind(self):
-        counts = {}
-        for violation in self.violations:
-            counts[violation.kind] = counts.get(violation.kind, 0) + 1
-        return dict(sorted(counts.items()))
-
     def to_dict(self):
         return {
             "sim_time": self.sim_time,

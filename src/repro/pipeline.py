@@ -38,10 +38,7 @@ class FaultloadPipeline:
 
     def scan(self):
         """Step 1: G-SWFIT scanning of the OS build."""
-        self.raw_faultload = scan_build(
-            self.build,
-            include_internal=self.config.include_internal_functions,
-        )
+        self.raw_faultload = scan_build(self.build)
         return self.raw_faultload
 
     def profile(self):

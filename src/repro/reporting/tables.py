@@ -53,10 +53,6 @@ class TableBuilder:
         self.rows.append(list(values))
         return self
 
-    def add_separator_row(self, fill=""):
-        self.rows.append([fill] * len(self.headers))
-        return self
-
     def render(self):
         return format_table(self.headers, self.rows, title=self.title)
 

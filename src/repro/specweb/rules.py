@@ -11,7 +11,11 @@ tests and benches — same structure, compressed time).
 
 from dataclasses import dataclass
 
-__all__ = ["RunRules"]
+__all__ = ["CONFORMANCE_SLOTS", "RunRules"]
+
+# SPECWeb99 judges connection conformance over whole measurement
+# batches; we group this many consecutive slots per conformance batch.
+CONFORMANCE_SLOTS = 6
 
 
 @dataclass(frozen=True)

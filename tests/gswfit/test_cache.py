@@ -34,9 +34,9 @@ def test_memory_cache_scans_once(monkeypatch):
     calls = []
     real = cache_module.scan_build
 
-    def counting(build, include_internal=True):
+    def counting(build):
         calls.append(build.codename)
-        return real(build, include_internal=include_internal)
+        return real(build)
 
     monkeypatch.setattr(cache_module, "scan_build", counting)
     first = scan_build_cached(NT50)
@@ -54,9 +54,9 @@ def test_disk_cache_survives_memory_clear(tmp_path, monkeypatch):
     calls = []
     real = cache_module.scan_build
 
-    def counting(build, include_internal=True):
+    def counting(build):
         calls.append(build.codename)
-        return real(build, include_internal=include_internal)
+        return real(build)
 
     monkeypatch.setattr(cache_module, "scan_build", counting)
     first = scan_build_cached(NT50, cache_dir=tmp_path)
@@ -70,16 +70,8 @@ def test_disk_cache_survives_memory_clear(tmp_path, monkeypatch):
 
 
 def test_cache_keys_separate_builds_and_scopes():
-    keys = {
-        cache_key(NT50, include_internal=True),
-        cache_key(NT50, include_internal=False),
-        cache_key(NT51, include_internal=True),
-    }
-    assert len(keys) == 3
+    assert cache_key(NT50) != cache_key(NT51)
     assert ids(scan_build_cached(NT50)) != ids(scan_build_cached(NT51))
-    full = scan_build_cached(NT50, include_internal=True)
-    exports = scan_build_cached(NT50, include_internal=False)
-    assert len(exports) < len(full)
 
 
 def test_fingerprint_is_stable_and_in_filename(tmp_path):
@@ -89,7 +81,7 @@ def test_fingerprint_is_stable_and_in_filename(tmp_path):
     assert fingerprint[:16] in path.name
     # A different fingerprint names a different file — stale entries are
     # invisible rather than served.
-    stale = ("nt50", "f" * 64, True)
+    stale = ("nt50", "f" * 64)
     assert cache_path(tmp_path, stale) != path
 
 

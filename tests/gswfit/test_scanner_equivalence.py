@@ -45,12 +45,8 @@ def test_single_pass_matches_reference_per_function(build):
 
 
 def test_scan_build_byte_identical_to_reference(build, monkeypatch):
-    for include_internal in (True, False):
-        fast = scan_build(build, include_internal=include_internal)
-        monkeypatch.setattr(
-            scanner, "scan_function", scan_function_per_operator
-        )
-        reference = scan_build(build, include_internal=include_internal)
-        monkeypatch.undo()
-        assert fast.os_codename == reference.os_codename
-        assert _as_json(fast.locations) == _as_json(reference.locations)
+    fast = scan_build(build)
+    monkeypatch.setattr(scanner, "scan_function", scan_function_per_operator)
+    reference = scan_build(build)
+    assert fast.os_codename == reference.os_codename
+    assert _as_json(fast.locations) == _as_json(reference.locations)

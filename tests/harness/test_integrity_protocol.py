@@ -163,9 +163,10 @@ def test_campaign_digest_identical_across_workers_with_reboots():
     assert metrics_digest(serial) == metrics_digest(parallel)
 
 
-def test_manifest_reports_integrity_summary(tmp_path):
-    config = smoke_config()
-    config.fault_sample = None
+def seeded_campaign_manifest(tmp_path, **overrides):
+    """The manifest of a one-worker campaign over one leaking slot and
+    three benign ones, in shards of two slots."""
+    config = smoke_config(fault_sample=None, **overrides)
     faultload = seeded_faultload(config, leak_slots=1, benign_slots=3)
     campaign = ParallelCampaign(
         config, workers=1, slots_per_shard=2,
@@ -175,7 +176,11 @@ def test_manifest_reports_integrity_summary(tmp_path):
         faultload=faultload,
         include_baseline=False, include_profile_mode=False,
     )
-    manifest = campaign.manifest
+    return campaign.manifest
+
+
+def test_manifest_reports_integrity_summary(tmp_path):
+    manifest = seeded_campaign_manifest(tmp_path)
     assert manifest.integrity["enabled"] is True
     assert manifest.integrity["contaminated_slots"] == 1
     assert manifest.integrity["reboots"] == 1
@@ -192,6 +197,17 @@ def test_manifest_reports_integrity_summary(tmp_path):
     assert summaries[0]["contaminated_slots"] == 1
     shard_done = [e for e in events if e["event"] == "shard_done"]
     assert any(e.get("contaminated_slots") for e in shard_done)
+
+
+def test_pristine_manifest_reports_integrity_summary(tmp_path):
+    """Pristine slots never reboot, yet leave no contamination in place:
+    a fresh machine follows every slot but a shard's last, and nothing
+    follows that one."""
+    manifest = seeded_campaign_manifest(tmp_path, pristine_slots=True)
+    assert manifest.integrity["contaminated_slots"] == 1
+    assert manifest.integrity["reboots"] == 0
+    assert manifest.integrity["unrebooted_contamination"] == 0
+    assert manifest.integrity["violation_kinds"] == {"heap-leak": 1}
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,10 @@ A campaign's results are a function of what it measures — the variant
 (plain, adaptive slots, pristine slots, sequential stopping, or the
 no-inject control run), the OS build and the server — and never of how
 it was executed: worker count (in-process, or loopback fabric workers
-with one of them killed mid-run), epoch snapshots, a built-in operator
-re-expressed through ``operator_specs``, or a kill and resume.  That is
-what lets a faultload's results repeat across runs and port across
-hosts.
+with one of them killed mid-run), epoch snapshots restored or every
+epoch booted, a built-in operator re-expressed through
+``operator_specs``, or a kill and resume.  That is what lets a
+faultload's results repeat across runs and port across hosts.
 
 Checking each toggle alone against a base run leaves their interactions
 unchecked, and the full product is 5 x 2^6 = 320 campaigns.  ``ROWS`` is
@@ -19,6 +19,10 @@ iteration, and must match the base run of its variant, build and server
 (one worker, snapshots on, built-in operators, no resume) on every
 deterministic field of the run manifest.  Its manifest must also show
 that each of its toggles engaged.
+
+Snapshots are always on in the product; a row with the ``snapshots``
+factor off makes :meth:`SnapshotCache.get` miss, so every epoch boots.
+Forked loopback workers inherit the patch.
 """
 
 import itertools
@@ -32,7 +36,7 @@ from repro.gswfit.dsl.builtin_specs import builtin_spec
 from repro.gswfit.operators import reset_dynamic_operators
 from repro.harness.campaign import ParallelCampaign
 from repro.harness.fabric.backend import CHAOS_KILL_ENV
-from repro.harness.snapshot import snapshot_cache
+from repro.harness.snapshot import SnapshotCache, snapshot_cache
 from tests.harness.configs import SEQUENTIAL, tiny_config
 
 
@@ -110,8 +114,7 @@ def run_campaign(row, cache_dir=None, journal=None, resume=False):
         specs = (OperatorSpec.from_dict(builtin_spec("MVI")).to_dict(),)
     config = tiny_config(
         iterations=2, os_codename=row.os, server_name=row.server,
-        snapshot_epochs=row.snapshots, operator_specs=specs,
-        **VARIANTS[row.variant],
+        operator_specs=specs, **VARIANTS[row.variant],
     )
     campaign = ParallelCampaign(
         config, workers=row.workers, slots_per_shard=2,
@@ -146,7 +149,6 @@ def check_toggles_engaged(row, manifest):
         assert fabric["steals"] >= 1
     snapshot = manifest.snapshot
     if not row.snapshots:
-        assert not snapshot["enabled"]
         assert snapshot["epochs_restored"] == 0
     elif row.variant == "pristine":
         # One boot per shard; every restart after it is a restore.
@@ -200,6 +202,8 @@ def test_row_matches_its_base_run(row, base_runs, tmp_path, monkeypatch):
     else:
         if row.workers == 2:
             monkeypatch.setenv(CHAOS_KILL_ENV, "1")
+        if not row.snapshots:
+            monkeypatch.setattr(SnapshotCache, "get", lambda self, key: None)
         journal = tmp_path / "journal.jsonl" if row.resumed else None
         runs = [run_campaign(row, tmp_path / "cache", journal)]
         if row.resumed:

@@ -86,6 +86,8 @@ def test_spec_accepts_underscores_and_faults_zero():
     ({"no-warm-mutants": True}, "unknown spec key"),
     ({"backend": "fabric"}, "unknown spec key"),
     ({"fabric-loopback": 0}, "unknown spec key"),
+    ({"no-snapshot-epochs": True}, "unknown spec key"),
+    ({"no-track-activation": True}, "unknown spec key"),
 ])
 def test_spec_rejections(spec, fragment):
     with pytest.raises(SpecError, match=re.escape(fragment)):

@@ -221,15 +221,13 @@ def test_retired_pristine_epochs_free_their_machines(monkeypatch):
     assert [ref() for ref in machines] == [None] * len(machines)
 
 
-def test_contamination_reboot_served_by_restore():
+def test_contamination_reboot_served_by_restore(monkeypatch):
     config = smoke_config()
     faultload = seeded_leak_faultload(config)
-    snap_digest, snap_run = single_run_digest(
-        dataclasses.replace(config, snapshot_epochs=True), faultload
-    )
-    boot_digest, boot_run = single_run_digest(
-        dataclasses.replace(config, snapshot_epochs=False), faultload
-    )
+    snap_digest, snap_run = single_run_digest(config, faultload)
+    # The boot leg: every snapshot lookup misses, so every epoch boots.
+    monkeypatch.setattr(SnapshotCache, "get", lambda self, key: None)
+    boot_digest, boot_run = single_run_digest(config, faultload)
     for run in (snap_run, boot_run):
         assert run.contaminated_slots[0]["fault_id"] == LEAK_FAULT
         assert run.reboots == [{"after_slot": 0, "verified": True}]
@@ -254,13 +252,8 @@ def test_snapshot_key_separates_configs_and_iterations():
 def test_campaign_key_covers_snapshot_fields():
     config = tiny_config()
     faultload = WebServerExperiment(config).prepared_faultload()
-    baseline = campaign_key(config, faultload)
-    for field, value in (
-        ("snapshot_epochs", False),
-        ("pristine_slots", True),
-    ):
-        changed = dataclasses.replace(config, **{field: value})
-        assert campaign_key(changed, faultload) != baseline
+    changed = dataclasses.replace(config, pristine_slots=True)
+    assert campaign_key(changed, faultload) != campaign_key(config, faultload)
 
 
 # ----------------------------------------------------------------------

@@ -96,6 +96,8 @@ def test_campaign_command_writes_manifest(tmp_path, capsys):
           "--workers", "-1"],
          "--workers must be >= 0"),
         (["campaign", "--workers", "0"], "(0 needs --fabric-listen)"),
+        (["campaign", "--adaptive-slots", "--no-inject"],
+         "--adaptive-slots cannot be combined with --no-inject"),
     ],
 )
 def test_campaign_flag_validation(capsys, argv, message):
@@ -111,10 +113,15 @@ def test_campaign_backend_defaults():
 
 def test_campaign_rejects_unknown_backend():
     """There is one multi-worker backend: the flags that chose between
-    two are parse errors."""
+    two are parse errors.  So are the removed switches for epoch
+    snapshots and activation probes, on both ``run`` and ``campaign``."""
     for argv in (["--backend", "fabric"], ["--fabric-loopback", "2"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", *argv])
+    for command in ("run", "campaign"):
+        for flag in ("--no-snapshot-epochs", "--no-track-activation"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, flag])
 
 
 def test_campaign_resume_of_another_campaigns_journal_exits_2(
@@ -131,6 +138,31 @@ def test_campaign_resume_of_another_campaigns_journal_exits_2(
     err = capsys.readouterr().err
     assert "belongs to a different campaign" in err
     assert "Traceback" not in err
+
+
+def test_campaign_resume_of_another_versions_journal_exits_2(
+        tmp_path, capsys):
+    journal = tmp_path / "campaign.jsonl"
+    argv = [
+        "campaign", "--faults", "4", "--connections", "2",
+        "--workers", "1", "--no-baseline", "--no-profile",
+        "--journal", str(journal),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    import json
+
+    lines = journal.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["version"] -= 1
+    lines[0] = json.dumps(header, sort_keys=True)
+    journal.write_text("\n".join(lines) + "\n")
+    assert main([*argv, "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"journal {journal} is version {header['version']}, current "
+        f"{header['version'] + 1}: rerun without --resume\n"
+    )
 
 
 def test_campaign_worker_parses_address():
