@@ -272,7 +272,8 @@ def _generic_faultload(config):
 def test_adaptive_slots_speedup(benchmark):
     """Adaptive slots must cut campaign wall-clock by >= 25%."""
     def run(config, faultload):
-        campaign = ParallelCampaign(config, workers=1, slots_per_shard=24)
+        config.slots_per_shard = 24
+        campaign = ParallelCampaign(config, workers=1)
         started = time.perf_counter()
         result = campaign.run(
             faultload=faultload,

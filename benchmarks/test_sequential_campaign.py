@@ -53,7 +53,7 @@ def _sequential_config(sequential):
     config.sequential = sequential
     if sequential:
         config.ci_target = CI_TARGET
-        config.sequential_batch_slots = 4
+        config.slots_per_shard = 4
     return config
 
 

@@ -17,6 +17,7 @@ import pytest
 from _bench_common import OS_CODENAMES, os_display
 
 from repro.harness.metrics import DependabilityMetrics
+from repro.harness.telemetry import metrics_digest
 from repro.reporting.compare import compare_shape, table5_shape_checks
 from repro.reporting.paper import PAPER
 from repro.reporting.report import table5_results
@@ -33,6 +34,9 @@ def test_table5_injection(benchmark, campaign_results):
     }
     print()
     print(table5_results(display).render())
+    for (os_codename, server_name), result in results.items():
+        print(f"metrics digest {os_codename}/{server_name}: "
+              f"{metrics_digest(result)}")
 
     paper = PAPER["table5"][("win2000", "apache")]
     print(f"(paper, W2k/Apache average: SPC {paper['SPC']}, "

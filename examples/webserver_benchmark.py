@@ -2,8 +2,10 @@
 
 Runs the complete dependability benchmark at laptop scale — baseline,
 profile-mode intrusiveness check, and three fault-injection iterations
-per server/OS combination — then prints the Table 5 analogue, the derived
-dependability metrics, and the Figure 5 comparison series.
+per server/OS combination, each one campaign of the engine behind
+``repro-bench campaign`` — printing each campaign's metrics digest, then
+the Table 5 analogue, the derived dependability metrics, and the Figure 5
+comparison series.
 
 Run with:  python examples/webserver_benchmark.py          (scaled, ~2 min)
            python examples/webserver_benchmark.py --quick  (tiny, ~30 s)
@@ -11,7 +13,8 @@ Run with:  python examples/webserver_benchmark.py          (scaled, ~2 min)
 
 import argparse
 
-from repro import ExperimentConfig, WebServerExperiment
+from repro import ExperimentConfig
+from repro.harness.campaign import ParallelCampaign
 from repro.harness.metrics import DependabilityMetrics
 from repro.ossim.builds import get_build
 from repro.reporting.report import figure5_series, table5_results
@@ -30,10 +33,9 @@ def run(faults, connections):
             build = get_build(os_codename)
             print(f"... benchmarking {server_name} on "
                   f"{build.display_name}")
-            experiment = WebServerExperiment(config)
-            results[(os_codename, server_name)] = (
-                experiment.run_campaign()
-            )
+            campaign = ParallelCampaign(config)
+            results[(os_codename, server_name)] = campaign.run()
+            print(f"    metrics digest {campaign.manifest.metrics_digest}")
     return results
 
 

@@ -7,13 +7,15 @@ and the harness that regenerates every table and figure of the paper.
 
 Quickstart::
 
-    from repro import ExperimentConfig, WebServerExperiment
+    from repro import ExperimentConfig
+    from repro.harness import ParallelCampaign
 
     config = ExperimentConfig.scaled(server_name="apache",
                                      os_codename="nt50")
-    experiment = WebServerExperiment(config)
-    result = experiment.run_campaign()
+    campaign = ParallelCampaign(config)
+    result = campaign.run()
     print(result.average_row())
+    print(campaign.manifest.metrics_digest)
 
 See ``examples/`` for complete scenarios and ``DESIGN.md`` for the system
 inventory.

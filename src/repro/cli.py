@@ -5,28 +5,24 @@ Subcommands mirror the methodology's steps and the paper's exhibits:
 * ``scan``      — G-SWFIT step 1: scan an OS build, print/save the faultload
 * ``profile``   — profiling phase: print the Table 2 analogue
 * ``faultload`` — full pipeline: scan + profile + fine-tune (Table 3 row)
-* ``run``       — one server/OS campaign (Table 5 rows), unsharded: its
-  machines are seeded from ``--seed``
-* ``campaign``  — one server/OS campaign cut into shards and run across
-  worker processes, with scan caching and checkpoint/resume.  Each
-  shard's machine is seeded from (``--seed``, shard index), so ``run``
-  and ``campaign`` with the same settings draw different workloads and
-  give different numbers; ``campaign`` gives the same numbers for any
-  worker count
+* ``campaign``  — one server/OS campaign (Table 5 rows) cut into shards
+  and run across worker processes, with scan caching and
+  checkpoint/resume; each shard's machine is seeded from (``--seed``,
+  shard index), so the numbers are the same for any worker count
 * ``serve``     — campaign-as-a-service: accept specs over HTTP into a
   durable queue, run them with crash-safe recovery
-* ``tables``    — regenerate every table for a scaled campaign
+* ``tables``    — regenerate Tables 1, 3 and 5 at scaled cost, each
+  Table 5 row a campaign with its metrics digest
 """
 
 import argparse
 import json
 import sys
 
-from repro.faults.faultload import Faultload
 from repro.faults.types import iter_fault_types
 from repro.gswfit.scanner import scan_build
 from repro.harness.config import ExperimentConfig
-from repro.harness.experiment import WebServerExperiment, profile_servers
+from repro.harness.experiment import profile_servers
 from repro.harness.metrics import DependabilityMetrics
 from repro.ossim.builds import ALL_BUILDS, get_build
 from repro.pipeline import FaultloadPipeline
@@ -57,17 +53,6 @@ def _add_common(parser):
     )
 
 
-def _add_pristine(parser):
-    parser.add_argument(
-        "--pristine-slots", action="store_true",
-        help="restart the machine after every injection slot (the "
-             "paper's Fig. 4 isolation protocol); near-free because "
-             "each restart restores the epoch snapshot, changes the "
-             "measured timeline so digests differ from the default "
-             "back-to-back schedule",
-    )
-
-
 def _add_operator_specs(parser):
     parser.add_argument(
         "--operator-spec", dest="operator_specs", action="append",
@@ -76,15 +61,6 @@ def _add_operator_specs(parser):
              "§16) — a re-expression (\"replaces\": true) swaps in for "
              "its built-in Table 1 operator, a new fault type extends "
              "the faultload",
-    )
-
-
-def _add_adaptive(parser):
-    parser.add_argument(
-        "--adaptive-slots", action="store_true",
-        help="truncate a slot once the faulted function's profiled "
-             "activation deadline passes with zero probe hits; cuts "
-             "campaign time, deterministic for any worker count",
     )
 
 
@@ -109,15 +85,9 @@ def _add_sequential(parser):
              "(default: 0.95)",
     )
     parser.add_argument(
-        "--batch-size", type=int, default=None, metavar="SLOTS",
-        help="slots per sequential batch — the dispatch unit and the "
-             "batch-means observation unit (default: one conformance "
-             "batch)",
-    )
-    parser.add_argument(
         "--min-slots", type=int, default=None, metavar="SLOTS",
         help="per-stratum floor: never stop on confidence before this "
-             "many slots (default: two batches)",
+             "many slots (default: two shards)",
     )
     parser.add_argument(
         "--max-slots", type=int, default=None, metavar="SLOTS",
@@ -131,7 +101,6 @@ def _validate_sequential_args(args):
     knobs = (
         ("--ci-target", args.ci_target),
         ("--ci-confidence", args.ci_confidence),
-        ("--batch-size", args.batch_size),
         ("--min-slots", args.min_slots),
         ("--max-slots", args.max_slots),
     )
@@ -146,8 +115,6 @@ def _validate_sequential_args(args):
             0.0 < args.ci_confidence < 1.0):
         return (f"--ci-confidence must be in (0, 1), "
                 f"got {args.ci_confidence}")
-    if args.batch_size is not None and args.batch_size < 1:
-        return f"--batch-size must be >= 1, got {args.batch_size}"
     if args.min_slots is not None and args.min_slots < 1:
         return f"--min-slots must be >= 1, got {args.min_slots}"
     if args.max_slots is not None:
@@ -165,7 +132,6 @@ def _apply_sequential(args, config):
         config.ci_target = args.ci_target
     if args.ci_confidence is not None:
         config.ci_confidence = args.ci_confidence
-    config.sequential_batch_slots = args.batch_size
     config.sequential_min_slots = args.min_slots
     config.sequential_max_slots = args.max_slots
 
@@ -263,40 +229,6 @@ def _cmd_faultload(args):
     return 0
 
 
-def _print_campaign_result(args, config, result, manifest=None,
-                           telemetry_path=None):
-    build = get_build(args.os_codename)
-    key = (build.display_name, args.server)
-    print(table5_results({key: result}).render())
-    if result.iterations and (result.baseline or result.profile_mode):
-        metrics = DependabilityMetrics.from_results(result)
-        print()
-        print("Dependability metrics:")
-        print(json.dumps(metrics.as_dict(), indent=2))
-    if args.export:
-        from repro.reporting.export import export_campaign
-
-        written = export_campaign(
-            result, args.export, config=config, manifest=manifest,
-            telemetry_path=telemetry_path,
-        )
-        print(f"results exported: "
-              f"{', '.join(str(path) for path in written)}")
-
-
-def _cmd_run(args):
-    config = _make_config(
-        args, fault_sample=args.faults, connections=args.connections
-    )
-    config.server_name = args.server
-    config.adaptive_slots = args.adaptive_slots
-    config.pristine_slots = args.pristine_slots
-    experiment = WebServerExperiment(config)
-    result = experiment.run_campaign()
-    _print_campaign_result(args, config, result)
-    return 0
-
-
 def _validate_campaign_args(args):
     """Check flag combinations up front; returns an error string or
     None.  A bad combination should cost the user one clear line, not a
@@ -348,6 +280,8 @@ def _campaign_config(args):
         args, fault_sample=args.faults, connections=args.connections
     )
     config.server_name = args.server
+    if args.slots_per_shard is not None:
+        config.slots_per_shard = args.slots_per_shard
     config.integrity_audit = not args.no_integrity_audit
     if args.reboot_budget is not None:
         config.reboot_budget = args.reboot_budget
@@ -371,7 +305,6 @@ def _campaign_kwargs(args):
         fabric_listen = parse_address(args.fabric_listen)
     return {
         "workers": args.workers,
-        "slots_per_shard": args.slots_per_shard,
         "journal_path": args.journal,
         "resume": args.resume,
         "cache_dir": args.cache_dir,
@@ -402,7 +335,7 @@ def _cmd_campaign(args):
         return 2
     print(f"campaign: {campaign.workers} worker(s), "
           f"{config.rules.iterations} iteration(s), "
-          f"shard size {campaign.slots_per_shard} slots")
+          f"shard size {config.slots_per_shard} slots")
     stats = campaign.warmup_stats
     print(f"mutant warm-up: {stats['compiled']} compiled, "
           f"{stats['cached']} cached, {stats['failed']} failed "
@@ -486,10 +419,23 @@ def _cmd_campaign(args):
                   f"{entry['shard_index']} (slots {entry['first_slot']}"
                   f"..{entry['first_slot'] + entry['num_slots'] - 1}): "
                   f"{entry['failures'][-1]}", file=sys.stderr)
-    _print_campaign_result(
-        args, config, result, manifest=manifest,
-        telemetry_path=campaign.telemetry_path,
-    )
+    build = get_build(args.os_codename)
+    print(table5_results({(build.display_name, args.server): result})
+          .render())
+    if result.iterations and (result.baseline or result.profile_mode):
+        metrics = DependabilityMetrics.from_results(result)
+        print()
+        print("Dependability metrics:")
+        print(json.dumps(metrics.as_dict(), indent=2))
+    if args.export:
+        from repro.reporting.export import export_campaign
+
+        written = export_campaign(
+            result, args.export, config=config, manifest=manifest,
+            telemetry_path=campaign.telemetry_path,
+        )
+        print(f"results exported: "
+              f"{', '.join(str(path) for path in written)}")
     return 0
 
 
@@ -560,6 +506,8 @@ def _cmd_oltp(args):
 
 
 def _cmd_tables(args):
+    from repro.harness.campaign import ParallelCampaign
+
     print(table1_fault_types().render())
     print()
     faultloads = {}
@@ -569,7 +517,9 @@ def _cmd_tables(args):
     print(table3_faultload_details(faultloads).render())
     print()
     results = {}
+    digests = []
     for codename in sorted(ALL_BUILDS):
+        build = get_build(codename)
         for server in BENCHMARKED_SERVERS:
             config = _make_config(
                 args, fault_sample=args.faults,
@@ -577,12 +527,13 @@ def _cmd_tables(args):
             )
             config.os_codename = codename
             config.server_name = server
-            experiment = WebServerExperiment(config)
-            build = get_build(codename)
-            results[(build.display_name, server)] = (
-                experiment.run_campaign()
-            )
+            campaign = ParallelCampaign(config)
+            results[(build.display_name, server)] = campaign.run()
+            digests.append(f"  {codename}/{server}: "
+                           f"{campaign.manifest.metrics_digest}")
     print(table5_results(results).render())
+    print("metrics digests:")
+    print("\n".join(digests))
     return 0
 
 
@@ -625,24 +576,9 @@ def build_parser():
     faultload.add_argument("--output")
     faultload.set_defaults(func=_cmd_faultload)
 
-    run = subparsers.add_parser(
-        "run", help="benchmark one server/OS pair (Table 5)"
-    )
-    _add_common(run)
-    run.add_argument(
-        "--server", default="apache", choices=server_names()
-    )
-    run.add_argument("--faults", type=int, default=96,
-                     help="faultload subsample size (None-like: 0 = full)")
-    run.add_argument("--connections", type=int, default=16)
-    _add_adaptive(run)
-    _add_pristine(run)
-    run.add_argument("--export", help="write results to this directory")
-    run.set_defaults(func=_cmd_run)
-
     campaign = subparsers.add_parser(
         "campaign",
-        help="benchmark one server/OS pair in parallel, with "
+        help="benchmark one server/OS pair (Table 5) in parallel, with "
              "checkpoint/resume and scan caching",
     )
     _add_common(campaign)
@@ -661,7 +597,8 @@ def build_parser():
     )
     campaign.add_argument(
         "--slots-per-shard", type=int, default=None,
-        help="slots per worker shard "
+        help="slots per shard, each shard one machine's run and, with "
+             "--sequential, one batch; part of the campaign key "
              "(default: one conformance batch)",
     )
     campaign.add_argument(
@@ -727,8 +664,20 @@ def build_parser():
              "address, alongside the --workers local ones (default: "
              "local workers only)",
     )
-    _add_adaptive(campaign)
-    _add_pristine(campaign)
+    campaign.add_argument(
+        "--adaptive-slots", action="store_true",
+        help="truncate a slot once the faulted function's profiled "
+             "activation deadline passes with zero probe hits; cuts "
+             "campaign time, deterministic for any worker count",
+    )
+    campaign.add_argument(
+        "--pristine-slots", action="store_true",
+        help="restart the machine after every injection slot (the "
+             "paper's Fig. 4 isolation protocol); near-free because "
+             "each restart restores the epoch snapshot, changes the "
+             "measured timeline so digests differ from the default "
+             "back-to-back schedule",
+    )
     _add_sequential(campaign)
     _add_operator_specs(campaign)
     campaign.add_argument("--export",

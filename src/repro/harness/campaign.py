@@ -3,14 +3,15 @@
 The paper's experiment is embarrassingly parallel: every injection slot
 is independent (the fault is removed and the server repaired between
 slots), so a campaign can be sharded across worker processes.  The unit
-of work is a **shard** — one contiguous run of ``slots_per_shard`` slots,
-by default exactly one SPECWeb conformance batch, so the conformance
-grouping of a sharded run matches a serial one.
+of work is a **shard** — one contiguous run of ``config.slots_per_shard``
+slots, by default exactly one SPECWeb conformance batch, so the
+conformance grouping of a sharded run matches a serial one.
 
 Determinism is the design constraint:
 
 * the shard plan depends only on the prepared faultload and the shard
-  size — never on the worker count;
+  size (a config field, so part of the campaign key) — never on the
+  worker count;
 * each shard runs on a private :class:`ServerMachine` seeded from
   ``derive_seed(config.seed, "campaign-shard", shard.index)``, so its
   behaviour is independent of scheduling;
@@ -60,7 +61,7 @@ from repro.harness.experiment import (
     profile_servers,
 )
 from repro.harness.fabric import FabricExecutorBackend
-from repro.harness.jsonl import read_jsonl
+from repro.harness.jsonl import drop_torn_tail, read_jsonl
 from repro.harness.results import (
     BenchmarkResult,
     InjectionIteration,
@@ -87,7 +88,6 @@ from repro.harness.telemetry import (
 from repro.ossim.builds import get_build
 from repro.sim.rng import derive_seed
 from repro.specweb.metrics import MetricsPartial, SpecWebMetrics
-from repro.specweb.rules import CONFORMANCE_SLOTS
 
 __all__ = [
     "CampaignInterrupted",
@@ -386,7 +386,7 @@ class CampaignJournal:
         with open(self.path, "a", encoding="utf-8") as handle:
             # One buffered write per record, newline included: a crash
             # mid-append can tear at most the final line, which load()
-            # already tolerates.
+            # drops and a resume cuts off before appending.
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
@@ -450,9 +450,6 @@ class ParallelCampaign:
         valid only with ``fabric_listen`` (external workers only).
         Because the shard plan, seeds, and merge ignore where a shard
         ran, the ``metrics_digest`` is identical for every value.
-    slots_per_shard:
-        Shard size in slots; defaults to ``CONFORMANCE_SLOTS`` so each
-        shard is exactly one conformance batch.
     journal_path / resume:
         Checkpointing (see :class:`CampaignJournal`).
     cache_dir:
@@ -485,7 +482,7 @@ class ParallelCampaign:
         local ones; None (default) binds loopback on an ephemeral port.
     """
 
-    def __init__(self, config, workers=None, slots_per_shard=None,
+    def __init__(self, config, workers=None,
                  journal_path=None, resume=False, cache_dir=None,
                  shard_timeout=None,
                  max_retries=DEFAULT_MAX_RETRIES,
@@ -509,7 +506,6 @@ class ParallelCampaign:
 
             install_spec_operators(config.operator_specs)
         self.config = config
-        self.slots_per_shard = int(slots_per_shard or CONFORMANCE_SLOTS)
         self.journal_path = journal_path
         self.resume = resume
         self.cache_dir = cache_dir
@@ -545,13 +541,17 @@ class ParallelCampaign:
             return None
         if self.resume:
             journal = CampaignJournal.load(self.journal_path)
+            if (journal.header is not None
+                    and journal.header.get("campaign_key") != key):
+                raise JournalMismatch(
+                    f"journal {self.journal_path} belongs to a "
+                    "different campaign (config/faultload changed); "
+                    "delete it or drop --resume"
+                )
+            # This campaign's journal: the unit of a torn final record
+            # reruns, and its new record must start on a fresh line.
+            drop_torn_tail(self.journal_path)
             if journal.header is not None:
-                if journal.header.get("campaign_key") != key:
-                    raise JournalMismatch(
-                        f"journal {self.journal_path} belongs to a "
-                        "different campaign (config/faultload changed); "
-                        "delete it or drop --resume"
-                    )
                 return journal
         else:
             Path(self.journal_path).unlink(missing_ok=True)
@@ -713,7 +713,7 @@ class ParallelCampaign:
             "enabled": True,
             "ci_target": self.config.ci_target,
             "ci_confidence": self.config.ci_confidence,
-            "batch_slots": self.config.resolved_sequential_batch(),
+            "batch_slots": self.config.slots_per_shard,
             "min_slots": self.config.resolved_sequential_min_slots(),
             "max_slots": self.config.sequential_max_slots,
             "planned_slots": planned,
@@ -777,11 +777,11 @@ class ParallelCampaign:
             # the campaign key and every shard seed are unchanged by
             # worker count.
             strata = plan_sequential_strata(
-                faultload, self.config.resolved_sequential_batch()
+                faultload, self.config.slots_per_shard
             )
             shards = [batch for plan in strata for batch in plan.batches]
         else:
-            shards = plan_shards(faultload, self.slots_per_shard)
+            shards = plan_shards(faultload, self.config.slots_per_shard)
         key = campaign_key(self.config, faultload)
         journal = self._open_journal(key, len(shards))
         telemetry.emit(
@@ -911,7 +911,7 @@ class ParallelCampaign:
             faultload_digest=faultload_digest(faultload),
             slots=len(faultload),
             workers=self.workers,
-            slots_per_shard=self.slots_per_shard,
+            slots_per_shard=self.config.slots_per_shard,
             num_shards=len(shards),
             iterations=self.config.rules.iterations,
             journal_version=JOURNAL_VERSION,

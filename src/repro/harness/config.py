@@ -41,6 +41,12 @@ class ExperimentConfig:
     # (rules.slot_seconds, 10 s in the paper).
     fault_sample: int | None = None  # None = full faultload
 
+    # Slots per shard: the slots one machine runs, seeded from (seed,
+    # shard index), so the shard size shapes the results and belongs to
+    # the campaign key.  A sequential batch is a shard (DESIGN.md §14).
+    # Default: one conformance batch.
+    slots_per_shard: int = CONFORMANCE_SLOTS
+
     # Slot-gap state-integrity auditing (DESIGN.md §10): after each
     # fault is removed, audit the machine for residual damage; on
     # contamination perform a verified reboot, at most ``reboot_budget``
@@ -72,7 +78,7 @@ class ExperimentConfig:
     # function name -> activation deadline in seconds from slot start,
     # derived from a deterministic profiling trace by the campaign parent
     # (before the campaign key is computed, so all workers share it).
-    # None = no table; adaptive slots fall back to the grace fraction.
+    # None = no table; every function then gets the floor.
     activation_deadlines: dict | None = None
 
     # Length of the profiling trace used to derive the deadline table.
@@ -97,12 +103,8 @@ class ExperimentConfig:
     # Two-sided confidence level of the intervals.
     ci_confidence: float = 0.95
 
-    # Slots per sequential batch (the unit of dispatch and the
-    # batch-means observation unit).  None = one conformance batch.
-    sequential_batch_slots: int | None = None
-
     # Per-stratum floor: never stop on confidence before this many
-    # slots.  None = two batches (the minimum that yields a variance).
+    # slots.  None = two shards (the minimum that yields a variance).
     sequential_min_slots: int | None = None
 
     # Per-stratum ceiling: stop after this many slots even without
@@ -118,15 +120,11 @@ class ExperimentConfig:
     # mutant caches stay sound across spec edits.  None = built-ins only.
     operator_specs: tuple | None = None
 
-    def resolved_sequential_batch(self):
-        """The effective sequential batch size in slots."""
-        return int(self.sequential_batch_slots or CONFORMANCE_SLOTS)
-
     def resolved_sequential_min_slots(self):
-        """The effective per-stratum slot floor (>= two batches)."""
+        """The effective per-stratum slot floor (>= two shards)."""
         if self.sequential_min_slots is not None:
             return int(self.sequential_min_slots)
-        return 2 * self.resolved_sequential_batch()
+        return 2 * self.slots_per_shard
 
     def iteration_seed(self, iteration):
         """Seed for one iteration: same workload family, fresh draws."""

@@ -1,7 +1,7 @@
-"""Experiment orchestration.
+"""Experiment orchestration: the one-machine phases of a campaign.
 
-:class:`WebServerExperiment` reproduces the paper's experimental procedure
-for one server/OS pair:
+:class:`WebServerExperiment` runs the paper's experimental procedure
+for one server/OS pair, one machine at a time:
 
 1. **Baseline** ("Max. Perf." in Table 4): workload only.
 2. **Profile mode**: the injector is attached and does everything except
@@ -10,7 +10,11 @@ for one server/OS pair:
 3. **Injection runs**: the measured time is organized in slots (Fig. 4).
    During a slot one fault is active and the workload runs; between slots
    the workload pauses, the fault is removed, and the watchdog repairs the
-   server if needed.  Three iterations, per SPECWeb99 rules.
+   server if needed.
+
+A whole campaign (baseline, profile mode, then three iterations per
+SPECWeb99 rules) is :class:`~repro.harness.campaign.ParallelCampaign`,
+which calls these phases and runs each iteration's slots as shards.
 
 ``profile_servers`` implements the profiling phase of the methodology
 (Section 3.3): run every benchmark target under the workload with the API
@@ -24,11 +28,7 @@ from repro.gswfit.injector import FaultInjector
 from repro.gswfit.mutator import MutantError
 from repro.gswfit.scanner import scan_build
 from repro.harness.machine import ServerMachine
-from repro.harness.results import (
-    BenchmarkResult,
-    InjectionIteration,
-    SlotTally,
-)
+from repro.harness.results import InjectionIteration, SlotTally
 from repro.harness.snapshot import (
     MachineSnapshot,
     snapshot_cache,
@@ -44,16 +44,10 @@ from repro.webservers.runtime import WorkerState
 
 __all__ = [
     "ACTIVATION_FLOOR_FRACTION",
-    "ACTIVATION_GRACE_FRACTION",
     "SlotRunResult",
     "WebServerExperiment",
     "profile_servers",
 ]
-
-# Fallback activation deadline (fraction of slot_seconds) used when no
-# deadline table is available at all (e.g. single runs outside a
-# campaign).
-ACTIVATION_GRACE_FRACTION = 0.5
 
 # Deadline floor (fraction of slot_seconds) given to functions the
 # profiling trace never observed — mostly internal helpers that only
@@ -107,7 +101,7 @@ class _Epoch:
 
 
 class WebServerExperiment:
-    """One server/OS benchmarking campaign."""
+    """The one-machine phases of one server/OS benchmark."""
 
     def __init__(self, config):
         self.config = config
@@ -372,20 +366,15 @@ class WebServerExperiment:
     def _activation_deadline(self, location, slot_seconds):
         """Seconds from slot start after which a hit-less slot truncates.
 
-        Uses the campaign-derived deadline table when present (observed
-        functions get their profiled window, unobserved ones the floor);
-        without a table, falls back to the grace fraction.  Clamped to
-        the slot, so a deadline at/over ``slot_seconds`` means "never
-        truncate".
+        Reads the deadline table the campaign derives before any slot
+        runs: an observed function gets its profiled window, any other
+        function (or every function, without a table) the floor.
+        Clamped to the slot, so a deadline at/over ``slot_seconds``
+        means "never truncate".
         """
-        config = self.config
-        deadlines = config.activation_deadlines
-        if deadlines:
-            deadline = deadlines.get(location.function)
-            if deadline is None:
-                deadline = slot_seconds * ACTIVATION_FLOOR_FRACTION
-        else:
-            deadline = slot_seconds * ACTIVATION_GRACE_FRACTION
+        deadline = (self.config.activation_deadlines or {}).get(
+            location.function, slot_seconds * ACTIVATION_FLOOR_FRACTION
+        )
         return max(0.0, min(float(deadline), slot_seconds))
 
     def run_slots(self, faultload, iteration=0, mutant_cache_dir=None,
@@ -549,37 +538,15 @@ class WebServerExperiment:
         return result
 
     def run_injection(self, faultload=None, iteration=0):
-        """One full pass over the faultload (one Table 5 iteration)."""
+        """One full pass over the faultload on one machine (a campaign
+        iteration runs the same pass as shards instead, through
+        :func:`~repro.harness.campaign.run_shard`)."""
         faultload = self.prepared_faultload(faultload)
         run = self.run_slots(faultload, iteration=iteration)
         metrics = run.compute_metrics(self.config.client.connections)
         return InjectionIteration.merge(
             [run], iteration=iteration, metrics=metrics
         )
-
-    # ------------------------------------------------------------------
-    # Full campaign
-    # ------------------------------------------------------------------
-    def run_campaign(self, faultload=None, include_baseline=True,
-                     include_profile_mode=True):
-        """Baseline + profile mode + the configured injection iterations."""
-        faultload = self.prepared_faultload(faultload)
-        result = BenchmarkResult(
-            server_name=self.config.server_name,
-            os_codename=self.config.os_codename,
-            os_display=self.build.display_name,
-        )
-        if include_baseline:
-            result.baseline = self.run_baseline(iteration=0)
-        if include_profile_mode:
-            result.profile_mode = self.run_profile_mode(
-                iteration=0, faultload=faultload
-            )
-        for iteration in range(1, self.config.rules.iterations + 1):
-            result.add_iteration(
-                self.run_injection(faultload, iteration=iteration)
-            )
-        return result
 
 
 def profile_servers(config, server_names, seconds=None):

@@ -1,4 +1,4 @@
-"""Torn-tail-tolerant JSONL reading, shared by every durable log.
+"""Torn-tail-tolerant JSONL logs, shared by every durable log.
 
 Three append-only JSONL files carry campaign state across a crash: the
 campaign journal, the telemetry stream, and (since the service daemon)
@@ -14,14 +14,20 @@ and silently skipping it would hide lost state.
 journal, the telemetry reader, and the service's spec queue cannot
 drift apart on it.  A torn final line is dropped (the unit it described
 simply reruns on resume); a torn interior line raises the original
-:class:`json.JSONDecodeError` — exactly the behaviour the journal and
-telemetry readers had before the service grew a third durable log.
+:class:`json.JSONDecodeError`.
+
+A writer that reopens a log calls :func:`drop_torn_tail` first, which
+cuts the line the reader drops off the file.  Otherwise the writer's
+first record would be glued onto the torn prefix and lost on the next
+read, and the record after it would turn the torn line into an
+interior one that no read survives.
 """
 
 import json
+import os
 from pathlib import Path
 
-__all__ = ["read_jsonl"]
+__all__ = ["drop_torn_tail", "read_jsonl"]
 
 
 def read_jsonl(path):
@@ -51,3 +57,27 @@ def read_jsonl(path):
                 break
             raise
     return entries
+
+
+def drop_torn_tail(path):
+    """Make the next append to a JSONL log start on a fresh line.
+
+    Cuts off a torn final line — the one :func:`read_jsonl` drops — and
+    gives a complete final record that lost only its newline a new one.
+    A missing file is left alone.
+    """
+    path = Path(path)
+    if not path.exists():
+        return
+    data = path.read_bytes()
+    body = data.rstrip()
+    start = body.rfind(b"\n") + 1
+    try:
+        if body:
+            json.loads(body[start:])
+    except ValueError:
+        os.truncate(path, start)
+        return
+    if body and not data.endswith(b"\n"):
+        with open(path, "ab") as handle:
+            handle.write(b"\n")

@@ -7,9 +7,10 @@ statistical injection" speed-up of the DAVOS line of work:
 
 * the prepared faultload is **stratified by fault type**, preserving the
   Table 1 proportions and the prepared slot order within each stratum;
-* each stratum is cut into fixed-size **batches** (the batch-means
-  observation unit — one :class:`~repro.harness.campaign.CampaignShard`
-  per batch, so the existing executor backends dispatch them unchanged);
+* each stratum is cut into **batches** of ``config.slots_per_shard``
+  slots (the batch-means observation unit — one
+  :class:`~repro.harness.campaign.CampaignShard` per batch, so the
+  existing executor backends dispatch them unchanged);
 * after a batch completes, the stratum's
   :class:`~repro.harness.metrics.StratumEstimator` updates and the
   stratum **stops** once every tracked metric's confidence interval is
@@ -162,7 +163,6 @@ class SequentialController:
     def __init__(self, config, strata):
         self.config = config
         self.ci_target = float(config.ci_target)
-        self.batch_slots = config.resolved_sequential_batch()
         self.min_slots = config.resolved_sequential_min_slots()
         self.max_slots = config.sequential_max_slots
         self.states = [

@@ -3,7 +3,8 @@
 One append-only JSONL file holds the daemon's entire queue state, in
 the same discipline as the campaign journal: every record is one line,
 fsync'd before the operation it records is acknowledged, and a crash
-can tear at most the final line (the shared torn-tail reader drops it).
+can tear at most the final line (the shared torn-tail reader drops it,
+and opening the queue cuts it off before the first new append).
 Replaying the file front to back reconstructs the queue exactly, which
 is the whole recovery story — there is no other state.
 
@@ -33,7 +34,7 @@ import os
 import threading
 from pathlib import Path
 
-from repro.harness.jsonl import read_jsonl
+from repro.harness.jsonl import drop_torn_tail, read_jsonl
 
 __all__ = ["QueueEntry", "QueueFull", "SpecQueue"]
 
@@ -94,6 +95,7 @@ class SpecQueue:
         self._seq = 0
         self._replay()
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        drop_torn_tail(self.path)
         self._handle = open(self.path, "a", encoding="utf-8")
 
     def _replay(self):

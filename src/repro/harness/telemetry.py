@@ -34,7 +34,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.harness.jsonl import read_jsonl
+from repro.harness.jsonl import drop_torn_tail, read_jsonl
 
 __all__ = [
     "MANIFEST_VERSION",
@@ -86,13 +86,15 @@ class TelemetryWriter:
 
     Events are flushed line by line, so a crash loses at most the event
     being written — the stream stays parseable (readers drop a torn
-    final line, exactly like the campaign journal).
+    final line, and reopening the stream cuts it off, exactly like the
+    campaign journal).
     """
 
     def __init__(self, path, clock=time.time):
         self.path = Path(path)
         self.clock = clock
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        drop_torn_tail(self.path)
         self._handle = open(self.path, "a", encoding="utf-8")
         self._sequence = 0
         self.emit("telemetry_open", version=TELEMETRY_VERSION)

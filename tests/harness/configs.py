@@ -3,13 +3,13 @@
 from repro.harness.config import ExperimentConfig
 
 #: The sequential campaign the end-to-end tests run: 24 faults in
-#: batches of 2 slots, each stratum stopping at a relative half-width of
-#: 0.5.
+#: batches (shards) of 2 slots, each stratum stopping at a relative
+#: half-width of 0.5.
 SEQUENTIAL = {
     "fault_sample": 24,
     "sequential": True,
     "ci_target": 0.5,
-    "sequential_batch_slots": 2,
+    "slots_per_shard": 2,
 }
 
 

@@ -156,7 +156,7 @@ def test_campaign_merge_matches_manual_shard_runs():
     config = tiny_config(iterations=1)
     campaign = ParallelCampaign(config, workers=1)
     faultload = campaign.prepared_faultload()
-    shards = plan_shards(faultload, campaign.slots_per_shard)
+    shards = plan_shards(faultload, config.slots_per_shard)
     outcomes = [run_shard(config, 1, shard) for shard in shards]
     manual = merge_outcomes(outcomes, 1, config.client.connections)
     result = ParallelCampaign(config, workers=1).run(
@@ -291,6 +291,38 @@ def test_campaign_resumes_after_hard_kill_with_torn_journal(tmp_path):
     iterations_equal(full.iterations[0], resumed.iterations[0])
 
 
+def test_resumes_after_a_torn_final_record_keep_the_journal_whole(
+        tmp_path):
+    """A kill mid-append tears the last shard record.  Each resume must
+    match the uninterrupted digest and leave every line readable: the
+    rerun shard's record starts on a fresh line instead of being glued
+    onto the torn prefix (lost, and after one more resume buried in the
+    interior, where loading fails)."""
+    config = tiny_config(slots_per_shard=2)
+    journal_path = tmp_path / "campaign.jsonl"
+    campaign = ParallelCampaign(config, workers=1, journal_path=journal_path)
+    campaign.run(include_baseline=False, include_profile_mode=False)
+    lines = journal_path.read_text().splitlines()
+    assert [json.loads(line)["kind"] for line in lines] == (
+        ["header"] + ["shard"] * 4
+    )
+    torn = lines[-1][: len(lines[-1]) // 2]
+    journal_path.write_text("\n".join(lines[:-1]) + "\n" + torn)
+    for _resume in range(3):
+        resumed = ParallelCampaign(
+            config, workers=1, journal_path=journal_path, resume=True
+        )
+        resumed.run(include_baseline=False, include_profile_mode=False)
+        assert (resumed.manifest.metrics_digest
+                == campaign.manifest.metrics_digest)
+    # Every line is a record: the rerun shard's replaced the torn one.
+    lines = journal_path.read_text().splitlines()
+    assert [json.loads(line)["kind"] for line in lines] == (
+        ["header"] + ["shard"] * 4
+    )
+    assert len(CampaignJournal.load(journal_path).shards) == 4
+
+
 # ----------------------------------------------------------------------
 # Integration with the serial experiment
 # ----------------------------------------------------------------------
@@ -302,7 +334,7 @@ def test_campaign_uses_prepared_faultload_once():
     assert prepared.prepared
     again = campaign.prepared_faultload(prepared)
     assert again is prepared  # no re-sampling, no name mangling
-    shards = plan_shards(prepared, campaign.slots_per_shard)
+    shards = plan_shards(prepared, config.slots_per_shard)
     assert sum(len(s) for s in shards) == len(prepared)
 
 

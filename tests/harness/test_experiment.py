@@ -134,6 +134,8 @@ def test_average_iterations_math():
 
 
 def test_campaign_produces_complete_result(config):
+    from repro.harness.campaign import ParallelCampaign
+
     campaign_config = ExperimentConfig.smoke()
     campaign_config.fault_sample = 6
     campaign_config.rules = type(campaign_config.rules)(
@@ -141,7 +143,7 @@ def test_campaign_produces_complete_result(config):
         iterations=2, slot_seconds=4.0, slot_gap_seconds=1.0,
         baseline_seconds=12.0,
     )
-    result = WebServerExperiment(campaign_config).run_campaign()
+    result = ParallelCampaign(campaign_config, workers=1).run()
     assert result.baseline is not None
     assert result.profile_mode is not None
     assert len(result.iterations) == 2
@@ -181,7 +183,7 @@ def test_dependability_metrics_relative_views():
 
 
 def test_prepared_faultload_is_idempotent(config):
-    """Regression: run_campaign prepared the faultload, then
+    """Regression: a campaign prepared the faultload, then
     run_profile_mode/run_injection prepared it *again*, re-applying
     sample()+interleave_types() and mangling the name
     (``...-sampledN-interleaved-sampledM-interleaved``)."""

@@ -144,10 +144,10 @@ def test_campaign_digest_identical_across_workers_with_reboots():
     )
     faultload = seeded_faultload(config, leak_slots=2, benign_slots=4)
 
+    config.slots_per_shard = 2
+
     def run(workers):
-        return ParallelCampaign(
-            config, workers=workers, slots_per_shard=2
-        ).run(
+        return ParallelCampaign(config, workers=workers).run(
             faultload=faultload,
             include_baseline=False, include_profile_mode=False,
         )
@@ -166,11 +166,11 @@ def test_campaign_digest_identical_across_workers_with_reboots():
 def seeded_campaign_manifest(tmp_path, **overrides):
     """The manifest of a one-worker campaign over one leaking slot and
     three benign ones, in shards of two slots."""
-    config = smoke_config(fault_sample=None, **overrides)
+    config = smoke_config(fault_sample=None, slots_per_shard=2,
+                          **overrides)
     faultload = seeded_faultload(config, leak_slots=1, benign_slots=3)
     campaign = ParallelCampaign(
-        config, workers=1, slots_per_shard=2,
-        journal_path=tmp_path / "campaign.jsonl",
+        config, workers=1, journal_path=tmp_path / "campaign.jsonl",
     )
     campaign.run(
         faultload=faultload,

@@ -71,6 +71,25 @@ def test_resume_still_rejects_foreign_campaign(tmp_path):
         _run(tmp_path, "seed", resume=True)
 
 
+def test_resume_with_another_shard_size_is_another_campaign(tmp_path):
+    """The shard size sets the shard plan and every shard seed, so a
+    journal of 2-slot shards must not resume a campaign of 4-slot ones
+    (merging them injected 4 of 8 slots)."""
+    journal_path = tmp_path / "journal.jsonl"
+
+    def run(slots_per_shard, resume):
+        ParallelCampaign(
+            tiny_config(slots_per_shard=slots_per_shard), workers=1,
+            journal_path=journal_path, resume=resume,
+        ).run(include_baseline=False, include_profile_mode=False)
+
+    run(2, resume=False)
+    before = journal_path.read_text()
+    with pytest.raises(JournalMismatch, match="different campaign"):
+        run(4, resume=True)
+    assert journal_path.read_text() == before
+
+
 def test_unreadable_shard_record_is_an_error(tmp_path):
     """A fragment today's schema cannot rebuild (e.g. written by a
     skewed fabric worker) is an error naming its line."""

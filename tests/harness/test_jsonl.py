@@ -9,7 +9,7 @@ import json
 import pytest
 
 from repro.harness.backoff import BackoffPolicy
-from repro.harness.jsonl import read_jsonl
+from repro.harness.jsonl import drop_torn_tail, read_jsonl
 
 
 # ----------------------------------------------------------------------
@@ -38,6 +38,24 @@ def test_read_jsonl_torn_interior_line_raises(tmp_path):
     path.write_text('{"a": 1}\n{"b": \n{"c": 3}\n')
     with pytest.raises(json.JSONDecodeError):
         read_jsonl(path)
+
+
+@pytest.mark.parametrize(("content", "expected"), [
+    ('{"a": 1}\n{"b": 2', '{"a": 1}\n'),
+    ('{"a": 1}\n{"b": 2}', '{"a": 1}\n{"b": 2}\n'),
+    ('{"a": 1}\n{"b": 2}\n', '{"a": 1}\n{"b": 2}\n'),
+    ('{"a"', ''),
+    ('', ''),
+], ids=["torn", "unterminated", "whole", "only-torn", "empty"])
+def test_drop_torn_tail_leaves_a_fresh_line(tmp_path, content, expected):
+    """The line read_jsonl drops is cut; a whole final record that lost
+    only its newline gets it back; anything else is left as it is."""
+    path = tmp_path / "log.jsonl"
+    path.write_text(content)
+    drop_torn_tail(path)
+    assert path.read_text() == expected
+    drop_torn_tail(tmp_path / "absent.jsonl")
+    assert not (tmp_path / "absent.jsonl").exists()
 
 
 def test_campaign_journal_shares_torn_tail_policy(tmp_path):

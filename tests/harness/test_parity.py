@@ -116,8 +116,9 @@ def run_campaign(row, cache_dir=None, journal=None, resume=False):
         iterations=2, os_codename=row.os, server_name=row.server,
         operator_specs=specs, **VARIANTS[row.variant],
     )
+    config.slots_per_shard = 2
     campaign = ParallelCampaign(
-        config, workers=row.workers, slots_per_shard=2,
+        config, workers=row.workers,
         cache_dir=cache_dir, journal_path=journal, resume=resume,
     )
     try:

@@ -208,7 +208,7 @@ def _drive(config, plan, outcome_for):
 
 
 def test_stratum_smaller_than_min_slots_stops_exhausted():
-    config = tiny_config(sequential_batch_slots=2,
+    config = tiny_config(slots_per_shard=2,
                          sequential_min_slots=8)
     plan = _synthetic_plan(num_batches=2)  # 4 slots < min 8
     controller = _drive(
@@ -220,7 +220,7 @@ def test_stratum_smaller_than_min_slots_stops_exhausted():
 
 
 def test_zero_variance_stratum_stops_at_min_slots():
-    config = tiny_config(ci_target=0.05, sequential_batch_slots=2,
+    config = tiny_config(ci_target=0.05, slots_per_shard=2,
                          sequential_min_slots=4)
     plan = _synthetic_plan(num_batches=50)
     controller = _drive(
@@ -234,7 +234,7 @@ def test_zero_variance_stratum_stops_at_min_slots():
 
 
 def test_max_slots_ceiling_stops_unconverged_stratum():
-    config = tiny_config(ci_target=1e-9, sequential_batch_slots=2,
+    config = tiny_config(ci_target=1e-9, slots_per_shard=2,
                          sequential_min_slots=4,
                          sequential_max_slots=6)
     plan = _synthetic_plan(num_batches=50)
@@ -249,7 +249,7 @@ def test_max_slots_ceiling_stops_unconverged_stratum():
 
 
 def test_quarantined_batch_stops_stratum():
-    config = tiny_config(sequential_batch_slots=2,
+    config = tiny_config(slots_per_shard=2,
                          sequential_min_slots=4)
     plan = _synthetic_plan(num_batches=10)
 
@@ -266,7 +266,7 @@ def test_quarantined_batch_stops_stratum():
 
 
 def test_controller_summary_shape():
-    config = tiny_config(ci_target=0.05, sequential_batch_slots=2,
+    config = tiny_config(ci_target=0.05, slots_per_shard=2,
                          sequential_min_slots=4)
     plan = _synthetic_plan(num_batches=10)
     controller = _drive(
@@ -350,7 +350,7 @@ def test_sequential_schedule_is_in_campaign_key():
     for attribute, value in (
         ("ci_target", 0.25),
         ("ci_confidence", 0.9),
-        ("sequential_batch_slots", 3),
+        ("slots_per_shard", 3),
         ("sequential_min_slots", 9),
         ("sequential_max_slots", 12),
         ("sequential", False),
@@ -362,7 +362,7 @@ def test_sequential_schedule_is_in_campaign_key():
 
 def test_sequential_executes_a_subset_and_reports_savings(tmp_path):
     config = tiny_config(fault_sample=48, sequential=True, ci_target=0.8,
-                         sequential_batch_slots=2,
+                         slots_per_shard=2,
                          sequential_min_slots=4)
     result, manifest = _run_sequential(config, tmp_path, "save")
     block = manifest.sequential

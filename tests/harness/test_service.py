@@ -88,6 +88,7 @@ def test_spec_accepts_underscores_and_faults_zero():
     ({"fabric-loopback": 0}, "unknown spec key"),
     ({"no-snapshot-epochs": True}, "unknown spec key"),
     ({"no-track-activation": True}, "unknown spec key"),
+    ({"batch-size": 4}, "unknown spec key"),
 ])
 def test_spec_rejections(spec, fragment):
     with pytest.raises(SpecError, match=re.escape(fragment)):
@@ -145,6 +146,31 @@ def test_queue_tolerates_torn_final_line(tmp_path):
     replayed = SpecQueue(path, capacity=4)
     assert replayed.get(entry.id).state == "running"  # torn line dropped
     replayed.close()
+
+
+def test_queue_submission_after_a_torn_final_line_survives(tmp_path):
+    """Reopening the queue cuts a torn final record off, so the next
+    acknowledged submission is a line of its own: it outlives the next
+    restart, and the queue still opens after one more submission."""
+    path = tmp_path / "queue.jsonl"
+    queue = SpecQueue(path, capacity=8)
+    a = queue.submit({"a": 1})
+    queue.mark(a.id, "running")
+    queue.close()
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n"
+                    + lines[-1][: len(lines[-1]) // 2])
+    queue = SpecQueue(path, capacity=8)
+    b = queue.submit({"b": 2})
+    queue.close()
+    queue = SpecQueue(path, capacity=8)
+    assert queue.get(b.id) is not None
+    c = queue.submit({"c": 3})
+    queue.close()
+    queue = SpecQueue(path, capacity=8)
+    assert [entry.id for entry in queue.in_order()] == [a.id, b.id, c.id]
+    assert queue.get(a.id).state == "queued"  # its torn record dropped
+    queue.close()
 
 
 def test_queue_torn_interior_line_raises(tmp_path):

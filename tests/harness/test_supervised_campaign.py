@@ -74,9 +74,9 @@ def iterations_equal(a, b):
 # The acceptance scenario
 # ----------------------------------------------------------------------
 def test_crash_and_hang_complete_degraded_with_exact_quarantine(tmp_path):
-    config = tiny_config()
+    config = tiny_config(slots_per_shard=2)
     campaign = SabotagedCampaign(
-        config, workers=2, slots_per_shard=2,
+        config, workers=2,
         plan={1: "crash", 2: "hang"},
         shard_timeout=3.0, max_retries=0,
         manifest_path=tmp_path / "run.manifest.json",
@@ -129,13 +129,13 @@ def test_crash_and_hang_complete_degraded_with_exact_quarantine(tmp_path):
 
 
 def test_transient_crash_retries_and_stays_bit_identical(tmp_path):
-    config = tiny_config()
-    clean = ParallelCampaign(config, workers=1, slots_per_shard=2)
+    config = tiny_config(slots_per_shard=2)
+    clean = ParallelCampaign(config, workers=1)
     clean_result = clean.run(
         include_baseline=False, include_profile_mode=False
     )
     supervised = SabotagedCampaign(
-        tiny_config(), workers=2, slots_per_shard=2,
+        tiny_config(slots_per_shard=2), workers=2,
         plan={0: "crash_once"}, marker_dir=tmp_path,
         manifest_path=tmp_path / "run.manifest.json",
     )
@@ -170,10 +170,10 @@ def test_quarantined_shards_are_not_journalled_and_resume_retries(
     """A quarantined shard's slots stay missing from the journal, so a
     resumed run (with the fault fixed) completes them and converges on
     the clean result."""
-    config = tiny_config()
+    config = tiny_config(slots_per_shard=2)
     journal = tmp_path / "campaign.jsonl"
     degraded = SabotagedCampaign(
-        config, workers=2, slots_per_shard=2, plan={1: "crash"},
+        config, workers=2, plan={1: "crash"},
         max_retries=0, journal_path=journal,
     )
     first = degraded.run(
@@ -182,7 +182,7 @@ def test_quarantined_shards_are_not_journalled_and_resume_retries(
     assert first.degraded
     # Resume with a healthy task: only the quarantined shard reruns.
     healed = SabotagedCampaign(
-        tiny_config(), workers=2, slots_per_shard=2, plan={},
+        tiny_config(slots_per_shard=2), workers=2, plan={},
         journal_path=journal, resume=True,
     )
     second = healed.run(
@@ -190,6 +190,6 @@ def test_quarantined_shards_are_not_journalled_and_resume_retries(
     )
     assert not second.degraded
     clean = ParallelCampaign(
-        tiny_config(), workers=1, slots_per_shard=2
+        tiny_config(slots_per_shard=2), workers=1
     ).run(include_baseline=False, include_profile_mode=False)
     iterations_equal(second.iterations[0], clean.iterations[0])

@@ -75,6 +75,21 @@ def test_read_telemetry_drops_torn_final_line(tmp_path):
     ]
 
 
+def test_reopened_stream_after_torn_final_line_stays_readable(tmp_path):
+    """A writer reopening the stream cuts the torn line off, so its
+    events are not glued onto it (and lost, then unreadable)."""
+    path = tmp_path / "telemetry.jsonl"
+    with TelemetryWriter(path) as telemetry:
+        telemetry.emit("whole")
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"seq": 2, "event": "to')  # killed mid-append
+    with TelemetryWriter(path) as telemetry:
+        telemetry.emit("after")
+    assert [event["event"] for event in read_telemetry(path)] == [
+        "telemetry_open", "whole", "telemetry_open", "after",
+    ]
+
+
 def test_emit_is_one_complete_write(tmp_path):
     """Regression: emit() used to issue several handle.write() calls per
     event, so a crash mid-emit could tear a line in the middle of the

@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _campaign_config, build_parser, main
 
 
 def test_parser_requires_subcommand():
@@ -10,13 +12,16 @@ def test_parser_requires_subcommand():
         build_parser().parse_args([])
 
 
-def test_parser_knows_all_subcommands():
+def test_parser_knows_all_subcommands(capsys):
     parser = build_parser()
-    for command in ("scan", "profile", "faultload", "run", "tables"):
-        args = parser.parse_args(
-            [command] if command != "run" else ["run"]
-        )
+    for command in ("scan", "profile", "faultload", "campaign", "tables"):
+        args = parser.parse_args([command])
         assert args.command == command
+    # One campaign engine: the unsharded ``run`` subcommand is gone.
+    with pytest.raises(SystemExit) as excinfo:
+        parser.parse_args(["run"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'run'" in capsys.readouterr().err
 
 
 def test_scan_command_prints_counts(capsys):
@@ -39,13 +44,6 @@ def test_scan_command_writes_faultload(tmp_path, capsys):
 def test_invalid_os_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["scan", "--os", "win95"])
-
-
-def test_run_defaults():
-    args = build_parser().parse_args(["run"])
-    assert args.server == "apache"
-    assert args.faults == 96
-    assert args.connections == 16
 
 
 def test_campaign_supervision_defaults():
@@ -114,14 +112,11 @@ def test_campaign_backend_defaults():
 def test_campaign_rejects_unknown_backend():
     """There is one multi-worker backend: the flags that chose between
     two are parse errors.  So are the removed switches for epoch
-    snapshots and activation probes, on both ``run`` and ``campaign``."""
-    for argv in (["--backend", "fabric"], ["--fabric-loopback", "2"]):
+    snapshots and activation probes."""
+    for argv in (["--backend", "fabric"], ["--fabric-loopback", "2"],
+                 ["--no-snapshot-epochs"], ["--no-track-activation"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", *argv])
-    for command in ("run", "campaign"):
-        for flag in ("--no-snapshot-epochs", "--no-track-activation"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args([command, flag])
 
 
 def test_campaign_resume_of_another_campaigns_journal_exits_2(
@@ -197,3 +192,34 @@ def test_campaign_fabric_backend_end_to_end(tmp_path, capsys):
     assert payload["fabric"]["backend"] == "fabric"
     assert payload["fabric"]["results"] >= 1
     assert len(payload["metrics_digest"]) == 64
+
+
+def test_tables_command_prints_tables_1_3_and_5(capsys):
+    assert main(["tables", "--faults", "4", "--connections", "4"]) == 0
+    out = capsys.readouterr().out
+    for title in ("Table 1", "Table 3", "Table 5"):
+        assert title in out
+    # Every Table 5 row is a campaign with its metrics digest.
+    digests = out.split("metrics digests:\n")[1].split()
+    assert digests[0::2] == ["nt50/apache:", "nt50/abyss:",
+                             "nt51/apache:", "nt51/abyss:"]
+    assert all(len(digest) == 64 for digest in digests[1::2])
+
+
+@pytest.mark.parametrize("os_codename", ["nt50", "nt51"])
+@pytest.mark.parametrize("server", ["apache", "abyss"])
+def test_experiments_command_lines_build_the_bench_config(
+        monkeypatch, os_codename, server):
+    """EXPERIMENTS.md gives each measured Table 5 row as a ``repro
+    campaign`` command line; it must run the very campaign the paper
+    benches run, so its digest is the row's."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "benchmarks")
+    )
+    from _bench_common import bench_config
+
+    args = build_parser().parse_args([
+        "campaign", "--server", server, "--os", os_codename,
+        "--faults", "72", "--connections", "12", "--seed", "2004",
+    ])
+    assert _campaign_config(args) == bench_config(server, os_codename)

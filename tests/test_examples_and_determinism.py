@@ -33,9 +33,11 @@ def test_custom_faultload_example_runs():
 
 @pytest.mark.slow
 def test_cli_run_command_small():
+    """A CLI campaign with its baseline and profile-mode phases prints
+    Table 5 and the dependability metrics."""
     result = subprocess.run(
-        [sys.executable, "-m", "repro", "run", "--server", "abyss",
-         "--faults", "8", "--connections", "6"],
+        [sys.executable, "-m", "repro", "campaign", "--server", "abyss",
+         "--faults", "8", "--connections", "6", "--workers", "1"],
         capture_output=True, text=True, timeout=300, check=False,
     )
     assert result.returncode == 0, result.stderr
