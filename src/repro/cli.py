@@ -9,8 +9,6 @@ Subcommands mirror the methodology's steps and the paper's exhibits:
   and run across worker processes, with scan caching and
   checkpoint/resume; each shard's machine is seeded from (``--seed``,
   shard index), so the numbers are the same for any worker count
-* ``serve``     — campaign-as-a-service: accept specs over HTTP into a
-  durable queue, run them with crash-safe recovery
 * ``tables``    — regenerate Tables 1, 3 and 5 at scaled cost, each
   Table 5 row a campaign with its metrics digest
 """
@@ -271,11 +269,7 @@ def _validate_campaign_args(args):
 
 def _campaign_config(args):
     """Build the :class:`ExperimentConfig` a ``campaign`` invocation
-    describes.  The service daemon calls this with the same namespace a
-    CLI parse would produce, so a spec submitted over HTTP yields the
-    same campaign key — and the same metrics digest — as the equivalent
-    command line, by construction rather than by parallel maintenance.
-    """
+    describes."""
     config = _make_config(
         args, fault_sample=args.faults, connections=args.connections
     )
@@ -296,26 +290,6 @@ def _campaign_config(args):
     return config
 
 
-def _campaign_kwargs(args):
-    """ParallelCampaign keyword arguments for a ``campaign`` namespace
-    (shared with the service daemon, like :func:`_campaign_config`)."""
-    fabric_listen = None
-    if args.fabric_listen is not None:
-        from repro.harness.fabric.protocol import parse_address
-        fabric_listen = parse_address(args.fabric_listen)
-    return {
-        "workers": args.workers,
-        "journal_path": args.journal,
-        "resume": args.resume,
-        "cache_dir": args.cache_dir,
-        "shard_timeout": args.shard_timeout,
-        "max_retries": args.max_retries,
-        "telemetry_path": args.telemetry,
-        "manifest_path": args.manifest,
-        "fabric_listen": fabric_listen,
-    }
-
-
 def _cmd_campaign(args):
     from repro.harness.campaign import JournalMismatch, ParallelCampaign
 
@@ -324,7 +298,22 @@ def _cmd_campaign(args):
         print(error, file=sys.stderr)
         return 2
     config = _campaign_config(args)
-    campaign = ParallelCampaign(config, **_campaign_kwargs(args))
+    fabric_listen = None
+    if args.fabric_listen is not None:
+        from repro.harness.fabric.protocol import parse_address
+        fabric_listen = parse_address(args.fabric_listen)
+    campaign = ParallelCampaign(
+        config,
+        workers=args.workers,
+        journal_path=args.journal,
+        resume=args.resume,
+        cache_dir=args.cache_dir,
+        shard_timeout=args.shard_timeout,
+        max_retries=args.max_retries,
+        telemetry_path=args.telemetry,
+        manifest_path=args.manifest,
+        fabric_listen=fabric_listen,
+    )
     try:
         result = campaign.run(
             include_baseline=not args.no_baseline,
@@ -462,12 +451,6 @@ def _cmd_campaign_worker(args):
     return 0
 
 
-def _cmd_serve(args):
-    from repro.harness.service import serve
-
-    return serve(args)
-
-
 def _cmd_oltp(args):
     from repro.oltp import OltpExperiment
     from repro.reporting.tables import TableBuilder
@@ -510,10 +493,15 @@ def _cmd_tables(args):
 
     print(table1_fault_types().render())
     print()
+    # Table 3 is the fine-tuned faultload of each build, profiled as the
+    # Table 3 bench profiles it.
     faultloads = {}
     for codename in sorted(ALL_BUILDS):
-        build = get_build(codename)
-        faultloads[build.display_name] = scan_build(build)
+        config = _make_config(args, connections=args.connections)
+        config.os_codename = codename
+        faultloads[get_build(codename).display_name] = FaultloadPipeline(
+            config, profile_seconds=15.0
+        ).run()
     print(table3_faultload_details(faultloads).render())
     print()
     results = {}
@@ -704,48 +692,6 @@ def build_parser():
              "(default: 0 — die on first loss)",
     )
     worker.set_defaults(func=_cmd_campaign_worker)
-
-    serve = subparsers.add_parser(
-        "serve",
-        help="run the campaign service daemon: accept campaign specs "
-             "over HTTP, queue them durably, run them through the "
-             "campaign engine with crash-safe recovery",
-    )
-    serve.add_argument(
-        "--home", required=True,
-        help="service state directory (spec queue, per-campaign "
-             "journals, exports); restarting with the same --home "
-             "resumes interrupted work",
-    )
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="HTTP bind address (default: 127.0.0.1)")
-    serve.add_argument(
-        "--port", type=int, default=0,
-        help="HTTP port (default: 0 — pick an ephemeral port and "
-             "print it)",
-    )
-    serve.add_argument(
-        "--queue-capacity", type=int, default=16, metavar="N",
-        help="admission control: queued + running campaigns beyond "
-             "this are shed with a retryable 429 (default: 16)",
-    )
-    serve.add_argument(
-        "--campaign-budget", type=float, default=None, metavar="SECONDS",
-        help="per-campaign wall-clock budget; a campaign past it is "
-             "interrupted at the next shard-round boundary and marked "
-             "failed (default: unlimited)",
-    )
-    serve.add_argument(
-        "--retry-after", type=float, default=5.0, metavar="SECONDS",
-        help="Retry-After hint returned with shed submissions "
-             "(default: 5)",
-    )
-    serve.add_argument(
-        "--max-attempts", type=int, default=3, metavar="N",
-        help="runs a campaign may fail before it is abandoned "
-             "(default: 3; retries back off exponentially)",
-    )
-    serve.set_defaults(func=_cmd_serve)
 
     oltp = subparsers.add_parser(
         "oltp", help="the OLTP case study (walnut vs breezy)"

@@ -72,7 +72,9 @@ class ExtendedFaultCampaign:
             injector.restore(fault)
             machine.client.pause()
             machine.run_for(rules.slot_gap_seconds)
-            watchdog.check_now()
+            # The fault is reverted: grant an exhausted restart budget a
+            # fresh attempt, as the software campaign's slot gap does.
+            watchdog.check_now(retry_exhausted=True)
             machine.client.resume()
             after = (watchdog.mis, watchdog.kns, watchdog.kcp)
             windows_by_class.setdefault(fault_class, []).append(

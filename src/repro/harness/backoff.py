@@ -1,8 +1,6 @@
 """Exponential backoff with deterministic jitter.
 
-Every place the campaign stack talks to something that can transiently
-fail — a fabric worker redialling its coordinator, the service daemon
-retrying a failed campaign attempt — retries on the same policy:
+A fabric worker redialling its coordinator retries on this policy:
 exponential growth from a base delay, a hard ceiling, and a jitter term
 that spreads simultaneous retriers apart so they do not reconverge on
 the exact same instant (the classic thundering-herd failure of

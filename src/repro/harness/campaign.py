@@ -75,7 +75,6 @@ from repro.harness.supervisor import (
     DEFAULT_MAX_POOL_REBUILDS,
     DEFAULT_MAX_RETRIES,
     ShardSupervisor,
-    SupervisionInterrupted,
     SupervisionReport,
 )
 from repro.harness.telemetry import (
@@ -90,7 +89,6 @@ from repro.sim.rng import derive_seed
 from repro.specweb.metrics import MetricsPartial, SpecWebMetrics
 
 __all__ = [
-    "CampaignInterrupted",
     "CampaignJournal",
     "CampaignShard",
     "JournalMismatch",
@@ -102,26 +100,6 @@ __all__ = [
     "plan_shards",
     "run_shard",
 ]
-
-
-class CampaignInterrupted(RuntimeError):
-    """A campaign stopped early at a shard boundary (drain or budget).
-
-    Every unit completed before the stop is in the journal, so a later
-    run with ``resume=True`` replays them and finishes the campaign with
-    a ``metrics_digest`` identical to an uninterrupted run — this is the
-    contract the service daemon's graceful drain and wall-clock budget
-    are built on.
-    """
-
-    def __init__(self, campaign_key, completed, remaining):
-        super().__init__(
-            f"campaign interrupted: {completed} shard(s) journaled, "
-            f"{remaining} not run"
-        )
-        self.campaign_key = campaign_key
-        self.completed = completed
-        self.remaining = remaining
 
 
 class JournalMismatch(ValueError):
@@ -345,9 +323,9 @@ class CampaignJournal:
         of another version or with a shard record today's classes cannot
         rebuild — replaying either could change the digest."""
         journal = cls(path)
-        # The shared torn-tail reader (also behind the telemetry reader
-        # and the service's spec queue): a torn final line reruns its
-        # unit, a torn interior line means real corruption and raises.
+        # The shared torn-tail reader (also behind the telemetry
+        # reader): a torn final line reruns its unit, a torn interior
+        # line means real corruption and raises.
         for lineno, entry in read_jsonl(journal.path):
             kind = entry.get("kind")
             if kind == "header":
@@ -488,7 +466,7 @@ class ParallelCampaign:
                  max_retries=DEFAULT_MAX_RETRIES,
                  max_pool_rebuilds=DEFAULT_MAX_POOL_REBUILDS,
                  telemetry_path=None, manifest_path=None,
-                 fabric_listen=None, stop_event=None):
+                 fabric_listen=None):
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < (0 if fabric_listen is not None else 1):
@@ -512,10 +490,6 @@ class ParallelCampaign:
         self.shard_timeout = shard_timeout
         self.max_retries = max_retries
         self.max_pool_rebuilds = max_pool_rebuilds
-        # Cooperative interruption: when this threading.Event is set the
-        # campaign finishes the in-flight shard round, journals it, and
-        # raises CampaignInterrupted instead of completing.
-        self.stop_event = stop_event
         if journal_path is not None:
             journal = Path(journal_path)
             if telemetry_path is None:
@@ -826,9 +800,7 @@ class ParallelCampaign:
             max_pool_rebuilds=self.max_pool_rebuilds,
             telemetry=telemetry,
             backend_factory=self._backend_factory(),
-            stop_event=self.stop_event,
         )
-        fabric = None
         sequential_iterations = []
         try:
             for iteration in range(1, self.config.rules.iterations + 1):
@@ -869,28 +841,8 @@ class ParallelCampaign:
                     ),
                 )
             fabric = supervisor.backend_stats()
-        except SupervisionInterrupted as interrupted:
-            # Drain or budget stop: everything completed is in the
-            # journal, so a later resume finishes with the digest of an
-            # uninterrupted run.  Leave a marker in the telemetry and
-            # surface the stop as CampaignInterrupted.
-            completed = len(journal.shards) if journal is not None else (
-                len(interrupted.report.outcomes)
-            )
-            telemetry.emit(
-                "campaign_interrupted",
-                campaign_key=key,
-                completed=completed,
-                remaining=interrupted.remaining,
-            )
-            telemetry.close()
-            raise CampaignInterrupted(
-                key, completed, interrupted.remaining
-            ) from interrupted
         finally:
             supervisor.close()
-        if fabric is None:
-            fabric = supervisor.backend_stats()
         result.quarantine = supervision["quarantined"]
         result.degraded = bool(result.quarantine)
         supervision["degraded"] = result.degraded

@@ -1,20 +1,18 @@
 """Torn-tail-tolerant JSONL logs, shared by every durable log.
 
-Three append-only JSONL files carry campaign state across a crash: the
-campaign journal, the telemetry stream, and (since the service daemon)
-the spec queue.  All three are written the same way — one buffered
-``write`` per record, newline included, flushed (and for the journal
-and queue, fsynced) before the writer moves on — so all three share the
-same failure geometry: a process killed mid-append can tear **at most
-the final line**.  A torn line anywhere *else* is not a crash artifact,
-it is real corruption (a seeked writer, a concurrent editor, bit rot),
-and silently skipping it would hide lost state.
+Two append-only JSONL files carry campaign state across a crash: the
+campaign journal and the telemetry stream.  Both are written the same
+way — one buffered ``write`` per record, newline included, flushed (and
+for the journal, fsynced) before the writer moves on — so both share
+the same failure geometry: a process killed mid-append can tear **at
+most the final line**.  A torn line anywhere *else* is not a crash
+artifact, it is real corruption (a seeked writer, a concurrent editor,
+bit rot), and silently skipping it would hide lost state.
 
 :func:`read_jsonl` is the one reader implementing that policy, so the
-journal, the telemetry reader, and the service's spec queue cannot
-drift apart on it.  A torn final line is dropped (the unit it described
-simply reruns on resume); a torn interior line raises the original
-:class:`json.JSONDecodeError`.
+journal and the telemetry reader cannot drift apart on it.  A torn
+final line is dropped (the unit it described simply reruns on resume);
+a torn interior line raises the original :class:`json.JSONDecodeError`.
 
 A writer that reopens a log calls :func:`drop_torn_tail` first, which
 cuts the line the reader drops off the file.  Otherwise the writer's

@@ -55,34 +55,11 @@ from repro.harness.telemetry import NullTelemetry
 __all__ = [
     "QuarantinedShard",
     "ShardSupervisor",
-    "SupervisionInterrupted",
     "SupervisionReport",
 ]
 
 DEFAULT_MAX_RETRIES = 2
 DEFAULT_MAX_POOL_REBUILDS = 3
-
-
-class SupervisionInterrupted(RuntimeError):
-    """A supervised pass stopped early at a shard boundary.
-
-    Raised when the supervisor's ``stop_event`` is set: every shard no
-    worker has started is withdrawn, every running shard is allowed to
-    finish (and is reported through ``on_outcome``, so the campaign
-    journal has it), and then this is raised instead of returning a
-    report.  ``report`` carries everything that completed before the
-    stop; ``remaining`` is the number of shards that never ran.  This is
-    what lets the service daemon drain gracefully — finish the running
-    shards, persist state, refuse new work — and enforce per-campaign
-    wall-clock budgets without killing workers mid-slot.
-    """
-
-    def __init__(self, report, remaining):
-        super().__init__(
-            f"supervision interrupted with {remaining} shard(s) not run"
-        )
-        self.report = report
-        self.remaining = remaining
 
 
 @dataclass(frozen=True)
@@ -149,7 +126,7 @@ class ShardSupervisor:
                  max_retries=DEFAULT_MAX_RETRIES,
                  max_pool_rebuilds=DEFAULT_MAX_POOL_REBUILDS,
                  poll_seconds=0.05, telemetry=None,
-                 backend_factory=None, stop_event=None):
+                 backend_factory=None):
         if shard_timeout is not None and shard_timeout <= 0:
             raise ValueError("shard_timeout must be positive (or None)")
         if max_retries < 0:
@@ -160,11 +137,6 @@ class ShardSupervisor:
         self.max_pool_rebuilds = max_pool_rebuilds
         self.poll_seconds = poll_seconds
         self.telemetry = telemetry if telemetry is not None else NullTelemetry()
-        # Cooperative interruption (graceful drain / wall-clock budget):
-        # when set, unstarted shards are withdrawn, running shards
-        # finish and are journaled, then run() raises
-        # SupervisionInterrupted.
-        self.stop_event = stop_event
         self._backend_factory = backend_factory
         self._backend = None
         self._last_stats = None
@@ -217,9 +189,7 @@ class ShardSupervisor:
         Returns a :class:`SupervisionReport`; completed outcomes are in
         ``report.outcomes`` keyed by shard index, and ``on_outcome`` (if
         given) is called in the parent as each one lands — the campaign
-        journals through it.  The only exception a caller sees is
-        :class:`SupervisionInterrupted`, raised after the running
-        shards finish when ``stop_event`` is set.
+        journals through it.
         """
         report = SupervisionReport()
         shards = list(shards)
@@ -236,31 +206,18 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     # Fabric mode
     # ------------------------------------------------------------------
-    def _stopped(self):
-        return self.stop_event is not None and self.stop_event.is_set()
-
-    def _interrupt(self, report, remaining):
-        self.telemetry.emit(
-            "supervision_interrupted", remaining=remaining,
-            completed=len(report.outcomes),
-        )
-        raise SupervisionInterrupted(report, remaining)
-
     def _run_backend(self, shards, task, report, on_outcome):
         backend = self._ensure_backend()
         pending = deque(_Attempt(shard) for shard in shards)
         inflight = {}
         while pending or inflight:
-            stopped = self._stopped()
-            if stopped or report.pool_rebuilds > self.max_pool_rebuilds:
-                # Graceful stop, or the workers keep dying under us:
-                # take back every shard no worker has started, so only
-                # the assigned ones finish (journaled via on_outcome).
+            if report.pool_rebuilds > self.max_pool_rebuilds:
+                # The workers keep dying under us: take back every shard
+                # no worker has started, so only the assigned ones
+                # finish (journaled via on_outcome).
                 self._apply_events(backend.withdraw(), pending, inflight,
                                    report, on_outcome)
                 if not inflight:
-                    if stopped:
-                        self._interrupt(report, len(pending))
                     report.serial_fallback = True
                     self.telemetry.emit(
                         "serial_fallback",
@@ -316,8 +273,6 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     def _run_serial(self, queue, task, report, on_outcome):
         while queue:
-            if self._stopped():
-                self._interrupt(report, len(queue))
             attempt = queue.popleft()
             started = time.monotonic()
             try:

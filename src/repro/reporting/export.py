@@ -19,7 +19,6 @@ from repro.reporting.tables import TableBuilder
 __all__ = [
     "export_campaign",
     "export_faultload_summary",
-    "load_campaign_report",
 ]
 
 
@@ -156,28 +155,6 @@ def export_campaign(result, directory, config=None, manifest=None,
         shutil.copyfile(telemetry_path, telemetry_copy)
         written.append(telemetry_copy)
     return written
-
-
-def load_campaign_report(directory):
-    """Read an :func:`export_campaign` directory back as one document.
-
-    Combines ``campaign.json`` with the run manifest (when present), so
-    a consumer — the service daemon's ``/report`` endpoint, a results
-    dashboard — gets the metrics *and* the identity that certifies them
-    (campaign key, metrics digest) in a single JSON object.  Raises
-    :class:`FileNotFoundError` when the directory holds no export.
-    """
-    directory = Path(directory)
-    campaign_path = directory / "campaign.json"
-    if not campaign_path.exists():
-        raise FileNotFoundError(f"no campaign export in {directory}")
-    report = json.loads(campaign_path.read_text(encoding="utf-8"))
-    manifest_path = directory / "run_manifest.json"
-    if manifest_path.exists():
-        report["manifest"] = json.loads(
-            manifest_path.read_text(encoding="utf-8")
-        )
-    return report
 
 
 def export_faultload_summary(faultload, directory):

@@ -1,5 +1,7 @@
 """Edge cases for the state-fault injector and campaign."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.extensions.experiment import ExtendedFaultCampaign
@@ -12,6 +14,7 @@ from repro.extensions.statefaults import (
 )
 from repro.harness.config import ExperimentConfig
 from repro.harness.machine import ServerMachine
+from tests.harness.configs import tiny_config
 
 
 @pytest.fixture
@@ -94,3 +97,39 @@ def test_injection_count_tracked(machine):
     with injector.injected(DiskReadErrorBurst()):
         pass
     assert injector.injection_count == 2
+
+
+class _ConfigRemovalAndKill(StateFault):
+    """Deletes the server's config file and kills the server: every
+    restart fails until the revert puts the file back."""
+
+    name = "config-removal-and-kill"
+    fault_class = "operator"
+
+    def apply(self, machine):
+        info = ConfigFileRemoval().apply(machine)
+        machine.runtime.kill()
+        return info
+
+    def revert(self, machine, info):
+        ConfigFileRemoval().revert(machine, info)
+
+
+def test_slot_gap_rearms_an_exhausted_restart_budget():
+    """A state fault that uses up the watchdog's restart budget must not
+    leave the server dead for the slots after it: once the fault is
+    reverted, the slot gap grants a fresh attempt, as the software
+    campaign's gap does."""
+    config = tiny_config()
+    # An 8 s slot gives the 1 s watchdog poll all of its restart
+    # attempts, so the budget runs out inside the slot.
+    config.rules = replace(config.rules, slot_seconds=8.0)
+    campaign = ExtendedFaultCampaign(config, faults=[
+        _ConfigRemovalAndKill(),
+        DiskReadErrorBurst(period=10**9),
+        DiskReadErrorBurst(period=10**9),
+    ])
+    results = campaign.run()
+    hardware = results["hardware"].metrics
+    assert hardware.er_percent < 100.0
+    assert hardware.spc > 0

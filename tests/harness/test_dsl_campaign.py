@@ -1,7 +1,7 @@
 """Operator specs through the campaign stack (tier-1).
 
-``operator_specs`` in the campaign key, in service specs, and the CLI's
-rc-2 validation path.
+``operator_specs`` in the campaign key and the CLI's rc-2 validation
+path.
 """
 
 import json
@@ -34,49 +34,6 @@ def test_campaign_key_sensitive_to_operator_specs(dsl_registry):
     base_key = campaign_key(config, faultload)
     config.operator_specs = (builtin_spec("MVI"),)
     assert campaign_key(config, faultload) != base_key
-
-
-def test_service_spec_accepts_operator_specs_list(tmp_path):
-    from repro.harness.service.spec import namespace_from_spec
-
-    paths = []
-    for name in ("MVI", "WLEC"):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(builtin_spec(name)))
-        paths.append(path)
-    args = namespace_from_spec({
-        "server": "apache",
-        "faults": 8,
-        "operator_specs": [str(path) for path in paths],
-    })
-    assert args.operator_specs == [str(path) for path in paths]
-
-
-def test_service_spec_rejects_bad_spec_file(tmp_path):
-    from repro.harness.service.spec import SpecError, namespace_from_spec
-
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "fault_type": "MVI",
-        "replaces": True,
-        "pattern": {"node_types": ["Assgn"]},
-        "mutation": {"kind": "delete-node"},
-    }))
-    with pytest.raises(SpecError, match=r"\$\.pattern\.node_types\[0\]"):
-        namespace_from_spec({
-            "server": "apache",
-            "operator_specs": [str(bad)],
-        })
-
-
-def test_service_spec_rejects_non_scalar_list_items():
-    from repro.harness.service.spec import SpecError, namespace_from_spec
-
-    with pytest.raises(SpecError, match="must be scalars"):
-        namespace_from_spec({
-            "server": "apache",
-            "operator_specs": [{"nested": "object"}],
-        })
 
 
 def test_cli_campaign_rejects_malformed_spec_rc2(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Tier-1 tests for the shared JSONL torn-tail reader and the backoff
 policy — the two small robustness primitives under the campaign
-journal, the telemetry reader, the service spec queue, and every
-reconnect/retry loop.
+journal, the telemetry reader, and the fabric worker's reconnect loop.
 """
 
 import json
@@ -61,7 +60,7 @@ def test_drop_torn_tail_leaves_a_fresh_line(tmp_path, content, expected):
 def test_campaign_journal_shares_torn_tail_policy(tmp_path):
     """Regression for the shared reader: CampaignJournal.load must
     tolerate a torn final line (rerunning that unit) exactly as the
-    service spec queue does."""
+    telemetry reader does."""
     from repro.harness.campaign import JOURNAL_VERSION, CampaignJournal
 
     path = tmp_path / "journal.jsonl"

@@ -12,7 +12,6 @@ shards run on the default backend: two loopback fabric workers.
 
 import os
 import signal
-import threading
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -22,7 +21,7 @@ import pytest
 
 from repro.harness.campaign import CampaignShard
 from repro.harness.fabric.backend import CHAOS_KILL_ENV
-from repro.harness.supervisor import ShardSupervisor, SupervisionInterrupted
+from repro.harness.supervisor import ShardSupervisor
 from repro.harness.telemetry import TelemetryWriter, read_telemetry
 
 
@@ -263,23 +262,6 @@ def test_chaos_killed_loopback_worker_is_replaced_once(tmp_path,
     assert report.retries == 1
     assert report.pool_rebuilds == 1
     assert stats["worker_deaths"] == 1
-
-
-# ----------------------------------------------------------------------
-# Graceful stop: unstarted shards are withdrawn, running ones finish
-# ----------------------------------------------------------------------
-def test_stop_withdraws_shards_no_worker_has_started(tmp_path):
-    stop = threading.Event()
-    shards = [make_shard(i, "slow") for i in range(12)]
-    with ShardSupervisor(workers=2, poll_seconds=0.02,
-                         stop_event=stop) as supervisor:
-        with pytest.raises(SupervisionInterrupted) as interrupted:
-            supervisor.run(shards, partial(_behave, str(tmp_path)),
-                           on_outcome=lambda _outcome: stop.set())
-    completed = len(interrupted.value.report.outcomes)
-    assert completed >= 1
-    assert completed + interrupted.value.remaining == 12
-    assert interrupted.value.remaining >= 6
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.cli import _campaign_config, build_parser, main
+from repro.harness.jsonl import read_jsonl
 
 
 def test_parser_requires_subcommand():
@@ -17,11 +24,13 @@ def test_parser_knows_all_subcommands(capsys):
     for command in ("scan", "profile", "faultload", "campaign", "tables"):
         args = parser.parse_args([command])
         assert args.command == command
-    # One campaign engine: the unsharded ``run`` subcommand is gone.
-    with pytest.raises(SystemExit) as excinfo:
-        parser.parse_args(["run"])
-    assert excinfo.value.code == 2
-    assert "invalid choice: 'run'" in capsys.readouterr().err
+    # One campaign engine: the unsharded ``run`` subcommand is gone, and
+    # so is the campaign service daemon ``serve``.
+    for retired in ("run", "serve"):
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args([retired])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{retired}'" in capsys.readouterr().err
 
 
 def test_scan_command_prints_counts(capsys):
@@ -66,8 +75,6 @@ def test_campaign_command_writes_manifest(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "metrics digest:" in out
-    import json
-
     payload = json.loads(manifest_path.read_text())
     assert payload["workers"] == 1
     assert payload["supervision"]["degraded"] is False
@@ -145,8 +152,6 @@ def test_campaign_resume_of_another_versions_journal_exits_2(
     ]
     assert main(argv) == 0
     capsys.readouterr()
-    import json
-
     lines = journal.read_text().splitlines()
     header = json.loads(lines[0])
     header["version"] -= 1
@@ -186,12 +191,101 @@ def test_campaign_fabric_backend_end_to_end(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "metrics digest:" in out
     assert "fabric:" in out
-    import json
-
     payload = json.loads(manifest_path.read_text())
     assert payload["fabric"]["backend"] == "fabric"
     assert payload["fabric"]["results"] >= 1
     assert len(payload["metrics_digest"]) == 64
+
+
+#: Three shards of two slots, three iterations: nine journal units that
+#: two loopback workers finish in a few seconds.
+SIGKILL_CAMPAIGN = [
+    "campaign", "--os", "nt51", "--server", "apache", "--faults", "6",
+    "--connections", "2", "--seed", "2004", "--workers", "2",
+    "--slots-per-shard", "2", "--no-baseline", "--no-profile",
+]
+
+
+def _await(predicate, deadline, message):
+    end = time.monotonic() + deadline
+    while time.monotonic() < end:
+        if predicate():
+            return
+        time.sleep(0.005)
+    raise AssertionError(f"timed out waiting for {message}")
+
+
+def _journal_units(journal):
+    """The (iteration, shard) key of every shard record, in file order
+    (the reader drops a final line the campaign is still appending)."""
+    return [(entry["iteration"], entry["shard"])
+            for _lineno, entry in read_jsonl(journal)
+            if entry["kind"] == "shard"]
+
+
+def _group_gone(pgid):
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+@pytest.mark.slow
+def test_sigkilled_campaign_leaves_no_workers_and_resumes_to_its_digest(
+        tmp_path, capsys):
+    """SIGKILL a real campaign process mid-run.  Its loopback workers
+    must exit by themselves once their coordinator is gone, and a
+    ``--resume`` must finish with the uninterrupted run's digest,
+    running no journaled unit twice."""
+    journal = tmp_path / "killed" / "journal.jsonl"
+    argv = SIGKILL_CAMPAIGN + ["--journal", str(journal),
+                               "--cache-dir", str(tmp_path / "cache")]
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(repo / "src"), env.get("PYTHONPATH"))
+        if part
+    )
+    # Its own session, so the campaign leads a process group that also
+    # holds the workers it forks.
+    with open(tmp_path / "killed.log", "w") as log:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=log, stderr=subprocess.STDOUT, cwd=repo, env=env,
+            start_new_session=True,
+        )
+    try:
+        _await(lambda: _journal_units(journal), deadline=60.0,
+               message="the first shard record")
+        # Kill the campaign alone: its workers lose their coordinator.
+        os.kill(process.pid, signal.SIGKILL)
+        process.wait(10)
+        _await(lambda: _group_gone(process.pid), deadline=30.0,
+               message="the orphaned workers to exit by themselves")
+    finally:
+        if not _group_gone(process.pid):
+            os.killpg(process.pid, signal.SIGKILL)
+        process.wait(10)
+    killed = _journal_units(journal)
+
+    assert main(argv + ["--resume"]) == 0
+    direct = tmp_path / "direct" / "journal.jsonl"
+    assert main(SIGKILL_CAMPAIGN + [
+        "--journal", str(direct), "--cache-dir", str(tmp_path / "cache"),
+    ]) == 0
+    capsys.readouterr()
+
+    units = _journal_units(journal)
+    assert len(killed) < len(units) == len(_journal_units(direct))
+    assert units[:len(killed)] == killed
+    assert len(units) == len(set(units))
+
+    def digest(journal_path):
+        manifest = journal_path.with_suffix(".manifest.json")
+        return json.loads(manifest.read_text())["metrics_digest"]
+
+    assert digest(journal) == digest(direct)
 
 
 def test_tables_command_prints_tables_1_3_and_5(capsys):
@@ -199,6 +293,12 @@ def test_tables_command_prints_tables_1_3_and_5(capsys):
     out = capsys.readouterr().out
     for title in ("Table 1", "Table 3", "Table 5"):
         assert title in out
+    # Table 3 shows the fine-tuned faultloads, as EXPERIMENTS.md and the
+    # Table 3 bench do, not the raw scans (394 and 610 locations).
+    table3 = out.split("Table 3")[1].split("\n\n")[0]
+    totals = [row.split("|")[-1].strip()
+              for row in table3.splitlines()[3:]]
+    assert totals == ["314", "464"]
     # Every Table 5 row is a campaign with its metrics digest.
     digests = out.split("metrics digests:\n")[1].split()
     assert digests[0::2] == ["nt50/apache:", "nt50/abyss:",
