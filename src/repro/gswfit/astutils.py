@@ -3,9 +3,9 @@
 The central object is :class:`FunctionImage`: the parsed, indexed source of
 one FIT function.  Nodes are addressed by their position in a deterministic
 walk of the tree, so a site found during scanning can be relocated in a
-fresh deep copy during mutation, and — because the walk only depends on the
-source text — the same ``site_key`` resolves to the same construct across
-processes and runs.
+fresh parse of the same source during mutation, and — because the walk only
+depends on the source text — the same ``site_key`` resolves to the same
+construct across processes and runs.
 
 The image is built with a single breadth-first walk (byte-for-byte the
 order of :func:`ast.walk`) that records, per node: its walk position, its
@@ -18,14 +18,12 @@ traversal per function instead of one per operator.
 """
 
 import ast
-import copy
 import inspect
 import textwrap
 from collections import deque
 
 __all__ = [
     "FunctionImage",
-    "index_nodes",
     "init_block_length",
     "is_simple_constant_assign",
     "local_names",
@@ -58,7 +56,10 @@ class FunctionImage:
     module_name:
         Importable module path the function was taken from.
     source:
-        Dedented source text of the function definition.
+        Dedented source text of the function definition: the
+        ``source`` argument when given (the scanner passes a slice of
+        the module text it has already read), else
+        :func:`inspect.getsource` of ``function``.
     tree:
         ``ast.Module`` containing exactly the function definition.
     fdef:
@@ -67,11 +68,12 @@ class FunctionImage:
         Absolute line number of the ``def`` line in the original file.
     """
 
-    def __init__(self, function, module_name=None):
+    def __init__(self, function, module_name=None, source=None):
         self.function = function
         self.module_name = module_name or function.__module__
-        raw = inspect.getsource(function)
-        self.source = textwrap.dedent(raw)
+        if source is None:
+            source = inspect.getsource(function)
+        self.source = textwrap.dedent(source)
         self.tree = ast.parse(self.source)
         if not self.tree.body or not isinstance(
             self.tree.body[0], ast.FunctionDef
@@ -189,15 +191,43 @@ class FunctionImage:
         lineno = getattr(node, "lineno", 1)
         return self.first_lineno + lineno - 1
 
-    def fresh_copy(self):
-        """Deep copy of the tree plus its node index, for mutation."""
-        tree = copy.deepcopy(self.tree)
-        return tree, index_nodes(tree)
+    def fresh_copy(self, position):
+        """A private tree for one mutant, and its node at walk ``position``.
 
+        A re-parse of :attr:`source` (about a quarter of the cost of
+        ``copy.deepcopy``) has the shape of :attr:`tree`, so the node is
+        reached by the same field steps from the root, without indexing
+        the new tree.
+        """
+        tree = ast.parse(self.source)
+        node = tree
+        for field, item in self._steps_to(self._index[position]):
+            node = getattr(node, field)
+            if item is not None:
+                node = node[item]
+        return tree, node
 
-def index_nodes(tree):
-    """Deterministic list of every node in ``tree`` (``ast.walk`` order)."""
-    return list(ast.walk(tree))
+    def _steps_to(self, node):
+        """``(field, list index or None)`` steps from the root to ``node``."""
+        steps = []
+        parent = self._parents.get(id(node))
+        while parent is not None:
+            for field, value in ast.iter_fields(parent):
+                if value is node:
+                    steps.append((field, None))
+                    break
+                if isinstance(value, list):
+                    item = next(
+                        (i for i, child in enumerate(value) if child is node),
+                        None,
+                    )
+                    if item is not None:
+                        steps.append((field, item))
+                        break
+            node = parent
+            parent = self._parents.get(id(node))
+        steps.reverse()
+        return steps
 
 
 def is_simple_constant_assign(stmt):

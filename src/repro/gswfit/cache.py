@@ -40,7 +40,12 @@ import types
 from pathlib import Path
 
 from repro.faults.faultload import Faultload
-from repro.gswfit.mutator import MutantError, build_mutant, resolve_function
+from repro.gswfit.mutator import (
+    FunctionSites,
+    MutantError,
+    build_mutant,
+    resolve_function,
+)
 from repro.gswfit.operators import (
     operator_for,
     operator_library,
@@ -253,7 +258,7 @@ def _store_mutant_code(path, code):
     os.replace(tmp, path)  # atomic: concurrent workers race benignly
 
 
-def build_mutant_cached(location, cache_dir=None, probed=False):
+def build_mutant_cached(location, cache_dir=None, probed=False, sites=None):
     """:func:`~repro.gswfit.mutator.build_mutant` behind the cache.
 
     Returns the same ``(original_function, mutant_code)`` pair.  The code
@@ -261,7 +266,9 @@ def build_mutant_cached(location, cache_dir=None, probed=False):
     probed)`` — per process via the in-memory memo, per machine via the
     optional ``cache_dir`` marshal tier shared by campaign worker
     processes.  Probed and unprobed variants are distinct cache entries:
-    they compile to different bytecode.
+    they compile to different bytecode.  ``sites`` (a
+    :class:`~repro.gswfit.mutator.FunctionSites`) is handed to the
+    build on a miss.
     """
     probed = bool(probed)
     function = resolve_function(location)
@@ -279,7 +286,7 @@ def build_mutant_cached(location, cache_dir=None, probed=False):
             MUTANT_CACHE_STATS.disk_hits += 1
             _mutant_memory[key] = code
             return function, code
-    function, code = build_mutant(location, probed=probed)
+    function, code = build_mutant(location, probed=probed, sites=sites)
     MUTANT_CACHE_STATS.compiles += 1
     _mutant_memory[key] = code
     if cache_dir is not None:
@@ -301,19 +308,36 @@ def warm_mutant_cache(faultload, cache_dir=None, probed=False):
     cannot be compiled are counted, not raised — the injection slot will
     surface the error in context.  ``probed`` must match what the slots
     will request (activation tracking on → probed mutants).
+
+    Locations are built one ``(module, function)`` group at a time, in
+    the order each group first appears.  A group shares one parse of its
+    function and one site table per fault type
+    (:class:`~repro.gswfit.mutator.FunctionSites`), dropped before the
+    next group starts, so the pass parses each function once and holds
+    one function's tree at a time.
     """
-    compiled = cached = failed = 0
+    groups = {}
     for location in faultload:
-        before = MUTANT_CACHE_STATS.compiles
-        try:
-            build_mutant_cached(location, cache_dir=cache_dir, probed=probed)
-        except MutantError:
-            failed += 1
-            continue
-        if MUTANT_CACHE_STATS.compiles > before:
-            compiled += 1
-        else:
-            cached += 1
+        groups.setdefault(
+            (location.module, location.function), []
+        ).append(location)
+    compiled = cached = failed = 0
+    for locations in groups.values():
+        sites = FunctionSites(locations[0])
+        for location in locations:
+            before = MUTANT_CACHE_STATS.compiles
+            try:
+                build_mutant_cached(
+                    location, cache_dir=cache_dir, probed=probed,
+                    sites=sites,
+                )
+            except MutantError:
+                failed += 1
+                continue
+            if MUTANT_CACHE_STATS.compiles > before:
+                compiled += 1
+            else:
+                cached += 1
     return {"slots": len(faultload), "compiled": compiled,
             "cached": cached, "failed": failed}
 

@@ -296,10 +296,14 @@ class MutationOperator:
         return sites
 
     def mutate(self, image, site):
-        """Return a mutated copy of the image's tree."""
-        tree, node_list = image.fresh_copy()
-        self._rule.apply(tree, node_list[site.node_index], site.payload)
-        ast.fix_missing_locations(tree)
+        """Return a mutated copy of the image's tree, ready to compile.
+
+        Every rule leaves the tree located: new statements are located
+        where they are spliced in, and new expressions come from
+        ``ast.parse`` or are operator nodes, which have no location.
+        """
+        tree, node = image.fresh_copy(site.node_index)
+        self._rule.apply(tree, node, site.payload)
         return tree
 
     def fingerprint_payload(self):

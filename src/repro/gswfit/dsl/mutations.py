@@ -123,7 +123,12 @@ class MutationRule:
         return _ONE_SITE
 
     def apply(self, tree, node, payload):
-        """Perform the edit on ``node`` inside the fresh ``tree`` copy."""
+        """Perform the edit on ``node`` inside the fresh ``tree`` copy.
+
+        The tree is compiled as the edit leaves it, so new statements go
+        in through :func:`replace_statement` or
+        :func:`remove_statements`, which locate them.
+        """
         raise NotImplementedError
 
 

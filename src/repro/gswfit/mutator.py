@@ -6,6 +6,12 @@ the recorded site.  The resulting code object is validated to be
 shape-compatible with the original (same signature, no closure cells) so a
 ``__code__`` swap is always safe.
 
+The parse and the site search depend only on the function, so they are
+done once per :class:`FunctionSites`; every mutant of that function then
+re-parses the source for a private tree to edit.  A lone location is a
+group of its own, so a mutant built alone and one built with the rest of
+its function's locations are the same code.
+
 ``probed=True`` additionally plants a one-statement activation probe at
 the top of the mutated function (see :mod:`repro.gswfit.activation`):
 the probe records that the faulty code actually executed.  Unprobed
@@ -19,9 +25,10 @@ import sys
 
 from repro.gswfit.activation import ACTIVATION_HOOK
 from repro.gswfit.astutils import FunctionImage
-from repro.gswfit.operators import operator_for
+from repro.gswfit.operators import collect_sites, operator_for
 
 __all__ = [
+    "FunctionSites",
     "MutantError",
     "build_image",
     "build_mutant",
@@ -67,21 +74,50 @@ def build_image(location):
     return FunctionImage(function, module_name=location.module)
 
 
-def _find_site(image, location):
-    operator = operator_for(location.fault_type)
-    for site in operator.find_sites(image):
-        if site.key == location.site_key:
-            return operator, site
-    raise MutantError(
-        f"site {location.site_key!r} for {location.fault_type.value} "
-        f"not found in {location.module}.{location.function} — "
-        f"was the FIT source modified since the scan?"
-    )
+class FunctionSites:
+    """One target function's image and its sites, by key, per operator.
+
+    Built for the first location of a ``(module, function)`` group and
+    shared by the rest: the image is parsed on the first :meth:`find`
+    (a group whose mutants are all cached never parses), and each
+    operator's sites are collected once, on its first location.
+    """
+
+    def __init__(self, location):
+        self._location = location
+        self._image = None
+        self._tables = {}
+
+    @property
+    def image(self):
+        if self._image is None:
+            self._image = build_image(self._location)
+        return self._image
+
+    def find(self, location):
+        """``(operator, site)`` that ``location`` names in this function."""
+        operator = operator_for(location.fault_type)
+        table = self._tables.get(operator)
+        if table is None:
+            table = self._tables[operator] = {}
+            for site in collect_sites(self.image, (operator,))[operator]:
+                table.setdefault(site.key, site)
+        site = table.get(location.site_key)
+        if site is None:
+            raise MutantError(
+                f"site {location.site_key!r} for "
+                f"{location.fault_type.value} not found in "
+                f"{location.module}.{location.function} — "
+                f"was the FIT source modified since the scan?"
+            )
+        return operator, site
 
 
-def _mutated_tree(location):
-    image = build_image(location)
-    operator, site = _find_site(image, location)
+def _mutated_tree(location, sites=None):
+    if sites is None:
+        sites = FunctionSites(location)
+    operator, site = sites.find(location)
+    image = sites.image
     return image, operator.mutate(image, site)
 
 
@@ -96,7 +132,9 @@ def _plant_probe(tree, fault_id):
 
     The hook name resolves through the live FIT module's globals at call
     time; the injector installs/removes the hook there so the probe is
-    only ever reachable while its fault is applied.
+    only ever reachable while its fault is applied.  The probe takes the
+    ``def`` node's location, the one ``ast.fix_missing_locations`` would
+    give it, so the rest of the tree is not walked again.
     """
     probe = ast.Expr(
         value=ast.Call(
@@ -105,13 +143,20 @@ def _plant_probe(tree, fault_id):
             keywords=[],
         )
     )
-    tree.body[0].body.insert(0, probe)
-    ast.fix_missing_locations(tree)
+    fdef = tree.body[0]
+    fdef.body.insert(
+        0, ast.fix_missing_locations(ast.copy_location(probe, fdef))
+    )
 
 
-def build_mutant(location, probed=False):
-    """Compile the mutant; returns ``(original_function, mutant_code)``."""
-    image, tree = _mutated_tree(location)
+def build_mutant(location, probed=False, sites=None):
+    """Compile the mutant; returns ``(original_function, mutant_code)``.
+
+    ``sites`` is the :class:`FunctionSites` of ``location``'s function
+    when the caller builds several of its mutants; without it the
+    location is a group of its own.
+    """
+    image, tree = _mutated_tree(location, sites)
     if probed:
         _plant_probe(tree, location.fault_id)
     function = image.function

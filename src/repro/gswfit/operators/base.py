@@ -109,29 +109,47 @@ def _iter_statement_lists(tree):
                 yield node, field, block
 
 
-def replace_statement(tree, target, replacement):
-    """Replace statement ``target`` (by identity) with ``replacement`` list.
+def _splice(tree, first, count, replacement):
+    """Replace ``count`` statements from ``first`` (by identity) with
+    ``replacement``, and locate the new ones.
 
     An emptied block gets a ``pass`` so the function still compiles —
     the machine-code analogue is NOP-ing the instruction range.
     """
-    for _owner, _field, block in _iter_statement_lists(tree):
+    for owner, _field, block in _iter_statement_lists(tree):
         for position, stmt in enumerate(block):
-            if stmt is target:
-                block[position:position + 1] = list(replacement)
+            if stmt is first:
+                block[position:position + count] = replacement
                 if not block:
                     block.append(ast.Pass())
+                _locate(tree, owner, block)
                 return True
-    raise ValueError("target statement not found in tree")
+    raise ValueError("statement not found in tree")
+
+
+def _locate(tree, owner, block):
+    """Give each unlocated statement of ``block`` the location
+    ``ast.fix_missing_locations`` would: its owner's.
+
+    Only the new statements' subtrees are walked, so an edited tree
+    compiles without a location pass over the whole tree.
+    """
+    for stmt in block:
+        if hasattr(stmt, "lineno"):
+            continue
+        if not hasattr(owner, "lineno"):
+            # A match case or the module: the location would come from
+            # further up.
+            ast.fix_missing_locations(tree)
+            return
+        ast.fix_missing_locations(ast.copy_location(stmt, owner))
+
+
+def replace_statement(tree, target, replacement):
+    """Replace statement ``target`` (by identity) with ``replacement`` list."""
+    return _splice(tree, target, 1, list(replacement))
 
 
 def remove_statements(tree, first, count):
     """Remove ``count`` consecutive statements starting at ``first``."""
-    for _owner, _field, block in _iter_statement_lists(tree):
-        for position, stmt in enumerate(block):
-            if stmt is first:
-                del block[position:position + count]
-                if not block:
-                    block.append(ast.Pass())
-                return True
-    raise ValueError("first statement not found in tree")
+    return _splice(tree, first, count, [])

@@ -14,7 +14,15 @@ faultload is identical — same locations, same order, same ``site_key``
 values — to the per-operator scan, which remains available as
 :func:`scan_function_per_operator` (the reference implementation the
 equivalence tests and the hot-path bench compare against).
+
+:func:`scan_module` reads and parses its module once, and hands each
+function its source as a slice of the module's lines
+(:func:`function_sources`), instead of one :func:`inspect.getsource`
+(a tokenize pass) per function.
 """
+
+import ast
+import inspect
 
 from repro.faults.faultload import Faultload
 from repro.faults.location import FaultLocation
@@ -22,6 +30,7 @@ from repro.gswfit.astutils import FunctionImage
 from repro.gswfit.operators import collect_sites, operator_library
 
 __all__ = [
+    "function_sources",
     "scan_function",
     "scan_function_per_operator",
     "scan_module",
@@ -51,12 +60,15 @@ def _locations_from_sites(image, function, display_module, sites_by_type):
     return locations
 
 
-def scan_function(function, module_name=None, display_module=""):
+def scan_function(function, module_name=None, display_module="",
+                  source=None):
     """Scan one function with the full operator library in one pass.
 
-    Returns a list of :class:`FaultLocation` in deterministic order.
+    ``source`` is the function's source text when the caller has it
+    (see :class:`~repro.gswfit.astutils.FunctionImage`).  Returns a list
+    of :class:`FaultLocation` in deterministic order.
     """
-    image = FunctionImage(function, module_name=module_name)
+    image = FunctionImage(function, module_name=module_name, source=source)
     library = operator_library()
     buckets = collect_sites(image, library.values())
     sites_by_type = {
@@ -69,15 +81,15 @@ def scan_function(function, module_name=None, display_module=""):
 
 
 def scan_function_per_operator(function, module_name=None,
-                               display_module=""):
+                               display_module="", source=None):
     """Scan one function with one full traversal per operator.
 
     The historical 12-pass scan shape, kept as the reference the
     single-pass scanner is verified against (and benchmarked against in
-    ``benchmarks/test_hot_path.py``).  Output is identical to
-    :func:`scan_function`.
+    ``benchmarks/test_hot_path.py``).  Takes the arguments of
+    :func:`scan_function`, and its output is identical.
     """
-    image = FunctionImage(function, module_name=module_name)
+    image = FunctionImage(function, module_name=module_name, source=source)
     library = operator_library()
     sites_by_type = {
         fault_type: operator.find_sites(image)
@@ -88,18 +100,43 @@ def scan_function_per_operator(function, module_name=None,
     )
 
 
+def function_sources(module):
+    """``{first line: source}`` of each top-level function of ``module``.
+
+    One read and one parse of the module.  A function's source is its
+    lines from the first decorator (or the ``def``) to ``end_lineno``,
+    which is what :func:`inspect.getsource` returns for it; the key is
+    the function's ``co_firstlineno``.
+    """
+    lines, _ = inspect.getsourcelines(module)
+    sources = {}
+    for node in ast.parse("".join(lines)).body:
+        if isinstance(node, ast.FunctionDef):
+            first = min(
+                [node.lineno] + [dec.lineno for dec in node.decorator_list]
+            )
+            sources[first] = "".join(lines[first - 1:node.end_lineno])
+    return sources
+
+
 def scan_module(module, display_module=None):
     """Scan every export, then every internal helper, of a FIT module."""
     if display_module is None:
         display_module = getattr(module, "__module_name__", module.__name__)
     names = [*module.__exports__, *getattr(module, "__internal__", ())]
+    sources = function_sources(module)
     locations = []
     for name in names:
         function = getattr(module, name)
+        source = None
+        # A function defined in another file keeps inspect.getsource.
+        if function.__code__.co_filename == module.__file__:
+            source = sources.get(function.__code__.co_firstlineno)
         locations.extend(scan_function(
             function,
             module_name=module.__name__,
             display_module=display_module,
+            source=source,
         ))
     return locations
 

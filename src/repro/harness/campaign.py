@@ -451,9 +451,10 @@ class ParallelCampaign:
         Where to stream supervision events (JSONL) and write the run
         manifest.  Default: derived siblings of ``journal_path``
         (``<journal stem>.telemetry.jsonl`` / ``.manifest.json``) when a
-        journal is configured, otherwise off / in-memory only.  The
-        manifest is always available as ``campaign.manifest`` after
-        :meth:`run`.
+        journal is configured, otherwise off / in-memory only.  A run
+        without ``resume`` replaces the telemetry stream; a resumed run
+        appends to it.  The manifest is always available as
+        ``campaign.manifest`` after :meth:`run`.
     fabric_listen:
         ``(host, port)`` for the fabric coordinator to accept external
         ``campaign-worker`` processes on, alongside the ``workers``
@@ -713,10 +714,13 @@ class ParallelCampaign:
         metrics digest — is left on ``self.manifest`` and written to
         ``manifest_path`` when one is configured.
         """
-        telemetry = (
-            TelemetryWriter(self.telemetry_path)
-            if self.telemetry_path is not None else NullTelemetry()
-        )
+        telemetry = NullTelemetry()
+        if self.telemetry_path is not None:
+            if not self.resume:
+                # A new campaign starts a new stream; a resumed one
+                # continues the stream of the run it resumes.
+                Path(self.telemetry_path).unlink(missing_ok=True)
+            telemetry = TelemetryWriter(self.telemetry_path)
         timings = {}
         started = time.perf_counter()
         faultload = self.prepared_faultload(faultload)

@@ -87,7 +87,8 @@ class TelemetryWriter:
     Events are flushed line by line, so a crash loses at most the event
     being written — the stream stays parseable (readers drop a torn
     final line, and reopening the stream cuts it off, exactly like the
-    campaign journal).
+    campaign journal).  A reopened stream numbers on from its last
+    complete event.
     """
 
     def __init__(self, path, clock=time.time):
@@ -95,8 +96,9 @@ class TelemetryWriter:
         self.clock = clock
         self.path.parent.mkdir(parents=True, exist_ok=True)
         drop_torn_tail(self.path)
+        events = read_jsonl(self.path)
+        self._sequence = events[-1][1]["seq"] + 1 if events else 0
         self._handle = open(self.path, "a", encoding="utf-8")
-        self._sequence = 0
         self.emit("telemetry_open", version=TELEMETRY_VERSION)
 
     def emit(self, event, **fields):

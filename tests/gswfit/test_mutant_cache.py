@@ -6,12 +6,14 @@ one compilation pass through the disk tier, and the cache never changes
 what the injector actually swaps in.
 """
 
+import types
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.faults.faultload import Faultload
 from repro.gswfit import cache as cache_module
+from repro.gswfit import mutator
 from repro.gswfit.cache import (
     MUTANT_CACHE_STATS,
     build_mutant_cached,
@@ -23,7 +25,7 @@ from repro.gswfit.cache import (
 from repro.gswfit.injector import FaultInjector
 from repro.gswfit.mutator import build_mutant
 from repro.gswfit.scanner import scan_build
-from repro.ossim.builds import NT50
+from repro.ossim.builds import NT50, NT51
 
 
 @pytest.fixture(autouse=True)
@@ -54,9 +56,9 @@ def test_three_slot_campaign_compiles_once(faultload, monkeypatch):
     calls = []
     real = cache_module.build_mutant
 
-    def counting(location, probed=False):
+    def counting(location, probed=False, sites=None):
         calls.append(location.fault_id)
-        return real(location, probed=probed)
+        return real(location, probed=probed, sites=sites)
 
     monkeypatch.setattr(cache_module, "build_mutant", counting)
     location = faultload.locations[0]
@@ -93,6 +95,96 @@ def test_warm_mutant_cache_compiles_each_location_once(faultload):
     assert first == {"slots": 6, "compiled": 6, "cached": 0, "failed": 0}
     second = warm_mutant_cache(small)
     assert second == {"slots": 6, "compiled": 0, "cached": 6, "failed": 0}
+
+
+def _code_shape(code):
+    """What a mutant's behaviour rests on, nested code objects included."""
+    return (
+        code.co_code,
+        code.co_names,
+        code.co_argcount,
+        code.co_filename,
+        tuple(
+            _code_shape(const) if isinstance(const, types.CodeType)
+            else (type(const), repr(const))
+            for const in code.co_consts
+        ),
+    )
+
+
+@pytest.mark.parametrize("probed", [False, True])
+def test_grouped_build_equals_a_build_alone(probed):
+    """A mutant built inside a ``warm_mutant_cache`` group, after the
+    rest of its function's mutants, is the code its location compiles to
+    on its own.  Covers every (function, fault type) pair of both
+    builds; about 2 s per variant on a 2-CPU host."""
+    pairs = {}
+    for build in (NT50, NT51):
+        faultload = scan_build(build)
+        warm_mutant_cache(faultload, probed=probed)
+        for location in faultload:
+            # The last location of a pair saw every earlier edit of its
+            # group.
+            pairs[(location.module, location.function,
+                   location.fault_type)] = location
+    grouped = {
+        pair: build_mutant_cached(location, probed=probed)[1]
+        for pair, location in pairs.items()
+    }
+    assert len(grouped) == 428
+    for pair, location in pairs.items():
+        clear_mutant_cache()
+        _function, alone = build_mutant_cached(location, probed=probed)
+        assert _code_shape(alone) == _code_shape(grouped[pair]), pair
+
+
+def test_warm_mutant_cache_parses_each_function_once_in_any_order(
+        faultload, monkeypatch):
+    """An interleaved faultload scatters each function's locations; the
+    warm-up still parses each function once, compiles each location
+    once, and counts what the scan order counts.  A cleared cache
+    compiles everything again."""
+    parsed = []
+    built = []
+    real_image, real_build = mutator.build_image, cache_module.build_mutant
+
+    def counting_image(location):
+        parsed.append((location.module, location.function))
+        return real_image(location)
+
+    def counting_build(location, probed=False, sites=None):
+        built.append(location.fault_id)
+        return real_build(location, probed=probed, sites=sites)
+
+    monkeypatch.setattr(mutator, "build_image", counting_image)
+    monkeypatch.setattr(cache_module, "build_mutant", counting_build)
+    interleaved = faultload.interleave_types()
+    assert [loc.fault_id for loc in interleaved] != [
+        loc.fault_id for loc in faultload
+    ]
+    functions = {(loc.module, loc.function) for loc in faultload}
+    fault_ids = sorted(loc.fault_id for loc in faultload)
+    everything = {"slots": len(faultload), "compiled": len(faultload),
+                  "cached": 0, "failed": 0}
+
+    scan_order = warm_mutant_cache(faultload, probed=True)
+    clear_mutant_cache()
+    parsed.clear()
+    built.clear()
+    assert warm_mutant_cache(interleaved, probed=True) == scan_order
+    assert scan_order == everything
+    assert sorted(built) == fault_ids
+    assert sorted(parsed) == sorted(functions)
+    assert warm_mutant_cache(interleaved, probed=True) == {
+        "slots": len(faultload), "compiled": 0,
+        "cached": len(faultload), "failed": 0,
+    }
+    assert sorted(built) == fault_ids
+
+    clear_mutant_cache()
+    built.clear()
+    assert warm_mutant_cache(interleaved, probed=True) == everything
+    assert sorted(built) == fault_ids
 
 
 def test_disk_tier_survives_memory_clear(faultload, tmp_path):

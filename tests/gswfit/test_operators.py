@@ -11,7 +11,11 @@ import pytest
 
 from repro.faults.types import FaultType
 from repro.gswfit.astutils import FunctionImage
-from repro.gswfit.operators import operator_for, operator_library
+from repro.gswfit.dsl import compile_spec
+from repro.gswfit.mutator import FunctionSites
+from repro.gswfit.operators import base, operator_for, operator_library
+from repro.gswfit.scanner import scan_build
+from repro.ossim.builds import NT50
 
 
 # ----------------------------------------------------------------------
@@ -405,3 +409,69 @@ def test_emptied_body_gets_pass():
     tree = operator.mutate(image, sites[0])
     compile(tree, "<x>", "exec")  # must stay syntactically valid
     assert "pass" in ast.unparse(tree)
+
+
+def located_target(ctx, flag, mode):
+    total = 0
+    if flag and mode > 1:
+        helper_note(ctx, 1)
+    match mode:
+        case 1:
+            helper_note(ctx, 2)
+    total = total + mode
+    return total
+
+
+def _location_spec(node_types, **mutation):
+    return compile_spec({
+        "fault_type": "TLOC",
+        "description": "location test",
+        "nature": "missing",
+        "odc_type": "Checking",
+        "pattern": {"node_types": node_types},
+        "preconditions": [],
+        "mutation": {**mutation, "description": "edit"},
+    })
+
+
+def _assert_located(operator, image, site, monkeypatch):
+    """The mutant tree is located as a whole-tree location pass over an
+    edit that located nothing would leave it."""
+    tree = operator.mutate(image, site)
+    with monkeypatch.context() as patched:
+        patched.setattr(base, "_locate", lambda tree, owner, block: None)
+        reference = ast.fix_missing_locations(operator.mutate(image, site))
+    assert ast.dump(tree, include_attributes=True) == ast.dump(
+        reference, include_attributes=True
+    )
+    compile(tree, "<mutant>", "exec")
+
+
+def test_every_rule_locates_its_mutant_as_a_whole_tree_pass(monkeypatch):
+    """Rules the built-ins do not use, over a function whose edits empty
+    an ``if`` body and a ``match`` case body; then every site of the
+    built-ins on one build."""
+    image = _image(located_target)
+    operators = [
+        _location_spec(["Expr"], kind="delete-node"),
+        _location_spec(["Expr"], kind="wrap-condition", source="flag"),
+        _location_spec(["Return"], kind="insert-before",
+                       source="total = 0\nhelper_note(ctx, 3)"),
+        _location_spec(["Assign"], kind="replace-field", field="value",
+                       source="mode * 2"),
+        _location_spec(["If"], kind="swap-bool-operator"),
+        _location_spec(["Assign"], kind="swap-binop-operator"),
+        _location_spec(["If"], kind="replace-with-body"),
+    ]
+    for operator in operators:
+        sites = operator.find_sites(image)
+        assert sites, operator.spec.mutation["kind"]
+        for site in sites:
+            _assert_located(operator, image, site, monkeypatch)
+    groups = {}
+    for location in scan_build(NT50):
+        key = (location.module, location.function)
+        if key not in groups:
+            groups[key] = FunctionSites(location)
+        operator, site = groups[key].find(location)
+        _assert_located(operator, groups[key].image, site, monkeypatch)

@@ -7,10 +7,12 @@ reference scan (:func:`scan_function_per_operator`, one full AST
 traversal per Table-1 operator, the historical implementation).
 """
 
+import inspect
 import json
 
 from repro.gswfit import scanner
 from repro.gswfit.scanner import (
+    function_sources,
     scan_build,
     scan_function,
     scan_function_per_operator,
@@ -50,3 +52,18 @@ def test_scan_build_byte_identical_to_reference(build, monkeypatch):
     reference = scan_build(build)
     assert fast.os_codename == reference.os_codename
     assert _as_json(fast.locations) == _as_json(reference.locations)
+
+
+def test_scan_sources_equal_inspect_getsource(build):
+    """``scan_module`` parses each module once and gives every function
+    its slice of the module's lines; the slice is what
+    ``inspect.getsource`` returns for it."""
+    sources = {}
+    for _display_name, module, function in _fit_functions(build):
+        if module not in sources:
+            sources[module] = function_sources(module)
+        code = function.__code__
+        assert code.co_filename == module.__file__, function.__qualname__
+        assert sources[module][code.co_firstlineno] == (
+            inspect.getsource(function)
+        ), function.__qualname__

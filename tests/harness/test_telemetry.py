@@ -58,9 +58,11 @@ def test_writer_appends_across_reopens(tmp_path):
         telemetry.emit("first")
     with TelemetryWriter(path) as telemetry:
         telemetry.emit("second")
-    kinds = [event["event"] for event in read_telemetry(path)]
+    events = read_telemetry(path)
+    kinds = [event["event"] for event in events]
     assert kinds == ["telemetry_open", "first", "telemetry_open",
                      "second"]
+    assert [event["seq"] for event in events] == [0, 1, 2, 3]
 
 
 def test_read_telemetry_drops_torn_final_line(tmp_path):

@@ -165,6 +165,32 @@ def test_campaign_resume_of_another_versions_journal_exits_2(
     )
 
 
+def test_campaign_telemetry_is_one_stream_per_campaign(tmp_path, capsys):
+    """A fresh run on an existing journal starts a new telemetry stream;
+    a resumed run numbers on from the stream it continues."""
+    journal = tmp_path / "campaign.jsonl"
+    telemetry = journal.with_suffix(".telemetry.jsonl")
+    argv = [
+        "campaign", "--faults", "4", "--connections", "2",
+        "--workers", "1", "--no-baseline", "--no-profile",
+        "--journal", str(journal),
+    ]
+    for _ in range(2):
+        assert main(argv) == 0
+    events = [entry for _lineno, entry in read_jsonl(telemetry)]
+    kinds = [event["event"] for event in events]
+    assert kinds.count("telemetry_open") == 1
+    assert kinds.count("campaign_end") == 1
+    assert [event["seq"] for event in events] == list(range(len(events)))
+    assert main([*argv, "--resume"]) == 0
+    capsys.readouterr()
+    resumed = [entry for _lineno, entry in read_jsonl(telemetry)]
+    assert resumed[:len(events)] == events
+    assert [event["event"] for event in resumed].count(
+        "telemetry_open") == 2
+    assert [event["seq"] for event in resumed] == list(range(len(resumed)))
+
+
 def test_campaign_worker_parses_address():
     args = build_parser().parse_args(
         ["campaign-worker", "10.0.0.5:7000", "--name", "w7"]
