@@ -332,6 +332,31 @@ def test_tables_command_prints_tables_1_3_and_5(capsys):
     assert all(len(digest) == 64 for digest in digests[1::2])
 
 
+OLTP_TABLE = """\
+fine-tuning the faultload for the OLTP domain...
+OLTP dependability benchmark
+Engine | Row       | TPS   | RTM(ms) | ER%  | violations | MIS | KNS | KCP
+-------+-----------+-------+---------+------+------------+-----+-----+----
+walnut | baseline  | 216.9 | 6.5     | 0.00 | 0          | 0   | 0   | 0
+walnut | faultload | 106.9 | 12.5    | 2.78 | 0          | 5   | 0   | 0
+breezy | baseline  | 253.9 | 3.7     | 0.00 | 0          | 0   | 0   | 0
+breezy | faultload | 173.7 | 5.1     | 1.57 | 16         | 10  | 0   | 0
+"""
+
+
+def test_oltp_command_prints_the_pinned_table(capsys):
+    """The OLTP case study's numbers, pinned as the command prints them
+    (the same text on Python 3.10 to 3.13; the table pads its last
+    column, so trailing blanks are not compared): a change to how the
+    engines are booted, injected or measured shows up here first."""
+    assert main(["oltp", "--faults", "4", "--connections", "4",
+                 "--seconds", "3"]) == 0
+    out = capsys.readouterr().out
+    assert [line.rstrip() for line in out.splitlines()] == (
+        OLTP_TABLE.splitlines()
+    )
+
+
 @pytest.mark.parametrize("os_codename", ["nt50", "nt51"])
 @pytest.mark.parametrize("server", ["apache", "abyss"])
 def test_experiments_command_lines_build_the_bench_config(
