@@ -13,29 +13,35 @@ while the write-back engine (breezy) loses acknowledged transactions;
 breezy is faster at baseline (the classic safety/performance trade).
 """
 
-import pytest
-
 from _bench_common import bench_config
 
-from repro.oltp import OltpExperiment
+from repro.harness.experiment import WebServerExperiment
+from repro.harness.results import BenchmarkResult
+from repro.harness.telemetry import metrics_digest
+from repro.oltp import ENGINES
+from repro.pipeline import build_tuned_faultload
 from repro.reporting.tables import TableBuilder
 
 
 def _run_case_study():
     config = bench_config(server_name="walnut")
     config.fault_sample = 48
-    tuned = OltpExperiment(config).domain_tuned_faultload(
-        profile_seconds=15.0
+    tuned = build_tuned_faultload(
+        config, servers=ENGINES, profile_seconds=15.0
     )
     results = {}
-    for engine in ("walnut", "breezy"):
+    for engine in ENGINES:
         engine_config = config.with_target(server_name=engine)
-        experiment = OltpExperiment(engine_config)
-        baseline = experiment.run_baseline()
-        injection = experiment.run_injection(
-            faultload=tuned, iteration=1
+        experiment = WebServerExperiment(engine_config)
+        results[engine] = BenchmarkResult(
+            server_name=engine,
+            os_codename=engine_config.os_codename,
+            os_display=experiment.build.display_name,
+            baseline=experiment.run_baseline(),
+            iterations=[
+                experiment.run_injection(faultload=tuned, iteration=1)
+            ],
         )
-        results[engine] = (baseline, injection)
     return tuned, results
 
 
@@ -48,7 +54,9 @@ def test_oltp_case_study(benchmark):
          "MIS", "KNS", "KCP"],
         title="OLTP case study - same faultload, different domain",
     )
-    for engine, (baseline, injection) in results.items():
+    for engine, result in results.items():
+        baseline = result.baseline
+        injection = result.iterations[0]
         table.add_row(engine, "baseline", f"{baseline.tps:.1f}",
                       f"{baseline.rtm_ms:.1f}",
                       f"{baseline.er_percent:.2f}",
@@ -62,9 +70,17 @@ def test_oltp_case_study(benchmark):
     print()
     print(table.render())
     print(f"({len(tuned)} OLTP-domain fault locations)")
+    print("metrics digests:")
+    for engine, result in results.items():
+        injection = result.iterations[0]
+        print(f"  {engine}: {metrics_digest(result)} "
+              f"({injection.faults_activated} of "
+              f"{injection.faults_injected} faults activated)")
 
-    walnut_base, walnut_fault = results["walnut"]
-    breezy_base, breezy_fault = results["breezy"]
+    walnut_base = results["walnut"].baseline
+    walnut_fault = results["walnut"].iterations[0]
+    breezy_base = results["breezy"].baseline
+    breezy_fault = results["breezy"].iterations[0]
 
     # Clean baselines: no errors, no violations, real throughput.
     for baseline in (walnut_base, breezy_base):

@@ -12,7 +12,9 @@ Run with:  python examples/oltp_benchmark.py
 """
 
 from repro.harness.config import ExperimentConfig
-from repro.oltp import OltpExperiment
+from repro.harness.experiment import WebServerExperiment
+from repro.oltp import ENGINES
+from repro.pipeline import build_tuned_faultload
 from repro.reporting.tables import TableBuilder
 
 
@@ -23,10 +25,9 @@ def main():
     base_config = ExperimentConfig.scaled(
         fault_sample=56, connections=10
     )
-    base_config.server_name = "walnut"
     print("Fine-tuning the faultload for the OLTP domain...")
-    tuned = OltpExperiment(base_config).domain_tuned_faultload(
-        profile_seconds=20.0
+    tuned = build_tuned_faultload(
+        base_config, servers=ENGINES, profile_seconds=20.0
     )
     print(f"  {len(tuned)} fault locations in the engines' common "
           f"API footprint: {', '.join(tuned.functions()[:6])}, ...")
@@ -36,9 +37,10 @@ def main():
          "violations", "MIS", "KNS", "KCP"],
         title="OLTP dependability benchmark (NT 5.0, same faultload)",
     )
-    for engine in ("walnut", "breezy"):
+    for engine in ENGINES:
         config = base_config.with_target(server_name=engine)
-        experiment = OltpExperiment(config)
+        # The harness's own phases: the target name picks the machine.
+        experiment = WebServerExperiment(config)
         print(f"... benchmarking {engine}")
         baseline = experiment.run_baseline()
         table.add_row(engine, "baseline",

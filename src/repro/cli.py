@@ -452,24 +452,25 @@ def _cmd_campaign_worker(args):
 
 
 def _cmd_oltp(args):
-    from repro.oltp import OltpExperiment
+    from repro.harness.experiment import WebServerExperiment
+    from repro.oltp import ENGINES
+    from repro.pipeline import build_tuned_faultload
     from repro.reporting.tables import TableBuilder
 
     config = _make_config(
         args, fault_sample=args.faults, connections=args.connections
     )
-    config.server_name = "walnut"
     print("fine-tuning the faultload for the OLTP domain...")
-    tuned = OltpExperiment(config).domain_tuned_faultload(
-        profile_seconds=args.seconds
+    tuned = build_tuned_faultload(
+        config, servers=ENGINES, profile_seconds=args.seconds
     )
     table = TableBuilder(
         ["Engine", "Row", "TPS", "RTM(ms)", "ER%", "violations",
          "MIS", "KNS", "KCP"],
         title="OLTP dependability benchmark",
     )
-    for engine in ("walnut", "breezy"):
-        experiment = OltpExperiment(
+    for engine in ENGINES:
+        experiment = WebServerExperiment(
             config.with_target(server_name=engine)
         )
         baseline = experiment.run_baseline()

@@ -12,8 +12,11 @@ harness the software faultload uses:
 * operator faults: a mistaken ``kill`` of the server process, removal of
   the server's configuration file, a full log volume.
 
-``repro.extensions.experiment`` runs a mixed campaign and reports the
-same SPC/THR/RTM/ER%/MIS/KNS/KCP measures per fault class.
+A faultload of state faults runs through the same
+:class:`~repro.harness.campaign.ParallelCampaign` as a software one —
+one campaign per fault class, each with its manifest and metrics
+digest — and reports the same SPC/THR/RTM/ER%/MIS/KNS/KCP measures
+(``benchmarks/test_extension_fault_models.py``).
 """
 
 from repro.extensions.statefaults import (
@@ -25,23 +28,19 @@ from repro.extensions.statefaults import (
     StaleHandleFault,
     StateFault,
     StateFaultInjector,
+    class_faultload,
     standard_extension_faultload,
-)
-from repro.extensions.experiment import (
-    ExtendedFaultCampaign,
-    FaultClassResult,
 )
 
 __all__ = [
     "ConfigFileRemoval",
     "DiskReadErrorBurst",
-    "ExtendedFaultCampaign",
-    "FaultClassResult",
     "HeapMetadataCorruption",
     "LogVolumeFull",
     "MistakenProcessKill",
     "StaleHandleFault",
     "StateFault",
     "StateFaultInjector",
+    "class_faultload",
     "standard_extension_faultload",
 ]

@@ -4,12 +4,17 @@ Unlike the software faultload — which mutates *code* — these faults
 perturb *state*: machine memory, disk behaviour, or the system's
 configuration, the way a DRAM bit-flip, a dying disk, or a fat-fingered
 administrator would.  Each fault knows how to apply itself to a
-:class:`~repro.harness.machine.ServerMachine` and how to revert, so the
-slot structure of the benchmark (inject, exercise, remove, repair) is
-identical to the G-SWFIT campaign's.
+:class:`~repro.harness.machine.ServerMachine` and how to revert.  A
+faultload of them runs on the harness's one slot walk
+(:meth:`~repro.harness.experiment.WebServerExperiment.run_slots`), which
+hands each state fault to a :class:`StateFaultInjector` built for the
+slot's machine, so the slot structure (inject, exercise, remove,
+repair, audit) is the G-SWFIT campaign's own.
 """
 
 from contextlib import contextmanager
+
+from repro.faults.faultload import Faultload
 
 __all__ = [
     "ConfigFileRemoval",
@@ -20,6 +25,7 @@ __all__ = [
     "StaleHandleFault",
     "StateFault",
     "StateFaultInjector",
+    "class_faultload",
     "standard_extension_faultload",
 ]
 
@@ -193,30 +199,38 @@ class LogVolumeFull(StateFault):
 # ----------------------------------------------------------------------
 
 class StateFaultInjector:
-    """Applies/reverts state faults with the same discipline as G-SWFIT."""
+    """Applies/reverts state faults with the same discipline as G-SWFIT.
 
-    def __init__(self, machine):
+    ``profile_mode`` mirrors the G-SWFIT injector's: every step but the
+    perturbation itself, so a no-inject control run leaves the machine
+    untouched.
+    """
+
+    def __init__(self, machine, profile_mode=False):
         self.machine = machine
+        self.profile_mode = profile_mode
         self._active = {}
         self.injection_count = 0
 
     def inject(self, fault):
         if fault.fault_id in self._active:
             raise ValueError(f"fault already active: {fault.fault_id}")
-        info = fault.apply(self.machine)
+        info = None if self.profile_mode else fault.apply(self.machine)
         self._active[fault.fault_id] = (fault, info)
         self.injection_count += 1
 
+    def _revert(self, fault, info):
+        if not self.profile_mode:
+            fault.revert(self.machine, info)
+
     def restore(self, fault):
         entry = self._active.pop(fault.fault_id, None)
-        if entry is None:
-            return
-        active_fault, info = entry
-        active_fault.revert(self.machine, info)
+        if entry is not None:
+            self._revert(*entry)
 
     def restore_all(self):
         for fault, info in list(self._active.values()):
-            fault.revert(self.machine, info)
+            self._revert(fault, info)
         self._active.clear()
 
     @contextmanager
@@ -246,3 +260,16 @@ def standard_extension_faultload(repetitions=4):
             LogVolumeFull(),
         ])
     return faults
+
+
+def class_faultload(os_codename, fault_class, repetitions=4):
+    """The standard faultload's faults of one class, as a prepared
+    :class:`~repro.faults.faultload.Faultload`: a campaign runs it as
+    given, one fault per slot."""
+    return Faultload(
+        os_codename,
+        [fault for fault in standard_extension_faultload(repetitions)
+         if fault.fault_class == fault_class],
+        name=f"{fault_class}-faults",
+        prepared=True,
+    )

@@ -44,7 +44,9 @@ from repro.gswfit.mutator import (
     FunctionSites,
     MutantError,
     build_mutant,
+    function_source,
     resolve_function,
+    source_memo,
 )
 from repro.gswfit.operators import (
     operator_for,
@@ -212,7 +214,7 @@ def mutant_fingerprint(location, function=None):
         source_fp = memo[1]
     else:
         source_fp = hashlib.sha256(
-            inspect.getsource(function).encode("utf-8")
+            function_source(location, function).encode("utf-8")
         ).hexdigest()
         _source_fp_memo[key] = (function.__code__, source_fp)
     hasher = hashlib.sha256(source_fp.encode("ascii"))
@@ -346,5 +348,6 @@ def clear_mutant_cache():
     """Drop the in-process mutant memo and reset the stats counters."""
     _mutant_memory.clear()
     _source_fp_memo.clear()
+    source_memo.clear()
     _operator_fp_memo.clear()
     MUTANT_CACHE_STATS.reset()

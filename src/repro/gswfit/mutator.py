@@ -21,6 +21,7 @@ activation tracking is zero-cost when disabled.
 
 import ast
 import importlib
+import inspect
 import sys
 
 from repro.gswfit.activation import ACTIVATION_HOOK
@@ -32,6 +33,7 @@ __all__ = [
     "MutantError",
     "build_image",
     "build_mutant",
+    "function_source",
     "mutated_source",
     "resolve_function",
     "resolve_module",
@@ -68,10 +70,31 @@ def resolve_function(location):
     return function
 
 
+# (module, function) -> (code object, its source text).  A cold mutant
+# build reads each function's source once: the cache's fingerprint
+# hashes the text and the image parses the same text.  Cleared with the
+# mutant cache (:func:`repro.gswfit.cache.clear_mutant_cache`).
+source_memo = {}
+
+
+def function_source(location, function):
+    """The source text of ``location``'s live ``function``, read once per
+    code object."""
+    key = (location.module, location.function)
+    entry = source_memo.get(key)
+    if entry is None or entry[0] is not function.__code__:
+        entry = (function.__code__, inspect.getsource(function))
+        source_memo[key] = entry
+    return entry[1]
+
+
 def build_image(location):
     """Parse the current source of the target function."""
     function = resolve_function(location)
-    return FunctionImage(function, module_name=location.module)
+    return FunctionImage(
+        function, module_name=location.module,
+        source=function_source(location, function),
+    )
 
 
 class FunctionSites:

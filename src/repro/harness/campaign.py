@@ -49,6 +49,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 
+from repro.extensions.statefaults import StateFault
 from repro.faults.faultload import Faultload
 from repro.gswfit.cache import (
     library_fingerprint,
@@ -742,10 +743,13 @@ class ParallelCampaign:
         # Compile every sampled mutant exactly once, before any worker
         # process exists: fork-started workers inherit the warm memo,
         # and the disk tier covers spawn-started ones.  Probed variants:
-        # the same entries the slot runs will request.
+        # the same entries the slot runs will request.  State faults
+        # have no mutant.
         started = time.perf_counter()
         self.warmup_stats = warm_mutant_cache(
-            faultload, cache_dir=self.cache_dir, probed=True,
+            [fault for fault in faultload
+             if not isinstance(fault, StateFault)],
+            cache_dir=self.cache_dir, probed=True,
         )
         timings["warm_mutants"] = round(time.perf_counter() - started, 6)
         strata = None

@@ -1,7 +1,10 @@
 """Experiment orchestration: the one-machine phases of a campaign.
 
 :class:`WebServerExperiment` runs the paper's experimental procedure
-for one server/OS pair, one machine at a time:
+for one target/OS pair, one machine at a time.  The target is a web
+server or, for the OLTP case study, a database engine: the machine is
+picked from ``config.server_name``
+(:func:`~repro.harness.machine.machine_class`).
 
 1. **Baseline** ("Max. Perf." in Table 4): workload only.
 2. **Profile mode**: the injector is attached and does everything except
@@ -10,7 +13,11 @@ for one server/OS pair, one machine at a time:
 3. **Injection runs**: the measured time is organized in slots (Fig. 4).
    During a slot one fault is active and the workload runs; between slots
    the workload pauses, the fault is removed, and the watchdog repairs the
-   server if needed.
+   server if needed.  :meth:`WebServerExperiment.run_slots` is the one
+   walk over such slots.  Each slot's fault picks its injector: a
+   G-SWFIT location is mutated code, a
+   :class:`~repro.extensions.statefaults.StateFault` (hardware or
+   operator fault) is perturbed state.
 
 A whole campaign (baseline, profile mode, then three iterations per
 SPECWeb99 rules) is :class:`~repro.harness.campaign.ParallelCampaign`,
@@ -23,11 +30,12 @@ tracer attached and collect per-function usage.
 
 from dataclasses import dataclass, field
 
+from repro.extensions.statefaults import StateFault, StateFaultInjector
 from repro.gswfit.activation import ActivationTracker
 from repro.gswfit.injector import FaultInjector
 from repro.gswfit.mutator import MutantError
 from repro.gswfit.scanner import scan_build
-from repro.harness.machine import ServerMachine
+from repro.harness.machine import machine_class
 from repro.harness.results import InjectionIteration, SlotTally
 from repro.harness.snapshot import (
     MachineSnapshot,
@@ -38,8 +46,6 @@ from repro.harness.watchdog import Watchdog
 from repro.ossim.builds import get_build
 from repro.ossim.integrity import IntegrityAuditor
 from repro.profiling.tracer import ApiCallTracer
-from repro.specweb.metrics import MetricsPartial
-from repro.specweb.rules import CONFORMANCE_SLOTS
 from repro.webservers.runtime import WorkerState
 
 __all__ = [
@@ -63,8 +69,11 @@ class SlotRunResult(SlotTally):
     ``(partial, windows)`` pair from one machine's own simulated
     timeline, the partial reduced when that machine was retired, so no
     retired machine outlives its epoch.  Metrics merge across segments
-    through :class:`MetricsPartial` (associative, slot-ordered), so a
-    run with reboots reduces exactly like a campaign merging shards.
+    through the machine's partial
+    (:class:`~repro.specweb.metrics.MetricsPartial` or
+    :class:`~repro.oltp.workload.OltpPartial`: associative,
+    slot-ordered), so a run with reboots reduces exactly like a campaign
+    merging shards.
     Activation records' ``first_hit`` is sim-seconds from slot start
     (None if never hit).
     """
@@ -74,7 +83,8 @@ class SlotRunResult(SlotTally):
 
     def compute_partial(self):
         """Merge every segment's partial into one."""
-        return MetricsPartial.merge(
+        kind = type(self.segments[0][0])
+        return kind.merge(
             [partial for partial, windows in self.segments if windows]
         )
 
@@ -83,15 +93,22 @@ class SlotRunResult(SlotTally):
 
 
 class _Epoch:
-    """One machine generation within a slot run (between reboots)."""
+    """One machine generation within a slot run (between reboots).
 
-    __slots__ = ("machine", "injector", "watchdog", "auditor", "tracker",
-                 "windows", "finished", "restored")
+    G-SWFIT locations go to ``injector``; state faults go to an injector
+    of their own, built for this epoch's machine.
+    """
+
+    __slots__ = ("machine", "injector", "state_injector", "watchdog",
+                 "auditor", "tracker", "windows", "finished", "restored")
 
     def __init__(self, machine, injector, watchdog, auditor, tracker,
                  restored=False):
         self.machine = machine
         self.injector = injector
+        self.state_injector = StateFaultInjector(
+            machine, profile_mode=injector.profile_mode
+        )
         self.watchdog = watchdog
         self.auditor = auditor
         self.tracker = tracker
@@ -99,13 +116,26 @@ class _Epoch:
         self.finished = False
         self.restored = restored
 
+    def injector_for(self, fault):
+        if isinstance(fault, StateFault):
+            return self.state_injector
+        return self.injector
+
 
 class WebServerExperiment:
-    """The one-machine phases of one server/OS benchmark."""
+    """The one-machine phases of one server/OS benchmark (or engine/OS:
+    the OLTP case study runs through the same phases)."""
 
     def __init__(self, config):
         self.config = config
         self.build = get_build(config.os_codename)
+        self.machine_class = machine_class(config.server_name)
+
+    @property
+    def audited(self):
+        """Whether slot gaps are audited: the config asks for it, and the
+        machine allows it (:attr:`~repro.harness.machine.Machine.audited`)."""
+        return self.config.integrity_audit and self.machine_class.audited
 
     # ------------------------------------------------------------------
     # Faultload preparation
@@ -139,7 +169,7 @@ class WebServerExperiment:
     # Phases
     # ------------------------------------------------------------------
     def _boot_machine(self, iteration):
-        machine = ServerMachine(self.config, iteration=iteration)
+        machine = self.machine_class(self.config, iteration=iteration)
         if not machine.boot():
             raise RuntimeError(
                 f"{self.config.server_name} failed to start on "
@@ -177,8 +207,8 @@ class WebServerExperiment:
         )
         machine.client.pause()
         machine.run_for(rules.rampdown_seconds)
-        return machine.client.collector.compute(
-            windows, conformance_group=CONFORMANCE_SLOTS
+        return machine.partial(windows).to_metrics(
+            self.config.client.connections
         )
 
     def run_profile_mode(self, iteration=0, faultload=None):
@@ -207,19 +237,20 @@ class WebServerExperiment:
         # been covered once, remaining windows run without preparation: a
         # live run never injects a slot twice either, and wrapping around
         # would inflate injection_count with duplicate preparations and
-        # skew the Table 4 intrusiveness measurement.
+        # skew the Table 4 intrusiveness measurement.  A state fault has
+        # no mutant to prepare: its window runs without preparation.
         for index, (_w_start, w_end) in enumerate(windows):
-            if index < len(faultload):
-                location = faultload[index]
+            if (index < len(faultload)
+                    and not isinstance(faultload[index], StateFault)):
                 try:
-                    injector.inject(location)
+                    injector.inject(faultload[index])
                 except MutantError:
                     pass
             machine.sim.run_until(w_end)
         machine.client.pause()
         machine.run_for(rules.rampdown_seconds)
-        return machine.client.collector.compute(
-            windows, conformance_group=CONFORMANCE_SLOTS
+        return machine.partial(windows).to_metrics(
+            self.config.client.connections
         )
 
     def _make_injector(self, machine, tracker, mutant_cache_dir):
@@ -263,7 +294,7 @@ class WebServerExperiment:
         machine.attach_activation(tracker)
         self._warm_up(machine)
         auditor = None
-        if config.integrity_audit:
+        if self.audited:
             auditor = IntegrityAuditor(machine.kernel)
             auditor.snapshot(machine.runtime.ctx)
         snapshot = MachineSnapshot.capture(
@@ -345,6 +376,7 @@ class WebServerExperiment:
             return
         epoch.finished = True
         epoch.injector.restore_all()
+        epoch.state_injector.restore_all()
         epoch.machine.client.pause()
         epoch.machine.run_for(rules.rampdown_seconds)
         epoch.watchdog.stop()
@@ -358,10 +390,9 @@ class WebServerExperiment:
             )
         if epoch.auditor is not None:
             result.audits_performed += epoch.auditor.audits_performed
-        partial = epoch.machine.client.collector.compute_partial(
-            epoch.windows, conformance_group=CONFORMANCE_SLOTS
+        result.segments.append(
+            (epoch.machine.partial(epoch.windows), epoch.windows)
         )
-        result.segments.append((partial, epoch.windows))
 
     def _activation_deadline(self, location, slot_seconds):
         """Seconds from slot start after which a hit-less slot truncates.
@@ -390,6 +421,12 @@ class WebServerExperiment:
         enables its on-disk tier so separate worker processes share one
         compilation pass.
 
+        The faultload may hold G-SWFIT locations, state faults, or both:
+        each slot hands its fault to the epoch's injector for that kind.
+        Only a G-SWFIT slot plants an activation probe, gets an
+        activation record and can be truncated adaptively; a run of
+        state faults alone reports activation as not tracked.
+
         Containment protocol (DESIGN.md §10): with integrity auditing
         enabled, each slot's injection-free gap ends with a state audit.
         A violating slot is recorded as contaminated and — while the
@@ -409,24 +446,28 @@ class WebServerExperiment:
         config = self.config
         rules = config.rules
         # Probes are on whenever faults are injected: a no-inject run
-        # has no fault for a probe to hit.
+        # has no fault for a probe to hit, and a state fault has no code
+        # to plant one in.
         track = config.inject_faults
         adaptive = config.adaptive_slots and track
         pristine = config.pristine_slots
         result = SlotRunResult(
-            integrity_enabled=config.integrity_audit,
-            activation_enabled=track,
+            integrity_enabled=self.audited,
+            activation_enabled=track and not all(
+                isinstance(fault, StateFault) for fault in faultload
+            ),
         )
         epoch = self._note_epoch(
             result, self._bring_up(iteration, mutant_cache_dir)
         )
         try:
-            for index, location in enumerate(faultload):
+            for index, fault in enumerate(faultload):
                 machine = epoch.machine
                 slot = first_slot + index
                 slot_start = machine.sim.now
+                probed = not isinstance(fault, StateFault)
                 try:
-                    epoch.injector.inject(location)
+                    epoch.injector_for(fault).inject(fault)
                     result.faults_injected += 1
                 except MutantError:
                     # Unresolvable site (stale faultload): skip the slot.
@@ -438,13 +479,13 @@ class WebServerExperiment:
                 # schedule exactly.
                 truncated = False
                 slot_len = rules.slot_seconds
-                if adaptive:
+                if adaptive and probed:
                     deadline = self._activation_deadline(
-                        location, rules.slot_seconds
+                        fault, rules.slot_seconds
                     )
                     if deadline < rules.slot_seconds - 1e-9:
                         machine.sim.run_until(slot_start + deadline)
-                        if epoch.tracker.hits(location.fault_id) == 0:
+                        if epoch.tracker.hits(fault.fault_id) == 0:
                             truncated = True
                             slot_len = deadline
                         else:
@@ -455,19 +496,19 @@ class WebServerExperiment:
                         machine.sim.run_until(slot_start + rules.slot_seconds)
                 else:
                     machine.sim.run_until(slot_start + rules.slot_seconds)
-                epoch.injector.restore(location)
+                epoch.injector_for(fault).restore(fault)
                 epoch.windows.append((slot_start, slot_start + slot_len))
-                if track:
+                if track and probed:
                     # Harvest after restore: the probe cannot fire once
                     # the original code is swapped back.
-                    record = epoch.tracker.take(location.fault_id)
+                    record = epoch.tracker.take(fault.fault_id)
                     hits = record.hits if record is not None else 0
                     first_hit = None
                     if record is not None and record.first_hit is not None:
                         first_hit = round(record.first_hit - slot_start, 6)
                     result.activations.append({
                         "slot": slot,
-                        "fault_id": location.fault_id,
+                        "fault_id": fault.fault_id,
                         "hits": hits,
                         "first_hit": first_hit,
                         "truncated": truncated,
@@ -489,7 +530,7 @@ class WebServerExperiment:
                     )
                     if not report.clean:
                         record = {
-                            "fault_id": location.fault_id,
+                            "fault_id": fault.fault_id,
                             "kinds": report.kinds(),
                             "rebooted": False,
                             "slot": slot,
@@ -540,7 +581,8 @@ class WebServerExperiment:
     def run_injection(self, faultload=None, iteration=0):
         """One full pass over the faultload on one machine (a campaign
         iteration runs the same pass as shards instead, through
-        :func:`~repro.harness.campaign.run_shard`)."""
+        :func:`~repro.harness.campaign.run_shard`).  The OLTP case study
+        runs its engines through this pass."""
         faultload = self.prepared_faultload(faultload)
         run = self.run_slots(faultload, iteration=iteration)
         metrics = run.compute_metrics(self.config.client.connections)
@@ -550,7 +592,8 @@ class WebServerExperiment:
 
 
 def profile_servers(config, server_names, seconds=None):
-    """Profiling phase: trace each server's API usage under the workload.
+    """Profiling phase: trace each target's API usage under the workload
+    (web servers, or the OLTP engines when those are the targets).
 
     Returns ``{server_name: ApiCallTracer}`` ready for
     :class:`~repro.profiling.usage.UsageTable`.
@@ -559,7 +602,7 @@ def profile_servers(config, server_names, seconds=None):
     duration = seconds or config.rules.baseline_seconds
     for server_name in server_names:
         server_config = config.with_target(server_name=server_name)
-        machine = ServerMachine(server_config, iteration=0)
+        machine = machine_class(server_name)(server_config, iteration=0)
         tracer = ApiCallTracer(label=server_name)
         machine.attach_tracer(tracer)
         if not machine.boot():

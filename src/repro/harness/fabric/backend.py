@@ -88,6 +88,7 @@ class FabricExecutorBackend:
             shard_timeout=shard_timeout,
             heartbeat_seconds=heartbeat_seconds,
             journal_version=journal_version,
+            start=False,
             **kwargs,
         )
         self.address = self._coordinator.address
@@ -106,6 +107,10 @@ class FabricExecutorBackend:
         for index in range(loopback_workers):
             self._fork(f"loopback-{index}",
                        chaos_kill_after if index == 0 else None)
+        # Threads only now: fork() in a threaded process may deadlock
+        # the child (Python 3.12 warns).  A re-fork after a worker death
+        # (:meth:`drain`) still forks the threaded coordinator process.
+        self._coordinator.start()
 
     def _fork(self, name, chaos_kill_after=None):
         process = multiprocessing.Process(

@@ -5,6 +5,9 @@ on a machine kernel, the fileset and the server's configuration/log files
 materialized in the file system, the web server deployed under its
 runtime, and the client-side transport wired up.  The benchmark target is
 the web server; the fault injection target is the OS the machine booted.
+The OLTP case study deploys a database engine on the same
+:class:`Machine` base instead (:class:`~repro.oltp.machine.OltpMachine`);
+:func:`machine_class` picks between the two by target name.
 """
 
 from repro.ossim.builds import get_build
@@ -13,10 +16,16 @@ from repro.ossim.dispatch import OsInstance
 from repro.sim.kernel import Simulator
 from repro.specweb.client import SpecWebClient
 from repro.specweb.fileset import SpecWebFileset
+from repro.specweb.rules import CONFORMANCE_SLOTS
 from repro.webservers.registry import create_server
 from repro.webservers.runtime import ServerRuntime
 
-__all__ = ["INJECTOR_CPU_FRACTION", "ServerMachine"]
+__all__ = [
+    "INJECTOR_CPU_FRACTION",
+    "Machine",
+    "ServerMachine",
+    "machine_class",
+]
 
 # Injector sharing the server machine: fraction of CPU it consumes while
 # attached (profile mode and live injection alike).  The value models
@@ -28,16 +37,56 @@ _CONFIG_FILE_BYTES = 1536
 _MIME_FILE_BYTES = 840
 
 
-class ServerMachine:
-    """One deployed server/OS combination plus its client."""
+class Machine:
+    """What every SUB shares: a seeded simulator and the OS build booted
+    on a machine kernel.  Subclasses deploy a target under a
+    :class:`ServerRuntime` (``runtime``) with a client driving it
+    (``client``, with ``start``/``pause``/``resume``), and reduce their
+    measurement windows with :meth:`partial`."""
 
-    def __init__(self, config, iteration=0):
+    # Whether the slot-gap integrity audit (DESIGN.md §10) applies to
+    # this kind of machine.
+    audited = True
+
+    def __init__(self, config, iteration):
         self.config = config
         self.iteration = iteration
         self.sim = Simulator(seed=config.iteration_seed(iteration))
         self.kernel = SimKernel(time_source=self._now)
         self.build = get_build(config.os_codename)
         self.os_instance = OsInstance(self.build, self.kernel)
+
+    def _now(self):
+        return self.sim.now
+
+    def partial(self, windows):
+        """The client's measures over ``windows``, as a mergeable partial
+        (``merge`` over partials, ``to_metrics(connections)``)."""
+        raise NotImplementedError
+
+    def run_for(self, seconds):
+        """Advance the simulation by ``seconds``."""
+        self.sim.run_until(self.sim.now + seconds)
+
+    def attach_tracer(self, tracer):
+        self.os_instance.attach_tracer(tracer)
+
+    def attach_activation(self, tracker):
+        self.os_instance.attach_activation(tracker)
+
+    def set_injector_attached(self, attached):
+        """Model the injector competing for machine CPU (Table 4)."""
+        if attached:
+            self.runtime.cpu_scale = 1.0 - INJECTOR_CPU_FRACTION
+        else:
+            self.runtime.cpu_scale = 1.0
+
+
+class ServerMachine(Machine):
+    """One deployed server/OS combination plus its client."""
+
+    def __init__(self, config, iteration=0):
+        super().__init__(config, iteration)
         self.fileset = SpecWebFileset(
             directories=config.fileset_directories
         )
@@ -54,8 +103,10 @@ class ServerMachine:
         )
         self._environment_ready = False
 
-    def _now(self):
-        return self.sim.now
+    def partial(self, windows):
+        return self.client.collector.compute_partial(
+            windows, conformance_group=CONFORMANCE_SLOTS
+        )
 
     # ------------------------------------------------------------------
     # Environment
@@ -89,28 +140,18 @@ class ServerMachine:
         self.setup_environment()
         return self.runtime.start()
 
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def run_for(self, seconds):
-        """Advance the simulation by ``seconds``."""
-        self.sim.run_until(self.sim.now + seconds)
-
-    def attach_tracer(self, tracer):
-        self.os_instance.attach_tracer(tracer)
-
-    def attach_activation(self, tracker):
-        self.os_instance.attach_activation(tracker)
-
-    def set_injector_attached(self, attached):
-        """Model the injector competing for machine CPU (Table 4)."""
-        if attached:
-            self.runtime.cpu_scale = 1.0 - INJECTOR_CPU_FRACTION
-        else:
-            self.runtime.cpu_scale = 1.0
-
     def __repr__(self):
         return (
             f"ServerMachine({self.config.server_name} on "
             f"{self.build.display_name}, iteration={self.iteration})"
         )
+
+
+def machine_class(server_name):
+    """The machine that deploys ``server_name``: an OLTP engine's, else a
+    web server's.  The one place a target name picks its machine."""
+    # Imported here: the OLTP package builds on this module.
+    from repro.oltp.engines import ENGINES
+    from repro.oltp.machine import OltpMachine
+
+    return OltpMachine if server_name in ENGINES else ServerMachine

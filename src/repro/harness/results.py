@@ -103,7 +103,9 @@ class SlotTally:
 
 @dataclass
 class InjectionIteration(SlotTally):
-    """One full pass over the faultload (one of the paper's iterations)."""
+    """One full pass over the faultload (one of the paper's iterations).
+    An OLTP engine's pass carries :class:`~repro.oltp.workload.OltpMetrics`
+    as its ``metrics``."""
 
     iteration: int
     metrics: SpecWebMetrics

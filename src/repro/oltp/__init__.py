@@ -16,29 +16,37 @@ benchmark two *transactional database engines* instead of web servers.
 * :class:`~repro.oltp.workload.OltpClient` — a TPC-style terminal
   driver that additionally audits **integrity**: it keeps the ledger of
   acknowledged transfers and counts durability violations when a
-  post-recovery balance contradicts an acknowledged transaction.
+  post-recovery balance contradicts an acknowledged transaction;
+* :class:`~repro.oltp.machine.OltpMachine` — engine, OS and terminals on
+  one simulated machine.  The harness runs it through the same phases
+  as a web server's (:class:`~repro.harness.experiment.WebServerExperiment`
+  picks the machine from ``config.server_name``), and the faultload is
+  fine-tuned by :class:`~repro.pipeline.FaultloadPipeline` with the
+  engines as the profiled targets.
 
-``examples/oltp_benchmark.py`` and
+``repro oltp``, ``examples/oltp_benchmark.py`` and
 ``benchmarks/test_oltp_case_study.py`` run the comparison.
 """
 
-from repro.oltp.engines import BreezyDb, WalnutDb, create_engine
+from repro.oltp.engines import ENGINES, BreezyDb, WalnutDb, create_engine
 from repro.oltp.workload import (
     OltpClient,
     OltpClientConfig,
     OltpMetrics,
+    OltpPartial,
     Transaction,
     TxnResult,
 )
-from repro.oltp.experiment import OltpExperiment, OltpMachine
+from repro.oltp.machine import OltpMachine
 
 __all__ = [
     "BreezyDb",
+    "ENGINES",
     "OltpClient",
     "OltpClientConfig",
-    "OltpExperiment",
     "OltpMachine",
     "OltpMetrics",
+    "OltpPartial",
     "Transaction",
     "TxnResult",
     "WalnutDb",

@@ -13,7 +13,13 @@ from repro.ossim.status import NtStatus
 from repro.oltp.workload import TxnResult
 from repro.webservers.base import ServerStartupError
 
-__all__ = ["BaseDbEngine", "BreezyDb", "WalnutDb", "create_engine"]
+__all__ = [
+    "BaseDbEngine",
+    "BreezyDb",
+    "ENGINES",
+    "WalnutDb",
+    "create_engine",
+]
 
 _OPEN_ALWAYS = 4
 _FILE_BEGIN = 0
@@ -296,14 +302,15 @@ class BreezyDb(BaseDbEngine):
             ctx.api.RtlLeaveCriticalSection("breezy.flush")
 
 
-_ENGINES = {"walnut": WalnutDb, "breezy": BreezyDb}
+# The OLTP targets, by name (``config.server_name``).
+ENGINES = {"walnut": WalnutDb, "breezy": BreezyDb}
 
 
 def create_engine(name):
     """Instantiate a fresh engine by name ('walnut' or 'breezy')."""
-    cls = _ENGINES.get(name)
+    cls = ENGINES.get(name)
     if cls is None:
         raise KeyError(
-            f"unknown engine {name!r} (known: {sorted(_ENGINES)})"
+            f"unknown engine {name!r} (known: {sorted(ENGINES)})"
         )
     return cls()

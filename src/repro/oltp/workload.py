@@ -9,12 +9,13 @@ in-flight or uncertain operations is an integrity violation — an
 acknowledged transaction the system lost (or conjured).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "OltpClient",
     "OltpClientConfig",
     "OltpMetrics",
+    "OltpPartial",
     "Transaction",
     "TxnResult",
 ]
@@ -93,6 +94,72 @@ class OltpMetrics:
             f"TPS={self.tps:.1f} RTM={self.rtm_ms:.1f}ms "
             f"ER%={self.er_percent:.2f} "
             f"violations={self.integrity_violations}"
+        )
+
+
+@dataclass(frozen=True)
+class OltpPartial:
+    """Mergeable sums behind :class:`OltpMetrics`.
+
+    The OLTP counterpart of :class:`~repro.specweb.metrics.MetricsPartial`:
+    each machine epoch of a slot walk reduces its own windows to one,
+    and the walk sums them in slot order.  The violation and uncertain
+    account counts are the client's running totals when its machine
+    was retired.
+    """
+
+    total_txns: int = 0
+    total_errors: int = 0
+    latency_sum: float = 0.0
+    latency_count: int = 0
+    integrity_violations: int = 0
+    uncertain_accounts: int = 0
+    measured_seconds: float = 0.0
+
+    @classmethod
+    def merge(cls, partials):
+        """Sum partials field by field (callers pass them in slot order)."""
+        partials = list(partials)
+        return cls(**{
+            spec.name: sum(getattr(partial, spec.name) for partial in partials)
+            for spec in fields(cls)
+        })
+
+    def to_metrics(self, num_connections=None):
+        """Reduce the sums to :class:`OltpMetrics` (the terminal count
+        does not enter)."""
+        seconds = self.measured_seconds
+        return OltpMetrics(
+            tps=self.total_txns / seconds if seconds > 0 else 0.0,
+            rtm_ms=(1000.0 * self.latency_sum / self.latency_count
+                    if self.latency_count else 0.0),
+            er_percent=(100.0 * self.total_errors / self.total_txns
+                        if self.total_txns else 0.0),
+            total_txns=self.total_txns,
+            total_errors=self.total_errors,
+            integrity_violations=self.integrity_violations,
+            uncertain_accounts=self.uncertain_accounts,
+            measured_seconds=seconds,
+        )
+
+
+class _Responder:
+    """Completion callback for one in-flight transaction: a class, not a
+    closure, so that an in-flight transaction survives a machine
+    snapshot, as the web client's requests do."""
+
+    __slots__ = ("client", "terminal", "seq")
+
+    def __init__(self, client, terminal, seq):
+        self.client = client
+        self.terminal = terminal
+        self.seq = seq
+
+    def __call__(self, result):
+        client = self.client
+        client.sim.schedule(
+            client.config.link_latency, client._finish,
+            self.terminal, self.seq, result,
         )
 
 
@@ -210,19 +277,11 @@ class OltpClient:
             self.account_activity[transaction.account_to] = now
         self.sim.schedule(
             self.config.link_latency, self.transport, transaction,
-            self._responder(terminal, seq),
+            _Responder(self, terminal, seq),
         )
         terminal.timeout_event = self.sim.schedule(
             self.config.txn_timeout, self._on_timeout, terminal, seq
         )
-
-    def _responder(self, terminal, seq):
-        def respond(result):
-            self.sim.schedule(
-                self.config.link_latency, self._finish,
-                terminal, seq, result,
-            )
-        return respond
 
     def _release_pending(self, transaction):
         if transaction.kind == "transfer":
@@ -307,12 +366,12 @@ class OltpClient:
     # ------------------------------------------------------------------
     # Reduction
     # ------------------------------------------------------------------
-    def compute(self, windows):
+    def partial(self, windows):
+        """The mergeable sums behind :meth:`compute`."""
         total = 0
         errors = 0
         latency_sum = 0.0
         latency_count = 0
-        seconds = sum(end - start for start, end in windows)
         for completed_at, ok, latency in self.records:
             if not any(start < completed_at <= end
                        for start, end in windows):
@@ -323,14 +382,17 @@ class OltpClient:
                 latency_count += 1
             else:
                 errors += 1
-        return OltpMetrics(
-            tps=total / seconds if seconds > 0 else 0.0,
-            rtm_ms=(1000.0 * latency_sum / latency_count
-                    if latency_count else 0.0),
-            er_percent=100.0 * errors / total if total else 0.0,
+        return OltpPartial(
             total_txns=total,
             total_errors=errors,
+            latency_sum=latency_sum,
+            latency_count=latency_count,
             integrity_violations=self.integrity_violations,
             uncertain_accounts=len(self.uncertain),
-            measured_seconds=seconds,
+            measured_seconds=sum(end - start for start, end in windows),
         )
+
+    def compute(self, windows):
+        """Reduce the records completed in ``windows`` to
+        :class:`OltpMetrics`."""
+        return self.partial(windows).to_metrics()

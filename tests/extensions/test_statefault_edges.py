@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.extensions.experiment import ExtendedFaultCampaign
 from repro.extensions.statefaults import (
     ConfigFileRemoval,
     DiskReadErrorBurst,
@@ -13,6 +12,7 @@ from repro.extensions.statefaults import (
     StateFaultInjector,
 )
 from repro.harness.config import ExperimentConfig
+from repro.harness.experiment import WebServerExperiment
 from repro.harness.machine import ServerMachine
 from tests.harness.configs import tiny_config
 
@@ -81,13 +81,19 @@ def test_different_fault_types_nest_and_revert(machine):
 
 
 def test_campaign_with_single_class():
+    """A slot walk over state faults alone: each slot injects, and none
+    plants a probe, so activation reads as not tracked while the slot
+    gaps are audited as usual."""
     config = ExperimentConfig.smoke()
-    campaign = ExtendedFaultCampaign(
-        config, faults=[LogVolumeFull(), DiskReadErrorBurst()]
+    run = WebServerExperiment(config).run_slots(
+        [LogVolumeFull(), DiskReadErrorBurst()], iteration=1
     )
-    results = campaign.run()
-    assert set(results) == {"operator", "hardware"}
-    assert results["operator"].faults_injected == 1
+    assert run.faults_injected == 2
+    assert not run.activation_enabled
+    assert run.activations == []
+    assert run.integrity_enabled
+    assert run.audits_performed >= 2
+    assert run.compute_metrics(config.client.connections).total_ops > 0
 
 
 def test_injection_count_tracked(machine):
@@ -118,18 +124,21 @@ class _ConfigRemovalAndKill(StateFault):
 def test_slot_gap_rearms_an_exhausted_restart_budget():
     """A state fault that uses up the watchdog's restart budget must not
     leave the server dead for the slots after it: once the fault is
-    reverted, the slot gap grants a fresh attempt, as the software
-    campaign's gap does."""
+    reverted, the slot gap grants a fresh attempt."""
     config = tiny_config()
     # An 8 s slot gives the 1 s watchdog poll all of its restart
     # attempts, so the budget runs out inside the slot.
     config.rules = replace(config.rules, slot_seconds=8.0)
-    campaign = ExtendedFaultCampaign(config, faults=[
+    run = WebServerExperiment(config).run_slots([
         _ConfigRemovalAndKill(),
         DiskReadErrorBurst(period=10**9),
         DiskReadErrorBurst(period=10**9),
-    ])
-    results = campaign.run()
-    hardware = results["hardware"].metrics
-    assert hardware.er_percent < 100.0
-    assert hardware.spc > 0
+    ], iteration=1)
+    # No verified reboot brings a fresh server: only the re-arm can.
+    assert run.reboots == []
+    assert run.epochs_booted + run.epochs_restored == 1
+    kinds = [incident["kind"] for incident in run.incidents]
+    assert "RESTART_EXHAUSTED" in kinds
+    metrics = run.compute_metrics(config.client.connections)
+    # The first slot's server stays dead; the last two serve.
+    assert metrics.er_percent < 50.0

@@ -10,8 +10,10 @@ from repro.extensions.statefaults import (
     MistakenProcessKill,
     StaleHandleFault,
     StateFaultInjector,
+    class_faultload,
     standard_extension_faultload,
 )
+from repro.harness.campaign import ParallelCampaign
 from repro.harness.config import ExperimentConfig
 from repro.harness.machine import ServerMachine
 from repro.webservers.http import HttpRequest
@@ -146,16 +148,20 @@ def test_standard_faultload_composition():
 
 
 def test_extended_campaign_reports_per_class():
-    from repro.extensions.experiment import ExtendedFaultCampaign
-
+    """Each fault class is a campaign of its own on the one slot walk,
+    reporting the software faultload's measures."""
     config = ExperimentConfig.smoke()
-    campaign = ExtendedFaultCampaign(
-        config, faults=standard_extension_faultload(repetitions=1)
-    )
-    results = campaign.run()
-    assert set(results) == {"hardware", "operator"}
-    operator = results["operator"]
-    assert operator.faults_injected == 3
+    rows = {}
+    for fault_class in ("hardware", "operator"):
+        result = ParallelCampaign(config, workers=1).run(
+            faultload=class_faultload(
+                config.os_codename, fault_class, repetitions=1
+            ),
+            include_baseline=False, include_profile_mode=False,
+        )
+        rows[fault_class] = result.iterations[0]
+    for row in rows.values():
+        assert row.faults_injected == 3
+        assert row.metrics.total_ops > 0
     # A mistaken kill guarantees at least one MIS in the operator class.
-    assert operator.mis >= 1
-    assert operator.metrics.total_ops > 0
+    assert rows["operator"].mis >= 1

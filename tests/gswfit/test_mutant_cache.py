@@ -6,6 +6,7 @@ one compilation pass through the disk tier, and the cache never changes
 what the injector actually swaps in.
 """
 
+import inspect
 import types
 from concurrent.futures import ProcessPoolExecutor
 
@@ -136,6 +137,30 @@ def test_grouped_build_equals_a_build_alone(probed):
         clear_mutant_cache()
         _function, alone = build_mutant_cached(location, probed=probed)
         assert _code_shape(alone) == _code_shape(grouped[pair]), pair
+
+
+def test_cold_warm_up_reads_each_function_source_once(monkeypatch):
+    """A cold build fingerprints a function's source and parses it: one
+    read serves both.  Both builds have 83 target functions, so a cold
+    warm-up of both reads 83 function sources (166 when the image read
+    the source again)."""
+    faultloads = [scan_build(NT50), scan_build(NT51)]
+    clear_mutant_cache()
+    reads = []
+    real = inspect.getsource
+
+    def counting(obj):
+        if inspect.isfunction(obj):
+            reads.append((obj.__module__, obj.__name__))
+        return real(obj)
+
+    monkeypatch.setattr(inspect, "getsource", counting)
+    for faultload in faultloads:
+        warm_mutant_cache(faultload, probed=True)
+    functions = {(location.module, location.function)
+                 for faultload in faultloads for location in faultload}
+    assert len(functions) == 83
+    assert sorted(reads) == sorted(functions)
 
 
 def test_warm_mutant_cache_parses_each_function_once_in_any_order(

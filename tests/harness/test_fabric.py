@@ -19,11 +19,15 @@ fallback) on loopback workers are in ``test_supervisor.py``.
 """
 
 import json
+import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -408,6 +412,27 @@ def test_supervisor_survives_chaos_killed_loopback_worker():
     assert report.retries >= 1
     assert stats["worker_deaths"] >= 1
     assert stats["requeues"] >= 1
+
+
+@pytest.mark.skipif(sys.version_info < (3, 12),
+                    reason="Python 3.12 is the first to warn on fork()")
+def test_loopback_workers_are_forked_before_any_thread_starts():
+    """The backend binds, forks its loopback workers, and only then
+    starts the coordinator's threads: forking a threaded process may
+    deadlock the child, and Python 3.12+ warns when it happens."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(src), env.get("PYTHONPATH")) if part
+    )
+    run = subprocess.run(
+        [sys.executable, "-W", "always::DeprecationWarning", "-m",
+         "repro", "campaign", "--faults", "8", "--connections", "4",
+         "--workers", "2", "--no-baseline", "--no-profile"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "multi-threaded" not in run.stderr
 
 
 def test_supervisor_serial_fallback_when_fabric_starves():

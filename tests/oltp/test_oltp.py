@@ -3,9 +3,11 @@
 import pytest
 
 from repro.harness.config import ExperimentConfig
-from repro.oltp import OltpExperiment, OltpMachine, Transaction
+from repro.harness.experiment import WebServerExperiment
+from repro.harness.snapshot import MachineSnapshot
+from repro.oltp import ENGINES, OltpMachine, Transaction
 from repro.oltp.engines import INITIAL_BALANCE, create_engine
-from repro.webservers.runtime import RuntimeState
+from repro.pipeline import build_tuned_faultload
 
 
 def _machine(engine="walnut", **overrides):
@@ -117,7 +119,7 @@ def test_walnut_checkpoint_truncates_wal():
 
 def test_client_baseline_is_clean_and_audited():
     config = ExperimentConfig.smoke(server_name="walnut")
-    metrics = OltpExperiment(config).run_baseline()
+    metrics = WebServerExperiment(config).run_baseline()
     assert metrics.total_txns > 500
     assert metrics.er_percent == 0.0
     assert metrics.integrity_violations == 0
@@ -127,8 +129,8 @@ def test_client_baseline_is_clean_and_audited():
 def test_experiment_repeatable():
     config = ExperimentConfig.smoke(server_name="breezy")
     config.fault_sample = 10
-    a = OltpExperiment(config).run_injection(iteration=1)
-    b = OltpExperiment(config).run_injection(iteration=1)
+    a = WebServerExperiment(config).run_injection(iteration=1)
+    b = WebServerExperiment(config).run_injection(iteration=1)
     assert a.metrics.total_txns == b.metrics.total_txns
     assert (a.metrics.integrity_violations
             == b.metrics.integrity_violations)
@@ -137,8 +139,8 @@ def test_experiment_repeatable():
 
 def test_domain_tuning_selects_oltp_footprint():
     config = ExperimentConfig.smoke(server_name="walnut")
-    tuned = OltpExperiment(config).domain_tuned_faultload(
-        profile_seconds=6.0
+    tuned = build_tuned_faultload(
+        config, servers=ENGINES, profile_seconds=6.0
     )
     functions = set(tuned.functions())
     assert "NtWriteFile" in functions
@@ -151,16 +153,14 @@ def test_domain_tuning_selects_oltp_footprint():
 
 def test_integrity_audit_distinguishes_engines():
     """The acid test of the case study at unit scale."""
-    tuned = None
+    tuned = build_tuned_faultload(
+        ExperimentConfig.smoke(), servers=ENGINES, profile_seconds=6.0
+    )
     results = {}
-    for engine in ("walnut", "breezy"):
+    for engine in ENGINES:
         config = ExperimentConfig.smoke(server_name=engine)
         config.fault_sample = 24
-        experiment = OltpExperiment(config)
-        if tuned is None:
-            tuned = experiment.domain_tuned_faultload(
-                profile_seconds=6.0
-            )
+        experiment = WebServerExperiment(config)
         results[engine] = experiment.run_injection(
             faultload=tuned, iteration=1
         )
@@ -168,3 +168,23 @@ def test_integrity_audit_distinguishes_engines():
     breezy = results["breezy"].metrics
     assert walnut.integrity_violations == 0
     assert breezy.integrity_violations > 0
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_restored_oltp_machine_runs_in_lockstep(engine):
+    """Every slot walk captures its warmed-up machine: an engine machine
+    must pickle (no lambda clock, no closure responders in flight), and
+    a restored copy must run exactly like the machine it was taken
+    from."""
+    machine = _machine(engine)
+    machine.client.start()
+    machine.run_for(2.0)
+    copy, auditor = MachineSnapshot.capture("oltp", machine).restore()
+    assert auditor is None
+    for each in (machine, copy):
+        each.run_for(3.0)
+    assert copy.sim.now == machine.sim.now
+    assert copy.client.records == machine.client.records
+    assert len(machine.client.records) > 100
+    assert copy.client.ledger == machine.client.ledger
+    assert vars(copy.engine) == vars(machine.engine)
