@@ -199,38 +199,30 @@ class LogVolumeFull(StateFault):
 # ----------------------------------------------------------------------
 
 class StateFaultInjector:
-    """Applies/reverts state faults with the same discipline as G-SWFIT.
+    """Applies/reverts state faults with the same discipline as G-SWFIT."""
 
-    ``profile_mode`` mirrors the G-SWFIT injector's: every step but the
-    perturbation itself, so a no-inject control run leaves the machine
-    untouched.
-    """
-
-    def __init__(self, machine, profile_mode=False):
+    def __init__(self, machine):
         self.machine = machine
-        self.profile_mode = profile_mode
         self._active = {}
         self.injection_count = 0
 
     def inject(self, fault):
         if fault.fault_id in self._active:
             raise ValueError(f"fault already active: {fault.fault_id}")
-        info = None if self.profile_mode else fault.apply(self.machine)
+        info = fault.apply(self.machine)
         self._active[fault.fault_id] = (fault, info)
         self.injection_count += 1
 
-    def _revert(self, fault, info):
-        if not self.profile_mode:
-            fault.revert(self.machine, info)
-
     def restore(self, fault):
         entry = self._active.pop(fault.fault_id, None)
-        if entry is not None:
-            self._revert(*entry)
+        if entry is None:
+            return
+        active_fault, info = entry
+        active_fault.revert(self.machine, info)
 
     def restore_all(self):
         for fault, info in list(self._active.values()):
-            self._revert(fault, info)
+            fault.revert(self.machine, info)
         self._active.clear()
 
     @contextmanager

@@ -106,9 +106,7 @@ class _Epoch:
                  restored=False):
         self.machine = machine
         self.injector = injector
-        self.state_injector = StateFaultInjector(
-            machine, profile_mode=injector.profile_mode
-        )
+        self.state_injector = StateFaultInjector(machine)
         self.watchdog = watchdog
         self.auditor = auditor
         self.tracker = tracker

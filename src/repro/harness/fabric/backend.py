@@ -88,7 +88,6 @@ class FabricExecutorBackend:
             shard_timeout=shard_timeout,
             heartbeat_seconds=heartbeat_seconds,
             journal_version=journal_version,
-            start=False,
             **kwargs,
         )
         self.address = self._coordinator.address

@@ -117,7 +117,7 @@ class FabricCoordinator:
     def __init__(self, host="127.0.0.1", port=0, *, shard_timeout=None,
                  heartbeat_seconds=DEFAULT_HEARTBEAT_SECONDS,
                  heartbeat_grace=None, journal_version,
-                 worker_grace=DEFAULT_WORKER_GRACE, start=True):
+                 worker_grace=DEFAULT_WORKER_GRACE):
         self.shard_timeout = shard_timeout
         self.heartbeat_seconds = heartbeat_seconds
         # A worker heartbeats every ``heartbeat_seconds`` while running;
@@ -147,16 +147,14 @@ class FabricCoordinator:
             target=self._accept_loop, name="fabric-accept", daemon=True)
         self._monitor_thread = threading.Thread(
             target=self._monitor_loop, name="fabric-monitor", daemon=True)
-        if start:
-            self.start()
 
     def start(self):
         """Start accepting and monitoring workers.
 
-        The listener is bound by the constructor, so a caller that forks
-        workers constructs with ``start=False``, forks, then starts: the
-        workers are forked from a process that has no threads yet, and
-        the ones that connect early wait in the listen backlog.
+        The constructor binds the listener and starts no thread, so a
+        caller can fork its local workers first: they are forked from a
+        process without threads, and the ones that connect before this
+        call wait in the listen backlog.
         """
         self._accept_thread.start()
         self._monitor_thread.start()

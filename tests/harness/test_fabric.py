@@ -184,6 +184,7 @@ def _worker_thread(coordinator, **kwargs):
 
 def test_coordinator_completes_work_and_counts_steals():
     coordinator = FabricCoordinator(journal_version=JOURNAL_VERSION)
+    coordinator.start()
     try:
         for index in range(3):
             coordinator.submit(index, _shard(index), _ok_task)
@@ -227,6 +228,7 @@ def test_worker_round_trips_do_not_wait_on_delayed_acks(monkeypatch):
     monkeypatch.setattr(socket, "create_connection",
                         recording_create_connection)
     coordinator = FabricCoordinator(journal_version=JOURNAL_VERSION)
+    coordinator.start()
     try:
         coordinator.submit(0, _shard(0), _ok_task)
         _worker_thread(coordinator, name="w0",
@@ -243,6 +245,7 @@ def test_coordinator_rejects_version_skewed_fragments():
     """A worker built against another journal version must have its
     fragments discarded and the shard charged — never merged."""
     coordinator = FabricCoordinator(journal_version=JOURNAL_VERSION)
+    coordinator.start()
     try:
         coordinator.submit(0, _shard(0), _ok_task)
         _worker_thread(coordinator, name="skewed", journal_version=999)
@@ -264,6 +267,7 @@ def test_coordinator_stop_wakes_the_accept_thread():
     """stop() must not wait out its 2 s join deadline on a thread still
     blocked in accept(), nor leave that thread running."""
     coordinator = FabricCoordinator(journal_version=JOURNAL_VERSION)
+    coordinator.start()
     time.sleep(0.1)  # let the accept thread block in accept()
     started = time.monotonic()
     coordinator.stop()
@@ -294,6 +298,7 @@ def _raw_register_and_steal(coordinator, name="raw"):
 
 def test_coordinator_charges_shard_of_dead_worker():
     coordinator = FabricCoordinator(journal_version=JOURNAL_VERSION)
+    coordinator.start()
     try:
         coordinator.submit(5, _shard(5), _ok_task)
         conn, assignment = _raw_register_and_steal(coordinator)
@@ -320,6 +325,7 @@ def test_coordinator_charges_hung_shard_despite_heartbeats():
     wall-clock deadline is charged even while its worker heartbeats."""
     coordinator = FabricCoordinator(
         journal_version=JOURNAL_VERSION, shard_timeout=0.4)
+    coordinator.start()
     try:
         coordinator.submit(2, _shard(2), _ok_task)
         conn, assignment = _raw_register_and_steal(coordinator)
@@ -358,6 +364,7 @@ def test_coordinator_reaps_worker_with_stale_heartbeat():
     coordinator = FabricCoordinator(
         journal_version=JOURNAL_VERSION, shard_timeout=60.0,
         heartbeat_seconds=0.1, heartbeat_grace=0.5)
+    coordinator.start()
     try:
         coordinator.submit(1, _shard(1), _ok_task)
         conn, assignment = _raw_register_and_steal(coordinator)
@@ -597,6 +604,7 @@ def test_worker_redials_after_drop_and_reregisters(monkeypatch):
 
 def test_coordinator_emits_worker_reconnected_event():
     coordinator = FabricCoordinator(journal_version=JOURNAL_VERSION)
+    coordinator.start()
     conn = None
     try:
         conn = socket.create_connection(coordinator.address)
@@ -664,6 +672,7 @@ def test_coordinator_requeues_shard_on_protocol_error(corrupt):
     clean protocol error that charges + reclaims the shard — never an
     unhandled exception in the coordinator's read loop."""
     coordinator = FabricCoordinator(journal_version=JOURNAL_VERSION)
+    coordinator.start()
     conn = None
     try:
         coordinator.submit(9, _shard(9), _ok_task)
