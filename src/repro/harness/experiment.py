@@ -114,11 +114,6 @@ class _Epoch:
         self.finished = False
         self.restored = restored
 
-    def injector_for(self, fault):
-        if isinstance(fault, StateFault):
-            return self.state_injector
-        return self.injector
-
 
 class WebServerExperiment:
     """The one-machine phases of one server/OS benchmark (or engine/OS:
@@ -464,8 +459,9 @@ class WebServerExperiment:
                 slot = first_slot + index
                 slot_start = machine.sim.now
                 probed = not isinstance(fault, StateFault)
+                injector = epoch.injector if probed else epoch.state_injector
                 try:
-                    epoch.injector_for(fault).inject(fault)
+                    injector.inject(fault)
                     result.faults_injected += 1
                 except MutantError:
                     # Unresolvable site (stale faultload): skip the slot.
@@ -494,7 +490,7 @@ class WebServerExperiment:
                         machine.sim.run_until(slot_start + rules.slot_seconds)
                 else:
                     machine.sim.run_until(slot_start + rules.slot_seconds)
-                epoch.injector_for(fault).restore(fault)
+                injector.restore(fault)
                 epoch.windows.append((slot_start, slot_start + slot_len))
                 if track and probed:
                     # Harvest after restore: the probe cannot fire once
