@@ -52,7 +52,10 @@ INJECT_SPEEDUP_FLOOR = 2.0 if SMOKE else 5.0
 SCAN_SPEEDUP_FLOOR = 1.2 if SMOKE else 3.0
 EPOCH_SPEEDUP_FLOOR = 2.0 if SMOKE else 5.0
 INJECT_SLOTS = 12 if SMOKE else 48
-WARM_ROUNDS = 2 if SMOKE else 5
+# A warm pass over 48 slots takes about 0.5 ms, so its median needs
+# many passes; a cold pass is one full mutant build per slot.
+COLD_ROUNDS = 3
+WARM_ROUNDS = 200
 SCAN_ROUNDS = 1 if SMOKE else 3
 DISPATCH_CALLS = 20_000 if SMOKE else 200_000
 EPOCH_BOOT_ROUNDS = 2 if SMOKE else 3
@@ -81,17 +84,20 @@ def test_repeat_injection_speedup(benchmark):
             injector.inject(location)
             injector.restore(location)
 
+    def timed_pass(injector):
+        started = time.perf_counter()
+        one_pass(injector)
+        return time.perf_counter() - started
+
     def regenerate():
         injector = FaultInjector()
-        clear_mutant_cache()
-        started = time.perf_counter()
-        one_pass(injector)  # every slot compiles its mutant
-        cold = time.perf_counter() - started
-        started = time.perf_counter()
-        for _ in range(WARM_ROUNDS):  # every slot hits the memo
-            one_pass(injector)
-        warm = (time.perf_counter() - started) / WARM_ROUNDS
-        return cold, warm
+        colds = []
+        for _ in range(COLD_ROUNDS):
+            clear_mutant_cache()
+            colds.append(timed_pass(injector))  # every slot compiles
+        # Every slot hits the memo.
+        warms = [timed_pass(injector) for _ in range(WARM_ROUNDS)]
+        return median(colds), median(warms)
 
     cold, warm = benchmark.pedantic(regenerate, rounds=1, iterations=1)
     speedup = cold / max(warm, 1e-9)
