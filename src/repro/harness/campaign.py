@@ -61,7 +61,7 @@ from repro.harness.experiment import (
     WebServerExperiment,
     profile_servers,
 )
-from repro.harness.fabric import FabricExecutorBackend
+from repro.harness.fabric import FabricCoordinator
 from repro.harness.jsonl import drop_torn_tail, read_jsonl
 from repro.harness.results import (
     BenchmarkResult,
@@ -564,7 +564,7 @@ class ParallelCampaign:
         if self.workers <= 1 and self.fabric_listen is None:
             return None
         return partial(
-            FabricExecutorBackend,
+            FabricCoordinator,
             loopback_workers=self.workers,
             listen=self.fabric_listen,
             shard_timeout=self.shard_timeout,

@@ -8,8 +8,10 @@ process — forked locally by ``--workers N``, or a ``campaign-worker``
 on another machine — that steals shards, runs them, and ships
 :class:`~repro.harness.campaign.ShardOutcome` fragments back over
 length-prefixed JSON frames (:mod:`.protocol`).  The supervisor drives
-it all through :class:`.backend.FabricExecutorBackend`, which forks the
-local (loopback) workers and replaces any the coordinator reports dead.
+it all through the coordinator, which also forks the local (loopback)
+workers and replaces any that die.  The coordinator runs no thread: it
+serves every socket inside its ``drain`` call, on the supervisor's own
+thread, so a loopback worker is never forked from a threaded process.
 What the fabric learns reaches the supervisor as :class:`ShardEvent`
 records.
 
@@ -22,7 +24,6 @@ byte-digest-identical to a serial run, even with a worker killed
 mid-campaign (``tests/harness/test_parity.py``).
 """
 
-from repro.harness.fabric.backend import FabricExecutorBackend
 from repro.harness.fabric.coordinator import FabricCoordinator, ShardEvent
 from repro.harness.fabric.protocol import (
     PROTOCOL_VERSION,
@@ -36,7 +37,6 @@ from repro.harness.fabric.worker import FabricWorker
 __all__ = [
     "PROTOCOL_VERSION",
     "FabricCoordinator",
-    "FabricExecutorBackend",
     "FabricWorker",
     "FrameError",
     "ShardEvent",

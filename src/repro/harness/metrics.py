@@ -199,24 +199,6 @@ class StratumEstimator:
                 )
         return widths
 
-    def converged(self, ci_target, rng=None):
-        """True once every tracked half-width is under the target.
-
-        The target is relative: ``half_width <= ci_target *
-        max(|mean|, 1.0)``.  The 1.0 floor gives near-zero metrics
-        (ADMf, ER%f on a robust target) an absolute budget of
-        ``ci_target`` instead of an impossible relative one.
-        """
-        widths = self.half_widths(rng)
-        for metric in SEQUENTIAL_TRACKED_METRICS:
-            width = widths[metric]
-            if width is None:
-                return False
-            mean = self.estimators[metric].mean
-            if width > ci_target * max(abs(mean), 1.0):
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class DependabilityMetrics:

@@ -28,6 +28,7 @@ which the parity harness (``tests/harness/test_parity.py``) enforces.
 
 from dataclasses import dataclass, field
 
+from repro.extensions.statefaults import StateFault
 from repro.harness.metrics import (
     SEQUENTIAL_TRACKED_METRICS,
     StratumEstimator,
@@ -76,6 +77,12 @@ def plan_sequential_strata(faultload, batch_slots):
 
     if batch_slots < 1:
         raise ValueError("batch_slots must be >= 1")
+    for location in faultload:
+        if isinstance(location, StateFault):
+            raise ValueError(
+                f"sequential mode stratifies by G-SWFIT fault type, and "
+                f"{location.fault_id} is a state fault"
+            )
     strata = []
     shard_index = 0
     slot = 0
@@ -280,9 +287,14 @@ class SequentialController:
 def _converged(widths, means, ci_target):
     """The stopping rule over precomputed half-widths.
 
-    Relative target with an absolute floor: ``half_width <= ci_target *
-    max(|mean|, 1.0)``.  ``None`` (undefined, fewer than two batches)
-    never converges.
+    True once every tracked half-width is under the target.  The target
+    is relative with an absolute floor: ``half_width <= ci_target *
+    max(|mean|, 1.0)``; the floor gives near-zero metrics (ADMf, ER%f
+    on a robust target) an absolute budget of ``ci_target`` instead of
+    an impossible relative one.  ``None`` (undefined, fewer than two
+    batches) never converges.  The controller passes the half-widths
+    it already computed: computing them again would advance the
+    bootstrap stream and change later decisions.
     """
     for metric in SEQUENTIAL_TRACKED_METRICS:
         width = widths[metric]

@@ -49,7 +49,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.harness.fabric.backend import FabricExecutorBackend
+from repro.harness.fabric.coordinator import FabricCoordinator
 from repro.harness.telemetry import NullTelemetry
 
 __all__ = [
@@ -117,7 +117,7 @@ class ShardSupervisor:
     across many :meth:`run` calls (the campaign reuses it across
     iterations so the fork and registration cost is paid once).
     ``backend_factory`` builds that fabric; the default is a
-    :class:`~repro.harness.fabric.FabricExecutorBackend` with
+    :class:`~repro.harness.fabric.FabricCoordinator` with
     ``workers`` loopback workers.  Call :meth:`close` — or use it as a
     context manager — when done.
     """
@@ -158,7 +158,7 @@ class ShardSupervisor:
             if self._backend_factory is not None:
                 self._backend = self._backend_factory()
             else:
-                self._backend = FabricExecutorBackend(
+                self._backend = FabricCoordinator(
                     loopback_workers=self.workers,
                     shard_timeout=self.shard_timeout,
                 )

@@ -6,9 +6,12 @@ so its digest must hold across worker counts, a worker death and a
 kill-and-resume, as the parity table demands of software campaigns.
 """
 
+import pytest
+
 from repro.extensions.statefaults import class_faultload
 from repro.harness.campaign import ParallelCampaign
-from repro.harness.fabric.backend import CHAOS_KILL_ENV
+from repro.harness.experiment import WebServerExperiment
+from repro.harness.fabric.coordinator import CHAOS_KILL_ENV
 from repro.harness.snapshot import snapshot_cache
 from tests.harness.configs import tiny_config
 from tests.harness.test_parity import cut_journal
@@ -64,3 +67,26 @@ def test_state_fault_campaign_runs_its_default_phases():
     manifest = operator_campaign(baseline=True, profile_mode=True)
     assert {"baseline", "profile_mode"} <= set(manifest.phase_timings)
     assert not manifest.supervision["degraded"]
+
+
+def test_sequential_state_fault_campaign_is_refused_before_any_phase(
+        tmp_path, monkeypatch):
+    """Sequential mode stratifies by G-SWFIT fault type, which a state
+    fault lacks: the campaign refuses it in one line, before the
+    baseline or the journal exist."""
+    ran = []
+    monkeypatch.setattr(
+        WebServerExperiment, "run_baseline",
+        lambda self, *args, **kwargs: ran.append("baseline"))
+    config = tiny_config()
+    config.sequential = True
+    config.slots_per_shard = 2
+    journal = tmp_path / "journal.jsonl"
+    campaign = ParallelCampaign(config, journal_path=journal)
+    with pytest.raises(ValueError, match=(
+            r"^sequential mode stratifies by G-SWFIT fault type, and "
+            r"operator:mistaken-process-kill is a state fault$")):
+        campaign.run(faultload=class_faultload(
+            config.os_codename, "operator", repetitions=2))
+    assert ran == []
+    assert not journal.exists()

@@ -8,7 +8,8 @@ Three layers, in rising order of integration:
   tasks and scripted workers — real :class:`FabricWorker` threads for
   the happy/skew paths, raw sockets for death and hang (a raw socket is
   the only honest way to act out a worker that takes a shard and
-  vanishes);
+  vanishes; the coordinator acts only inside ``drain``, so a scripted
+  worker drains it while waiting for each reply);
 * the full campaign's fabric telemetry and manifest surface.
 
 Loopback fabric campaigns landing on the digests of serial runs — with
@@ -19,7 +20,9 @@ fallback) on loopback workers are in ``test_supervisor.py``.
 """
 
 import json
+import multiprocessing
 import os
+import select
 import socket
 import struct
 import subprocess
@@ -36,8 +39,10 @@ from repro.harness.campaign import (
     CampaignShard,
     ParallelCampaign,
 )
-from repro.harness.fabric.backend import FabricExecutorBackend
-from repro.harness.fabric.coordinator import FabricCoordinator
+from repro.harness.fabric.coordinator import (
+    CHAOS_KILL_ENV,
+    FabricCoordinator,
+)
 from repro.harness.fabric.protocol import (
     PROTOCOL_VERSION,
     FrameError,
@@ -163,9 +168,16 @@ def _slow_task(shard):
     return {"shard": shard.index}
 
 
-def _drain_until(source, predicate, deadline=15.0):
-    """Collect events until ``predicate(events)`` or the deadline."""
-    events = []
+def _coordinator(**kwargs):
+    """A listen-only coordinator on a free loopback port."""
+    return FabricCoordinator(listen=("127.0.0.1", 0),
+                             journal_version=JOURNAL_VERSION, **kwargs)
+
+
+def _drain_until(source, predicate, deadline=15.0, events=()):
+    """Collect events (after ``events``, drained earlier) until
+    ``predicate(events)`` or the deadline."""
+    events = list(events)
     end = time.monotonic() + deadline
     while time.monotonic() < end:
         events.extend(source.drain(0.05))
@@ -183,11 +195,10 @@ def _worker_thread(coordinator, **kwargs):
 
 
 def test_coordinator_completes_work_and_counts_steals():
-    coordinator = FabricCoordinator(journal_version=JOURNAL_VERSION)
-    coordinator.start()
+    coordinator = _coordinator()
     try:
         for index in range(3):
-            coordinator.submit(index, _shard(index), _ok_task)
+            coordinator.submit_shard(index, _shard(index), _ok_task)
         _worker_thread(coordinator, name="w0",
                        journal_version=JOURNAL_VERSION)
         events = _drain_until(
@@ -209,7 +220,7 @@ def test_coordinator_completes_work_and_counts_steals():
         assert "fabric_worker_register" in kinds
         assert "fabric_steal" in kinds
     finally:
-        coordinator.stop()
+        coordinator.shutdown()
 
 
 def test_worker_round_trips_do_not_wait_on_delayed_acks(monkeypatch):
@@ -227,10 +238,9 @@ def test_worker_round_trips_do_not_wait_on_delayed_acks(monkeypatch):
 
     monkeypatch.setattr(socket, "create_connection",
                         recording_create_connection)
-    coordinator = FabricCoordinator(journal_version=JOURNAL_VERSION)
-    coordinator.start()
+    coordinator = _coordinator()
     try:
-        coordinator.submit(0, _shard(0), _ok_task)
+        coordinator.submit_shard(0, _shard(0), _ok_task)
         _worker_thread(coordinator, name="w0",
                        journal_version=JOURNAL_VERSION)
         _drain_until(coordinator,
@@ -238,16 +248,15 @@ def test_worker_round_trips_do_not_wait_on_delayed_acks(monkeypatch):
         [conn] = opened
         assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
     finally:
-        coordinator.stop()
+        coordinator.shutdown()
 
 
 def test_coordinator_rejects_version_skewed_fragments():
     """A worker built against another journal version must have its
     fragments discarded and the shard charged — never merged."""
-    coordinator = FabricCoordinator(journal_version=JOURNAL_VERSION)
-    coordinator.start()
+    coordinator = _coordinator()
     try:
-        coordinator.submit(0, _shard(0), _ok_task)
+        coordinator.submit_shard(0, _shard(0), _ok_task)
         _worker_thread(coordinator, name="skewed", journal_version=999)
         events = _drain_until(
             coordinator,
@@ -260,53 +269,51 @@ def test_coordinator_rejects_version_skewed_fragments():
         kinds = {e.event for e in events if e.kind == "info"}
         assert "fabric_version_skew" in kinds
     finally:
-        coordinator.stop()
+        coordinator.shutdown()
 
 
-def test_coordinator_stop_wakes_the_accept_thread():
-    """stop() must not wait out its 2 s join deadline on a thread still
-    blocked in accept(), nor leave that thread running."""
-    coordinator = FabricCoordinator(journal_version=JOURNAL_VERSION)
-    coordinator.start()
-    time.sleep(0.1)  # let the accept thread block in accept()
-    started = time.monotonic()
-    coordinator.stop()
-    assert time.monotonic() - started < 1.0
-    assert not coordinator._accept_thread.is_alive()
+def _reply(coordinator, conn, events):
+    """The coordinator acts only inside ``drain``: drain (keeping the
+    events) until ``conn`` has a frame to read, then read it."""
+    deadline = time.monotonic() + 10.0
+    while not select.select([conn], [], [], 0)[0]:
+        assert time.monotonic() < deadline, "the coordinator never replied"
+        events.extend(coordinator.drain(0.02))
+    return recv_frame(conn)
 
 
 def _raw_register_and_steal(coordinator, name="raw"):
     """Minimal hand-rolled worker: register, steal, return the live
-    socket and the assignment message."""
+    socket, the assignment message and the events drained meanwhile."""
+    events = []
     conn = socket.create_connection(coordinator.address)
     send_frame(conn, {
         "type": "register", "name": name, "pid": 1, "host": "test",
         "protocol": PROTOCOL_VERSION,
         "journal_version": JOURNAL_VERSION,
     })
-    ack = recv_frame(conn)
-    assert ack["type"] == "registered"
+    assert _reply(coordinator, conn, events)["type"] == "registered"
     deadline = time.monotonic() + 10.0
     while time.monotonic() < deadline:
         send_frame(conn, {"type": "steal"})
-        message = recv_frame(conn)
+        message = _reply(coordinator, conn, events)
         if message["type"] == "assign":
-            return conn, message
+            return conn, message, events
         time.sleep(0.02)
     raise AssertionError("never got an assignment")
 
 
 def test_coordinator_charges_shard_of_dead_worker():
-    coordinator = FabricCoordinator(journal_version=JOURNAL_VERSION)
-    coordinator.start()
+    coordinator = _coordinator()
     try:
-        coordinator.submit(5, _shard(5), _ok_task)
-        conn, assignment = _raw_register_and_steal(coordinator)
+        coordinator.submit_shard(5, _shard(5), _ok_task)
+        conn, assignment, events = _raw_register_and_steal(coordinator)
         assert assignment["ticket"] == 5
         conn.close()  # die mid-assignment, no goodbye
         events = _drain_until(
             coordinator,
             lambda es: any(e.kind == "failed" for e in es),
+            events=events,
         )
         failed = [e for e in events if e.kind == "failed"]
         assert failed[0].ticket == 5
@@ -317,18 +324,16 @@ def test_coordinator_charges_shard_of_dead_worker():
         assert any(e.event == "fabric_worker_dead"
                    for e in events if e.kind == "info")
     finally:
-        coordinator.stop()
+        coordinator.shutdown()
 
 
 def test_coordinator_charges_hung_shard_despite_heartbeats():
     """Heartbeats prove liveness, not progress: a shard past its
     wall-clock deadline is charged even while its worker heartbeats."""
-    coordinator = FabricCoordinator(
-        journal_version=JOURNAL_VERSION, shard_timeout=0.4)
-    coordinator.start()
+    coordinator = _coordinator(shard_timeout=0.4)
     try:
-        coordinator.submit(2, _shard(2), _ok_task)
-        conn, assignment = _raw_register_and_steal(coordinator)
+        coordinator.submit_shard(2, _shard(2), _ok_task)
+        conn, assignment, events = _raw_register_and_steal(coordinator)
         assert assignment["ticket"] == 2
         stop = threading.Event()
 
@@ -345,6 +350,7 @@ def test_coordinator_charges_hung_shard_despite_heartbeats():
             events = _drain_until(
                 coordinator,
                 lambda es: any(e.kind == "failed" for e in es),
+                events=events,
             )
         finally:
             stop.set()
@@ -354,45 +360,44 @@ def test_coordinator_charges_hung_shard_despite_heartbeats():
         assert "hang" in failed[0].reason
         assert coordinator.stats()["heartbeats"] >= 1
     finally:
-        coordinator.stop()
+        coordinator.shutdown()
         conn.close()
 
 
 def test_coordinator_reaps_worker_with_stale_heartbeat():
     """A worker that stops heartbeating mid-shard is dead even if its
     TCP connection lingers: the shard must come back."""
-    coordinator = FabricCoordinator(
-        journal_version=JOURNAL_VERSION, shard_timeout=60.0,
-        heartbeat_seconds=0.1, heartbeat_grace=0.5)
-    coordinator.start()
+    coordinator = _coordinator(shard_timeout=60.0, heartbeat_seconds=0.1,
+                               heartbeat_grace=0.5)
     try:
-        coordinator.submit(1, _shard(1), _ok_task)
-        conn, assignment = _raw_register_and_steal(coordinator)
+        coordinator.submit_shard(1, _shard(1), _ok_task)
+        conn, assignment, events = _raw_register_and_steal(coordinator)
         assert assignment["ticket"] == 1
         # ...and now send nothing at all.
         events = _drain_until(
             coordinator,
             lambda es: any(e.kind == "failed" for e in es),
+            events=events,
         )
         failed = [e for e in events if e.kind == "failed"]
         assert failed[0].ticket == 1
         assert "heartbeat" in failed[0].reason
     finally:
-        coordinator.stop()
+        coordinator.shutdown()
         conn.close()
 
 
 # ----------------------------------------------------------------------
-# Supervisor over the fabric backend
+# Supervisor over the fabric
 # ----------------------------------------------------------------------
-def _fabric_supervisor(loopback, **backend_kwargs):
+def _fabric_supervisor(loopback, **fabric_kwargs):
     return ShardSupervisor(
         workers=loopback,
         poll_seconds=0.02,
-        backend_factory=lambda: FabricExecutorBackend(
+        backend_factory=lambda: FabricCoordinator(
             loopback_workers=loopback,
             journal_version=JOURNAL_VERSION,
-            **backend_kwargs,
+            **fabric_kwargs,
         ),
     )
 
@@ -421,17 +426,47 @@ def test_supervisor_survives_chaos_killed_loopback_worker():
     assert stats["requeues"] >= 1
 
 
+def test_loopback_workers_fork_from_a_single_threaded_parent(
+        monkeypatch):
+    """Every loopback fork — the first two and the re-fork after a chaos
+    kill — happens with no more threads than the parent had before the
+    fabric was built: the coordinator serves its sockets from the
+    supervisor's thread, and forking a threaded process may deadlock
+    the child."""
+    start = multiprocessing.Process.start
+    threads_at_fork = []
+
+    def counting_start(process):
+        threads_at_fork.append(threading.active_count())
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+    before = threading.active_count()
+    with _fabric_supervisor(2, chaos_kill_after=2) as supervisor:
+        report = supervisor.run([_shard(i) for i in range(6)], _slow_task)
+    assert sorted(report.outcomes) == list(range(6))
+    assert len(threads_at_fork) == 3
+    assert max(threads_at_fork) <= before
+
+
 @pytest.mark.skipif(sys.version_info < (3, 12),
                     reason="Python 3.12 is the first to warn on fork()")
-def test_loopback_workers_are_forked_before_any_thread_starts():
-    """The backend binds, forks its loopback workers, and only then
-    starts the coordinator's threads: forking a threaded process may
-    deadlock the child, and Python 3.12+ warns when it happens."""
+@pytest.mark.parametrize("chaos_kill_after", [None, "1"],
+                         ids=["no-death", "chaos-kill"])
+def test_loopback_workers_are_forked_before_any_thread_starts(
+        chaos_kill_after):
+    """A campaign forks its loopback workers, and re-forks a dead one,
+    from a process with no thread but its own: forking a threaded
+    process may deadlock the child, and Python 3.12+ warns when it
+    happens."""
     src = Path(__file__).resolve().parents[2] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         part for part in (str(src), env.get("PYTHONPATH")) if part
     )
+    env.pop(CHAOS_KILL_ENV, None)
+    if chaos_kill_after is not None:
+        env[CHAOS_KILL_ENV] = chaos_kill_after
     run = subprocess.run(
         [sys.executable, "-W", "always::DeprecationWarning", "-m",
          "repro", "campaign", "--faults", "8", "--connections", "4",
@@ -451,11 +486,7 @@ def test_supervisor_serial_fallback_when_fabric_starves():
         workers=2,
         poll_seconds=0.02,
         max_pool_rebuilds=0,
-        backend_factory=lambda: FabricExecutorBackend(
-            listen=("127.0.0.1", 0),
-            journal_version=JOURNAL_VERSION,
-            worker_grace=0.3,
-        ),
+        backend_factory=lambda: _coordinator(worker_grace=0.3),
     )
     with supervisor:
         report = supervisor.run(shards, _ok_task)
@@ -466,26 +497,27 @@ def test_supervisor_serial_fallback_when_fabric_starves():
 
 
 def test_external_worker_via_listen_address():
-    """The `campaign-worker host:port` shape: backend listens, a worker
-    we run ourselves supplies all the capacity."""
-    backend = FabricExecutorBackend(
-        listen=("127.0.0.1", 0), journal_version=JOURNAL_VERSION)
+    """The `campaign-worker host:port` shape: the coordinator listens, a
+    worker we run ourselves supplies all the capacity."""
+    coordinator = _coordinator()
     try:
-        host, port = backend.address
+        host, port = coordinator.address
         worker = FabricWorker(host, port, name="external-0",
                               journal_version=JOURNAL_VERSION)
         thread = threading.Thread(target=worker.run, daemon=True)
         thread.start()
         for index in range(3):
-            backend.submit_shard(index, _shard(index), _ok_task)
+            coordinator.submit_shard(index, _shard(index), _ok_task)
         events = _drain_until(
-            backend, lambda es: sum(e.kind == "done" for e in es) == 3)
+            coordinator,
+            lambda es: sum(e.kind == "done" for e in es) == 3)
         assert sorted(e.ticket for e in events
                       if e.kind == "done") == [0, 1, 2]
-        roster = backend.stats()["roster"]
+        roster = coordinator.stats()["roster"]
         assert [w["name"] for w in roster] == ["external-0"]
+        assert coordinator.stats()["loopback_workers"] == 0
     finally:
-        backend.shutdown()
+        coordinator.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -603,8 +635,7 @@ def test_worker_redials_after_drop_and_reregisters(monkeypatch):
 
 
 def test_coordinator_emits_worker_reconnected_event():
-    coordinator = FabricCoordinator(journal_version=JOURNAL_VERSION)
-    coordinator.start()
+    coordinator = _coordinator()
     conn = None
     try:
         conn = socket.create_connection(coordinator.address)
@@ -613,12 +644,14 @@ def test_coordinator_emits_worker_reconnected_event():
             "host": "test", "protocol": PROTOCOL_VERSION,
             "journal_version": JOURNAL_VERSION, "reconnects": 2,
         })
-        assert recv_frame(conn)["type"] == "registered"
+        events = []
+        assert _reply(coordinator, conn, events)["type"] == "registered"
         events = _drain_until(
             coordinator,
             lambda es: any(e.kind == "info"
                            and e.event == "worker_reconnected"
                            for e in es),
+            events=events,
         )
         event = next(e for e in events
                      if e.event == "worker_reconnected")
@@ -627,7 +660,7 @@ def test_coordinator_emits_worker_reconnected_event():
     finally:
         if conn is not None:
             conn.close()
-        coordinator.stop()
+        coordinator.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -671,12 +704,11 @@ def test_coordinator_requeues_shard_on_protocol_error(corrupt):
     """Garbage on the wire from a worker holding a shard must become a
     clean protocol error that charges + reclaims the shard — never an
     unhandled exception in the coordinator's read loop."""
-    coordinator = FabricCoordinator(journal_version=JOURNAL_VERSION)
-    coordinator.start()
+    coordinator = _coordinator()
     conn = None
     try:
-        coordinator.submit(9, _shard(9), _ok_task)
-        conn, assignment = _raw_register_and_steal(
+        coordinator.submit_shard(9, _shard(9), _ok_task)
+        conn, assignment, events = _raw_register_and_steal(
             coordinator, name="vandal"
         )
         assert assignment["ticket"] == 9
@@ -684,13 +716,14 @@ def test_coordinator_requeues_shard_on_protocol_error(corrupt):
         events = _drain_until(
             coordinator,
             lambda es: any(e.kind == "failed" for e in es),
+            events=events,
         )
         failed = [e for e in events if e.kind == "failed"][0]
         assert failed.ticket == 9
         assert "protocol error" in failed.reason
         # the coordinator survived: resubmit the reclaimed shard and a
         # healthy worker completes it on the same coordinator
-        coordinator.submit(9, _shard(9), _ok_task)
+        coordinator.submit_shard(9, _shard(9), _ok_task)
         _worker_thread(coordinator, name="healthy",
                        journal_version=JOURNAL_VERSION)
         events = _drain_until(
@@ -704,4 +737,4 @@ def test_coordinator_requeues_shard_on_protocol_error(corrupt):
                 conn.close()
             except OSError:
                 pass
-        coordinator.stop()
+        coordinator.shutdown()

@@ -29,6 +29,7 @@ from repro.harness.metrics import (
 from repro.harness.sequential import (
     SequentialController,
     StratumPlan,
+    _converged,
     batch_observation,
     plan_sequential_strata,
 )
@@ -81,7 +82,7 @@ def test_stratum_estimator_single_batch_never_converges():
     estimator.observe(_observation(5.0))
     widths = estimator.half_widths()
     assert all(widths[m] is None for m in SEQUENTIAL_TRACKED_METRICS)
-    assert not estimator.converged(ci_target=1000.0)
+    assert not _converged(widths, estimator.means(), ci_target=1000.0)
 
 
 def test_stratum_estimator_zero_variance_converges_immediately():
@@ -90,7 +91,7 @@ def test_stratum_estimator_zero_variance_converges_immediately():
     estimator.observe(_observation(5.0))
     widths = estimator.half_widths()
     assert all(widths[m] == 0.0 for m in SEQUENTIAL_TRACKED_METRICS)
-    assert estimator.converged(ci_target=0.01)
+    assert _converged(widths, estimator.means(), ci_target=0.01)
 
 
 def test_stratum_estimator_normal_half_width_formula():

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness.campaign import CampaignShard
-from repro.harness.fabric.backend import CHAOS_KILL_ENV
+from repro.harness.fabric.coordinator import CHAOS_KILL_ENV
 from repro.harness.supervisor import ShardSupervisor
 from repro.harness.telemetry import TelemetryWriter, read_telemetry
 
