@@ -11,10 +11,6 @@ including silent/latent faults and wrong-result runs, which interception
 cannot produce at all (every interception is an immediate, loud failure).
 """
 
-import pytest
-
-from _bench_common import bench_config
-
 from repro.gswfit.injector import FaultInjector
 from repro.gswfit.interception import (
     InterceptionFault,
@@ -24,7 +20,6 @@ from repro.gswfit.scanner import scan_build
 from repro.ossim.builds import NT50
 from repro.ossim.context import SimKernel
 from repro.ossim.dispatch import OsInstance
-from repro.ossim.status import NtStatus
 from repro.reporting.tables import TableBuilder
 from repro.sim.errors import SimulationError
 

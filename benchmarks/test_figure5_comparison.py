@@ -8,8 +8,6 @@ higher error rate and heavier administration needs, and the stability of
 the relative ordering across OS builds.
 """
 
-import pytest
-
 from _bench_common import os_display
 
 from repro.harness.metrics import DependabilityMetrics

@@ -6,8 +6,6 @@ very simple and low intrusive task".  These microbenchmarks put numbers
 on the reproduction's equivalents and back the feasibility claims.
 """
 
-import pytest
-
 from repro.gswfit.injector import FaultInjector
 from repro.gswfit.mutator import build_mutant
 from repro.gswfit.scanner import scan_build, scan_function

@@ -11,8 +11,6 @@ lands higher), the usage pattern is stable across servers, and the
 selected set overlaps strongly with the paper's 21 functions.
 """
 
-import pytest
-
 from _bench_common import bench_config
 
 from repro.harness.experiment import profile_servers

@@ -8,8 +8,6 @@ is substantially larger than the 2000-analogue; MIA is the most frequent
 type on both; MVAV and WAEP are among the rarest.
 """
 
-import pytest
-
 from _bench_common import bench_config
 
 from repro.pipeline import FaultloadPipeline

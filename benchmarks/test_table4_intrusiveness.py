@@ -6,8 +6,6 @@ code swap).  The paper's claim: the injector's perturbation is small —
 worst-case degradation under 2% and no errors introduced.
 """
 
-import pytest
-
 from _bench_common import OS_CODENAMES, bench_config, os_display
 
 from repro.harness.experiment import WebServerExperiment

@@ -12,16 +12,13 @@ interventions overall, throughput stays close to baseline for both, KCP
 is rare, and the winner is the same on both OS builds (portability).
 """
 
-import pytest
-
-from _bench_common import OS_CODENAMES, os_display
+from _bench_common import os_display
 
 from repro.harness.metrics import DependabilityMetrics
 from repro.harness.telemetry import metrics_digest
 from repro.reporting.compare import compare_shape, table5_shape_checks
 from repro.reporting.paper import PAPER
 from repro.reporting.report import table5_results
-from repro.webservers.registry import BENCHMARKED_SERVERS
 
 
 def test_table5_injection(benchmark, campaign_results):

@@ -8,7 +8,6 @@ Table 1 of the paper and the representativeness argument of the faultload.
 
 from repro.faults.types import (
     ConstructNature,
-    FaultType,
     fault_type_info,
     iter_fault_types,
 )

@@ -9,7 +9,7 @@ saved to JSON is portable across processes and runs, which is what makes
 the experiments repeatable.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.faults.types import FaultType, lookup_fault_type
 

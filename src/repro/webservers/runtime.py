@@ -31,7 +31,6 @@ from repro.sim.errors import (
     SimSegfault,
 )
 from repro.webservers.base import ServerStartupError
-from repro.webservers.http import HttpResponse
 
 __all__ = ["RuntimeState", "ServerRuntime", "WorkerState"]
 

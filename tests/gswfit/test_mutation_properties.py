@@ -1,6 +1,5 @@
 """Property-based tests over the whole mutation surface."""
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.gswfit.mutator import build_mutant

@@ -107,8 +107,6 @@ def test_iterations_vary_but_resemble(experiment, injection):
 
 def test_fit_code_pristine_after_injection_run(experiment, injection):
     """No mutation residue after a full pass (repeatability)."""
-    import inspect
-
     from repro.gswfit.mutator import resolve_function
 
     for location in experiment.prepared_faultload():

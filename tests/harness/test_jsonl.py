@@ -61,7 +61,7 @@ def test_campaign_journal_shares_torn_tail_policy(tmp_path):
     """Regression for the shared reader: CampaignJournal.load must
     tolerate a torn final line (rerunning that unit) exactly as the
     telemetry reader does."""
-    from repro.harness.campaign import JOURNAL_VERSION, CampaignJournal
+    from repro.harness.campaign import CampaignJournal
 
     path = tmp_path / "journal.jsonl"
     journal = CampaignJournal(path)

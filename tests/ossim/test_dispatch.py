@@ -7,8 +7,7 @@ import pytest
 
 from repro.ossim.builds import NT50
 from repro.ossim.context import SimKernel
-from repro.ossim.dispatch import ApiTable, OsInstance
-from repro.ossim.status import NtStatus
+from repro.ossim.dispatch import OsInstance
 from repro.profiling.tracer import ApiCallTracer
 from repro.sim.errors import SimSegfault
 

@@ -1,13 +1,10 @@
 """Contract tests for the kernel32-like API (both builds)."""
 
-import pytest
-
 from repro.ossim.modules.kernel3250 import (
     ERROR_FILE_NOT_FOUND,
     ERROR_INVALID_HANDLE,
     ERROR_SUCCESS,
 )
-from repro.ossim.status import NtStatus
 
 
 def test_create_open_read_close_cycle(ctx):

@@ -1,7 +1,5 @@
 """Contract tests for the ntdll-like API (both builds via the ctx fixture)."""
 
-import pytest
-
 from repro.ossim.status import NtStatus
 from repro.ossim.strings import UnicodeString, ansi_view, unicode_view
 

@@ -1,7 +1,7 @@
 """Tests for status codes and process context lifecycle."""
 
 from repro.ossim.builds import NT50
-from repro.ossim.context import ProcessContext, SimKernel
+from repro.ossim.context import SimKernel
 from repro.ossim.dispatch import OsInstance
 from repro.ossim.status import NtStatus, nt_success
 

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.sim.events import PURGE_MIN_ENTRIES, Event, EventQueue
 
 

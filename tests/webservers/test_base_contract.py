@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.webservers.base import BaseWebServer, ServerStartupError
+from repro.webservers.base import BaseWebServer
 
 
 class MinimalServer(BaseWebServer):

@@ -1,7 +1,5 @@
 """Tests for the server process runtime: workers, crashes, supervision."""
 
-import pytest
-
 from repro.ossim.builds import NT50
 from repro.ossim.context import SimKernel
 from repro.ossim.dispatch import OsInstance
