@@ -9,6 +9,8 @@ Subcommands mirror the methodology's steps and the paper's exhibits:
   and run across worker processes, with scan caching and
   checkpoint/resume; each shard's machine is seeded from (``--seed``,
   shard index), so the numbers are the same for any worker count
+* ``oltp``      — the OLTP case study: walnut vs breezy under a
+  domain-tuned faultload
 * ``tables``    — regenerate Tables 1, 3 and 5 at scaled cost, each
   Table 5 row a campaign with its metrics digest
 """
@@ -238,12 +240,8 @@ def _validate_campaign_args(args):
     )
     if error is not None:
         return error
-    if args.workers is not None:
-        if args.fabric_listen is None and args.workers < 1:
-            return (f"--workers must be >= 1, got {args.workers} "
-                    f"(0 needs --fabric-listen)")
-        if args.workers < 0:
-            return f"--workers must be >= 0, got {args.workers}"
+    if args.workers is not None and args.workers < 1:
+        return f"--workers must be >= 1, got {args.workers}"
     if args.slots_per_shard is not None and args.slots_per_shard < 1:
         return (f"--slots-per-shard must be >= 1, "
                 f"got {args.slots_per_shard}")
@@ -255,16 +253,7 @@ def _validate_campaign_args(args):
     if args.adaptive_slots and args.no_inject:
         return ("--adaptive-slots cannot be combined with --no-inject: "
                 "a no-inject run has no fault for a probe to hit")
-    error = _validate_sequential_args(args)
-    if error is not None:
-        return error
-    if args.fabric_listen is not None:
-        from repro.harness.fabric.protocol import parse_address
-        try:
-            parse_address(args.fabric_listen)
-        except ValueError as exc:
-            return f"--fabric-listen: {exc}"
-    return None
+    return _validate_sequential_args(args)
 
 
 def _campaign_config(args):
@@ -298,10 +287,6 @@ def _cmd_campaign(args):
         print(error, file=sys.stderr)
         return 2
     config = _campaign_config(args)
-    fabric_listen = None
-    if args.fabric_listen is not None:
-        from repro.harness.fabric.protocol import parse_address
-        fabric_listen = parse_address(args.fabric_listen)
     campaign = ParallelCampaign(
         config,
         workers=args.workers,
@@ -312,7 +297,6 @@ def _cmd_campaign(args):
         max_retries=args.max_retries,
         telemetry_path=args.telemetry,
         manifest_path=args.manifest,
-        fabric_listen=fabric_listen,
     )
     try:
         result = campaign.run(
@@ -425,29 +409,6 @@ def _cmd_campaign(args):
         )
         print(f"results exported: "
               f"{', '.join(str(path) for path in written)}")
-    return 0
-
-
-def _cmd_campaign_worker(args):
-    from repro.harness.fabric.protocol import parse_address
-    from repro.harness.fabric.worker import FabricWorker
-
-    try:
-        host, port = parse_address(args.address)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.max_reconnects < 0:
-        print(f"--max-reconnects must be >= 0, got "
-              f"{args.max_reconnects}", file=sys.stderr)
-        return 2
-    worker = FabricWorker(
-        host, port, name=args.name, max_reconnects=args.max_reconnects
-    )
-    completed = worker.run()
-    print(f"worker {worker.name}: {completed} shard(s) completed"
-          + (f" ({worker.reconnects} reconnect(s))"
-             if worker.reconnects else ""))
     return 0
 
 
@@ -580,9 +541,8 @@ def build_parser():
     campaign.add_argument(
         "--workers", type=int, default=None,
         help="worker processes (default: cpu count): 1 runs shards "
-             "in-process, N forks N local fabric workers, 0 (only with "
-             "--fabric-listen) leaves all work to external workers; "
-             "results are identical for any worker count",
+             "in-process, N forks N fabric workers; results are "
+             "identical for any worker count",
     )
     campaign.add_argument(
         "--slots-per-shard", type=int, default=None,
@@ -648,12 +608,6 @@ def build_parser():
              "rows check for none)",
     )
     campaign.add_argument(
-        "--fabric-listen", metavar="HOST:PORT",
-        help="also accept external campaign-worker processes on this "
-             "address, alongside the --workers local ones (default: "
-             "local workers only)",
-    )
-    campaign.add_argument(
         "--adaptive-slots", action="store_true",
         help="truncate a slot once the faulted function's profiled "
              "activation deadline passes with zero probe hits; cuts "
@@ -672,27 +626,6 @@ def build_parser():
     campaign.add_argument("--export",
                           help="write results to this directory")
     campaign.set_defaults(func=_cmd_campaign)
-
-    worker = subparsers.add_parser(
-        "campaign-worker",
-        help="join a distributed campaign as a fabric worker",
-    )
-    worker.add_argument(
-        "address", metavar="HOST:PORT",
-        help="the campaign coordinator's --fabric-listen address",
-    )
-    worker.add_argument(
-        "--name", default=None,
-        help="worker name in the coordinator's roster "
-             "(default: hostname-pid)",
-    )
-    worker.add_argument(
-        "--max-reconnects", type=int, default=0, metavar="N",
-        help="redial the coordinator up to N times after a dropped "
-             "connection, with exponential backoff + jitter "
-             "(default: 0 — die on first loss)",
-    )
-    worker.set_defaults(func=_cmd_campaign_worker)
 
     oltp = subparsers.add_parser(
         "oltp", help="the OLTP case study (walnut vs breezy)"

@@ -424,11 +424,10 @@ class ParallelCampaign:
     workers:
         Local worker processes (default: ``os.cpu_count()``).  ``1`` runs
         every shard in-process on the same code path; ``N >= 2`` forks N
-        loopback workers of the socket fabric
-        (:mod:`repro.harness.fabric`) after the mutant warm-up; ``0`` is
-        valid only with ``fabric_listen`` (external workers only).
-        Because the shard plan, seeds, and merge ignore where a shard
-        ran, the ``metrics_digest`` is identical for every value.
+        workers of the socket fabric (:mod:`repro.harness.fabric`) after
+        the mutant warm-up.  Because the shard plan, seeds, and merge
+        ignore where a shard ran, the ``metrics_digest`` is identical
+        for every value.
     journal_path / resume:
         Checkpointing (see :class:`CampaignJournal`).
     cache_dir:
@@ -445,9 +444,9 @@ class ParallelCampaign:
         Charged failures (crash / worker death / hang) a shard may
         accumulate before it is quarantined.
     max_pool_rebuilds:
-        Worker replacements (a loopback worker killed, hung, or every
-        worker gone) tolerated before the supervisor stops dispatching
-        and runs the remaining shards in-process, serially.
+        Worker replacements (a worker killed, hung or silent) tolerated
+        before the supervisor stops dispatching and runs the remaining
+        shards in-process, serially.
     telemetry_path / manifest_path:
         Where to stream supervision events (JSONL) and write the run
         manifest.  Default: derived siblings of ``journal_path``
@@ -456,10 +455,6 @@ class ParallelCampaign:
         without ``resume`` replaces the telemetry stream; a resumed run
         appends to it.  The manifest is always available as
         ``campaign.manifest`` after :meth:`run`.
-    fabric_listen:
-        ``(host, port)`` for the fabric coordinator to accept external
-        ``campaign-worker`` processes on, alongside the ``workers``
-        local ones; None (default) binds loopback on an ephemeral port.
     """
 
     def __init__(self, config, workers=None,
@@ -467,17 +462,12 @@ class ParallelCampaign:
                  shard_timeout=None,
                  max_retries=DEFAULT_MAX_RETRIES,
                  max_pool_rebuilds=DEFAULT_MAX_POOL_REBUILDS,
-                 telemetry_path=None, manifest_path=None,
-                 fabric_listen=None):
+                 telemetry_path=None, manifest_path=None):
         if workers is None:
             workers = os.cpu_count() or 1
-        if workers < (0 if fabric_listen is not None else 1):
-            raise ValueError(
-                f"workers must be >= 1 (0 needs fabric_listen), "
-                f"got {workers}"
-            )
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self.fabric_listen = fabric_listen
         if config.operator_specs:
             # Install DSL operators in the parent before anything scans
             # or computes fingerprints; workers repeat this in
@@ -557,18 +547,15 @@ class ParallelCampaign:
                        mutant_cache_dir=self.cache_dir)
 
     def _backend_factory(self):
-        """The supervisor's fabric: ``workers`` loopback workers plus
-        any external ones on ``fabric_listen``, their result fragments
-        decoded back into :class:`ShardOutcome`.  None when one worker
-        and no listen address leave every shard in-process."""
-        if self.workers <= 1 and self.fabric_listen is None:
+        """The supervisor's fabric: ``workers`` forked workers, their
+        result fragments decoded back into :class:`ShardOutcome`.  None
+        when one worker leaves every shard in-process."""
+        if self.workers <= 1:
             return None
         return partial(
             FabricCoordinator,
-            loopback_workers=self.workers,
-            listen=self.fabric_listen,
+            workers=self.workers,
             shard_timeout=self.shard_timeout,
-            journal_version=JOURNAL_VERSION,
             decoder=ShardOutcome.from_dict,
         )
 

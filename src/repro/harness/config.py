@@ -114,7 +114,7 @@ class ExperimentConfig:
     # Declarative operator specs (DESIGN.md §16): a tuple of *canonical*
     # spec dicts, installed into the operator registry by the campaign
     # parent and by every worker before scanning (the config pickles to
-    # them, so local and remote fabric workers see the same library).
+    # them, so forked fabric workers see the same library).
     # Part of ``asdict()``, hence of the campaign key — and each spec's
     # canonical JSON is the operator's cache fingerprint, so scan and
     # mutant caches stay sound across spec edits.  None = built-ins only.

@@ -1,4 +1,5 @@
-"""The fabric coordinator: a TCP shard queue with supervision.
+"""The fabric coordinator: a shard queue over socket pairs, with
+supervision.
 
 :class:`FabricCoordinator` is what the supervisor's five calls talk to::
 
@@ -8,57 +9,42 @@
     shutdown()                                  # release everything
     stats()            -> dict                  # manifest `fabric` block
 
+The coordinator forks its workers itself (``multiprocessing.Process``
+running :class:`.FabricWorker`), each on one end of a
+``socket.socketpair()`` whose other end it keeps, so a worker is on the
+roster from the moment it is forked: there is no listener and no
+registration.  The campaign builds the fabric after it warms the mutant
+cache, so workers inherit the warm cache.  A worker that dies, hangs or
+falls silent is killed outright in the reap and re-forked under the
+same name at the next drain.
+
 It runs no thread of its own: every socket is served from inside
-:meth:`drain`, on the supervisor's thread, by one ``select`` over the
-listener and every worker connection.  Workers *pull* work ("steal"
-messages) rather than being pushed it, so a slow worker naturally
-takes fewer shards and a dead one takes none — the scheduling is
-load-driven without the coordinator modelling worker speed at all —
-and the per-shard deadline clock starts at assignment (steal) time,
-not submit time.
-
-Two deployment shapes share it, and combine:
-
-* **loopback** — the coordinator forks N local worker processes
-  (``multiprocessing.Process`` running :class:`.FabricWorker`); this is
-  what ``--workers N`` runs.  The campaign builds the fabric after it
-  warms the mutant cache, so workers inherit the warm cache.  A
-  loopback worker that dies or hangs is killed outright in the reap
-  and re-forked under the same name at the next drain.
-* **listen** — the coordinator binds a caller-chosen address and waits
-  for external ``repro campaign-worker host:port`` processes to
-  register; those are never respawned (they are not ours to fork).
+:meth:`drain`, on the supervisor's thread, by one ``select`` over every
+worker's socket.  Workers *pull* work ("steal" messages) rather than
+being pushed it, so a slow worker naturally takes fewer shards and a
+dead one takes none — the scheduling is load-driven without the
+coordinator modelling worker speed at all — and the per-shard deadline
+clock starts at assignment (steal) time, not submit time.
 
 Messages (flat JSON objects over :mod:`.protocol` frames):
 
 worker → coordinator
-    ``register``  name/pid/host + protocol and journal versions
     ``steal``     give me a shard
     ``heartbeat`` still alive (sent while running a shard)
-    ``result``    ticket + journal_version + a ShardOutcome dict
+    ``result``    ticket + a ShardOutcome dict
     ``error``     ticket + the repr of the exception the task raised
-    ``goodbye``   clean disconnect
 
 coordinator → worker
-    ``registered`` ack; carries the heartbeat interval to honour
     ``assign``     ticket + base64(pickle((task, shard)))
     ``wait``       no work right now; retry after ``seconds``
     ``shutdown``   drain finished, exit
-    ``reject``     protocol mismatch; exit
 
 A fabric dispatch is always attributable (one shard, one worker, one
-connection), so a lost worker *charges* its shard directly: there is no
+socket), so a lost worker *charges* its shard directly: there is no
 ambiguity to resolve, and the bounded retry budget still caps a poison
-shard that kills every worker it lands on.  A result frame whose
-``journal_version`` does not match ours is a *fragment version skew*:
-the fragment is discarded and the shard charged (re-run by an honest
-worker), never merged.  Other result fragments go through ``decoder``
-(the campaign passes ``ShardOutcome.from_dict``); one the decoder
-rejects is a charged failure rather than poison in the merge.
-
-A frame is read whole once its socket is readable, so a remote worker
-that stalls mid-frame holds up every worker for up to the 5 s socket
-timeout.  Loopback frames arrive whole.
+shard that kills every worker it lands on.  Result fragments go through
+``decoder`` (the campaign passes ``ShardOutcome.from_dict``); one the
+decoder rejects is a charged failure rather than poison in the merge.
 """
 
 import base64
@@ -70,23 +56,14 @@ import socket
 import time
 from dataclasses import dataclass, field
 
-from repro.harness.fabric.protocol import (
-    PROTOCOL_VERSION,
-    FrameError,
-    recv_frame,
-    send_frame,
-)
+from repro.harness.fabric.protocol import FrameError, recv_frame, send_frame
+from repro.harness.fabric.worker import FabricWorker
 
 __all__ = ["CHAOS_KILL_ENV", "FabricCoordinator", "ShardEvent"]
 
-# How long the work queue may sit non-empty with zero live workers
-# before the coordinator gives the shards back to the supervisor (which
-# counts it against the rebuild budget and eventually falls back to
-# serial execution).
-DEFAULT_WORKER_GRACE = 30.0
 DEFAULT_HEARTBEAT_SECONDS = 0.5
-# The longest one select waits before deadlines, heartbeats and
-# starvation are checked again.
+# The longest one select waits before deadlines and heartbeats are
+# checked again.
 TICK_SECONDS = 0.1
 
 # CI chaos hook: when set to N, the first loopback-0 process SIGKILLs
@@ -95,17 +72,18 @@ TICK_SECONDS = 0.1
 CHAOS_KILL_ENV = "REPRO_FABRIC_CHAOS_KILL_AFTER"
 
 
-def _loopback_worker_main(host, port, name, journal_version,
+def _loopback_worker_main(conn, inherited, heartbeat_seconds,
                           chaos_kill_after):
-    from repro.harness.fabric.worker import FabricWorker
-    # No redial: once the coordinator's socket closes — its process
-    # exited or was killed — the worker exits instead of outliving it.
+    # The fork copied every coordinator end the parent held: this
+    # worker's own and those of the workers forked before it.  A copy
+    # left open here would keep that worker from reading EOF once its
+    # coordinator is gone, so it would outlive a killed campaign.
+    for sock in inherited:
+        sock.close()
     FabricWorker(
-        host, port,
-        name=name,
-        journal_version=journal_version,
+        conn,
+        heartbeat_seconds=heartbeat_seconds,
         chaos_kill_after_assignments=chaos_kill_after,
-        max_reconnects=0,
     ).run()
 
 
@@ -119,11 +97,10 @@ class ShardEvent:
     * ``failed``       — ``ticket`` suffered a *charged* failure
       (``reason``); the supervisor retries or quarantines it.
     * ``requeue``      — ``ticket`` must re-run but is *not* charged
-      (handed back by a fabric with no live workers, or withdrawn
-      before any worker started it).
-    * ``backend_lost`` — a loopback worker was replaced, or every worker
-      is gone; counts against the supervisor's rebuild budget, whose
-      exhaustion ends in serial fallback.
+      (withdrawn before any worker started it).
+    * ``backend_lost`` — a worker was reaped and will be re-forked;
+      counts against the supervisor's rebuild budget, whose exhaustion
+      ends in serial fallback.
     * ``info``         — telemetry only: the supervisor emits ``event``
       with ``fields`` on its own stream.
     """
@@ -138,56 +115,41 @@ class ShardEvent:
 
 
 class _WorkerState:
-    """Coordinator-side record of one worker connection."""
+    """Coordinator-side record of one worker and its socket."""
 
-    __slots__ = ("name", "pid", "host", "conn", "alive", "clean_exit",
-                 "last_seen", "shards_done")
+    __slots__ = ("name", "pid", "conn", "alive", "last_seen",
+                 "shards_done")
 
-    def __init__(self, name, pid, host, conn):
+    def __init__(self, name, pid, conn):
         self.name = name
         self.pid = pid
-        self.host = host
         self.conn = conn
         self.alive = True
-        self.clean_exit = False
         self.last_seen = time.monotonic()
         self.shards_done = 0
 
 
 class FabricCoordinator:
-    """Accepts workers, deals shards, survives the workers."""
+    """Forks workers, deals shards, survives the workers."""
 
-    def __init__(self, *, loopback_workers=0, listen=None,
-                 shard_timeout=None,
+    def __init__(self, *, workers, shard_timeout=None,
                  heartbeat_seconds=DEFAULT_HEARTBEAT_SECONDS,
-                 heartbeat_grace=None, worker_grace=DEFAULT_WORKER_GRACE,
-                 journal_version=None, decoder=None,
+                 heartbeat_grace=None, decoder=None,
                  chaos_kill_after=None):
-        if loopback_workers <= 0 and listen is None:
+        if workers < 1:
             raise ValueError(
-                "fabric coordinator needs loopback workers, a listen "
-                "address, or both"
+                f"fabric coordinator needs workers >= 1, got {workers}"
             )
-        if journal_version is None:
-            from repro.harness.campaign import JOURNAL_VERSION
-            journal_version = JOURNAL_VERSION
         self.shard_timeout = shard_timeout
         self.heartbeat_seconds = heartbeat_seconds
-        # A worker heartbeats every ``heartbeat_seconds`` while running;
-        # missing several in a row means the process (or the network to
-        # it) is gone, not merely slow.
+        # A running worker heartbeats every ``heartbeat_seconds`` and an
+        # idle one steals every 0.05 s; missing several heartbeats in a
+        # row means the process is stuck or gone, not merely slow.
         self.heartbeat_grace = (
             heartbeat_grace if heartbeat_grace is not None
             else max(heartbeat_seconds * 6, 2.0)
         )
-        self.worker_grace = worker_grace
-        self.journal_version = journal_version
         self._decoder = decoder
-        host, port = listen if listen is not None else ("127.0.0.1", 0)
-        self._listener = socket.create_server((host, port))
-        self._listener.setblocking(False)
-        self.address = self._listener.getsockname()[:2]
-        self._pending = set()        # accepted, not yet registered
         self._connections = {}       # socket -> live _WorkerState
         self._workers = {}           # worker name -> _WorkerState
         self._work = []              # [(ticket, payload_b64), ...] FIFO
@@ -195,35 +157,40 @@ class FabricCoordinator:
         self._events = []
         self._counters = {
             "steals": 0, "requeues": 0, "heartbeats": 0,
-            "worker_deaths": 0, "version_skew": 0, "results": 0,
+            "worker_deaths": 0, "results": 0,
         }
-        self._starved_since = None
         if chaos_kill_after is None:
             chaos_env = os.environ.get(CHAOS_KILL_ENV)
             if chaos_env:
                 chaos_kill_after = int(chaos_env)
-        self._connect = (
-            "127.0.0.1" if host in ("0.0.0.0", "::") else host,
-            self.address[1],
-        )
-        self._processes = {}  # loopback worker name -> Process
+        self._processes = {}  # worker name -> Process
         self._replace = []    # names killed, to re-fork at next drain
-        # Workers that dial in before the first drain wait in the
-        # listen backlog.
-        for index in range(loopback_workers):
+        for index in range(workers):
             self._fork(f"loopback-{index}",
                        chaos_kill_after if index == 0 else None)
 
     def _fork(self, name, chaos_kill_after=None):
+        ours, theirs = socket.socketpair()
         process = multiprocessing.Process(
             target=_loopback_worker_main,
-            args=(*self._connect, name, self.journal_version,
-                  chaos_kill_after),
+            args=(theirs, [ours, *self._connections],
+                  self.heartbeat_seconds, chaos_kill_after),
             name=f"fabric-{name}",
             daemon=True,
         )
         process.start()
+        theirs.close()
+        # Whole frames under a generous timeout: a mid-frame timeout
+        # would tear the stream.
+        ours.settimeout(5.0)
+        state = _WorkerState(name=name, pid=process.pid, conn=ours)
+        previous = self._workers.get(name)
+        if previous is not None:
+            state.shards_done = previous.shards_done
+        self._workers[name] = state
+        self._connections[ours] = state
         self._processes[name] = process
+        self._info("fabric_worker_register", worker=name, pid=process.pid)
 
     # ------------------------------------------------------------------
     # The supervisor's interface
@@ -237,9 +204,9 @@ class FabricCoordinator:
         """Serve the workers until there is an event or ``timeout``
         passes; returns everything that happened since the last drain.
 
-        The loopback workers reaped at the last drain are re-forked
-        first: by now the supervisor has seen the loss and had its
-        chance to withdraw the queue.
+        The workers reaped at the last drain are re-forked first: by now
+        the supervisor has seen the loss and had its chance to withdraw
+        the queue.
         """
         for name in self._replace:
             self._fork(name)
@@ -269,7 +236,6 @@ class FabricCoordinator:
                 {
                     "name": state.name,
                     "pid": state.pid,
-                    "host": state.host,
                     "shards_done": state.shards_done,
                     "alive": state.alive,
                 }
@@ -280,22 +246,9 @@ class FabricCoordinator:
         summary = {"backend": "fabric", "workers": len(roster),
                    "roster": roster}
         summary.update(self._counters)
-        summary["loopback_workers"] = len(self._processes)
         return summary
 
     def shutdown(self):
-        # Forked workers inherit the listener, so close() alone leaves
-        # it accepting, and a replacement still dialling would connect
-        # and wait out the join below.  shutdown() stops it listening
-        # in every process that holds it.
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._listener.close()
-        for conn in self._pending:
-            conn.close()
-        self._pending.clear()
         for conn in self._connections:
             try:
                 send_frame(conn, {"type": "shutdown"})
@@ -316,94 +269,26 @@ class FabricCoordinator:
     # ------------------------------------------------------------------
     def _serve(self, timeout):
         """Handle every readable socket, waiting up to ``timeout`` for
-        the first, then keep reading until no worker socket is.
+        the first, then keep reading until none is.
 
         Every frame already waiting is read before :meth:`_check_clocks`
         judges heartbeats, so a drain that comes late (the supervisor
         fsyncs its journal between drains) never reaps a live worker on
         a stale ``last_seen``; and a steal that arrives right behind its
         result is answered before the ``done`` event goes back, so the
-        worker does not wait out the journal write.  The listener is
-        polled once per call: a connection it cannot accept never spins
-        this loop.
+        worker does not wait out the journal write.
         """
-        ready = self._readable([self._listener, *self._pending,
-                                *self._connections], timeout)
+        ready = self._readable(timeout)
         while ready:
             for sock in ready:
-                if sock is self._listener:
-                    self._accept()
-                elif sock in self._pending:
-                    self._register(sock)
-                else:
-                    self._read(self._connections[sock])
-            ready = self._readable([*self._pending, *self._connections],
-                                   0.0)
+                self._read(self._connections[sock])
+            ready = self._readable(0.0)
 
-    @staticmethod
-    def _readable(sockets, timeout):
-        return select.select(sockets, [], [], timeout)[0]
-
-    def _accept(self):
-        try:
-            conn, _peer = self._listener.accept()
-        except OSError:
-            return
-        # Whole frames under a generous timeout: a mid-frame timeout
-        # would tear the stream.
-        conn.settimeout(5.0)
-        self._pending.add(conn)
-
-    def _register(self, conn):
-        self._pending.discard(conn)
-        try:
-            hello = recv_frame(conn)
-        except (OSError, FrameError):
-            conn.close()
-            return
-        if (hello is None or hello.get("type") != "register"
-                or hello.get("protocol") != PROTOCOL_VERSION):
-            self._reject(conn, f"need register/protocol {PROTOCOL_VERSION}")
-            return
-        name =str(hello.get("name") or f"worker-{id(conn):x}")
-        # A reconnecting name replaces its dead predecessor in the
-        # roster; two *live* workers must not share one.
-        previous = self._workers.get(name)
-        if previous is not None and previous.alive:
-            self._reject(conn, f"worker name {name!r} already live")
-            return
-        state = _WorkerState(name=name, pid=hello.get("pid"),
-                             host=hello.get("host", ""), conn=conn)
-        if previous is not None:
-            state.shards_done = previous.shards_done
-        self._workers[name] = state
-        self._connections[conn] = state
-        try:
-            send_frame(conn, {
-                "type": "registered",
-                "heartbeat_seconds": self.heartbeat_seconds,
-            })
-        except (OSError, FrameError):
-            self._reap(state, "connection lost")
-            return
-        self._info("fabric_worker_register", worker=name, pid=state.pid)
-        reconnects = hello.get("reconnects") or 0
-        if reconnects:
-            # The worker redialled after losing us: surface the
-            # recovery on the supervision stream.
-            self._info("worker_reconnected", worker=name,
-                       reconnects=reconnects)
-
-    @staticmethod
-    def _reject(conn, reason):
-        try:
-            send_frame(conn, {"type": "reject", "reason": reason})
-        except (OSError, FrameError):
-            pass
-        conn.close()
+    def _readable(self, timeout):
+        return select.select(list(self._connections), [], [], timeout)[0]
 
     def _read(self, state):
-        """Read and act on one frame from a registered worker."""
+        """Read and act on one frame from a worker."""
         try:
             message = recv_frame(state.conn)
         except FrameError as exc:
@@ -430,9 +315,6 @@ class FabricCoordinator:
             self._on_result(state, message)
         elif kind == "error":
             self._on_error(state, message)
-        elif kind == "goodbye":
-            state.clean_exit = True
-            self._reap(state, "clean exit")
 
     # ------------------------------------------------------------------
     # Message handlers
@@ -466,19 +348,6 @@ class FabricCoordinator:
             return  # stale result for a ticket already reclaimed
         del self._assignments[state.name]
         self._counters["results"] += 1
-        version = message.get("journal_version")
-        if version != self.journal_version:
-            self._counters["version_skew"] += 1
-            self._info("fabric_version_skew", worker=state.name,
-                       shard=ticket, got=version,
-                       want=self.journal_version)
-            self._events.append(ShardEvent(
-                "failed", ticket=ticket,
-                reason=(f"fragment version skew: worker {state.name} "
-                        f"sent journal v{version}, want "
-                        f"v{self.journal_version}"),
-            ))
-            return
         state.shards_done += 1
         outcome = message.get("outcome")
         if self._decoder is not None:
@@ -514,32 +383,28 @@ class FabricCoordinator:
     # Reaping + clocks
     # ------------------------------------------------------------------
     def _reap(self, state, reason, charge=None):
-        """A worker is gone: drop its connection and reclaim its shard,
-        charged with ``charge`` (default: the death) — the dispatch was
-        solo, so the culprit is unambiguous.
+        """A worker is gone or stuck: drop its socket and reclaim its
+        shard, charged with ``charge`` (default: the death) — the
+        dispatch was solo, so the culprit is unambiguous.
 
-        A dead loopback worker is SIGKILLed here — it may be hung in a
-        shard, and it may have inherited a SIGTERM handler from the
-        process that forked it — and re-forked under the same name at
-        the next drain; its replacement is one ``backend_lost``.
+        The process is SIGKILLed here — it may be hung in a shard, and
+        it may have inherited a SIGTERM handler from the process that
+        forked it — and re-forked under the same name at the next
+        drain; its replacement is one ``backend_lost``.
         """
         state.alive = False
         del self._connections[state.conn]
         state.conn.close()
         assignment = self._assignments.pop(state.name, None)
-        if not state.clean_exit:
-            self._counters["worker_deaths"] += 1
-            self._info("fabric_worker_dead", worker=state.name,
-                       reason=reason)
-            process = self._processes.get(state.name)
-            if process is not None:
-                process.kill()
-                process.join(timeout=5.0)
-                self._replace.append(state.name)
-                self._events.append(ShardEvent(
-                    "backend_lost", reason=reason,
-                    fields={"worker": state.name},
-                ))
+        self._counters["worker_deaths"] += 1
+        self._info("fabric_worker_dead", worker=state.name, reason=reason)
+        process = self._processes[state.name]
+        process.kill()
+        process.join(timeout=5.0)
+        self._replace.append(state.name)
+        self._events.append(ShardEvent(
+            "backend_lost", reason=reason, fields={"worker": state.name},
+        ))
         if assignment is not None:
             self._counters["requeues"] += 1
             self._events.append(ShardEvent(
@@ -549,42 +414,19 @@ class FabricCoordinator:
 
     def _check_clocks(self):
         now = time.monotonic()
-        for name, (_ticket, deadline, _t0) in list(
-                self._assignments.items()):
-            state = self._workers[name]
-            if deadline is not None and now >= deadline:
+        for state in list(self._connections.values()):
+            assignment = self._assignments.get(state.name)
+            if (assignment is not None and assignment[1] is not None
+                    and now >= assignment[1]):
                 # Heartbeats prove liveness, not progress: drop the
-                # worker stuck on the shard (closing the connection is
-                # the only preemption there is).
+                # worker stuck on the shard (closing its socket is the
+                # only preemption there is).
                 self._reap(state, "hang", charge=(
                     f"hang: exceeded {self.shard_timeout}s deadline"))
             elif now - state.last_seen > self.heartbeat_grace:
-                # Heartbeats stopped: the worker process is dead even if
-                # the TCP connection hasn't noticed yet.
+                # A running worker heartbeats and an idle one steals,
+                # and every waiting frame was read before this check:
+                # silence means the process is stuck or dead, even if
+                # its socket is still open.  An idle worker's reap is
+                # uncharged: it held no shard.
                 self._reap(state, "heartbeat lost")
-        self._check_starvation(now)
-
-    def _check_starvation(self, now):
-        """Queued work with zero live workers cannot complete; after a
-        grace period hand it all back so the supervisor can count a
-        backend loss and, eventually, fall back to serial."""
-        if not self._work or self._connections:
-            self._starved_since = None
-            return
-        if self._starved_since is None:
-            self._starved_since = now
-            return
-        if now - self._starved_since < self.worker_grace:
-            return
-        reclaimed = [ticket for ticket, _payload in self._work]
-        self._work.clear()
-        self._counters["requeues"] += len(reclaimed)
-        self._starved_since = None
-        self._events.append(ShardEvent(
-            "backend_lost", reason="no-workers",
-            fields={"reclaimed": reclaimed},
-        ))
-        for ticket in reclaimed:
-            self._events.append(ShardEvent(
-                "requeue", ticket=ticket, reason="no live workers",
-            ))

@@ -20,14 +20,10 @@ import struct
 
 __all__ = [
     "MAX_FRAME_BYTES",
-    "PROTOCOL_VERSION",
     "FrameError",
-    "parse_address",
     "recv_frame",
     "send_frame",
 ]
-
-PROTOCOL_VERSION = 1
 
 # A shard result carries per-slot activation/incident/reboot records but
 # never bulk data; 64 MiB is orders of magnitude above any real frame
@@ -94,20 +90,3 @@ def recv_frame(sock):
         )
     return message
 
-
-def parse_address(address):
-    """Parse ``host:port`` into ``(host, port)``; raises ValueError."""
-    host, separator, port_text = address.rpartition(":")
-    if not separator or not host:
-        raise ValueError(
-            f"fabric address must be host:port, got {address!r}"
-        )
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(
-            f"fabric address port must be an integer, got {port_text!r}"
-        ) from None
-    if not 0 <= port <= 65535:
-        raise ValueError(f"fabric address port out of range: {port}")
-    return host, port

@@ -17,8 +17,9 @@ processes and turns worker failure into an explicit, bounded protocol:
 * **Worker death** — a worker that disappears (``SIGKILL``, OOM, an
   interpreter abort) loses the one shard it was running: every
   dispatch goes to one worker, so that shard is charged and retried,
-  and its neighbours on other workers are untouched.  A loopback
-  worker is re-forked in its place, which counts as one rebuild.
+  and its neighbours on other workers are untouched.  A worker is
+  re-forked in its place, which counts as one rebuild.  So is a worker
+  that falls silent before it takes a shard.
 * **Hang** — every dispatch carries a wall-clock deadline
   (``shard_timeout``).  A shard that exceeds it is charged, and its
   worker is killed and re-forked (a hung worker cannot be preempted any
@@ -38,11 +39,10 @@ With one worker (or one shard) every shard runs in-process on that same
 serial path.  With more, the shards go to the loopback fabric of
 :mod:`repro.harness.fabric` — ``workers`` local worker processes —
 unless ``backend_factory`` supplies another fabric (the campaign's adds
-a result decoder and, optionally, a listen address for remote
-workers).  The supervisor is generic over the task: ``run(shards,
-task)`` accepts any picklable ``task(shard) -> outcome`` callable, which
-is what the supervision tests exploit to inject crashes, kills, and
-hangs without a real campaign underneath.
+a result decoder).  The supervisor is generic over the task:
+``run(shards, task)`` accepts any picklable ``task(shard) -> outcome``
+callable, which is what the supervision tests exploit to inject
+crashes, kills, and hangs without a real campaign underneath.
 """
 
 import time
@@ -115,10 +115,10 @@ class ShardSupervisor:
 
     One supervisor owns at most one fabric at a time and may be reused
     across many :meth:`run` calls (the campaign reuses it across
-    iterations so the fork and registration cost is paid once).
+    iterations so the fork cost is paid once).
     ``backend_factory`` builds that fabric; the default is a
     :class:`~repro.harness.fabric.FabricCoordinator` with
-    ``workers`` loopback workers.  Call :meth:`close` — or use it as a
+    ``workers`` forked workers.  Call :meth:`close` — or use it as a
     context manager — when done.
     """
 
@@ -159,7 +159,7 @@ class ShardSupervisor:
                 self._backend = self._backend_factory()
             else:
                 self._backend = FabricCoordinator(
-                    loopback_workers=self.workers,
+                    workers=self.workers,
                     shard_timeout=self.shard_timeout,
                 )
         return self._backend

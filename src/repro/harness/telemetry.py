@@ -46,6 +46,9 @@ __all__ = [
     "read_telemetry",
 ]
 
+# v8: the ``fabric`` block drops its loopback-worker count, its
+# fragment version-skew counter and each roster entry's host: every
+# worker is forked by the campaign on its own host.
 # v7: the ``snapshot`` block drops ``enabled`` — epoch snapshots are
 # always on.
 # v6: sequential-sampling summary (``sequential`` block: stopping
@@ -56,7 +59,7 @@ __all__ = [
 # never part of the metrics digest.
 # v4: snapshot summary (epoch-setup accounting: booted vs restored
 # epochs, pristine restarts).
-MANIFEST_VERSION = 7
+MANIFEST_VERSION = 8
 TELEMETRY_VERSION = 1
 
 
@@ -229,8 +232,8 @@ class RunManifest:
       which the parity harness enforces.
     * ``fabric`` — the executor summary: what ran the shards
       (``serial`` in-process, or ``fabric``) and, for the fabric, the
-      worker roster (name/pid/host/shards done/alive) with
-      steal/requeue/heartbeat/worker-death/version-skew counters.
+      worker roster (name/pid/shards done/alive) with
+      steal/requeue/heartbeat/worker-death/result counters.
       Diagnostic only — the shard plan, seeds, and merge ignore where
       a shard ran, so the digest is identical for any worker count,
       which the parity harness enforces.

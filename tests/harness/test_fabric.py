@@ -1,28 +1,27 @@
-"""Tier-1 tests for the socket campaign fabric.
+"""Tier-1 tests for the socket-pair campaign fabric.
 
 Three layers, in rising order of integration:
 
-* the frame protocol (roundtrip, clean EOF vs torn stream, size guard,
-  address parsing);
+* the frame protocol (roundtrip, clean EOF vs torn stream, size guard);
 * the coordinator's supervision protocol, driven directly with toy
-  tasks and scripted workers — real :class:`FabricWorker` threads for
-  the happy/skew paths, raw sockets for death and hang (a raw socket is
-  the only honest way to act out a worker that takes a shard and
-  vanishes; the coordinator acts only inside ``drain``, so a scripted
-  worker drains it while waiting for each reply);
+  tasks on forked workers.  Death, hang and corrupt frames are acted
+  out by scripted workers: the test patches the module's worker entry
+  point before the fork, and a scripted worker misbehaves only in its
+  first incarnation (a marker file remembers it), so its re-fork is a
+  real worker.  The coordinator acts only inside ``drain``, so every
+  test drains it while it waits;
 * the full campaign's fabric telemetry and manifest surface.
 
-Loopback fabric campaigns landing on the digests of serial runs — with
-a worker chaos-killed mid-campaign — are rows of ``test_parity.py``:
-that is what makes the fabric an executor rather than a different
-experiment.  The supervision scenarios (crash, kill, hang, serial
-fallback) on loopback workers are in ``test_supervisor.py``.
+Fabric campaigns landing on the digests of serial runs — with a worker
+chaos-killed mid-campaign — are rows of ``test_parity.py``: that is
+what makes the fabric an executor rather than a different experiment.
+The supervision scenarios (crash, kill, hang, serial fallback) on real
+workers are in ``test_supervisor.py``.
 """
 
 import json
 import multiprocessing
 import os
-import select
 import socket
 import struct
 import subprocess
@@ -34,23 +33,21 @@ from pathlib import Path
 
 import pytest
 
+import repro.harness.fabric.coordinator as coordinator_module
 from repro.harness.campaign import (
-    JOURNAL_VERSION,
     CampaignShard,
     ParallelCampaign,
+    ShardOutcome,
 )
 from repro.harness.fabric.coordinator import (
     CHAOS_KILL_ENV,
     FabricCoordinator,
 )
 from repro.harness.fabric.protocol import (
-    PROTOCOL_VERSION,
     FrameError,
-    parse_address,
     recv_frame,
     send_frame,
 )
-from repro.harness.fabric.worker import FabricWorker
 from repro.harness.supervisor import ShardSupervisor
 from tests.harness.configs import tiny_config
 
@@ -136,14 +133,6 @@ def test_send_frame_rejects_oversized_payload(monkeypatch):
         right.close()
 
 
-def test_parse_address():
-    assert parse_address("127.0.0.1:9000") == ("127.0.0.1", 9000)
-    assert parse_address("host.example:1") == ("host.example", 1)
-    for bad in ("nohost", ":123", "host:", "host:abc", "host:70000"):
-        with pytest.raises(ValueError):
-            parse_address(bad)
-
-
 # ----------------------------------------------------------------------
 # Coordinator protocol, driven directly
 # ----------------------------------------------------------------------
@@ -168,12 +157,6 @@ def _slow_task(shard):
     return {"shard": shard.index}
 
 
-def _coordinator(**kwargs):
-    """A listen-only coordinator on a free loopback port."""
-    return FabricCoordinator(listen=("127.0.0.1", 0),
-                             journal_version=JOURNAL_VERSION, **kwargs)
-
-
 def _drain_until(source, predicate, deadline=15.0, events=()):
     """Collect events (after ``events``, drained earlier) until
     ``predicate(events)`` or the deadline."""
@@ -186,21 +169,47 @@ def _drain_until(source, predicate, deadline=15.0, events=()):
     raise AssertionError(f"timed out waiting; got {events}")
 
 
-def _worker_thread(coordinator, **kwargs):
-    host, port = coordinator.address
-    worker = FabricWorker(host, port, **kwargs)
-    thread = threading.Thread(target=worker.run, daemon=True)
-    thread.start()
-    return worker, thread
+def _steal(conn):
+    """A scripted worker's steal: ask until a shard is assigned."""
+    while True:
+        send_frame(conn, {"type": "steal"})
+        if recv_frame(conn)["type"] == "assign":
+            return
+        time.sleep(0.02)
+
+
+def _script_first_worker(monkeypatch, tmp_path, script):
+    """Patch the worker entry point before the fork: the first forked
+    worker takes a shard and then runs ``script(conn)`` on its socket;
+    every later fork (the re-fork after its reap) is a real worker."""
+    real_main = coordinator_module._loopback_worker_main
+    marker = tmp_path / "scripted-worker-ran"
+
+    def entry(conn, inherited, *args):
+        if marker.exists():
+            real_main(conn, inherited, *args)
+            return
+        marker.touch()
+        for sock in inherited:
+            sock.close()
+        _steal(conn)
+        script(conn)
+
+    monkeypatch.setattr(coordinator_module, "_loopback_worker_main",
+                        entry)
+
+
+def _stolen(events):
+    """The shard tickets the fabric reports as assigned."""
+    return [e.fields["shard"] for e in events
+            if e.kind == "info" and e.event == "fabric_steal"]
 
 
 def test_coordinator_completes_work_and_counts_steals():
-    coordinator = _coordinator()
+    coordinator = FabricCoordinator(workers=1)
     try:
         for index in range(3):
             coordinator.submit_shard(index, _shard(index), _ok_task)
-        _worker_thread(coordinator, name="w0",
-                       journal_version=JOURNAL_VERSION)
         events = _drain_until(
             coordinator,
             lambda es: sum(e.kind == "done" for e in es) == 3,
@@ -214,7 +223,7 @@ def test_coordinator_completes_work_and_counts_steals():
         assert stats["steals"] == 3
         assert stats["results"] == 3
         assert stats["worker_deaths"] == 0
-        assert stats["roster"][0]["name"] == "w0"
+        assert stats["roster"][0]["name"] == "loopback-0"
         assert stats["roster"][0]["shards_done"] == 3
         kinds = {e.event for e in events if e.kind == "info"}
         assert "fabric_worker_register" in kinds
@@ -223,98 +232,85 @@ def test_coordinator_completes_work_and_counts_steals():
         coordinator.shutdown()
 
 
-def test_worker_round_trips_do_not_wait_on_delayed_acks(monkeypatch):
-    """A worker sends each result and its next steal back to back; with
-    Nagle's algorithm on, the steal would sit out the coordinator's
-    delayed ACK (40 ms on Linux) once per shard.  So the worker's
-    socket must have Nagle off."""
-    opened = []
-    create_connection = socket.create_connection
-
-    def recording_create_connection(*args, **kwargs):
-        conn = create_connection(*args, **kwargs)
-        opened.append(conn)
-        return conn
-
-    monkeypatch.setattr(socket, "create_connection",
-                        recording_create_connection)
-    coordinator = _coordinator()
+def test_each_worker_exits_once_its_coordinator_end_closes():
+    """A worker reads EOF once every copy of its pair's coordinator end
+    is closed.  The fork hands each worker a copy of its own pair's end
+    and of every end held for the workers forked before it; one left
+    open keeps that worker alive after its coordinator is gone, as an
+    orphan of a killed campaign.  So closing the coordinator's ends one
+    at a time must end exactly that worker each time."""
+    coordinator = FabricCoordinator(workers=3)
     try:
-        coordinator.submit_shard(0, _shard(0), _ok_task)
-        _worker_thread(coordinator, name="w0",
-                       journal_version=JOURNAL_VERSION)
-        _drain_until(coordinator,
-                     lambda es: any(e.kind == "done" for e in es))
-        [conn] = opened
-        assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        for name in ("loopback-0", "loopback-1", "loopback-2"):
+            coordinator._workers[name].conn.close()
+            process = coordinator._processes[name]
+            process.join(timeout=5.0)
+            assert not process.is_alive(), (
+                f"{name} still runs with its coordinator end closed")
     finally:
         coordinator.shutdown()
 
 
-def test_coordinator_rejects_version_skewed_fragments():
-    """A worker built against another journal version must have its
-    fragments discarded and the shard charged — never merged."""
-    coordinator = _coordinator()
+def test_undecodable_fragment_is_charged_and_never_merged():
+    """A fragment the decoder rejects is a charged failure, never a
+    ``done``: a plain dict is not a ShardOutcome.  Under a retry budget
+    of one, the shard is quarantined after two attempts and nothing it
+    returned reaches the outcomes."""
+    coordinator = FabricCoordinator(workers=1,
+                                    decoder=ShardOutcome.from_dict)
     try:
-        coordinator.submit_shard(0, _shard(0), _ok_task)
-        _worker_thread(coordinator, name="skewed", journal_version=999)
+        coordinator.submit_shard(4, _shard(4), _ok_task)
         events = _drain_until(
             coordinator,
             lambda es: any(e.kind == "failed" for e in es),
         )
         failed = [e for e in events if e.kind == "failed"]
-        assert "version skew" in failed[0].reason
+        assert failed[0].ticket == 4
+        assert "undecodable fragment" in failed[0].reason
         assert not any(e.kind == "done" for e in events)
-        assert coordinator.stats()["version_skew"] >= 1
-        kinds = {e.event for e in events if e.kind == "info"}
-        assert "fabric_version_skew" in kinds
     finally:
         coordinator.shutdown()
+    supervisor = ShardSupervisor(
+        workers=1,
+        poll_seconds=0.02,
+        max_retries=1,
+        backend_factory=lambda: FabricCoordinator(
+            workers=1, decoder=ShardOutcome.from_dict),
+    )
+    with supervisor:
+        report = supervisor.run([_shard(4)], _ok_task)
+    [quarantined] = report.quarantined
+    assert quarantined.shard_index == 4
+    assert quarantined.attempts == 2
+    assert all("undecodable fragment" in reason
+               for reason in quarantined.failures)
+    assert 4 not in report.outcomes
 
 
-def _reply(coordinator, conn, events):
-    """The coordinator acts only inside ``drain``: drain (keeping the
-    events) until ``conn`` has a frame to read, then read it."""
-    deadline = time.monotonic() + 10.0
-    while not select.select([conn], [], [], 0)[0]:
-        assert time.monotonic() < deadline, "the coordinator never replied"
-        events.extend(coordinator.drain(0.02))
-    return recv_frame(conn)
+def _exits(conn):
+    """Die mid-assignment: the process ends and its socket closes."""
 
 
-def _raw_register_and_steal(coordinator, name="raw"):
-    """Minimal hand-rolled worker: register, steal, return the live
-    socket, the assignment message and the events drained meanwhile."""
-    events = []
-    conn = socket.create_connection(coordinator.address)
-    send_frame(conn, {
-        "type": "register", "name": name, "pid": 1, "host": "test",
-        "protocol": PROTOCOL_VERSION,
-        "journal_version": JOURNAL_VERSION,
-    })
-    assert _reply(coordinator, conn, events)["type"] == "registered"
-    deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline:
-        send_frame(conn, {"type": "steal"})
-        message = _reply(coordinator, conn, events)
-        if message["type"] == "assign":
-            return conn, message, events
-        time.sleep(0.02)
-    raise AssertionError("never got an assignment")
+def _heartbeats_forever(conn):
+    while True:
+        send_frame(conn, {"type": "heartbeat"})
+        time.sleep(0.1)
 
 
-def test_coordinator_charges_shard_of_dead_worker():
-    coordinator = _coordinator()
+def _falls_silent(conn):
+    time.sleep(60)
+
+
+def test_coordinator_charges_shard_of_dead_worker(monkeypatch, tmp_path):
+    _script_first_worker(monkeypatch, tmp_path, _exits)
+    coordinator = FabricCoordinator(workers=1)
     try:
         coordinator.submit_shard(5, _shard(5), _ok_task)
-        conn, assignment, events = _raw_register_and_steal(coordinator)
-        assert assignment["ticket"] == 5
-        conn.close()  # die mid-assignment, no goodbye
         events = _drain_until(
             coordinator,
             lambda es: any(e.kind == "failed" for e in es),
-            events=events,
         )
+        assert _stolen(events) == [5]
         failed = [e for e in events if e.kind == "failed"]
         assert failed[0].ticket == 5
         assert "died" in failed[0].reason
@@ -327,78 +323,58 @@ def test_coordinator_charges_shard_of_dead_worker():
         coordinator.shutdown()
 
 
-def test_coordinator_charges_hung_shard_despite_heartbeats():
+def test_coordinator_charges_hung_shard_despite_heartbeats(monkeypatch,
+                                                           tmp_path):
     """Heartbeats prove liveness, not progress: a shard past its
     wall-clock deadline is charged even while its worker heartbeats."""
-    coordinator = _coordinator(shard_timeout=0.4)
+    _script_first_worker(monkeypatch, tmp_path, _heartbeats_forever)
+    coordinator = FabricCoordinator(workers=1, shard_timeout=0.4)
     try:
         coordinator.submit_shard(2, _shard(2), _ok_task)
-        conn, assignment, events = _raw_register_and_steal(coordinator)
-        assert assignment["ticket"] == 2
-        stop = threading.Event()
-
-        def heartbeat():
-            while not stop.wait(0.1):
-                try:
-                    send_frame(conn, {"type": "heartbeat"})
-                except OSError:
-                    return
-
-        thread = threading.Thread(target=heartbeat, daemon=True)
-        thread.start()
-        try:
-            events = _drain_until(
-                coordinator,
-                lambda es: any(e.kind == "failed" for e in es),
-                events=events,
-            )
-        finally:
-            stop.set()
-            thread.join()
+        events = _drain_until(
+            coordinator,
+            lambda es: any(e.kind == "failed" for e in es),
+        )
+        assert _stolen(events) == [2]
         failed = [e for e in events if e.kind == "failed"]
         assert failed[0].ticket == 2
         assert "hang" in failed[0].reason
         assert coordinator.stats()["heartbeats"] >= 1
     finally:
         coordinator.shutdown()
-        conn.close()
 
 
-def test_coordinator_reaps_worker_with_stale_heartbeat():
+def test_coordinator_reaps_worker_with_stale_heartbeat(monkeypatch,
+                                                       tmp_path):
     """A worker that stops heartbeating mid-shard is dead even if its
-    TCP connection lingers: the shard must come back."""
-    coordinator = _coordinator(shard_timeout=60.0, heartbeat_seconds=0.1,
-                               heartbeat_grace=0.5)
+    socket stays open: the shard must come back."""
+    _script_first_worker(monkeypatch, tmp_path, _falls_silent)
+    coordinator = FabricCoordinator(workers=1, shard_timeout=60.0,
+                                    heartbeat_seconds=0.1,
+                                    heartbeat_grace=0.5)
     try:
         coordinator.submit_shard(1, _shard(1), _ok_task)
-        conn, assignment, events = _raw_register_and_steal(coordinator)
-        assert assignment["ticket"] == 1
-        # ...and now send nothing at all.
         events = _drain_until(
             coordinator,
             lambda es: any(e.kind == "failed" for e in es),
-            events=events,
         )
+        assert _stolen(events) == [1]
         failed = [e for e in events if e.kind == "failed"]
         assert failed[0].ticket == 1
         assert "heartbeat" in failed[0].reason
     finally:
         coordinator.shutdown()
-        conn.close()
 
 
 # ----------------------------------------------------------------------
 # Supervisor over the fabric
 # ----------------------------------------------------------------------
-def _fabric_supervisor(loopback, **fabric_kwargs):
+def _fabric_supervisor(workers, **fabric_kwargs):
     return ShardSupervisor(
-        workers=loopback,
+        workers=workers,
         poll_seconds=0.02,
         backend_factory=lambda: FabricCoordinator(
-            loopback_workers=loopback,
-            journal_version=JOURNAL_VERSION,
-            **fabric_kwargs,
-        ),
+            workers=workers, **fabric_kwargs),
     )
 
 
@@ -410,7 +386,7 @@ def test_supervisor_completes_over_loopback_fabric():
     assert sorted(report.outcomes) == list(range(6))
     assert report.quarantined == []
     assert stats["backend"] == "fabric"
-    assert stats["loopback_workers"] == 2
+    assert stats["workers"] == 2
     assert stats["results"] == 6
 
 
@@ -477,47 +453,31 @@ def test_loopback_workers_are_forked_before_any_thread_starts(
     assert "multi-threaded" not in run.stderr
 
 
-def test_supervisor_serial_fallback_when_fabric_starves():
-    """A fabric with no workers at all must not wedge the campaign: the
-    starvation timeout hands the shards back, the supervisor burns its
-    rebuild budget, and the work finishes serially in-process."""
+def _never_steals(conn, inherited, *args):
+    time.sleep(60)
+
+
+def test_supervisor_serial_fallback_when_fabric_starves(monkeypatch):
+    """Workers that never steal must not wedge the campaign: once their
+    heartbeat grace passes, each is reaped as silent (uncharged: it held
+    no shard), the supervisor burns its rebuild budget, and the work
+    finishes serially in-process."""
+    monkeypatch.setattr(coordinator_module, "_loopback_worker_main",
+                        _never_steals)
     shards = [_shard(i) for i in range(3)]
     supervisor = ShardSupervisor(
         workers=2,
         poll_seconds=0.02,
         max_pool_rebuilds=0,
-        backend_factory=lambda: _coordinator(worker_grace=0.3),
+        backend_factory=lambda: FabricCoordinator(workers=2,
+                                                  heartbeat_grace=0.3),
     )
     with supervisor:
         report = supervisor.run(shards, _ok_task)
     assert sorted(report.outcomes) == list(range(3))
     assert report.serial_fallback
     assert report.pool_rebuilds >= 1
-    assert report.retries == 0  # starvation charges nobody
-
-
-def test_external_worker_via_listen_address():
-    """The `campaign-worker host:port` shape: the coordinator listens, a
-    worker we run ourselves supplies all the capacity."""
-    coordinator = _coordinator()
-    try:
-        host, port = coordinator.address
-        worker = FabricWorker(host, port, name="external-0",
-                              journal_version=JOURNAL_VERSION)
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        for index in range(3):
-            coordinator.submit_shard(index, _shard(index), _ok_task)
-        events = _drain_until(
-            coordinator,
-            lambda es: sum(e.kind == "done" for e in es) == 3)
-        assert sorted(e.ticket for e in events
-                      if e.kind == "done") == [0, 1, 2]
-        roster = coordinator.stats()["roster"]
-        assert [w["name"] for w in roster] == ["external-0"]
-        assert coordinator.stats()["loopback_workers"] == 0
-    finally:
-        coordinator.shutdown()
+    assert report.retries == 0  # a silent idle worker charges nobody
 
 
 # ----------------------------------------------------------------------
@@ -543,124 +503,6 @@ def test_fabric_telemetry_and_manifest_surface(tmp_path):
     roster = {worker["name"] for worker in manifest.fabric["roster"]}
     assert roster == {"loopback-0", "loopback-1"}
     assert manifest.manifest_version >= 5
-
-
-# ----------------------------------------------------------------------
-# Worker reconnect
-# ----------------------------------------------------------------------
-def test_worker_reconnect_backoff_is_bounded_and_deterministic(
-        monkeypatch):
-    """An unreachable coordinator costs exactly max_reconnects redials,
-    each preceded by the policy's deterministic backoff delay."""
-    import repro.harness.fabric.worker as worker_module
-    from repro.harness.backoff import BackoffPolicy
-
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()  # nothing listens here now
-
-    delays = []
-    monkeypatch.setattr(worker_module, "_sleep", delays.append)
-    policy = BackoffPolicy(base=0.1, factor=2.0, max_delay=1.0,
-                           jitter=0.5, seed="w0")
-    worker = FabricWorker(
-        "127.0.0.1", port, name="w0", max_reconnects=3,
-        backoff=policy, journal_version=JOURNAL_VERSION,
-    )
-    assert worker.run() == 0
-    assert worker.reconnects == 3
-    assert delays == [policy.delay(1), policy.delay(2), policy.delay(3)]
-
-
-def test_worker_default_dies_on_first_loss(monkeypatch):
-    import repro.harness.fabric.worker as worker_module
-
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-
-    delays = []
-    monkeypatch.setattr(worker_module, "_sleep", delays.append)
-    worker = FabricWorker("127.0.0.1", port,
-                          journal_version=JOURNAL_VERSION)
-    assert worker.run() == 0
-    assert worker.reconnects == 0
-    assert delays == []
-
-
-def test_worker_redials_after_drop_and_reregisters(monkeypatch):
-    """A dropped connection redials and re-registers with the attempt
-    count; a clean shutdown never redials."""
-    import repro.harness.fabric.worker as worker_module
-
-    monkeypatch.setattr(worker_module, "_sleep", lambda seconds: None)
-    listener = socket.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(2)
-    registers = []
-
-    def scripted_coordinator():
-        # session 1: accept, ack, then drop mid-conversation
-        conn, _ = listener.accept()
-        registers.append(recv_frame(conn))
-        send_frame(conn, {"type": "registered",
-                          "heartbeat_seconds": 0.5})
-        recv_frame(conn)  # the worker's first steal
-        conn.close()      # no shutdown, no goodbye — a real drop
-        # session 2: the redial — ack, then dismiss cleanly
-        conn, _ = listener.accept()
-        registers.append(recv_frame(conn))
-        send_frame(conn, {"type": "registered",
-                          "heartbeat_seconds": 0.5})
-        recv_frame(conn)  # steal
-        send_frame(conn, {"type": "shutdown"})
-        recv_frame(conn)  # goodbye
-        conn.close()
-
-    thread = threading.Thread(target=scripted_coordinator, daemon=True)
-    thread.start()
-    host, port = listener.getsockname()
-    worker = FabricWorker(host, port, name="redial", max_reconnects=5,
-                          journal_version=JOURNAL_VERSION)
-    try:
-        assert worker.run() == 0
-        thread.join(5)
-        assert worker.reconnects == 1  # shutdown ended it, not budget
-        assert registers[0]["reconnects"] == 0
-        assert registers[1]["reconnects"] == 1
-    finally:
-        listener.close()
-
-
-def test_coordinator_emits_worker_reconnected_event():
-    coordinator = _coordinator()
-    conn = None
-    try:
-        conn = socket.create_connection(coordinator.address)
-        send_frame(conn, {
-            "type": "register", "name": "phoenix", "pid": 1,
-            "host": "test", "protocol": PROTOCOL_VERSION,
-            "journal_version": JOURNAL_VERSION, "reconnects": 2,
-        })
-        events = []
-        assert _reply(coordinator, conn, events)["type"] == "registered"
-        events = _drain_until(
-            coordinator,
-            lambda es: any(e.kind == "info"
-                           and e.event == "worker_reconnected"
-                           for e in es),
-            events=events,
-        )
-        event = next(e for e in events
-                     if e.event == "worker_reconnected")
-        assert event.fields["worker"] == "phoenix"
-        assert event.fields["reconnects"] == 2
-    finally:
-        if conn is not None:
-            conn.close()
-        coordinator.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -700,41 +542,36 @@ def _send_non_object(conn):
     _send_invalid_json,
     _send_non_object,
 ], ids=["torn-frame", "oversized-length", "invalid-json", "non-object"])
-def test_coordinator_requeues_shard_on_protocol_error(corrupt):
+def test_coordinator_requeues_shard_on_protocol_error(corrupt, monkeypatch,
+                                                     tmp_path):
     """Garbage on the wire from a worker holding a shard must become a
     clean protocol error that charges + reclaims the shard — never an
     unhandled exception in the coordinator's read loop."""
-    coordinator = _coordinator()
-    conn = None
+
+    def vandal(conn):
+        corrupt(conn)
+        time.sleep(60)  # until the reap kills it
+
+    _script_first_worker(monkeypatch, tmp_path, vandal)
+    coordinator = FabricCoordinator(workers=1)
     try:
         coordinator.submit_shard(9, _shard(9), _ok_task)
-        conn, assignment, events = _raw_register_and_steal(
-            coordinator, name="vandal"
-        )
-        assert assignment["ticket"] == 9
-        corrupt(conn)
         events = _drain_until(
             coordinator,
             lambda es: any(e.kind == "failed" for e in es),
-            events=events,
         )
+        assert _stolen(events) == [9]
         failed = [e for e in events if e.kind == "failed"][0]
         assert failed.ticket == 9
         assert "protocol error" in failed.reason
-        # the coordinator survived: resubmit the reclaimed shard and a
-        # healthy worker completes it on the same coordinator
+        # the coordinator survived: resubmit the reclaimed shard and the
+        # worker re-forked in the vandal's place completes it on the
+        # same coordinator
         coordinator.submit_shard(9, _shard(9), _ok_task)
-        _worker_thread(coordinator, name="healthy",
-                       journal_version=JOURNAL_VERSION)
         events = _drain_until(
             coordinator,
             lambda es: any(e.kind == "done" for e in es),
         )
         assert any(e.kind == "done" and e.ticket == 9 for e in events)
     finally:
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
         coordinator.shutdown()

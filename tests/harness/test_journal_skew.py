@@ -91,8 +91,8 @@ def test_resume_with_another_shard_size_is_another_campaign(tmp_path):
 
 
 def test_unreadable_shard_record_is_an_error(tmp_path):
-    """A fragment today's schema cannot rebuild (e.g. written by a
-    skewed fabric worker) is an error naming its line."""
+    """A fragment today's schema cannot rebuild (e.g. one another
+    version of the program wrote) is an error naming its line."""
     campaign = _run(tmp_path, "seed")
     journal_path = campaign.journal_path
     lines = journal_path.read_text().splitlines()

@@ -1,13 +1,12 @@
-"""Tier-1 tests for the shared JSONL torn-tail reader and the backoff
-policy — the two small robustness primitives under the campaign
-journal, the telemetry reader, and the fabric worker's reconnect loop.
+"""Tier-1 tests for the shared JSONL torn-tail reader — the small
+robustness primitive under the campaign journal and the telemetry
+reader.
 """
 
 import json
 
 import pytest
 
-from repro.harness.backoff import BackoffPolicy
 from repro.harness.jsonl import drop_torn_tail, read_jsonl
 
 
@@ -72,34 +71,3 @@ def test_campaign_journal_shares_torn_tail_policy(tmp_path):
     assert loaded.header["campaign_key"] == "key"
     assert loaded.shards == {}  # torn record dropped → unit reruns
 
-
-# ----------------------------------------------------------------------
-# BackoffPolicy
-# ----------------------------------------------------------------------
-def test_backoff_grows_exponentially_and_caps():
-    policy = BackoffPolicy(base=1.0, factor=2.0, max_delay=5.0,
-                           jitter=0.0)
-    assert [policy.delay(n) for n in range(1, 6)] == \
-        [1.0, 2.0, 4.0, 5.0, 5.0]
-
-
-def test_backoff_jitter_is_deterministic_per_seed_and_attempt():
-    one = BackoffPolicy(base=1.0, jitter=0.5, seed="worker-a")
-    same = BackoffPolicy(base=1.0, jitter=0.5, seed="worker-a")
-    other = BackoffPolicy(base=1.0, jitter=0.5, seed="worker-b")
-    assert one.delay(3) == same.delay(3)  # reproducible schedules
-    assert one.delay(3) != other.delay(3)  # fleets spread apart
-    assert one.delay(2) != one.delay(3)
-    raw = min(one.max_delay, one.base * one.factor ** 2)
-    assert raw <= one.delay(3) < raw * 1.5  # within the jitter band
-
-
-def test_backoff_validates_parameters():
-    with pytest.raises(ValueError):
-        BackoffPolicy(base=0)
-    with pytest.raises(ValueError):
-        BackoffPolicy(factor=0.5)
-    with pytest.raises(ValueError):
-        BackoffPolicy(jitter=-0.1)
-    with pytest.raises(ValueError):
-        BackoffPolicy().delay(0)

@@ -95,12 +95,6 @@ def test_campaign_command_writes_manifest(tmp_path, capsys):
          "--shard-timeout must be positive"),
         (["campaign", "--max-retries", "-1"],
          "--max-retries must be >= 0"),
-        (["campaign", "--fabric-listen", "no-port"],
-         "must be host:port"),
-        (["campaign", "--fabric-listen", "127.0.0.1:9",
-          "--workers", "-1"],
-         "--workers must be >= 0"),
-        (["campaign", "--workers", "0"], "(0 needs --fabric-listen)"),
         (["campaign", "--adaptive-slots", "--no-inject"],
          "--adaptive-slots cannot be combined with --no-inject"),
     ],
@@ -113,17 +107,20 @@ def test_campaign_flag_validation(capsys, argv, message):
 def test_campaign_backend_defaults():
     args = build_parser().parse_args(["campaign"])
     assert args.workers is None
-    assert args.fabric_listen is None
 
 
 def test_campaign_rejects_unknown_backend():
-    """There is one multi-worker backend: the flags that chose between
-    two are parse errors.  So are the removed switches for epoch
-    snapshots and activation probes."""
+    """There is one multi-worker backend, forked on this host: the flags
+    that chose between two are parse errors, and so are the external
+    workers' listen address and subcommand.  So are the removed
+    switches for epoch snapshots and activation probes."""
     for argv in (["--backend", "fabric"], ["--fabric-loopback", "2"],
+                 ["--fabric-listen", "127.0.0.1:7044"],
                  ["--no-snapshot-epochs"], ["--no-track-activation"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", *argv])
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["campaign-worker", "127.0.0.1:7044"])
 
 
 def test_campaign_resume_of_another_campaigns_journal_exits_2(
@@ -189,19 +186,6 @@ def test_campaign_telemetry_is_one_stream_per_campaign(tmp_path, capsys):
     assert [event["event"] for event in resumed].count(
         "telemetry_open") == 2
     assert [event["seq"] for event in resumed] == list(range(len(resumed)))
-
-
-def test_campaign_worker_parses_address():
-    args = build_parser().parse_args(
-        ["campaign-worker", "10.0.0.5:7000", "--name", "w7"]
-    )
-    assert args.address == "10.0.0.5:7000"
-    assert args.name == "w7"
-
-
-def test_campaign_worker_rejects_bad_address(capsys):
-    assert main(["campaign-worker", "nocolonhere"]) == 2
-    assert "host:port" in capsys.readouterr().err
 
 
 @pytest.mark.slow
