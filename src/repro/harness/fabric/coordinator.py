@@ -115,14 +115,14 @@ class ShardEvent:
 
 
 class _WorkerState:
-    """Coordinator-side record of one worker and its socket."""
+    """Coordinator-side record of one worker process and its socket."""
 
-    __slots__ = ("name", "pid", "conn", "alive", "last_seen",
+    __slots__ = ("name", "process", "conn", "alive", "last_seen",
                  "shards_done")
 
-    def __init__(self, name, pid, conn):
+    def __init__(self, name, process, conn):
         self.name = name
-        self.pid = pid
+        self.process = process
         self.conn = conn
         self.alive = True
         self.last_seen = time.monotonic()
@@ -163,7 +163,6 @@ class FabricCoordinator:
             chaos_env = os.environ.get(CHAOS_KILL_ENV)
             if chaos_env:
                 chaos_kill_after = int(chaos_env)
-        self._processes = {}  # worker name -> Process
         self._replace = []    # names killed, to re-fork at next drain
         for index in range(workers):
             self._fork(f"loopback-{index}",
@@ -183,13 +182,12 @@ class FabricCoordinator:
         # Whole frames under a generous timeout: a mid-frame timeout
         # would tear the stream.
         ours.settimeout(5.0)
-        state = _WorkerState(name=name, pid=process.pid, conn=ours)
+        state = _WorkerState(name=name, process=process, conn=ours)
         previous = self._workers.get(name)
         if previous is not None:
             state.shards_done = previous.shards_done
         self._workers[name] = state
         self._connections[ours] = state
-        self._processes[name] = process
         self._info("fabric_worker_register", worker=name, pid=process.pid)
 
     # ------------------------------------------------------------------
@@ -235,7 +233,7 @@ class FabricCoordinator:
             (
                 {
                     "name": state.name,
-                    "pid": state.pid,
+                    "pid": state.process.pid,
                     "shards_done": state.shards_done,
                     "alive": state.alive,
                 }
@@ -254,12 +252,11 @@ class FabricCoordinator:
                 send_frame(conn, {"type": "shutdown"})
             except (OSError, FrameError):
                 pass
-        for process in self._processes.values():
-            process.join(timeout=2.0)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=2.0)
-        self._processes = {}
+        for state in self._workers.values():
+            state.process.join(timeout=2.0)
+            if state.process.is_alive():
+                state.process.kill()
+                state.process.join(timeout=2.0)
         for conn in self._connections:
             conn.close()
         self._connections.clear()
@@ -398,9 +395,8 @@ class FabricCoordinator:
         assignment = self._assignments.pop(state.name, None)
         self._counters["worker_deaths"] += 1
         self._info("fabric_worker_dead", worker=state.name, reason=reason)
-        process = self._processes[state.name]
-        process.kill()
-        process.join(timeout=5.0)
+        state.process.kill()
+        state.process.join(timeout=5.0)
         self._replace.append(state.name)
         self._events.append(ShardEvent(
             "backend_lost", reason=reason, fields={"worker": state.name},

@@ -242,8 +242,9 @@ def test_each_worker_exits_once_its_coordinator_end_closes():
     coordinator = FabricCoordinator(workers=3)
     try:
         for name in ("loopback-0", "loopback-1", "loopback-2"):
-            coordinator._workers[name].conn.close()
-            process = coordinator._processes[name]
+            worker = coordinator._workers[name]
+            worker.conn.close()
+            process = worker.process
             process.join(timeout=5.0)
             assert not process.is_alive(), (
                 f"{name} still runs with its coordinator end closed")
