@@ -2,25 +2,30 @@
 
 The central object is :class:`FunctionImage`: the parsed, indexed source of
 one FIT function.  Nodes are addressed by their position in a deterministic
-walk of the tree, so a site found during scanning can be relocated in a
-fresh parse of the same source during mutation, and — because the walk only
+walk of the tree, so a site found during scanning can be relocated in any
+later image of the same source during mutation, and — because the walk only
 depends on the source text — the same ``site_key`` resolves to the same
 construct across processes and runs.
 
 The image is built with a single breadth-first walk (byte-for-byte the
 order of :func:`ast.walk`) that records, per node: its walk position, its
-parent, and its class.  Everything the operator library repeatedly needs
-during a scan — position lookup, "all ``If`` nodes", "all statement
-blocks", "does this subtree transfer control", the function's local
-names — is answered from those side tables in O(1)/O(result) instead of
-re-walking the tree, which is what makes the single-pass scanner one
-traversal per function instead of one per operator.
+parent, and its class.  Everything the operator library asks about a
+function during a scan — position lookup, "all ``If`` nodes", "all
+statement blocks", "the ``Compare`` nodes under this test", "does this
+subtree transfer control", the function's local names, the names read
+after each top-level statement — is answered from those side tables
+instead of re-walking the tree, which is what makes the single-pass
+scanner one traversal per function instead of one per operator.
+
+A mutant edits a path copy of the tree (:meth:`FunctionImage.fresh_copy`):
+only the site's subtree and its ancestors are copied, and the rest is
+shared with the image, which is never edited.
 """
 
 import ast
 import inspect
 import textwrap
-from collections import deque
+from operator import itemgetter
 
 __all__ = [
     "FunctionImage",
@@ -83,33 +88,42 @@ class FunctionImage:
             )
         self.fdef = self.tree.body[0]
         self.first_lineno = function.__code__.co_firstlineno
-        # One walk fills every index the scan needs: the position list
-        # (identical to ast.walk order), the O(1) position map, per-class
-        # buckets, and the parent map.
-        index = []
-        positions = {}
+        # One breadth-first walk fills every index the scan needs: the
+        # position list (``ast.walk`` order: each node's ``_fields`` in
+        # turn, list items in place, as ``ast.iter_child_nodes`` yields
+        # them), the per-class buckets and the parent map.  The list is
+        # its own queue.
+        index = [self.tree]
         by_type = {}
         parents = {}
-        todo = deque([self.tree])
-        while todo:
-            node = todo.popleft()
-            positions[id(node)] = len(index)
-            index.append(node)
+        append = index.append
+        for node in index:
             try:
                 by_type[type(node)].append(node)
             except KeyError:
                 by_type[type(node)] = [node]
-            for child in ast.iter_child_nodes(node):
-                parents[id(child)] = node
-                todo.append(child)
+            for field in node._fields:
+                value = getattr(node, field, None)
+                if isinstance(value, list):
+                    for item in value:
+                        if isinstance(item, ast.AST):
+                            parents[id(item)] = node
+                            append(item)
+                elif isinstance(value, ast.AST):
+                    parents[id(value)] = node
+                    append(value)
         self._index = index
-        self._positions = positions
+        self._positions = {
+            id(node): position for position, node in enumerate(index)
+        }
         self._by_type = by_type
         self._parents = parents
         # Lazy caches (filled on first use; a mutant build never needs them).
         self._blocks = None
         self._transfer_marks = None
         self._local_names = None
+        self._names_loaded_from = None
+        self._below = {}
         self._init_block_length = None
         self._body_positions = None
 
@@ -129,31 +143,65 @@ class FunctionImage:
 
         The first entry is always ``fdef.body``; blocks of the ``Module``
         wrapper are excluded so the sequence matches a walk of the
-        function definition itself.
+        function definition itself.  Only the buckets of classes with a
+        block field are read, merged by walk position.
         """
         if self._blocks is None:
+            positions = self._positions
+            owners = []
+            for cls, nodes in self._by_type.items():
+                fields = [
+                    field for field in STATEMENT_BLOCK_FIELDS
+                    if field in cls._fields
+                ]
+                if fields and cls is not ast.Module:
+                    owners.extend(
+                        (positions[id(node)], node, fields)
+                        for node in nodes
+                    )
+            owners.sort(key=itemgetter(0))
             blocks = []
-            for node in self._index[1:]:
-                for field in STATEMENT_BLOCK_FIELDS:
-                    block = getattr(node, field, None)
+            for _position, node, fields in owners:
+                for field in fields:
+                    block = getattr(node, field)
                     if isinstance(block, list):
                         blocks.append(block)
             self._blocks = blocks
         return self._blocks
+
+    def nodes_below(self, node, node_type):
+        """Every node of exactly ``node_type`` in ``node``'s subtree
+        (``node`` included), in walk order: what a walk of the subtree
+        finds, since a breadth-first walk keeps each subtree's order.
+
+        The first query for a class charges each of its nodes to every
+        ancestor through the parent map; later queries are a lookup.
+        """
+        table = self._below.get(node_type)
+        if table is None:
+            table = self._below[node_type] = {}
+            parents = self._parents
+            for found in self.nodes_of_type(node_type):
+                cursor = found
+                while cursor is not None:
+                    table.setdefault(id(cursor), []).append(found)
+                    cursor = parents.get(id(cursor))
+        return table.get(id(node), ())
 
     def subtree_has_transfer(self, node):
         """True when ``node``'s subtree contains a control transfer.
 
         Equivalent to walking the subtree looking for
         :data:`CONTROL_TRANSFER_TYPES`, but answered from a one-time
-        ancestor marking of every transfer statement, so repeated queries
-        (one per ``if`` candidate) cost O(1).
+        ancestor marking of every transfer statement (read from the type
+        buckets), so repeated queries (one per ``if`` candidate) cost
+        O(1).
         """
         if self._transfer_marks is None:
             marked = set()
             parents = self._parents
-            for candidate in self._index:
-                if isinstance(candidate, CONTROL_TRANSFER_TYPES):
+            for transfer_type in CONTROL_TRANSFER_TYPES:
+                for candidate in self.nodes_of_type(transfer_type):
                     cursor = candidate
                     while cursor is not None and id(cursor) not in marked:
                         marked.add(id(cursor))
@@ -162,10 +210,67 @@ class FunctionImage:
         return id(node) in self._transfer_marks
 
     def local_names(self):
-        """Names bound inside the function (cached; see :func:`local_names`)."""
+        """Names bound inside the function (cached).
+
+        Equal to :func:`local_names` of :attr:`fdef`, order included:
+        the ``Store`` names and ``for`` targets come from the type
+        buckets, merged by walk position.
+        """
         if self._local_names is None:
-            self._local_names = local_names(self.fdef)
+            positions = self._positions
+            bound = [
+                (positions[id(node)], node.id)
+                for node in self.nodes_of_type(ast.Name)
+                if isinstance(node.ctx, ast.Store)
+            ]
+            bound.extend(
+                (positions[id(node)], node.target.id)
+                for node in self.nodes_of_type(ast.For)
+                if isinstance(node.target, ast.Name)
+            )
+            bound.sort()
+            names = [arg.arg for arg in self.fdef.args.args]
+            seen = set(names)
+            for _position, name in bound:
+                if name not in seen:
+                    seen.add(name)
+                    names.append(name)
+            self._local_names = names
         return self._local_names
+
+    def names_loaded_from(self):
+        """Per top-level statement, the names ``Load``-read from it on.
+
+        Entry ``p`` holds every name read in ``fdef.body[p:]``, and the
+        last entry (``len(fdef.body)``) is empty.  Each ``Load`` name is
+        charged to the top-level statement above it by climbing the
+        parent map; a climb stops at the first ancestor already charged.
+        Cached.
+        """
+        if self._names_loaded_from is None:
+            body = self.fdef.body
+            owners = dict(self.body_positions())
+            owners[id(self.fdef)] = owners[id(self.tree)] = None
+            parents = self._parents
+            loads = [set() for _ in body]
+            for name in self.nodes_of_type(ast.Name):
+                if not isinstance(name.ctx, ast.Load):
+                    continue
+                trail = []
+                key = id(name)
+                while key not in owners:
+                    trail.append(key)
+                    key = id(parents[key])
+                position = owners[key]
+                for step in trail:
+                    owners[step] = position
+                if position is not None:
+                    loads[position].add(name.id)
+            suffix = [set()] * (len(body) + 1)
+            for position in range(len(body) - 1, -1, -1):
+                suffix[position] = suffix[position + 1] | loads[position]
+            self._names_loaded_from = suffix
+        return self._names_loaded_from
 
     def init_block_length(self):
         """Cached :func:`init_block_length` of the function body."""
@@ -194,40 +299,56 @@ class FunctionImage:
     def fresh_copy(self, position):
         """A private tree for one mutant, and its node at walk ``position``.
 
-        A re-parse of :attr:`source` (about a quarter of the cost of
-        ``copy.deepcopy``) has the shape of :attr:`tree`, so the node is
-        reached by the same field steps from the root, without indexing
-        the new tree.
+        A path copy of :attr:`tree`: the node's subtree is cloned, each
+        ancestor is copied one level deep (list fields included) with
+        its child on the path swapped for the copy, and every other
+        subtree is shared with :attr:`tree`.  A mutation rule edits only
+        inside the node's subtree or the block list that owns it, and
+        the activation probe only ``fdef.body``; all of those are
+        copies, so :attr:`tree` is never edited.
         """
-        tree = ast.parse(self.source)
-        node = tree
-        for field, item in self._steps_to(self._index[position]):
-            node = getattr(node, field)
-            if item is not None:
-                node = node[item]
-        return tree, node
-
-    def _steps_to(self, node):
-        """``(field, list index or None)`` steps from the root to ``node``."""
-        steps = []
+        node = self._index[position]
+        site = copy = _clone(node)
         parent = self._parents.get(id(node))
         while parent is not None:
-            for field, value in ast.iter_fields(parent):
-                if value is node:
-                    steps.append((field, None))
-                    break
-                if isinstance(value, list):
-                    item = next(
-                        (i for i, child in enumerate(value) if child is node),
-                        None,
-                    )
-                    if item is not None:
-                        steps.append((field, item))
-                        break
+            copy = _copy_with(parent, node, copy)
             node = parent
             parent = self._parents.get(id(node))
-        steps.reverse()
-        return steps
+        return copy, site
+
+
+def _clone(node):
+    """A deep copy of ``node``'s subtree, locations included."""
+    cls = node.__class__
+    copy = cls.__new__(cls)
+    fields = copy.__dict__
+    for key, value in node.__dict__.items():
+        if isinstance(value, ast.AST):
+            value = _clone(value)
+        elif isinstance(value, list):
+            value = [
+                _clone(item) if isinstance(item, ast.AST) else item
+                for item in value
+            ]
+        fields[key] = value
+    return copy
+
+
+def _copy_with(node, child, replacement):
+    """``node`` copied one level deep, with ``child`` swapped for
+    ``replacement``; its list fields are new lists."""
+    cls = node.__class__
+    copy = cls.__new__(cls)
+    fields = copy.__dict__
+    for key, value in node.__dict__.items():
+        if value is child:
+            value = replacement
+        elif isinstance(value, list):
+            value = [
+                replacement if item is child else item for item in value
+            ]
+        fields[key] = value
+    return copy
 
 
 def is_simple_constant_assign(stmt):
@@ -264,7 +385,11 @@ def init_block_length(fdef):
 
 
 def local_names(fdef):
-    """Names bound inside the function: parameters plus assigned names."""
+    """Names bound inside the function: parameters plus assigned names.
+
+    A walk of ``fdef``; :meth:`FunctionImage.local_names` answers the
+    same from the image's walk, and the tests compare the two.
+    """
     names = [arg.arg for arg in fdef.args.args]
     seen = set(names)
     for node in ast.walk(fdef):

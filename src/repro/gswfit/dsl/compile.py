@@ -153,7 +153,7 @@ class MutationOperator:
     pattern names what the search anchors on (:attr:`node_types`, or
     statement blocks when :attr:`scans_blocks`), the preconditions
     filter anchors, and the mutation rule derives the sites of a passing
-    anchor and edits a fresh copy of the tree.
+    anchor and edits a path copy of the tree.
     """
 
     def __init__(self, spec):

@@ -3,7 +3,7 @@
 A rule is the edit half of an operator: given an anchor that passed
 every precondition, :meth:`MutationRule.enumerate` returns the sites the
 rule derives from it — ``(target, payload, context)`` triples — and
-:meth:`MutationRule.apply` performs the edit on a fresh copy of the
+:meth:`MutationRule.apply` performs the edit on a path copy of the
 tree.  ``target`` is the node the site is placed on: ``None`` for the
 anchor itself, or a sub-node of it (the ``Compare`` inside an ``If``
 test).  ``payload`` becomes the
@@ -123,10 +123,14 @@ class MutationRule:
         return _ONE_SITE
 
     def apply(self, tree, node, payload):
-        """Perform the edit on ``node`` inside the fresh ``tree`` copy.
+        """Perform the edit on ``node`` inside the ``tree`` copy.
 
-        The tree is compiled as the edit leaves it, so new statements go
-        in through :func:`replace_statement` or
+        The copy is a path copy
+        (:meth:`~repro.gswfit.astutils.FunctionImage.fresh_copy`): only
+        ``node``'s subtree, its ancestors and their lists are private,
+        so an edit stays inside ``node``'s subtree or the block list
+        that owns it.  The tree is compiled as the edit leaves it, so new
+        statements go in through :func:`replace_statement` or
         :func:`remove_statements`, which locate them.
         """
         raise NotImplementedError
@@ -368,9 +372,8 @@ class _SwapComparisonBoundary(MutationRule):
             return ()
         return [
             (sub, "", {"comparison": ast.unparse(sub)})
-            for sub in ast.walk(test)
-            if isinstance(sub, ast.Compare) and len(sub.ops) == 1
-            and type(sub.ops[0]) in _BOUNDARY_SWAP
+            for sub in image.nodes_below(test, ast.Compare)
+            if len(sub.ops) == 1 and type(sub.ops[0]) in _BOUNDARY_SWAP
         ]
 
     def apply(self, tree, node, payload):

@@ -108,17 +108,7 @@ class _NameReadLater(Predicate):
     """The assigned name is ``Load``-read after this top-level statement."""
 
     def prepare(self, image):
-        body = image.fdef.body
-        suffix = [set()] * (len(body) + 1)
-        for position in range(len(body) - 1, -1, -1):
-            loads = set(suffix[position + 1])
-            for sub in ast.walk(body[position]):
-                if isinstance(sub, ast.Name) and isinstance(
-                    sub.ctx, ast.Load
-                ):
-                    loads.add(sub.id)
-            suffix[position] = loads
-        return image.body_positions(), suffix
+        return image.body_positions(), image.names_loaded_from()
 
     def check(self, image, node, state):
         positions, suffix = state

@@ -8,9 +8,12 @@ shape-compatible with the original (same signature, no closure cells) so a
 
 The parse and the site search depend only on the function, so they are
 done once per :class:`FunctionSites`; every mutant of that function then
-re-parses the source for a private tree to edit.  A lone location is a
-group of its own, so a mutant built alone and one built with the rest of
-its function's locations are the same code.
+edits a path copy of that parse
+(:meth:`~repro.gswfit.astutils.FunctionImage.fresh_copy`), which shares
+all but the site's subtree and its ancestors with the image and leaves
+the image unedited.  A lone location is a group of its own, so a mutant
+built alone and one built with the rest of its function's locations are
+the same code.
 
 ``probed=True`` additionally plants a one-statement activation probe at
 the top of the mutated function (see :mod:`repro.gswfit.activation`):

@@ -99,12 +99,21 @@ def test_warm_mutant_cache_compiles_each_location_once(faultload):
 
 
 def _code_shape(code):
-    """What a mutant's behaviour rests on, nested code objects included."""
+    """What a mutant's behaviour and its tracebacks rest on, nested code
+    objects included: bytecode, names, constants, first line, line
+    table, exception table (3.11+) and positions (3.11+)."""
     return (
         code.co_code,
         code.co_names,
+        code.co_varnames,
         code.co_argcount,
         code.co_filename,
+        code.co_name,
+        code.co_firstlineno,
+        code.co_linetable,
+        getattr(code, "co_exceptiontable", None),
+        tuple(code.co_positions()) if hasattr(code, "co_positions")
+        else None,
         tuple(
             _code_shape(const) if isinstance(const, types.CodeType)
             else (type(const), repr(const))

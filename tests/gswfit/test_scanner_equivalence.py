@@ -5,12 +5,24 @@ both OS builds it must emit byte-identical fault locations — same sites,
 same ``site_key`` values, same deterministic order — as the per-operator
 reference scan (:func:`scan_function_per_operator`, one full AST
 traversal per Table-1 operator, the historical implementation).
+
+Both scans ask the same :class:`FunctionImage` about the function, so
+the image's answers, which come from its one walk, are checked here
+against the ``ast.walk`` traversals they replace.
 """
 
+import ast
 import inspect
 import json
 
 from repro.gswfit import scanner
+from repro.gswfit.astutils import (
+    CONTROL_TRANSFER_TYPES,
+    FunctionImage,
+    local_names,
+    node_contains,
+)
+from repro.gswfit.operators.base import _iter_statement_lists
 from repro.gswfit.scanner import (
     function_sources,
     scan_build,
@@ -67,3 +79,107 @@ def test_scan_sources_equal_inspect_getsource(build):
         assert sources[module][code.co_firstlineno] == (
             inspect.getsource(function)
         ), function.__qualname__
+
+
+# ----------------------------------------------------------------------
+# The image's answers equal the walks they replace
+# ----------------------------------------------------------------------
+def _awkward(a, b=len, *rest, key=None, **extra):
+    """Constructs the FIT functions may lack: a ``for`` at the depth of a
+    later ``Store`` name, tuple targets, loads outside the body, a nested
+    def, a lambda, comprehensions and every kind of statement block."""
+    total = 0
+    if a:
+        for i in range(a):
+            total += i
+        seen = [j for j in rest if j]
+    late = key
+    while b:
+        for (k, v) in extra.items():
+            total = k
+        break
+    else:
+        total = -1
+    try:
+        value = b(rest)
+    except ValueError as error:
+        value = error
+    finally:
+        total = total or late
+
+    def inner(x=total):
+        return x + value
+
+    return lambda q=late: inner(q) if seen else v
+
+
+def _images(build):
+    for _display_name, module, function in _fit_functions(build):
+        yield FunctionImage(function, module_name=module.__name__)
+    yield FunctionImage(_awkward)
+
+
+def _names_loaded_from_reference(fdef):
+    """The names ``Load``-read in ``fdef.body[p:]``, for each ``p``: one
+    ``ast.walk`` per top-level statement."""
+    body = fdef.body
+    suffix = [set()] * (len(body) + 1)
+    for position in range(len(body) - 1, -1, -1):
+        loads = set(suffix[position + 1])
+        for sub in ast.walk(body[position]):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                loads.add(sub.id)
+        suffix[position] = loads
+    return suffix
+
+
+def test_image_walk_is_ast_walk_order(build):
+    for image in _images(build):
+        walked = list(ast.walk(image.tree))
+        assert len(image._index) == len(walked), image.fdef.name
+        assert all(
+            ours is theirs for ours, theirs in zip(image._index, walked)
+        ), image.fdef.name
+
+
+def test_image_local_names_equal_the_walk(build):
+    for image in _images(build):
+        assert image.local_names() == local_names(image.fdef), (
+            image.fdef.name
+        )
+
+
+def test_image_names_loaded_from_equal_per_statement_walks(build):
+    for image in _images(build):
+        assert image.names_loaded_from() == _names_loaded_from_reference(
+            image.fdef
+        ), image.fdef.name
+
+
+def test_image_statement_blocks_are_the_walks_blocks(build):
+    for image in _images(build):
+        walked = [
+            block for _owner, _field, block
+            in _iter_statement_lists(image.fdef)
+        ]
+        ours = image.statement_blocks()
+        assert len(ours) == len(walked), image.fdef.name
+        assert all(
+            mine is theirs for mine, theirs in zip(ours, walked)
+        ), image.fdef.name
+
+
+def test_image_subtree_answers_equal_subtree_walks(build):
+    for image in _images(build):
+        for node in ast.walk(image.fdef):
+            subtree = list(ast.walk(node))
+            for node_type in (ast.Compare, ast.Call):
+                below = image.nodes_below(node, node_type)
+                walked = [sub for sub in subtree if type(sub) is node_type]
+                assert len(below) == len(walked), image.fdef.name
+                assert all(
+                    ours is theirs for ours, theirs in zip(below, walked)
+                ), image.fdef.name
+            assert image.subtree_has_transfer(node) == node_contains(
+                node, CONTROL_TRANSFER_TYPES
+            ), image.fdef.name
