@@ -78,8 +78,9 @@ def library_fingerprint(build):
 
     Covers the behaviour of the full operator library (each operator
     fingerprints its canonical spec JSON plus the source of the DSL
-    vocabulary that interprets it) and the source of the build's FIT
-    modules (the code being scanned).  The memo key includes the
+    vocabulary that interprets it and of the AST, scanner, mutator and
+    activation modules) and the source of the build's FIT modules (the
+    code being scanned).  The memo key includes the
     operator registry generation, so installing or replacing an
     operator invalidates it.
     """

@@ -21,6 +21,7 @@ import string
 import sys
 
 from repro.faults.types import DynamicFaultType, FaultType
+from repro.gswfit import activation, astutils, mutator, scanner
 from repro.gswfit.dsl import mutations, predicates
 from repro.gswfit.dsl.spec import OperatorSpec
 from repro.gswfit.operators import base
@@ -98,15 +99,24 @@ _EXTRACTORS = {
 
 @functools.cache
 def _vocabulary_digest():
-    """sha256 of the source of every module a compiled operator runs.
+    """sha256 of the source of every module that shapes a scan or a mutant.
 
-    Part of each operator's cache fingerprint: a spec's behaviour is its
-    canonical JSON *interpreted by* these modules, so editing a
-    predicate, a mutation rule or the compiler must invalidate cached
-    scans and mutants too.  Read once per process.
+    Part of each operator's cache fingerprint, so it keys both the scan
+    cache and the mutant cache.  A spec's behaviour is its canonical
+    JSON *interpreted by* the DSL modules (predicates, mutation rules,
+    this compiler, the scan drivers of ``operators/base``), and the
+    scan and the mutants are shaped by more: ``astutils`` (the walk
+    positions that are site keys, and the path copies mutants edit),
+    ``scanner`` (location order), ``mutator`` (probe planting and
+    compilation) and ``activation`` (the probe's hook name).  Editing
+    any of them must invalidate cached scans and mutants.  Read once
+    per process.
     """
     hasher = hashlib.sha256()
-    for module in (predicates, mutations, sys.modules[__name__], base):
+    for module in (
+        predicates, mutations, sys.modules[__name__], base,
+        astutils, scanner, mutator, activation,
+    ):
         hasher.update(inspect.getsource(module).encode("utf-8"))
     return hasher.hexdigest()
 

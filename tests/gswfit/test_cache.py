@@ -99,21 +99,28 @@ def test_disk_roundtrip_preserves_faultload_fidelity(tmp_path):
     ]
 
 
-def test_vocabulary_source_change_rekeys_scans_and_mutants(monkeypatch):
-    """Editing a predicate re-keys both caches though no spec changed."""
+@pytest.mark.parametrize("module_name", [
+    "dsl.predicates", "dsl.mutations", "dsl.compile", "operators.base",
+    "astutils", "scanner", "mutator", "activation",
+])
+def test_vocabulary_source_change_rekeys_scans_and_mutants(
+        monkeypatch, module_name):
+    """Editing any module that shapes a scan or a mutant re-keys both
+    caches though no spec changed."""
+    import importlib
     import inspect
 
     from repro.gswfit.cache import clear_mutant_cache, mutant_fingerprint
     from repro.gswfit.dsl import compile as dsl_compile
-    from repro.gswfit.dsl import predicates
 
+    module = importlib.import_module(f"repro.gswfit.{module_name}")
     location = scan_build(NT50).locations[0]
     before = (library_fingerprint(NT50), mutant_fingerprint(location))
     real = inspect.getsource
 
     def edited(obj):
         source = real(obj)
-        return source + "# edited\n" if obj is predicates else source
+        return source + "# edited\n" if obj is module else source
 
     monkeypatch.setattr(inspect, "getsource", edited)
     dsl_compile._vocabulary_digest.cache_clear()
