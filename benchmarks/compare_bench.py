@@ -14,6 +14,11 @@ It also understands ``BENCH_fabric.json`` (fabric loopback scaling) and
 ``BENCH_sequential.json`` (sequential-injection slot reduction), both
 wired into the same bench-regression job.
 
+Under each hot-path ratio the script also prints the ratio's two
+recorded legs, baseline -> fresh (cold and warm ms per slot, per-operator
+and single-pass ms, boot and restore ms), so a reader can tell a slower
+warm path from a faster cold one.  The legs are never gated.
+
 Speedups are ratios (warm vs cold on the *same* host) and activation
 rates are workload facts, so both are largely machine-independent —
 which is what makes a cross-host comparison against a checked-in record
@@ -59,6 +64,14 @@ BENCH_KINDS = {
 }
 
 
+# The two recorded legs of each hot-path ratio: numerator, denominator.
+RATIO_LEGS = {
+    "repeat_injection": ("cold_ms_per_slot", "warm_ms_per_slot"),
+    "single_pass_scan": ("per_operator_ms", "single_pass_ms"),
+    "epoch_setup": ("boot_ms", "restore_ms"),
+}
+
+
 def load_record(path):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -76,6 +89,11 @@ def compare(tracked, baseline, fresh, tolerance):
         floor = base * (1.0 - tolerance)
         rows.append((label, base, new, new >= floor))
     return rows
+
+
+def _leg(record, section, key):
+    value = record.get(section, {}).get(key)
+    return "missing" if value is None else f"{value:g}"
 
 
 def _warn_skip(reason):
@@ -132,7 +150,8 @@ def main(argv=None):
 
     rows = compare(tracked, baseline, fresh, args.tolerance)
     failed = False
-    for label, base, new, ok in rows:
+    for (section, _key, _label), (label, base, new, ok) in zip(
+            tracked, rows):
         if base is None:
             print(f"WARNING: {label} missing from baseline record — "
                   f"skipped", file=sys.stderr)
@@ -145,6 +164,10 @@ def main(argv=None):
         status = "ok" if ok else "REGRESSION"
         print(f"{status:>10}  {label}: {base:.4g} -> {new:.4g} "
               f"({delta:+.1f}%)")
+        for leg in RATIO_LEGS.get(section, ()):
+            print(f"{'':>10}    {leg}: "
+                  f"{_leg(baseline, section, leg)} -> "
+                  f"{_leg(fresh, section, leg)}")
         failed = failed or not ok
     if failed:
         print(
