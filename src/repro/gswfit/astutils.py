@@ -17,6 +17,11 @@ after each top-level statement — is answered from those side tables
 instead of re-walking the tree, which is what makes the single-pass
 scanner one traversal per function instead of one per operator.
 
+A scan or a mutant warm-up reads each module once
+(:class:`ModuleSource`) and parses each function's stretch of it once,
+building the image from that ``FunctionDef``: no line is parsed twice,
+and no :func:`inspect.getsource` (a tokenize pass) is made per function.
+
 A mutant edits a path copy of the tree (:meth:`FunctionImage.fresh_copy`):
 only the site's subtree and its ancestors are copied, and the rest is
 shared with the image, which is never edited.
@@ -25,10 +30,12 @@ shared with the image, which is never edited.
 import ast
 import inspect
 import textwrap
+import types
 from operator import itemgetter
 
 __all__ = [
     "FunctionImage",
+    "ModuleSource",
     "init_block_length",
     "is_simple_constant_assign",
     "local_names",
@@ -62,30 +69,38 @@ class FunctionImage:
         Importable module path the function was taken from.
     source:
         Dedented source text of the function definition: the
-        ``source`` argument when given (the scanner passes a slice of
-        the module text it has already read), else
-        :func:`inspect.getsource` of ``function``.
+        ``source`` argument when given (a slice of the module text the
+        caller has already read), else :func:`inspect.getsource` of
+        ``function``.
     tree:
-        ``ast.Module`` containing exactly the function definition.
+        ``ast.Module`` containing exactly the function definition: the
+        ``fdef`` argument when given (the function's ``FunctionDef``,
+        located as in a parse of ``source``; see
+        :meth:`ModuleSource.definition`), else a parse of
+        :attr:`source`.
     fdef:
         The ``ast.FunctionDef`` node inside :attr:`tree`.
     first_lineno:
         Absolute line number of the ``def`` line in the original file.
     """
 
-    def __init__(self, function, module_name=None, source=None):
+    def __init__(self, function, module_name=None, source=None, fdef=None):
         self.function = function
         self.module_name = module_name or function.__module__
-        if source is None:
-            source = inspect.getsource(function)
-        self.source = textwrap.dedent(source)
-        self.tree = ast.parse(self.source)
-        if not self.tree.body or not isinstance(
-            self.tree.body[0], ast.FunctionDef
-        ):
-            raise ValueError(
-                f"{function!r} does not parse to a single function def"
-            )
+        if fdef is None:
+            if source is None:
+                source = inspect.getsource(function)
+            self.source = textwrap.dedent(source)
+            self.tree = ast.parse(self.source)
+            if not self.tree.body or not isinstance(
+                self.tree.body[0], ast.FunctionDef
+            ):
+                raise ValueError(
+                    f"{function!r} does not parse to a single function def"
+                )
+        else:
+            self.source = source
+            self.tree = ast.Module(body=[fdef], type_ignores=[])
         self.fdef = self.tree.body[0]
         self.first_lineno = function.__code__.co_firstlineno
         # One breadth-first walk fills every index the scan needs: the
@@ -297,24 +312,97 @@ class FunctionImage:
         return self.first_lineno + lineno - 1
 
     def fresh_copy(self, position):
-        """A private tree for one mutant, and its node at walk ``position``.
+        """A private tree for one mutant: ``(tree, owner, node)``.
 
-        A path copy of :attr:`tree`: the node's subtree is cloned, each
+        ``node`` is the copy of the node at walk ``position`` and
+        ``owner`` the copy of its parent (None for the root).  A path
+        copy of :attr:`tree`: the node's subtree is cloned, each
         ancestor is copied one level deep (list fields included) with
         its child on the path swapped for the copy, and every other
         subtree is shared with :attr:`tree`.  A mutation rule edits only
-        inside the node's subtree or the block list that owns it, and
-        the activation probe only ``fdef.body``; all of those are
-        copies, so :attr:`tree` is never edited.
+        inside the node's subtree or the block list of ``owner`` that
+        holds it, and the activation probe only ``fdef.body``; all of
+        those are copies, so :attr:`tree` is never edited.
         """
         node = self._index[position]
         site = copy = _clone(node)
+        owner = None
         parent = self._parents.get(id(node))
         while parent is not None:
             copy = _copy_with(parent, node, copy)
+            if owner is None:
+                owner = copy
             node = parent
             parent = self._parents.get(id(node))
-        return copy, site
+        return copy, owner, site
+
+
+class ModuleSource:
+    """A module's source, read on first use, and its top-level functions
+    parsed from it one at a time.
+
+    A top-level function starts at column 0 on its ``co_firstlineno``
+    (its first decorator, or the ``def``).  :meth:`definition` parses a
+    function from there up to the next such start, so a module's lines
+    are each parsed at most once, and one function's tree is held at a
+    time, not the module's: a whole-module parse peaks at about twice
+    the module's tree while it converts.
+    """
+
+    def __init__(self, module):
+        self.module = module
+        self._filename = getattr(module, "__file__", None)
+        self._lines = None
+        self._ends = None
+
+    def _read(self):
+        self._lines, _ = inspect.getsourcelines(self.module)
+        starts = set()
+        for value in vars(self.module).values():
+            if not isinstance(value, types.FunctionType):
+                continue
+            code = value.__code__
+            first = code.co_firstlineno
+            line = self._lines[first - 1:first]
+            if (code.co_filename == self._filename and line
+                    and not line[0][:1].isspace()):
+                starts.add(first)
+        starts = sorted(starts)
+        # Each stretch runs up to the next start; the last, to the end.
+        self._ends = dict(zip(starts, starts[1:] + [len(self._lines) + 1]))
+
+    def definition(self, function):
+        """``(source, fdef)`` of ``function``, or None when it is not a
+        top-level ``def`` of the module.
+
+        ``source`` runs from the function's first line to its
+        ``end_lineno``, which is what :func:`inspect.getsource` returns
+        for it, and ``fdef`` is its ``FunctionDef``, located as in a
+        parse of ``source``.  Each call parses anew, so each tree goes to
+        one image.
+        """
+        code = function.__code__
+        if code.co_filename != self._filename:
+            return None
+        if self._ends is None:
+            self._read()
+        first = code.co_firstlineno
+        end = self._ends.get(first)
+        if end is None:
+            return None
+        lines = self._lines[first - 1:end - 1]
+        try:
+            body = ast.parse("".join(lines)).body
+        except SyntaxError:
+            # The next start lies inside a statement: a lambda at
+            # column 0 in a bracket.
+            return None
+        fdef = body[0] if body else None
+        if not isinstance(fdef, ast.FunctionDef) or min(
+            [fdef.lineno] + [dec.lineno for dec in fdef.decorator_list]
+        ) != 1:
+            return None
+        return "".join(lines[:fdef.end_lineno]), fdef
 
 
 def _clone(node):

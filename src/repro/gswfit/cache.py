@@ -40,12 +40,14 @@ import types
 from pathlib import Path
 
 from repro.faults.faultload import Faultload
+from repro.gswfit.astutils import ModuleSource
 from repro.gswfit.mutator import (
     FunctionSites,
     MutantError,
     build_mutant,
     function_source,
     resolve_function,
+    resolve_module,
     source_memo,
 )
 from repro.gswfit.operators import (
@@ -301,6 +303,21 @@ def build_mutant_cached(location, cache_dir=None, probed=False, sites=None):
     return function, code
 
 
+def _unread_definition(module_source, location):
+    """``(source, fdef)`` of ``location``'s function when its source is
+    not in ``source_memo`` yet, which then holds ``source``; else None."""
+    key = (location.module, location.function)
+    function = getattr(module_source.module, location.function, None)
+    code = getattr(function, "__code__", None)
+    entry = source_memo.get(key)
+    if code is None or (entry is not None and entry[0] is code):
+        return None
+    definition = module_source.definition(function)
+    if definition is not None:
+        source_memo[key] = (code, definition[0])
+    return definition
+
+
 def warm_mutant_cache(faultload, cache_dir=None, probed=False):
     """Batch-compile every location of ``faultload`` into the cache.
 
@@ -312,35 +329,45 @@ def warm_mutant_cache(faultload, cache_dir=None, probed=False):
     surface the error in context.  ``probed`` must match what the slots
     will request (activation tracking on → probed mutants).
 
-    Locations are built one ``(module, function)`` group at a time, in
-    the order each group first appears.  A group shares one parse of its
-    function and one site table per fault type
-    (:class:`~repro.gswfit.mutator.FunctionSites`), dropped before the
-    next group starts, so the pass parses each function once and holds
-    one function's tree at a time.
+    Locations are built one module at a time, and within it one
+    function group at a time, each in the order it first appears.  A
+    group shares one image of its function and one site table per fault
+    type (:class:`~repro.gswfit.mutator.FunctionSites`), dropped before
+    the next group starts.  A function whose source has not been read
+    yet is parsed from its module's text, read once per module
+    (:class:`~repro.gswfit.astutils.ModuleSource`): its slice of that
+    text fills ``source_memo``, so its fingerprint hashes what
+    :func:`inspect.getsource` would return, and its ``FunctionDef``
+    becomes the group's image.  So the pass reads each module once,
+    parses each function once, holds one function's tree at a time and
+    keeps none past the call.
     """
-    groups = {}
+    modules = {}
     for location in faultload:
-        groups.setdefault(
-            (location.module, location.function), []
+        modules.setdefault(location.module, {}).setdefault(
+            location.function, []
         ).append(location)
     compiled = cached = failed = 0
-    for locations in groups.values():
-        sites = FunctionSites(locations[0])
-        for location in locations:
-            before = MUTANT_CACHE_STATS.compiles
-            try:
-                build_mutant_cached(
-                    location, cache_dir=cache_dir, probed=probed,
-                    sites=sites,
-                )
-            except MutantError:
-                failed += 1
-                continue
-            if MUTANT_CACHE_STATS.compiles > before:
-                compiled += 1
-            else:
-                cached += 1
+    for module_name, groups in modules.items():
+        module_source = ModuleSource(resolve_module(module_name))
+        for locations in groups.values():
+            sites = FunctionSites(
+                locations[0], _unread_definition(module_source, locations[0])
+            )
+            for location in locations:
+                before = MUTANT_CACHE_STATS.compiles
+                try:
+                    build_mutant_cached(
+                        location, cache_dir=cache_dir, probed=probed,
+                        sites=sites,
+                    )
+                except MutantError:
+                    failed += 1
+                    continue
+                if MUTANT_CACHE_STATS.compiles > before:
+                    compiled += 1
+                else:
+                    cached += 1
     return {"slots": len(faultload), "compiled": compiled,
             "cached": cached, "failed": failed}
 

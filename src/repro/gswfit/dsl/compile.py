@@ -10,7 +10,7 @@ per-operator ``find_sites`` reference pass and the single-pass
 pattern's node-type names to the AST classes, instantiates the
 predicate and mutation-rule vocabulary entries, and renders the
 description template per site from a context computed off the anchor
-node.
+node, the first time the site's description is read.
 """
 
 import ast
@@ -225,13 +225,15 @@ class MutationOperator:
         """Sites anchored on ``node`` (an instance of :attr:`node_types`).
 
         A site sits on the rule's target (the anchor unless the rule
-        names a sub-node) and keeps the anchor's line number.
+        names a sub-node) and keeps the anchor's line number.  Its
+        description is rendered from the anchor when first read.
         """
         found = match(node)
         if not found:
             return ()
         anchor_index = image.index_of(node)
         lineno = image.absolute_lineno(node)
+        describe = self._describe
         return [
             Site(
                 node_index=(
@@ -239,7 +241,7 @@ class MutationOperator:
                     else image.index_of(target)
                 ),
                 payload=payload,
-                description=self._describe(node, context),
+                description=(describe, node, context),
                 lineno=lineno,
             )
             for target, payload, context in found
@@ -251,18 +253,23 @@ class MutationOperator:
         Block rules always name their target statement, whose line the
         site takes.
         """
+        describe = self._describe
         return [
             Site(
                 node_index=image.index_of(target),
                 payload=payload,
-                description=self._describe(block, context),
+                description=(describe, block, context),
                 lineno=image.absolute_lineno(target),
             )
             for target, payload, context in match(block)
         ]
 
     def _describe(self, node, context):
-        """Render the description template for one site."""
+        """Render the description template for one site.
+
+        Called on the first read of :attr:`Site.description`.  A rule's
+        context value is text or an AST node, unparsed here.
+        """
         pieces = []
         for literal, field, extractor in self._parts:
             if literal:
@@ -271,6 +278,8 @@ class MutationOperator:
                 continue
             if extractor is None:
                 value = context[field]
+                if isinstance(value, ast.AST):
+                    value = ast.unparse(value)
             else:
                 value = extractor(node)
                 if value is None:
@@ -312,8 +321,8 @@ class MutationOperator:
         where they are spliced in, and new expressions come from
         ``ast.parse`` or are operator nodes, which have no location.
         """
-        tree, node = image.fresh_copy(site.node_index)
-        self._rule.apply(tree, node, site.payload)
+        tree, owner, node = image.fresh_copy(site.node_index)
+        self._rule.apply(tree, owner, node, site.payload)
         return tree
 
     def fingerprint_payload(self):

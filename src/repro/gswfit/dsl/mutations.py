@@ -9,7 +9,9 @@ anchor itself, or a sub-node of it (the ``Compare`` inside an ``If``
 test).  ``payload`` becomes the
 :class:`~repro.gswfit.operators.base.Site` payload (part of the stable
 site key) and ``context`` feeds extra placeholders into the spec's
-description template.  Rules that derive exactly one site per anchor
+description template: text, or an AST node that is unparsed only when
+the description is rendered (on its first read; a mutant build never
+reads it).  Rules that derive exactly one site per anchor
 return one empty-payload triple, matching the Table 1 site keys.
 
 Most rules anchor on AST nodes; a rule with :attr:`MutationRule.scans_blocks`
@@ -122,16 +124,17 @@ class MutationRule:
         """
         return _ONE_SITE
 
-    def apply(self, tree, node, payload):
+    def apply(self, tree, owner, node, payload):
         """Perform the edit on ``node`` inside the ``tree`` copy.
 
         The copy is a path copy
         (:meth:`~repro.gswfit.astutils.FunctionImage.fresh_copy`): only
         ``node``'s subtree, its ancestors and their lists are private,
-        so an edit stays inside ``node``'s subtree or the block list
-        that owns it.  The tree is compiled as the edit leaves it, so new
-        statements go in through :func:`replace_statement` or
-        :func:`remove_statements`, which locate them.
+        so an edit stays inside ``node``'s subtree or the block list of
+        ``owner`` (the copy of its parent) that holds it.  The tree is
+        compiled as the edit leaves it, so new statements go in through
+        :func:`replace_statement` or :func:`remove_statements`, which
+        locate them.
         """
         raise NotImplementedError
 
@@ -139,8 +142,8 @@ class MutationRule:
 class _DeleteNode(MutationRule):
     """Remove the anchor statement (NOP-ing the instruction range)."""
 
-    def apply(self, tree, node, payload):
-        replace_statement(tree, node, [])
+    def apply(self, tree, owner, node, payload):
+        replace_statement(tree, owner, node, [])
 
 
 class _ReplaceWithBody(MutationRule):
@@ -149,8 +152,8 @@ class _ReplaceWithBody(MutationRule):
     def enumerate(self, image, node, state):
         return _ONE_SITE if getattr(node, "body", None) else ()
 
-    def apply(self, tree, node, payload):
-        replace_statement(tree, node, node.body)
+    def apply(self, tree, owner, node, payload):
+        replace_statement(tree, owner, node, node.body)
 
 
 class _PerturbConstant(MutationRule):
@@ -169,7 +172,7 @@ class _PerturbConstant(MutationRule):
             "new": repr(perturb_constant(constant.value)),
         }),)
 
-    def apply(self, tree, node, payload):
+    def apply(self, tree, owner, node, payload):
         constant = resolve_field(node, self.params["field"])
         constant.value = perturb_constant(constant.value)
 
@@ -185,13 +188,13 @@ class _RemoveBoolOperand(MutationRule):
             return ()
         return [
             (None, str(position), {
-                "clause": ast.unparse(operand),
+                "clause": operand,
                 "position": str(position),
             })
             for position, operand in enumerate(chain.values)
         ]
 
-    def apply(self, tree, node, payload):
+    def apply(self, tree, owner, node, payload):
         chain = resolve_field(node, self.params["field"])
         position = int(payload)
         del chain.values[position]
@@ -215,7 +218,7 @@ class _SwapBoolOperator(MutationRule):
         new = "or" if old == "and" else "and"
         return ((None, "", {"old_op": old, "new_op": new}),)
 
-    def apply(self, tree, node, payload):
+    def apply(self, tree, owner, node, payload):
         chain = resolve_field(node, self.params["field"])
         chain.op = ast.Or() if isinstance(chain.op, ast.And) else ast.And()
 
@@ -237,7 +240,7 @@ class _SwapBinopOperator(MutationRule):
             "new_op": _ARITH_SYMBOLS[replacement],
         }),)
 
-    def apply(self, tree, node, payload):
+    def apply(self, tree, owner, node, payload):
         binop = resolve_field(node, self.params["field"])
         binop.op = _ARITH_SWAP[type(binop.op)]()
 
@@ -252,7 +255,7 @@ class _ReplaceField(MutationRule):
             return ()
         return ((None, "", {"source": self.params["source"]}),)
 
-    def apply(self, tree, node, payload):
+    def apply(self, tree, owner, node, payload):
         replacement = ast.parse(
             self.params["source"], mode="eval"
         ).body
@@ -271,13 +274,13 @@ class _WrapCondition(MutationRule):
             return ()
         return ((None, "", {"source": self.params["source"]}),)
 
-    def apply(self, tree, node, payload):
+    def apply(self, tree, owner, node, payload):
         guard = ast.If(
             test=ast.parse(self.params["source"], mode="eval").body,
             body=[node],
             orelse=[],
         )
-        replace_statement(tree, node, [guard])
+        replace_statement(tree, owner, node, [guard])
 
 
 class _InsertBefore(MutationRule):
@@ -290,9 +293,9 @@ class _InsertBefore(MutationRule):
             return ()
         return ((None, "", {"source": self.params["source"]}),)
 
-    def apply(self, tree, node, payload):
+    def apply(self, tree, owner, node, payload):
         inserted = ast.parse(self.params["source"]).body
-        replace_statement(tree, node, inserted + [node])
+        replace_statement(tree, owner, node, inserted + [node])
 
 
 #: MLPC: a run of at least this many simple statements is a site ...
@@ -347,13 +350,13 @@ class _RemoveStatementRun(MutationRule):
                 count = str(min(len(run), _RUN_MAX_REMOVED))
                 sites.append((run[0], count, {
                     "count": count,
-                    "first": ast.unparse(run[0]),
+                    "first": run[0],
                 }))
             run = []
         return sites
 
-    def apply(self, tree, node, payload):
-        remove_statements(tree, node, int(payload))
+    def apply(self, tree, owner, node, payload):
+        remove_statements(tree, owner, node, int(payload))
 
 
 class _SwapComparisonBoundary(MutationRule):
@@ -371,12 +374,12 @@ class _SwapComparisonBoundary(MutationRule):
         if not isinstance(test, ast.AST):
             return ()
         return [
-            (sub, "", {"comparison": ast.unparse(sub)})
+            (sub, "", {"comparison": sub})
             for sub in image.nodes_below(test, ast.Compare)
             if len(sub.ops) == 1 and type(sub.ops[0]) in _BOUNDARY_SWAP
         ]
 
-    def apply(self, tree, node, payload):
+    def apply(self, tree, owner, node, payload):
         node.ops[0] = _BOUNDARY_SWAP[type(node.ops[0])]()
 
 
@@ -394,12 +397,12 @@ class _SwapArgumentOperator(MutationRule):
         if not isinstance(node, ast.Call):
             return ()
         return [
-            (None, str(position), {"argument": ast.unparse(arg)})
+            (None, str(position), {"argument": arg})
             for position, arg in enumerate(node.args)
             if isinstance(arg, ast.BinOp) and type(arg.op) in _ARITH_SWAP
         ]
 
-    def apply(self, tree, node, payload):
+    def apply(self, tree, owner, node, payload):
         arg = node.args[int(payload)]
         arg.op = _ARITH_SWAP[type(arg.op)]()
 
@@ -443,7 +446,7 @@ class _SwapArgumentVariable(MutationRule):
                 }),)
         return ()
 
-    def apply(self, tree, node, payload):
+    def apply(self, tree, owner, node, payload):
         position, replacement = payload.split(":", 1)
         node.args[int(position)].id = replacement
 

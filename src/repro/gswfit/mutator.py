@@ -11,9 +11,12 @@ done once per :class:`FunctionSites`; every mutant of that function then
 edits a path copy of that parse
 (:meth:`~repro.gswfit.astutils.FunctionImage.fresh_copy`), which shares
 all but the site's subtree and its ancestors with the image and leaves
-the image unedited.  A lone location is a group of its own, so a mutant
-built alone and one built with the rest of its function's locations are
-the same code.
+the image unedited.  A warm-up hands each group its function's source
+and ``FunctionDef``, read from its module's text
+(:class:`~repro.gswfit.astutils.ModuleSource`); a lone location is a
+group of its own, which reads its function's source with
+:func:`inspect.getsource` and parses it.  A mutant built alone and one
+built with the rest of its function's locations are the same code.
 
 ``probed=True`` additionally plants a one-statement activation probe at
 the top of the mutated function (see :mod:`repro.gswfit.activation`):
@@ -91,12 +94,17 @@ def function_source(location, function):
     return entry[1]
 
 
-def build_image(location):
-    """Parse the current source of the target function."""
+def build_image(location, definition=None):
+    """The image of the target function.
+
+    ``definition`` is the function's ``(source, FunctionDef)`` as
+    :meth:`~repro.gswfit.astutils.ModuleSource.definition` parses it;
+    without it, the function's current source is read and parsed.
+    """
     function = resolve_function(location)
+    source, fdef = definition or (function_source(location, function), None)
     return FunctionImage(
-        function, module_name=location.module,
-        source=function_source(location, function),
+        function, module_name=location.module, source=source, fdef=fdef,
     )
 
 
@@ -104,20 +112,24 @@ class FunctionSites:
     """One target function's image and its sites, by key, per operator.
 
     Built for the first location of a ``(module, function)`` group and
-    shared by the rest: the image is parsed on the first :meth:`find`
-    (a group whose mutants are all cached never parses), and each
-    operator's sites are collected once, on its first location.
+    shared by the rest: the image is built on the first :meth:`find`
+    (a group whose mutants are all cached builds none), from
+    ``definition`` when given (see :func:`build_image`), and each
+    operator's sites are collected once, on its first location.  Finding
+    a site renders no description.
     """
 
-    def __init__(self, location):
+    def __init__(self, location, definition=None):
         self._location = location
+        self._definition = definition
         self._image = None
         self._tables = {}
 
     @property
     def image(self):
         if self._image is None:
-            self._image = build_image(self._location)
+            self._image = build_image(self._location, self._definition)
+            self._definition = None
         return self._image
 
     def find(self, location):

@@ -20,7 +20,6 @@ protocol:
 """
 
 import ast
-from dataclasses import dataclass
 
 from repro.gswfit.astutils import STATEMENT_BLOCK_FIELDS
 
@@ -32,7 +31,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Site:
     """One place where an operator can emulate its fault type.
 
@@ -40,12 +38,48 @@ class Site:
     the function's AST; ``payload`` carries operator-specific detail (an
     operand position, a statement count, a replacement name).  Together
     they form the stable ``site_key``.
+
+    ``description`` is the text, or a ``(render, node, context)`` triple
+    that :attr:`description` renders as ``render(node, context)`` the
+    first time it is read: the scanner reads it for every location, and
+    relocating a site for a mutant never does.  Sites compare and hash
+    by the rendered text.
     """
 
-    node_index: int
-    payload: str = ""
-    description: str = ""
-    lineno: int = 0
+    __slots__ = ("node_index", "payload", "lineno", "_description")
+
+    def __init__(self, node_index, payload="", description="", lineno=0):
+        self.node_index = node_index
+        self.payload = payload
+        self.lineno = lineno
+        self._description = description
+
+    @property
+    def description(self):
+        description = self._description
+        if type(description) is not str:
+            render, node, context = description
+            description = self._description = render(node, context)
+        return description
+
+    def _compared(self):
+        return (self.node_index, self.payload, self.description,
+                self.lineno)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        return (
+            f"Site(node_index={self.node_index!r}, "
+            f"payload={self.payload!r}, "
+            f"description={self.description!r}, lineno={self.lineno!r})"
+        )
 
     @property
     def key(self):
@@ -101,7 +135,11 @@ def collect_sites(image, operators):
 
 
 def _iter_statement_lists(tree):
-    """Yield every statement list in ``tree`` (bodies, else/finally arms)."""
+    """Yield every statement list in ``tree`` (bodies, else/finally arms).
+
+    The whole-tree walk of the per-operator reference pass
+    (``find_sites``); a mutant's splice reads its owner's fields only.
+    """
     for node in ast.walk(tree):
         for field in STATEMENT_BLOCK_FIELDS:
             block = getattr(node, field, None)
@@ -109,14 +147,21 @@ def _iter_statement_lists(tree):
                 yield node, field, block
 
 
-def _splice(tree, first, count, replacement):
-    """Replace ``count`` statements from ``first`` (by identity) with
-    ``replacement``, and locate the new ones.
+def _splice(tree, owner, first, count, replacement):
+    """Replace ``count`` statements from ``first`` (by identity) in the
+    block of ``owner`` that holds it with ``replacement``, and locate the
+    new ones.
 
-    An emptied block gets a ``pass`` so the function still compiles —
-    the machine-code analogue is NOP-ing the instruction range.
+    ``owner`` is the copy of ``first``'s parent that
+    :meth:`~repro.gswfit.astutils.FunctionImage.fresh_copy` returns, so
+    the block is a private list.  An emptied block gets a ``pass`` so the
+    function still compiles — the machine-code analogue is NOP-ing the
+    instruction range.
     """
-    for owner, _field, block in _iter_statement_lists(tree):
+    for field in STATEMENT_BLOCK_FIELDS:
+        block = getattr(owner, field, None)
+        if not isinstance(block, list):
+            continue
         for position, stmt in enumerate(block):
             if stmt is first:
                 block[position:position + count] = replacement
@@ -124,7 +169,7 @@ def _splice(tree, first, count, replacement):
                     block.append(ast.Pass())
                 _locate(tree, owner, block)
                 return True
-    raise ValueError("statement not found in tree")
+    raise ValueError("statement not found in its owner's blocks")
 
 
 def _locate(tree, owner, block):
@@ -145,11 +190,13 @@ def _locate(tree, owner, block):
         ast.fix_missing_locations(ast.copy_location(stmt, owner))
 
 
-def replace_statement(tree, target, replacement):
-    """Replace statement ``target`` (by identity) with ``replacement`` list."""
-    return _splice(tree, target, 1, list(replacement))
+def replace_statement(tree, owner, target, replacement):
+    """Replace statement ``target`` (by identity) in a block of ``owner``
+    with the ``replacement`` list."""
+    return _splice(tree, owner, target, 1, list(replacement))
 
 
-def remove_statements(tree, first, count):
-    """Remove ``count`` consecutive statements starting at ``first``."""
-    return _splice(tree, first, count, [])
+def remove_statements(tree, owner, first, count):
+    """Remove ``count`` consecutive statements of a block of ``owner``,
+    starting at ``first``."""
+    return _splice(tree, owner, first, count, [])

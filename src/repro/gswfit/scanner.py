@@ -15,22 +15,19 @@ values — to the per-operator scan, which remains available as
 :func:`scan_function_per_operator` (the reference implementation the
 equivalence tests and the hot-path bench compare against).
 
-:func:`scan_module` reads and parses its module once, and hands each
-function its source as a slice of the module's lines
-(:func:`function_sources`), instead of one :func:`inspect.getsource`
-(a tokenize pass) per function.
+:func:`scan_module` reads its module once
+(:class:`~repro.gswfit.astutils.ModuleSource`) and builds each
+function's image from one parse of its stretch of the module's lines,
+instead of one :func:`inspect.getsource` (a tokenize pass) and a parse
+of the whole module besides each function's own.
 """
-
-import ast
-import inspect
 
 from repro.faults.faultload import Faultload
 from repro.faults.location import FaultLocation
-from repro.gswfit.astutils import FunctionImage
+from repro.gswfit.astutils import FunctionImage, ModuleSource
 from repro.gswfit.operators import collect_sites, operator_library
 
 __all__ = [
-    "function_sources",
     "scan_function",
     "scan_function_per_operator",
     "scan_module",
@@ -61,14 +58,17 @@ def _locations_from_sites(image, function, display_module, sites_by_type):
 
 
 def scan_function(function, module_name=None, display_module="",
-                  source=None):
+                  source=None, fdef=None):
     """Scan one function with the full operator library in one pass.
 
-    ``source`` is the function's source text when the caller has it
-    (see :class:`~repro.gswfit.astutils.FunctionImage`).  Returns a list
-    of :class:`FaultLocation` in deterministic order.
+    ``source`` and ``fdef`` are the function's source text and
+    ``FunctionDef`` when the caller has them (see
+    :class:`~repro.gswfit.astutils.FunctionImage`).  Returns a list of
+    :class:`FaultLocation` in deterministic order.
     """
-    image = FunctionImage(function, module_name=module_name, source=source)
+    image = FunctionImage(
+        function, module_name=module_name, source=source, fdef=fdef
+    )
     library = operator_library()
     buckets = collect_sites(image, library.values())
     sites_by_type = {
@@ -81,7 +81,7 @@ def scan_function(function, module_name=None, display_module="",
 
 
 def scan_function_per_operator(function, module_name=None,
-                               display_module="", source=None):
+                               display_module="", source=None, fdef=None):
     """Scan one function with one full traversal per operator.
 
     The historical 12-pass scan shape, kept as the reference the
@@ -89,7 +89,9 @@ def scan_function_per_operator(function, module_name=None,
     ``benchmarks/test_hot_path.py``).  Takes the arguments of
     :func:`scan_function`, and its output is identical.
     """
-    image = FunctionImage(function, module_name=module_name, source=source)
+    image = FunctionImage(
+        function, module_name=module_name, source=source, fdef=fdef
+    )
     library = operator_library()
     sites_by_type = {
         fault_type: operator.find_sites(image)
@@ -100,43 +102,24 @@ def scan_function_per_operator(function, module_name=None,
     )
 
 
-def function_sources(module):
-    """``{first line: source}`` of each top-level function of ``module``.
-
-    One read and one parse of the module.  A function's source is its
-    lines from the first decorator (or the ``def``) to ``end_lineno``,
-    which is what :func:`inspect.getsource` returns for it; the key is
-    the function's ``co_firstlineno``.
-    """
-    lines, _ = inspect.getsourcelines(module)
-    sources = {}
-    for node in ast.parse("".join(lines)).body:
-        if isinstance(node, ast.FunctionDef):
-            first = min(
-                [node.lineno] + [dec.lineno for dec in node.decorator_list]
-            )
-            sources[first] = "".join(lines[first - 1:node.end_lineno])
-    return sources
-
-
 def scan_module(module, display_module=None):
     """Scan every export, then every internal helper, of a FIT module."""
     if display_module is None:
         display_module = getattr(module, "__module_name__", module.__name__)
     names = [*module.__exports__, *getattr(module, "__internal__", ())]
-    sources = function_sources(module)
+    module_source = ModuleSource(module)
     locations = []
     for name in names:
         function = getattr(module, name)
-        source = None
-        # A function defined in another file keeps inspect.getsource.
-        if function.__code__.co_filename == module.__file__:
-            source = sources.get(function.__code__.co_firstlineno)
+        # A function that is not a top-level def of this module's file
+        # keeps inspect.getsource.
+        source, fdef = module_source.definition(function) or (None, None)
         locations.extend(scan_function(
             function,
             module_name=module.__name__,
             display_module=display_module,
             source=source,
+            fdef=fdef,
         ))
     return locations
 

@@ -225,6 +225,50 @@ def test_new_fault_type_registers_end_to_end(build, dsl_registry):
     assert restored.fault_type is token
 
 
+def test_unsuppliable_placeholder_fails_the_scan_not_the_mutant(
+        dsl_registry):
+    """A ``{test}`` placeholder on an ``Expr`` anchor validates (the key
+    is known) but no call statement has a test: the scan, which reads
+    every description, raises the pointed error; relocating the site for
+    its mutant does not read it."""
+    from repro.faults.location import FaultLocation
+    from repro.gswfit.astutils import FunctionImage
+    from repro.gswfit.mutator import FunctionSites, build_mutant
+    from repro.gswfit.operators import collect_sites
+    from repro.gswfit.scanner import scan_build, scan_module
+    from repro.ossim.builds import NT50
+
+    (operator,) = install_spec_operators([_new_type_spec(
+        fault_type="XPLH",
+        pattern={"node_types": ["Expr"]},
+        preconditions=[],
+        mutation={"kind": "delete-node",
+                  "description": "drops a call under 'if {test}:'"},
+    )])
+    pointed = (r"operator spec 'XPLH': description placeholder \{test\} "
+               r"is undefined for the Expr node at this site")
+    with pytest.raises(ValueError, match=pointed):
+        scan_build(NT50)
+    _display_name, module = NT50.modules[0]
+    function = getattr(module, module.__exports__[0])
+    image = FunctionImage(function, module_name=module.__name__)
+    site = collect_sites(image, [operator])[operator][0]
+    location = FaultLocation(
+        module=module.__name__, display_module="", function=function.__name__,
+        fault_type=operator.fault_type, site_key=site.key,
+        lineno=site.lineno,
+    )
+    found, relocated = FunctionSites(location).find(location)
+    assert found is operator
+    assert relocated.key == site.key
+    _original, code = build_mutant(location, probed=True)
+    assert code.co_name == function.__name__
+    with pytest.raises(ValueError, match=pointed):
+        relocated.description
+    with pytest.raises(ValueError, match=pointed):
+        scan_module(module)
+
+
 def test_install_is_idempotent_by_digest(dsl_registry):
     first = install_spec_operators([_new_type_spec()])
     second = install_spec_operators([_new_type_spec()])

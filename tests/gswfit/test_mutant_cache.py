@@ -6,7 +6,9 @@ one compilation pass through the disk tier, and the cache never changes
 what the injector actually swaps in.
 """
 
+import ast
 import inspect
+import sys
 import types
 from concurrent.futures import ProcessPoolExecutor
 
@@ -23,8 +25,10 @@ from repro.gswfit.cache import (
     mutant_fingerprint,
     warm_mutant_cache,
 )
+from repro.gswfit.dsl.compile import MutationOperator
 from repro.gswfit.injector import FaultInjector
 from repro.gswfit.mutator import build_mutant
+from repro.gswfit.operators import base
 from repro.gswfit.scanner import scan_build
 from repro.ossim.builds import NT50, NT51
 
@@ -149,48 +153,70 @@ def test_grouped_build_equals_a_build_alone(probed):
 
 
 def test_cold_warm_up_reads_each_function_source_once(monkeypatch):
-    """A cold build fingerprints a function's source and parses it: one
-    read serves both.  Both builds have 83 target functions, so a cold
-    warm-up of both reads 83 function sources (166 when the image read
-    the source again)."""
+    """A cold build fingerprints a function's source and builds its
+    image: one read of its module serves both, for every function of
+    that module.  Both builds have 83 target functions in 4 FIT modules,
+    so a cold warm-up of both reads each module once and calls
+    ``inspect.getsource`` on no function (83 calls when each function's
+    source was read alone)."""
     faultloads = [scan_build(NT50), scan_build(NT51)]
+    fit_modules = {
+        module.__name__ for build in (NT50, NT51)
+        for _display_name, module in build.modules
+    }
     clear_mutant_cache()
     reads = []
-    real = inspect.getsource
+    module_reads = []
+    real, real_lines = inspect.getsource, inspect.getsourcelines
 
     def counting(obj):
         if inspect.isfunction(obj):
             reads.append((obj.__module__, obj.__name__))
         return real(obj)
 
+    def counting_lines(obj):
+        if inspect.ismodule(obj) and obj.__name__ in fit_modules:
+            module_reads.append(obj.__name__)
+        return real_lines(obj)
+
     monkeypatch.setattr(inspect, "getsource", counting)
+    monkeypatch.setattr(inspect, "getsourcelines", counting_lines)
     for faultload in faultloads:
         warm_mutant_cache(faultload, probed=True)
     functions = {(location.module, location.function)
                  for faultload in faultloads for location in faultload}
     assert len(functions) == 83
-    assert sorted(reads) == sorted(functions)
+    assert len(fit_modules) == 4
+    assert reads == []
+    assert sorted(module_reads) == sorted(fit_modules)
+    # The fingerprints hashed the text inspect.getsource returns.
+    monkeypatch.undo()
+    for (module, name), (_code, source) in mutator.source_memo.items():
+        assert source == inspect.getsource(
+            getattr(sys.modules[module], name)
+        ), name
+    assert len(mutator.source_memo) == 83
 
 
 def test_warm_mutant_cache_parses_each_function_once_in_any_order(
         faultload, monkeypatch):
     """An interleaved faultload scatters each function's locations; the
-    warm-up still parses each function once, compiles each location
+    warm-up still builds one image per function, compiles each location
     once, and counts what the scan order counts.  A cleared cache
     compiles everything again."""
-    parsed = []
+    imaged = []
     built = []
-    real_image, real_build = mutator.build_image, cache_module.build_mutant
+    real_image, real_build = mutator.FunctionImage, cache_module.build_mutant
 
-    def counting_image(location):
-        parsed.append((location.module, location.function))
-        return real_image(location)
+    def counting_image(function, *args, **kwargs):
+        imaged.append((function.__module__, function.__name__))
+        return real_image(function, *args, **kwargs)
 
     def counting_build(location, probed=False, sites=None):
         built.append(location.fault_id)
         return real_build(location, probed=probed, sites=sites)
 
-    monkeypatch.setattr(mutator, "build_image", counting_image)
+    monkeypatch.setattr(mutator, "FunctionImage", counting_image)
     monkeypatch.setattr(cache_module, "build_mutant", counting_build)
     interleaved = faultload.interleave_types()
     assert [loc.fault_id for loc in interleaved] != [
@@ -203,22 +229,46 @@ def test_warm_mutant_cache_parses_each_function_once_in_any_order(
 
     scan_order = warm_mutant_cache(faultload, probed=True)
     clear_mutant_cache()
-    parsed.clear()
+    imaged.clear()
     built.clear()
     assert warm_mutant_cache(interleaved, probed=True) == scan_order
     assert scan_order == everything
     assert sorted(built) == fault_ids
-    assert sorted(parsed) == sorted(functions)
+    assert sorted(imaged) == sorted(functions)
     assert warm_mutant_cache(interleaved, probed=True) == {
         "slots": len(faultload), "compiled": 0,
         "cached": len(faultload), "failed": 0,
     }
     assert sorted(built) == fault_ids
+    assert sorted(imaged) == sorted(functions)
 
     clear_mutant_cache()
     built.clear()
     assert warm_mutant_cache(interleaved, probed=True) == everything
     assert sorted(built) == fault_ids
+
+
+def test_cold_warm_up_renders_no_description_and_walks_no_tree(
+        monkeypatch):
+    """Relocating a site for a mutant renders no description (and so
+    unparses nothing), and a splice edits the block of the site's parent
+    copy instead of walking the mutant's tree for it."""
+    faultloads = [scan_build(NT50), scan_build(NT51)]
+    clear_mutant_cache()
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("called during a warm-up")
+
+    monkeypatch.setattr(MutationOperator, "_describe", forbidden)
+    monkeypatch.setattr(base, "_iter_statement_lists", forbidden)
+    monkeypatch.setattr(ast, "unparse", forbidden)
+    stats = [
+        warm_mutant_cache(faultload, probed=True)
+        for faultload in faultloads
+    ]
+    assert [(s["compiled"], s["failed"]) for s in stats] == [
+        (394, 0), (610, 0)
+    ]
 
 
 def test_disk_tier_survives_memory_clear(faultload, tmp_path):

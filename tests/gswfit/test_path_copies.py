@@ -29,7 +29,13 @@ class _Reparsed:
 
     def fresh_copy(self, position):
         tree = ast.parse(self.source)
-        return tree, next(islice(ast.walk(tree), position, None))
+        node = next(islice(ast.walk(tree), position, None))
+        owner = next(
+            (parent for parent in ast.walk(tree)
+             if node in ast.iter_child_nodes(parent)),
+            None,
+        )
+        return tree, owner, node
 
 
 def _dump(tree):

@@ -12,6 +12,7 @@ against the ``ast.walk`` traversals they replace.
 """
 
 import ast
+import importlib.util
 import inspect
 import json
 
@@ -19,12 +20,13 @@ from repro.gswfit import scanner
 from repro.gswfit.astutils import (
     CONTROL_TRANSFER_TYPES,
     FunctionImage,
+    ModuleSource,
     local_names,
     node_contains,
 )
+from repro.gswfit.operators import collect_sites, operator_library
 from repro.gswfit.operators.base import _iter_statement_lists
 from repro.gswfit.scanner import (
-    function_sources,
     scan_build,
     scan_function,
     scan_function_per_operator,
@@ -73,12 +75,103 @@ def test_scan_sources_equal_inspect_getsource(build):
     sources = {}
     for _display_name, module, function in _fit_functions(build):
         if module not in sources:
-            sources[module] = function_sources(module)
-        code = function.__code__
-        assert code.co_filename == module.__file__, function.__qualname__
-        assert sources[module][code.co_firstlineno] == (
-            inspect.getsource(function)
-        ), function.__qualname__
+            sources[module] = ModuleSource(module)
+        definition = sources[module].definition(function)
+        assert definition is not None, function.__qualname__
+        assert definition[0] == inspect.getsource(function), (
+            function.__qualname__
+        )
+
+
+_EDGES = """\
+from os.path import join
+
+
+def keep(function):
+    return function
+
+
+@keep
+def decorated(a):
+    return a
+
+
+def cut_short(a):
+    return a
+
+
+handler = (
+lambda: 0
+)
+
+if join:
+    def nested(a):
+        return a
+
+
+def last(a):
+    # a comment inside
+    return (a,
+            a)
+"""
+
+
+def test_module_source_parses_only_top_level_defs(tmp_path):
+    """A function whose stretch cannot be cut cleanly from the module,
+    or that is not a top-level ``def`` of its file, gets no definition:
+    the image then reads ``inspect.getsource``."""
+    path = tmp_path / "edges.py"
+    path.write_text(_EDGES)
+    spec = importlib.util.spec_from_file_location("edges", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    source = ModuleSource(module)
+    for name in ("keep", "decorated", "last"):
+        function = getattr(module, name)
+        text, fdef = source.definition(function)
+        assert text == inspect.getsource(function), name
+        assert fdef.name == name
+    # The next start, a lambda at column 0, lies inside a statement.
+    assert source.definition(module.cut_short) is None
+    assert source.definition(module.handler) is None
+    assert source.definition(module.nested) is None
+    assert source.definition(module.join) is None
+
+
+def _walk_positions(image):
+    return [
+        (type(node).__name__, getattr(node, "lineno", None),
+         getattr(node, "col_offset", None))
+        for node in image._index
+    ]
+
+
+def _described_sites(image):
+    buckets = collect_sites(image, operator_library().values())
+    return [
+        (site.key, site.lineno, site.description)
+        for sites in buckets.values() for site in sites
+    ]
+
+
+def test_module_source_images_equal_getsource_images(build):
+    """An image built from the ``FunctionDef`` of one parse of its
+    stretch of the module is the image a parse of ``inspect.getsource``
+    gives: same tree with locations, source, walk and sites."""
+    sources = {}
+    for _display_name, module, function in _fit_functions(build):
+        if module not in sources:
+            sources[module] = ModuleSource(module)
+        source, fdef = sources[module].definition(function)
+        ours = FunctionImage(function, source=source, fdef=fdef)
+        alone = FunctionImage(function)
+        name = function.__qualname__
+        assert ours.source == alone.source, name
+        assert ast.dump(ours.tree, include_attributes=True) == ast.dump(
+            alone.tree, include_attributes=True
+        ), name
+        assert _walk_positions(ours) == _walk_positions(alone), name
+        assert _described_sites(ours) == _described_sites(alone), name
 
 
 # ----------------------------------------------------------------------
