@@ -56,10 +56,12 @@ __all__ = [
     "snapshot_key",
 ]
 
-# Snapshots are a few hundred KB each; one entry per concurrently-live
-# (config, iteration) is plenty — a shard worker only ever cycles
-# through its own iteration's key, plus a retry's.
-DEFAULT_CACHE_ENTRIES = 8
+# Snapshots are a few hundred KB each.  A key hashes the shard's own
+# config, seed included, and a worker runs one shard at a time, so the
+# one entry serves that shard's reboots, its pristine restarts and a
+# retry of it in the same process; an older shard's image is never
+# restored again.
+DEFAULT_CACHE_ENTRIES = 1
 
 
 def snapshot_key(config, iteration):

@@ -209,7 +209,10 @@ class MetricsCollector:
             return {}
         starts = [start for start, _end in windows]
         result = {}
-        for record in self._records:
+        # A record completed at or before the first window's start
+        # overlaps no window (a zero-latency one lands in none either).
+        first = bisect.bisect_right(self._times, starts[0])
+        for record in self._records[first:]:
             if record.bytes_received <= 0:
                 continue
             span_start = record.completed_at - record.latency

@@ -19,7 +19,11 @@ import weakref
 import pytest
 
 from repro.faults.faultload import Faultload
-from repro.harness.campaign import campaign_key
+from repro.harness.campaign import (
+    ParallelCampaign,
+    campaign_key,
+    plan_shards,
+)
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import WebServerExperiment
 from repro.harness.machine import ServerMachine
@@ -242,6 +246,19 @@ def test_contamination_reboot_served_by_restore(monkeypatch):
 # ----------------------------------------------------------------------
 # Identity: snapshots fold into the campaign key
 # ----------------------------------------------------------------------
+def test_campaign_keeps_only_the_last_shards_image():
+    """Each shard's key hashes its own seed and a worker runs one shard
+    at a time, so an older shard's image is never restored again: a
+    two-shard campaign leaves one image in the process cache."""
+    config = tiny_config()
+    campaign = ParallelCampaign(config, workers=1)
+    shards = plan_shards(campaign.prepared_faultload(),
+                         config.slots_per_shard)
+    assert len(shards) == 2
+    campaign.run(include_baseline=False, include_profile_mode=False)
+    assert len(snapshot_cache()) == 1
+
+
 def test_snapshot_key_separates_configs_and_iterations():
     config = smoke_config()
     assert snapshot_key(config, 1) != snapshot_key(config, 2)

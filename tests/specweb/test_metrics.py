@@ -124,6 +124,71 @@ def test_bytes_spread_across_windows():
     assert metrics.spc == pytest.approx(1.0)
 
 
+def _window_bytes_full_walk(records, windows):
+    """``MetricsCollector._window_bytes`` as a walk of every record."""
+    result = {}
+    for record in records:
+        if record.bytes_received <= 0:
+            continue
+        span_start = record.completed_at - record.latency
+        span_end = record.completed_at
+        duration = span_end - span_start
+        for window_index, (w_start, w_end) in enumerate(windows):
+            if duration <= 1e-9:
+                if w_start < span_end <= w_end:
+                    key = (window_index, record.connection_id)
+                    result[key] = result.get(key, 0.0) + record.bytes_received
+                    break
+                continue
+            overlap = min(w_end, span_end) - max(w_start, span_start)
+            if overlap > 0:
+                key = (window_index, record.connection_id)
+                share = record.bytes_received * overlap / duration
+                result[key] = result.get(key, 0.0) + share
+    return result
+
+
+def test_window_bytes_skip_records_before_the_first_window(monkeypatch):
+    """Records completed at or before the first window's start overlap no
+    window; skipping them leaves the keys, their order and every float
+    as a walk of all records gives them."""
+    records = [
+        _record(1.0, conn=0, latency=0.5, nbytes=10_000),   # before
+        _record(9.0, conn=1, latency=0.0, nbytes=20_000),   # before, instant
+        _record(10.0, conn=0, latency=2.0, nbytes=30_000),  # ends at start
+        _record(10.0, conn=1, latency=0.0, nbytes=40_000),  # instant at start
+        _record(11.0, conn=1, latency=3.0, nbytes=90_000),  # across start
+        _record(12.5, conn=0, latency=0.7, nbytes=7_000),   # inside
+        _record(15.0, conn=0, latency=0.0, nbytes=5_000),   # instant at end
+        _record(17.0, conn=1, latency=4.0, nbytes=80_000),  # across windows
+        _record(21.0, conn=0, latency=0.0, nbytes=3_000),   # in a gap
+        _record(27.0, conn=0, latency=9.0, nbytes=60_000),  # across the gap
+        _record(27.0, conn=1, ok=False, latency=1.0, nbytes=0, kind="reset"),
+        _record(40.0, conn=1, latency=2.0, nbytes=50_000),  # after
+    ]
+    windows = [(10.0, 15.0), (15.0, 20.0), (25.0, 30.0)]
+    collector = _collector(records)
+    reference = _window_bytes_full_walk(records, windows)
+    assert list(collector._window_bytes(windows).items()) == list(
+        reference.items()
+    )
+    assert list(collector._window_bytes(windows[1:]).items()) == list(
+        _window_bytes_full_walk(records, windows[1:]).items()
+    )
+    for group in (1, 2, 3):
+        partial = collector.compute_partial(windows, conformance_group=group)
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                MetricsCollector, "_window_bytes",
+                lambda self, windows: _window_bytes_full_walk(
+                    self._records, windows
+                ),
+            )
+            assert collector.compute_partial(
+                windows, conformance_group=group
+            ) == partial
+
+
 def test_timeouts_count_as_errors_in_er():
     records = [_record(1.0), _record(2.0, ok=False, kind="timeout")]
     metrics = _collector(records).compute([(0.0, 3.0)])
