@@ -2,8 +2,8 @@
 
 Every process that scans or builds a mutant compiles the twelve Table 1
 specs (``repro.gswfit.dsl.builtin_specs``) on first use, so validating
-and compiling the whole corpus is a start-up cost of every CLI run,
-campaign worker and fabric worker.  The claim: it costs less than a
+and compiling the whole corpus is a start-up cost of every CLI run
+and campaign worker.  The claim: it costs less than a
 single whole-build scan, so it stays invisible next to the scan it feeds
 (and the scan itself is cached).  Scan throughput is guarded end to end
 by the ``faultload`` workload of ``benchmarks/e2e``.

@@ -5,9 +5,9 @@ Four claims, all load-bearing for production-scale campaigns:
 * **Equivalence + speedup** — a sharded campaign run with several
   workers produces metrics bit-identical to the single-worker run, and
   finishes faster (each worker simulates its shards concurrently).
-* **Fabric scaling** — ``--workers 4`` (four loopback workers of the
-  socket coordinator/worker fabric) gives a digest byte-identical to
-  the in-process ``--workers 1`` run; its wall-clock at 4 workers is
+* **Fabric scaling** — ``--workers 4`` (four workers the shard
+  supervisor forks, each on a socket pair) gives a digest
+  byte-identical to the in-process ``--workers 1`` run; its wall-clock at 4 workers is
   recorded in ``BENCH_fabric.json`` for the bench-regression gate.
 * **Adaptive slots** — activation-aware slot scheduling
   (``--adaptive-slots``) cuts campaign wall-clock by >= 25% at equal
@@ -125,9 +125,8 @@ def _run_fabric_campaign(workers):
 
 
 def test_fabric_scaling(benchmark):
-    """Digest parity between the in-process run and 4 loopback fabric
-    workers, and the wall-clock scaling recorded for the regression
-    gate."""
+    """Digest parity between the in-process run and 4 forked workers,
+    and the wall-clock scaling recorded for the regression gate."""
     def regenerate():
         return _run_fabric_campaign(1), _run_fabric_campaign(FABRIC_WORKERS)
 
@@ -170,7 +169,7 @@ def test_fabric_scaling(benchmark):
         )
     else:
         # Core-starved host: no speedup is possible, so bound the
-        # coordinator's overhead instead — the wire must stay cheap.
+        # supervisor's overhead instead — the wire must stay cheap.
         assert multi_s < single_s * FABRIC_OVERHEAD_CEILING
 
 

@@ -541,7 +541,7 @@ def build_parser():
     campaign.add_argument(
         "--workers", type=int, default=None,
         help="worker processes (default: cpu count): 1 runs shards "
-             "in-process, N forks N fabric workers; results are "
+             "in-process, N forks N workers; results are "
              "identical for any worker count",
     )
     campaign.add_argument(

@@ -43,7 +43,7 @@ def install_spec_operators(specs):
     built-in operator in the library; new fault types are registered
     with the fault-type registry first, then overlaid on the library.
     Installing a spec whose digest is already installed is a no-op, so
-    the campaign parent and its fabric workers can all install the
+    the campaign parent and its forked workers can all install the
     same config unconditionally.
     """
     installed = []

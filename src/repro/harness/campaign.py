@@ -61,7 +61,6 @@ from repro.harness.experiment import (
     WebServerExperiment,
     profile_servers,
 )
-from repro.harness.fabric import FabricCoordinator
 from repro.harness.jsonl import drop_torn_tail, read_jsonl
 from repro.harness.results import (
     BenchmarkResult,
@@ -72,12 +71,7 @@ from repro.harness.sequential import (
     SequentialController,
     plan_sequential_strata,
 )
-from repro.harness.supervisor import (
-    DEFAULT_MAX_POOL_REBUILDS,
-    DEFAULT_MAX_RETRIES,
-    ShardSupervisor,
-    SupervisionReport,
-)
+from repro.harness.supervisor import DEFAULT_MAX_RETRIES, ShardSupervisor
 from repro.harness.telemetry import (
     NullTelemetry,
     RunManifest,
@@ -222,9 +216,9 @@ def shard_seed(base_seed, shard_index):
 def run_shard(config, iteration, shard, mutant_cache_dir=None):
     """Run one shard's slots on a private machine (worker entry point).
 
-    Top-level so it pickles into a fabric assignment; it is also what
-    ``workers=1`` calls directly, keeping the two modes on one code
-    path.  ``mutant_cache_dir`` is passed alongside the config (not
+    Top-level so it pickles by reference into a worker's assignment; it
+    is also what ``workers=1`` calls directly, keeping the two modes on
+    one code path.  ``mutant_cache_dir`` is passed alongside the config (not
     inside it) so the campaign key — a pure function of the experiment's
     parameters — is unaffected by where a machine keeps its caches.
     """
@@ -424,8 +418,8 @@ class ParallelCampaign:
     workers:
         Local worker processes (default: ``os.cpu_count()``).  ``1`` runs
         every shard in-process on the same code path; ``N >= 2`` forks N
-        workers of the socket fabric (:mod:`repro.harness.fabric`) after
-        the mutant warm-up.  Because the shard plan, seeds, and merge
+        workers (:class:`~repro.harness.supervisor.ShardSupervisor`)
+        after the mutant warm-up.  Because the shard plan, seeds, and merge
         ignore where a shard ran, the ``metrics_digest`` is identical
         for every value.
     journal_path / resume:
@@ -443,10 +437,6 @@ class ParallelCampaign:
     max_retries:
         Charged failures (crash / worker death / hang) a shard may
         accumulate before it is quarantined.
-    max_pool_rebuilds:
-        Worker replacements (a worker killed, hung or silent) tolerated
-        before the supervisor stops dispatching and runs the remaining
-        shards in-process, serially.
     telemetry_path / manifest_path:
         Where to stream supervision events (JSONL) and write the run
         manifest.  Default: derived siblings of ``journal_path``
@@ -461,7 +451,6 @@ class ParallelCampaign:
                  journal_path=None, resume=False, cache_dir=None,
                  shard_timeout=None,
                  max_retries=DEFAULT_MAX_RETRIES,
-                 max_pool_rebuilds=DEFAULT_MAX_POOL_REBUILDS,
                  telemetry_path=None, manifest_path=None):
         if workers is None:
             workers = os.cpu_count() or 1
@@ -481,7 +470,6 @@ class ParallelCampaign:
         self.cache_dir = cache_dir
         self.shard_timeout = shard_timeout
         self.max_retries = max_retries
-        self.max_pool_rebuilds = max_pool_rebuilds
         if journal_path is not None:
             journal = Path(journal_path)
             if telemetry_path is None:
@@ -546,26 +534,10 @@ class ParallelCampaign:
         return partial(run_shard, self.config, iteration,
                        mutant_cache_dir=self.cache_dir)
 
-    def _backend_factory(self):
-        """The supervisor's fabric: ``workers`` forked workers, their
-        result fragments decoded back into :class:`ShardOutcome`.  None
-        when one worker leaves every shard in-process."""
-        if self.workers <= 1:
-            return None
-        return partial(
-            FabricCoordinator,
-            workers=self.workers,
-            shard_timeout=self.shard_timeout,
-            decoder=ShardOutcome.from_dict,
-        )
-
     def _dispatch(self, journal, shards, iteration, supervisor, done):
         """Replay the journaled ``shards`` into ``done`` and run the
-        rest, journaling each outcome as it lands.
-
-        Returns the replayed shard indices and the supervision report
-        (None when every shard replayed).
-        """
+        rest, journaling each outcome as it lands; returns the replayed
+        shard indices."""
         replayed = set()
         if journal is not None:
             for shard in shards:
@@ -575,27 +547,22 @@ class ParallelCampaign:
                     replayed.add(shard.index)
         todo = [shard for shard in shards if shard.index not in replayed]
         if not todo:
-            return replayed, None
+            return replayed
 
         def record(outcome):
             done[outcome.shard_index] = outcome
             if journal is not None:
                 journal.record_shard(iteration, outcome)
 
-        report = supervisor.run(
-            todo, self._shard_task(iteration), on_outcome=record
-        )
-        return replayed, report
+        supervisor.run(todo, self._shard_task(iteration), on_outcome=record)
+        return replayed
 
     def _run_iteration(self, journal, shards, iteration, supervisor):
         done = {}
-        _replayed, report = self._dispatch(
-            journal, shards, iteration, supervisor, done
-        )
-        merged = merge_outcomes(
+        self._dispatch(journal, shards, iteration, supervisor, done)
+        return merge_outcomes(
             done.values(), iteration, self.config.client.connections
         )
-        return merged, report
 
     def _run_sequential_iteration(self, journal, strata, iteration,
                                   supervisor):
@@ -613,26 +580,14 @@ class ParallelCampaign:
         """
         controller = SequentialController(self.config, strata)
         done = {}
-        report = SupervisionReport()
-        ran_live = False
         while True:
             round_batches = controller.next_round()
             if not round_batches:
                 break
-            replayed, round_report = self._dispatch(
+            replayed = self._dispatch(
                 journal, [batch for _state, batch in round_batches],
                 iteration, supervisor, done,
             )
-            if round_report is not None:
-                ran_live = True
-                report.retries += round_report.retries
-                report.pool_rebuilds += round_report.pool_rebuilds
-                report.serial_fallback = (
-                    report.serial_fallback
-                    or round_report.serial_fallback
-                )
-                report.quarantined.extend(round_report.quarantined)
-                report.outcomes.update(round_report.outcomes)
             for state, batch in round_batches:
                 # A quarantined batch never completed: done has no
                 # entry, and the stratum stops rather than sampling
@@ -648,7 +603,7 @@ class ParallelCampaign:
         merged = merge_outcomes(
             done.values(), iteration, self.config.client.connections
         )
-        return merged, (report if ran_live else None), controller.summary()
+        return merged, controller.summary()
 
     def _sequential_summary(self, per_iteration, strata):
         """The manifest's ``sequential`` block (diagnostic, outside the
@@ -780,67 +735,60 @@ class ParallelCampaign:
                 ),
                 telemetry, timings,
             )
-        supervision = {
-            "retries": 0,
-            "pool_rebuilds": 0,
-            "serial_fallback": False,
-            "quarantined": [],
-        }
-        # One supervisor (and thus at most one fabric) for the whole
-        # campaign: fork cost is paid once, not once per iteration.
+        # One supervisor for the whole campaign: its workers are forked
+        # once, not once per iteration, and it keeps the running totals.
         supervisor = ShardSupervisor(
             workers=self.workers,
             shard_timeout=self.shard_timeout,
             max_retries=self.max_retries,
-            max_pool_rebuilds=self.max_pool_rebuilds,
             telemetry=telemetry,
-            backend_factory=self._backend_factory(),
         )
+        quarantine = []
         sequential_iterations = []
         try:
             for iteration in range(1, self.config.rules.iterations + 1):
                 telemetry.emit("iteration_start", iteration=iteration)
                 started = time.perf_counter()
                 if strata is not None:
-                    merged, report, stratum_summary = (
+                    merged, stratum_summary = (
                         self._run_sequential_iteration(
                             journal, strata, iteration, supervisor
                         )
                     )
                     sequential_iterations.append(stratum_summary)
                 else:
-                    merged, report = self._run_iteration(
+                    merged = self._run_iteration(
                         journal, shards, iteration, supervisor
                     )
                 timings[f"iteration-{iteration}"] = round(
                     time.perf_counter() - started, 6
                 )
-                if report is not None:
-                    supervision["retries"] += report.retries
-                    supervision["pool_rebuilds"] += report.pool_rebuilds
-                    supervision["serial_fallback"] = (
-                        supervision["serial_fallback"]
-                        or report.serial_fallback
-                    )
-                    for quarantined in report.quarantined:
-                        entry = {"iteration": iteration}
-                        entry.update(quarantined.to_dict())
-                        supervision["quarantined"].append(entry)
+                # The supervisor's quarantine records this iteration
+                # added, tagged with it.
+                added = supervisor.quarantined[len(quarantine):]
+                quarantine.extend(
+                    {"iteration": iteration, **quarantined.to_dict()}
+                    for quarantined in added
+                )
                 result.add_iteration(merged)
                 telemetry.emit(
                     "iteration_end",
                     iteration=iteration,
                     seconds=timings[f"iteration-{iteration}"],
-                    quarantined=(
-                        len(report.quarantined) if report else 0
-                    ),
+                    quarantined=len(added),
                 )
             fabric = supervisor.backend_stats()
         finally:
             supervisor.close()
-        result.quarantine = supervision["quarantined"]
-        result.degraded = bool(result.quarantine)
-        supervision["degraded"] = result.degraded
+        result.quarantine = quarantine
+        result.degraded = bool(quarantine)
+        supervision = {
+            "retries": supervisor.retries,
+            "pool_rebuilds": supervisor.pool_rebuilds,
+            "serial_fallback": supervisor.serial_fallback,
+            "quarantined": quarantine,
+            "degraded": result.degraded,
+        }
         tally = SlotTally.merge(result.iterations)
         integrity = self._integrity_summary(tally)
         activation = self._activation_summary(tally)

@@ -11,7 +11,7 @@ import pytest
 from repro.extensions.statefaults import class_faultload
 from repro.harness.campaign import ParallelCampaign
 from repro.harness.experiment import WebServerExperiment
-from repro.harness.fabric.coordinator import CHAOS_KILL_ENV
+from repro.harness.supervisor import CHAOS_KILL_ENV
 from repro.harness.snapshot import snapshot_cache
 from tests.harness.configs import tiny_config
 from tests.harness.test_parity import cut_journal

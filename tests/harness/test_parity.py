@@ -35,7 +35,7 @@ from repro.gswfit.dsl import OperatorSpec
 from repro.gswfit.dsl.builtin_specs import builtin_spec
 from repro.gswfit.operators import reset_dynamic_operators
 from repro.harness.campaign import ParallelCampaign
-from repro.harness.fabric.coordinator import CHAOS_KILL_ENV
+from repro.harness.supervisor import CHAOS_KILL_ENV
 from repro.harness.snapshot import SnapshotCache, snapshot_cache
 from tests.harness.configs import SEQUENTIAL, tiny_config
 

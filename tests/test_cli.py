@@ -245,7 +245,7 @@ def _group_gone(pgid):
 def test_sigkilled_campaign_leaves_no_workers_and_resumes_to_its_digest(
         tmp_path, capsys):
     """SIGKILL a real campaign process mid-run.  Its loopback workers
-    must exit by themselves once their coordinator is gone, and a
+    must exit by themselves once their supervisor is gone, and a
     ``--resume`` must finish with the uninterrupted run's digest,
     running no journaled unit twice."""
     journal = tmp_path / "killed" / "journal.jsonl"
@@ -268,7 +268,7 @@ def test_sigkilled_campaign_leaves_no_workers_and_resumes_to_its_digest(
     try:
         _await(lambda: _journal_units(journal), deadline=60.0,
                message="the first shard record")
-        # Kill the campaign alone: its workers lose their coordinator.
+        # Kill the campaign alone: its workers lose their supervisor.
         os.kill(process.pid, signal.SIGKILL)
         process.wait(10)
         _await(lambda: _group_gone(process.pid), deadline=30.0,
