@@ -76,7 +76,7 @@ def test_event_loop_throughput(benchmark):
                 sim.schedule(0.001, tick)
 
         sim.schedule(0.001, tick)
-        sim.run()
+        sim.run_until(2.0)
         return sim.events_fired
 
     fired = benchmark(run)

@@ -10,9 +10,13 @@ Each call through the table:
 1. is recorded by the attached tracer, if any (this is the probe the
    profiling phase of the methodology uses — analogous to the API tracing
    tool of the paper's Section 3.3);
-2. charges the build's fixed dispatch cost to the process CPU meter;
+2. is counted in ``ctx.api_calls`` and charges the build's fixed dispatch
+   cost to the process CPU meter, inline;
 3. invokes the live module-level function — whose ``__code__`` the G-SWFIT
    injector may have swapped for a mutant.
+
+Each wrapper is shaped like its export's signature, so a correct call
+reaches the export as one fixed-arity call; ``_WRAPPER_SOURCE`` says how.
 
 The tracer check is resolved at *wrapper build time*, not per call: a
 table builds untraced wrappers (no tracer reference anywhere in the
@@ -33,6 +37,7 @@ access violation.  ``fault_mode`` is read live — but only on the
 exceptional path, so it costs nothing per successful call.
 """
 
+import functools
 import weakref
 
 from repro.sim.errors import (
@@ -44,6 +49,78 @@ from repro.sim.errors import (
 __all__ = ["ApiTable", "OsInstance"]
 
 _PASSTHROUGH = (SimSegfault, SimBlockedForever, CpuBudgetExceeded)
+
+# The default of every required wrapper parameter.  A call that leaves
+# one out is counted and charged like any other, then reaches the export
+# with what it passed, so the export's own TypeError is what a pristine
+# OS raises and what fault mode turns into an access violation.
+_MISSING = object()
+
+# One wrapper code object per signature shape (required and optional
+# parameters after ``ctx``) and tracing state, compiled once.  The
+# parameters are positional-only, so the success path passes them to the
+# export as one fixed-arity call instead of re-packing ``*args``; a
+# wrapper's own ``__defaults__`` are the export's, with ``_MISSING`` for
+# each required one.  ``*extra`` catches a call with too many arguments.
+# The base cost is charged inline: the same sum and limit check as
+# ``CpuMeter.charge`` of a non-negative int, and the same trip.
+_WRAPPER_SOURCE = """
+def bind(ctx, meter, base_cost, function, os_instance, module_display,
+         name{record_param}):
+    def call({params}*extra):
+        {record_call}ctx.api_calls += 1
+        total = meter.total_cycles + base_cost
+        meter.total_cycles = total
+        if total > meter.limit:
+            meter.exceeded(total)
+        try:
+            if {wrong_arity}:
+                return function(ctx, *_passed(({args}), extra))
+            return function(ctx, {args})
+        except _PASSTHROUGH:
+            raise
+        except Exception as exc:
+            if os_instance.fault_mode:
+                raise SimSegfault(
+                    f"fault in {{module_display}}!{{name}}: "
+                    f"{{type(exc).__name__}}: {{exc}}",
+                    cause=exc,
+                ) from exc
+            raise
+    return call
+"""
+
+
+@functools.cache
+def _binder(required, optional, traced):
+    """The closure factory of one wrapper shape, compiled once."""
+    names = [f"a{index}" for index in range(required + optional)]
+    source = _WRAPPER_SOURCE.format(
+        record_param=", record" if traced else "",
+        record_call="record(module_display, name)\n        " if traced
+        else "",
+        params="".join(f"{name}, " for name in names)
+        + ("/, " if names else ""),
+        wrong_arity=(
+            f"a{required - 1} is _MISSING or extra" if required else "extra"
+        ),
+        args="".join(f"{name}, " for name in names),
+    )
+    namespace = {}
+    shape = (required, optional, traced)
+    exec(compile(source, f"<api wrapper {shape}>", "exec"), globals(),
+         namespace)
+    return namespace["bind"]
+
+
+def _passed(params, extra):
+    """The arguments a wrong-arity call passed: every parameter and the
+    surplus after a call with too many, else the ones before the first
+    missing."""
+    if extra:
+        return params + extra
+    missing = next(i for i, value in enumerate(params) if value is _MISSING)
+    return params[:missing]
 
 
 class OsInstance:
@@ -162,51 +239,18 @@ class ApiTable:
                 f"{self.os.build.display_name} has no export {name!r}"
             )
         module_display, function = entry
-        base_cost = self.os.build.base_cost(name)
-        os_instance = self.os
-        ctx = self.ctx
-        charge = ctx.charge
-        tracer = os_instance.tracer
-
-        # Positional only: a ``**kwargs`` parameter builds a dict on
-        # every call.  A keyword argument raises TypeError at its call
-        # site; test_dispatch.py checks that no caller passes one.
+        defaults = function.__defaults__ or ()
+        required = function.__code__.co_argcount - 1 - len(defaults)
+        tracer = self.os.tracer
+        bind = _binder(required, len(defaults), tracer is not None)
+        bound = (self.ctx, self.ctx.cpu, self.os.build.base_cost(name),
+                 function, self.os, module_display, name)
         if tracer is None:
-            def call(*args):
-                ctx.api_calls += 1
-                charge(base_cost)
-                try:
-                    return function(ctx, *args)
-                except _PASSTHROUGH:
-                    raise
-                except Exception as exc:
-                    if os_instance.fault_mode:
-                        raise SimSegfault(
-                            f"fault in {module_display}!{name}: "
-                            f"{type(exc).__name__}: {exc}",
-                            cause=exc,
-                        ) from exc
-                    raise
+            call = bind(*bound)
         else:
-            record = tracer.record
-
-            def call(*args):
-                record(module_display, name)
-                ctx.api_calls += 1
-                charge(base_cost)
-                try:
-                    return function(ctx, *args)
-                except _PASSTHROUGH:
-                    raise
-                except Exception as exc:
-                    if os_instance.fault_mode:
-                        raise SimSegfault(
-                            f"fault in {module_display}!{name}: "
-                            f"{type(exc).__name__}: {exc}",
-                            cause=exc,
-                        ) from exc
-                    raise
-
+            call = bind(*bound, tracer.record)
+        if required or defaults:
+            call.__defaults__ = (_MISSING,) * required + defaults
         call.__name__ = name
         call.__qualname__ = f"ApiTable.{name}"
         return call

@@ -46,8 +46,9 @@ class CpuMeter:
         self._operation_end = 0
         # The running total a charge may not exceed: the start plus the
         # budget during a budgeted operation, infinite otherwise.  One
-        # comparison per charge stands in for a per-operation sum.
-        self._limit = _UNLIMITED
+        # comparison per charge stands in for a per-operation sum.  The
+        # API dispatch wrappers read it too (repro.ossim.dispatch).
+        self.limit = _UNLIMITED
 
     # ------------------------------------------------------------------
     # Charging
@@ -56,19 +57,32 @@ class CpuMeter:
         """Charge ``cycles`` to the meter.
 
         Negative charges are clamped to zero so a mutated arithmetic
-        expression cannot create time out of nothing.
+        expression cannot create time out of nothing, and anything but
+        an exact ``int`` is truncated by ``int()``.  OS code charges
+        ints almost always, so they skip the conversion.
         """
         if cycles < 0:
             cycles = 0
-        total = self.total_cycles + int(cycles)
+        elif type(cycles) is not int:
+            cycles = int(cycles)
+        total = self.total_cycles + cycles
         self.total_cycles = total
-        if total > self._limit:
-            used = total - self._operation_start
-            raise CpuBudgetExceeded(
-                f"operation exceeded CPU budget "
-                f"({used} > {self.operation_budget})",
-                cycles=used,
-            )
+        if total > self.limit:
+            self.exceeded(total)
+
+    def exceeded(self, total):
+        """Raise the budget trip of a running ``total`` past the limit.
+
+        The one place the trip is built: :meth:`charge` and the API
+        dispatch wrappers, which add their base cost inline, both raise
+        through it.
+        """
+        used = total - self._operation_start
+        raise CpuBudgetExceeded(
+            f"operation exceeded CPU budget "
+            f"({used} > {self.operation_budget})",
+            cycles=used,
+        )
 
     # ------------------------------------------------------------------
     # Per-operation bracketing
@@ -78,11 +92,11 @@ class CpuMeter:
         self._operation_start = self.total_cycles
         self._operation_end = None
         if self.operation_budget is not None:
-            self._limit = self.total_cycles + self.operation_budget
+            self.limit = self.total_cycles + self.operation_budget
 
     def end_operation(self):
         """Stop metering and return the cycles charged by the operation."""
-        self._limit = _UNLIMITED
+        self.limit = _UNLIMITED
         self._operation_end = self.total_cycles
         return self._operation_end - self._operation_start
 

@@ -5,6 +5,11 @@ them with C tuple comparison, and the unique ``sequence`` keeps events
 scheduled for the same instant in FIFO order.  Cancellation flags the
 event (O(1)); flagged entries are skipped when popped and purged in bulk
 once they outnumber the live ones.
+
+:class:`~repro.sim.kernel.Simulator` keeps its events here but runs
+:meth:`EventQueue.push` and :meth:`EventQueue.pop` inlined in its own
+``schedule`` and ``run_until``, the frames a campaign spends its event
+loop in; a change to either method goes in both places.
 """
 
 import heapq

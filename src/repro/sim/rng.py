@@ -47,6 +47,15 @@ class SeededRng:
         child_label = "/".join([self.label] + [str(item) for item in labels])
         return SeededRng(child_seed, label=child_label)
 
+    @property
+    def generator(self):
+        """The underlying :class:`random.Random`.
+
+        A hot loop may call its methods directly: they draw exactly what
+        this stream's same-named methods draw, one frame shallower.
+        """
+        return self._random
+
     def random(self):
         return self._random.random()
 

@@ -20,6 +20,9 @@ from repro.specweb.workload import OperationKind, WorkloadGenerator
 
 __all__ = ["ClientConfig", "SpecWebClient"]
 
+_POST = OperationKind.POST
+_STATIC_GET = OperationKind.STATIC_GET
+
 
 @dataclass
 class ClientConfig:
@@ -139,22 +142,25 @@ class SpecWebClient:
         connection.op_seq += 1
         seq = connection.op_seq
         operation = connection.generator.next_operation(
-            connection_id=connection.index, request_id=seq
+            connection.index, seq
         )
         connection.pending = operation
-        connection.issued_at = self.sim.now
+        sim = self.sim
+        config = self.config
+        now = sim.now
+        connection.issued_at = now
         request = operation.request
-        request.issued_at = self.sim.now
+        request.issued_at = now
         request_delay = (
-            self.config.link_latency
+            config.link_latency
             + request.wire_size() * 8.0 / connection.rate_bps
         )
-        self.sim.schedule(
+        sim.schedule(
             request_delay, self.transport, request,
             _Responder(self, connection, seq),
         )
-        connection.timeout_event = self.sim.schedule(
-            self.config.op_timeout, self._on_timeout, connection, seq
+        connection.timeout_event = sim.schedule(
+            config.op_timeout, self._on_timeout, connection, seq
         )
 
     def _on_response(self, connection, seq, response):
@@ -162,7 +168,7 @@ class SpecWebClient:
             return  # stale completion after a timeout
         if response is None:
             # Connection refused or reset by a dying server.
-            self._finish(connection, seq, None, refused=True)
+            self._finish(connection, seq, None, True)
             return
         transfer = (
             self.config.link_latency
@@ -175,25 +181,24 @@ class SpecWebClient:
             return
         operation = connection.pending
         connection.pending = None
+        sim = self.sim
+        config = self.config
         if connection.timeout_event is not None:
-            self.sim.cancel(connection.timeout_event)
+            sim.cancel(connection.timeout_event)
             connection.timeout_event = None
-        latency = self.sim.now - connection.issued_at
+        latency = sim.now - connection.issued_at
         if refused:
             self._record(connection, False, latency, 0, "refused")
-            self.sim.schedule(
-                self.config.refused_backoff, self._issue, connection
-            )
+            sim.schedule(config.refused_backoff, self._issue, connection)
             return
         ok, error_kind = self._validate(operation, response)
         nbytes = response.wire_size() if response is not None else 0
         self._record(connection, ok, latency, nbytes, error_kind)
         if ok:
-            delay = self.rng.uniform(self.config.think_min,
-                                     self.config.think_max)
+            delay = self.rng.uniform(config.think_min, config.think_max)
         else:
-            delay = self.config.error_backoff
-        self.sim.schedule(delay, self._issue, connection)
+            delay = config.error_backoff
+        sim.schedule(delay, self._issue, connection)
 
     def _on_timeout(self, connection, seq):
         if connection.op_seq != seq or connection.pending is None:
@@ -212,11 +217,12 @@ class SpecWebClient:
             return False, "reset"
         if not response.ok:
             return False, f"status_{response.status_code}"
-        if operation.kind == OperationKind.POST:
+        kind = operation.kind
+        if kind is _POST:
             return True, ""
         if response.content_length != operation.expected_size:
             return False, "length"
-        if operation.kind == OperationKind.STATIC_GET:
+        if kind is _STATIC_GET:
             expected = SimBuffer.for_content(
                 operation.expected_content_id, 0, operation.expected_size
             )
@@ -229,12 +235,7 @@ class SpecWebClient:
         if not ok:
             connection.errors += 1
         self.collector.record(OpRecord(
-            completed_at=self.sim.now,
-            connection_id=connection.index,
-            ok=ok,
-            latency=latency,
-            bytes_received=nbytes,
-            error_kind=error_kind,
+            self.sim.now, connection.index, ok, latency, nbytes, error_kind
         ))
 
     # ------------------------------------------------------------------

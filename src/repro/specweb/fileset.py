@@ -58,6 +58,32 @@ class SpecWebFileset:
         self.root = root
         self.entries = {}
         self.post_target = "/postlog/form"
+        self._index_rows()
+
+    def _index_rows(self):
+        """Index ``entries`` as ``rows[dir][class * FILES_PER_CLASS + file]``
+        = ``(url, entry)``, so the workload draws a file without
+        formatting its URL or looking it up.
+
+        :meth:`populate` fills ``entries`` in that order.  The rows are
+        derived state: they stay out of pickled snapshot images and are
+        rebuilt when one is restored.
+        """
+        items = tuple(self.entries.items())
+        per_dir = CLASS_COUNT * FILES_PER_CLASS
+        self.rows = tuple(
+            items[start:start + per_dir]
+            for start in range(0, len(items), per_dir)
+        )
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["rows"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._index_rows()
 
     # ------------------------------------------------------------------
     # Naming
@@ -102,6 +128,7 @@ class SpecWebFileset:
                     self.entries[url] = FilesetEntry(
                         path=url, size=size, content_id=node.content_id
                     )
+        self._index_rows()
         return self.entries
 
     def entry(self, url_path):

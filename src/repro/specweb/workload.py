@@ -74,8 +74,13 @@ _FILE_DRAW = _WeightedDraw(range(FILES_PER_CLASS), WITHIN_CLASS_WEIGHTS)
 POST_BODY_BYTES = 320
 DYNAMIC_WRAPPER_BYTES = 128
 
+# Enum members as module constants: on Python 3.11 a class-attribute
+# lookup of a member costs several times an ``is`` test.
+_POST = OperationKind.POST
+_DYNAMIC_GET = OperationKind.DYNAMIC_GET
 
-@dataclass
+
+@dataclass(slots=True)
 class PlannedOperation:
     """A request plus what a correct response must look like."""
 
@@ -103,50 +108,38 @@ class WorkloadGenerator:
             self.fileset, self.rng.substream("connection", connection_id)
         )
 
-    # ------------------------------------------------------------------
-    # Drawing
-    # ------------------------------------------------------------------
-    def _draw_file(self):
-        random = self.rng.random
+    def next_operation(self, connection_id=0, request_id=0):
+        """Generate the next :class:`PlannedOperation`.
+
+        The draws, in order: the kind, then for a GET the class, the file
+        and the directory.  The directory is ``choice`` over the
+        fileset's per-directory rows, which draws what
+        ``randint(0, directories - 1)`` draws, in one frame instead of
+        three.
+        """
+        stream = self.rng.generator
+        random = stream.random
+        kind = _KIND_DRAW.draw(random)
+        if kind is _POST:
+            return PlannedOperation(
+                HttpRequest("POST", self.fileset.post_target, "",
+                            POST_BODY_BYTES, False, connection_id,
+                            request_id),
+                kind, -1, 0,
+            )
         class_index = _CLASS_DRAW.draw(random)
         file_index = _FILE_DRAW.draw(random)
-        dir_index = self.rng.randint(0, self.fileset.directories - 1)
-        return self.fileset.url_path(dir_index, class_index, file_index)
-
-    def next_operation(self, connection_id=0, request_id=0):
-        """Generate the next :class:`PlannedOperation`."""
-        kind = _KIND_DRAW.draw(self.rng.random)
-        if kind == OperationKind.POST:
-            request = HttpRequest(
-                "POST",
-                self.fileset.post_target,
-                body_size=POST_BODY_BYTES,
-                connection_id=connection_id,
-                request_id=request_id,
-            )
+        path, entry = stream.choice(self.fileset.rows)[
+            class_index * FILES_PER_CLASS + file_index
+        ]
+        if kind is _DYNAMIC_GET:
             return PlannedOperation(
-                request=request, kind=kind,
-                expected_size=-1, expected_content_id=0,
-            )
-        path = self._draw_file()
-        entry = self.fileset.entry(path)
-        dynamic = kind == OperationKind.DYNAMIC_GET
-        request = HttpRequest(
-            "GET",
-            path,
-            query="gen=1" if dynamic else "",
-            dynamic=dynamic,
-            connection_id=connection_id,
-            request_id=request_id,
-        )
-        if dynamic:
-            expected = entry.size + DYNAMIC_WRAPPER_BYTES
-            return PlannedOperation(
-                request=request, kind=kind,
-                expected_size=expected, expected_content_id=0,
+                HttpRequest("GET", path, "gen=1", 0, True, connection_id,
+                            request_id),
+                kind, entry.size + DYNAMIC_WRAPPER_BYTES, 0,
             )
         return PlannedOperation(
-            request=request, kind=kind,
-            expected_size=entry.size,
-            expected_content_id=entry.content_id,
+            HttpRequest("GET", path, "", 0, False, connection_id,
+                        request_id),
+            kind, entry.size, entry.content_id,
         )

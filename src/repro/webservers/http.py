@@ -1,8 +1,8 @@
 """HTTP messages.
 
 A light-weight HTTP/1.0-ish model: requests and responses are objects, and
-wire sizes are computed from their logical content so the network model can
-charge realistic transfer times.  Response bodies are
+wire sizes are computed from their logical content so the client can charge
+realistic transfer times.  Response bodies are
 :class:`~repro.ossim.vfs.SimBuffer` windows, so content integrity is
 checkable end-to-end (a mutated OS read that returns the wrong bytes shows
 up as a client-detected content error).

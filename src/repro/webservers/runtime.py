@@ -61,6 +61,14 @@ class RuntimeState(enum.Enum):
     DEAD = "dead"            # died and nobody is bringing it back
 
 
+# The members the request path tests, as module constants: on Python
+# 3.11 looking a member up on its class costs several times the ``is``
+# test itself, and a dispatch makes several.
+_IDLE = WorkerState.IDLE
+_BUSY = WorkerState.BUSY
+_RUNNING = RuntimeState.RUNNING
+
+
 class _Worker:
     __slots__ = ("index", "thread_id", "state", "request", "respond",
                  "completion_event")
@@ -68,7 +76,7 @@ class _Worker:
     def __init__(self, index, pid):
         self.index = index
         self.thread_id = f"{pid}:worker{index}"
-        self.state = WorkerState.IDLE
+        self.state = _IDLE
         self.request = None
         self.respond = None
         self.completion_event = None
@@ -154,7 +162,7 @@ class ServerRuntime:
 
     def start(self):
         """Administrative start; returns True when the child came up."""
-        if self.state == RuntimeState.RUNNING:
+        if self.state is _RUNNING:
             return True
         if self._spawn_child():
             self.state = RuntimeState.RUNNING
@@ -203,7 +211,7 @@ class ServerRuntime:
         handles that case, as on a real network).
         """
         self.last_attempt_time = self.sim.now
-        if self.state != RuntimeState.RUNNING:
+        if self.state is not _RUNNING:
             self.stats.requests_refused += 1
             respond(None)  # connection refused
             return
@@ -215,16 +223,13 @@ class ServerRuntime:
         self.queue.append((request, respond))
         self._dispatch()
 
-    def _idle_worker(self):
-        for worker in self.workers:
-            if worker.state == WorkerState.IDLE:
-                return worker
-        return None
-
     def _dispatch(self):
-        while self.queue and self.state == RuntimeState.RUNNING:
-            worker = self._idle_worker()
-            if worker is None:
+        while self.queue and self.state is _RUNNING:
+            # The lowest-index idle worker takes the oldest request.
+            for worker in self.workers:
+                if worker.state is _IDLE:
+                    break
+            else:
                 return
             request, respond = self.queue.pop(0)
             self._run_handler(worker, request, respond)
@@ -234,7 +239,7 @@ class ServerRuntime:
         ctx = self.ctx
         ctx.set_thread(worker.thread_id)
         ctx.cpu.begin_operation()
-        worker.state = WorkerState.BUSY
+        worker.state = _BUSY
         worker.request = request
         worker.respond = respond
         try:
@@ -264,7 +269,7 @@ class ServerRuntime:
 
     def _complete(self, worker, response):
         respond = worker.respond
-        worker.state = WorkerState.IDLE
+        worker.state = _IDLE
         worker.request = None
         worker.respond = None
         worker.completion_event = None
@@ -302,7 +307,7 @@ class ServerRuntime:
                 if worker.completion_event is not None:
                     self.sim.cancel(worker.completion_event)
                 respond = worker.respond
-                worker.state = WorkerState.IDLE
+                worker.state = _IDLE
                 worker.request = None
                 worker.respond = None
                 worker.completion_event = None
@@ -344,7 +349,7 @@ class ServerRuntime:
 
     def _attempt_respawn(self):
         self._respawn_event = None
-        if self.state != RuntimeState.RESPAWNING:
+        if self.state is not RuntimeState.RESPAWNING:
             return
         if self._spawn_child():
             self.state = RuntimeState.RUNNING
@@ -370,18 +375,18 @@ class ServerRuntime:
     # ------------------------------------------------------------------
     def is_dead(self):
         """True when the server is down with nobody respawning it."""
-        return self.state == RuntimeState.DEAD
+        return self.state is RuntimeState.DEAD
 
     def hung_workers(self):
         """Number of worker threads parked forever."""
         return sum(1 for w in self.workers
-                   if w.state == WorkerState.HUNG)
+                   if w.state is WorkerState.HUNG)
 
     def all_workers_hung(self):
         """True when no worker can ever serve again (total hang)."""
         return (
             bool(self.workers)
-            and all(w.state == WorkerState.HUNG for w in self.workers)
+            and all(w.state is WorkerState.HUNG for w in self.workers)
         )
 
     def responsive_since(self, time):

@@ -138,6 +138,97 @@ def test_fault_mode_preserves_simulated_conditions(osi):
         ctx.api.RtlEnterCriticalSection("leak")
 
 
+# One export of each of the 8 signature shapes (required, optional
+# parameters after ctx), with a call of one argument too many and one of
+# one too few (None: no argument can be left out).
+WRONG_ARITY_CALLS = [
+    ("GetLastError", (1,), None),                        # (0, 0)
+    ("SetLastError", (5, 6), ()),                        # (1, 0)
+    ("RtlAllocateHeap", (64, 0, 1), ()),                 # (1, 1)
+    ("ReadFile", (1, 64, 0), (1,)),                      # (2, 0)
+    ("NtReadFile", (1, 64, None, 0), (1,)),              # (2, 1)
+    ("NtWriteFile", (1, 64, None, None, 0), (1,)),       # (2, 2)
+    ("SetFilePointer", (1, 0, 0, 0), (1, 0)),            # (3, 0)
+    ("NtCreateFile", ("/x", "r", 3, 0, 0), ("/x", "r")),  # (3, 1)
+]
+
+
+def _wrong_arity_cases():
+    for name, too_many, too_few in WRONG_ARITY_CALLS:
+        yield pytest.param(name, too_many, id=f"{name}-one-too-many")
+        if too_few is not None:
+            yield pytest.param(name, too_few, id=f"{name}-one-too-few")
+
+
+@pytest.mark.parametrize("name, args", _wrong_arity_cases())
+@pytest.mark.parametrize("fault_mode", [False, True],
+                         ids=["pristine", "fault-mode"])
+def test_wrong_arity_call_is_counted_charged_then_raised(
+        osi, name, args, fault_mode):
+    """A call with the wrong number of arguments is counted and charged
+    the base cost like any other, then fails with the export's own
+    TypeError: loud on a pristine OS, an access violation in fault
+    mode."""
+    osi.fault_mode = fault_mode
+    ctx = osi.new_process()
+    call = getattr(ctx.api, name)
+    before = ctx.cpu.total_cycles
+    expected = SimSegfault if fault_mode else TypeError
+    with pytest.raises(expected) as exc_info:
+        call(*args)
+    assert ctx.api_calls == 1
+    assert ctx.cpu.total_cycles - before == NT50.base_cost(name)
+    message = str(exc_info.value)
+    if fault_mode:
+        assert message.startswith("fault in ")
+        assert f"!{name}: TypeError: {name}() " in message
+        assert isinstance(exc_info.value.cause, TypeError)
+    else:
+        assert message.startswith(f"{name}() ")
+
+
+def test_omitted_optional_arguments_reach_the_exports_defaults(osi):
+    """A wrapper passes an omitted optional argument as the export's own
+    default: ``NtReadFile(handle, length)`` reads at ``offset=None`` and
+    ``RtlAllocateHeap(size)`` allocates with ``flags=0``."""
+    from repro.ossim.modules import ntdll50
+
+    # No defaults of their own: only the exports' __defaults__ can fill
+    # the parameters left out.
+    def read_spy(ctx_arg, handle, length, offset):
+        return handle, length, offset
+
+    def allocate_spy(ctx_arg, size, flags):
+        return size, flags
+
+    ctx = osi.new_process()
+    swaps = [(ntdll50.NtReadFile, read_spy),
+             (ntdll50.RtlAllocateHeap, allocate_spy)]
+    originals = [function.__code__ for function, _spy in swaps]
+    try:
+        for function, spy in swaps:
+            function.__code__ = spy.__code__
+        assert ctx.api.NtReadFile(3, 64) == (3, 64, None)
+        assert ctx.api.NtReadFile(3, 64, 128) == (3, 64, 128)
+        assert ctx.api.RtlAllocateHeap(32) == (32, 0)
+        assert ctx.api.RtlAllocateHeap(32, 8) == (32, 8)
+    finally:
+        for (function, _spy), code in zip(swaps, originals):
+            function.__code__ = code
+    assert ctx.api_calls == 4
+
+
+def test_every_base_cost_is_a_non_negative_int():
+    """The wrappers add the base cost to the meter inline, which equals
+    ``CpuMeter.charge`` only for a non-negative int."""
+    from repro.ossim.builds import NT51
+
+    for build in (NT50, NT51):
+        for name in build.export_names():
+            cost = build.base_cost(name)
+            assert type(cost) is int and cost >= 0, (build, name, cost)
+
+
 def test_code_swap_visible_through_existing_table(osi):
     """The dispatch must see a __code__ swap done after binding."""
     from repro.ossim.modules import ntdll50

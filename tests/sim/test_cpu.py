@@ -98,6 +98,17 @@ def test_budget_trips_on_dispatch_cost_before_the_api_body_runs():
     assert exc_info.value.cycles == cost
     assert ctx.last_error == 0  # the body never ran
     assert ctx.api_calls == 1
+    # The wrapper charges its base cost inline; its trip is the one a
+    # charge of the same cycles raises.
+    meter = CpuMeter(speed_hz=1000, operation_budget=cost - 1)
+    meter.begin_operation()
+    with pytest.raises(CpuBudgetExceeded) as charged:
+        meter.charge(cost)
+    assert str(exc_info.value) == str(charged.value) == (
+        f"operation exceeded CPU budget ({cost} > {cost - 1})"
+    )
+    assert exc_info.value.cycles == charged.value.cycles
+    assert ctx.cpu.total_cycles == meter.total_cycles == cost
 
 
 def test_budget_not_enforced_outside_operation():
@@ -122,3 +133,38 @@ def test_fractional_charge_truncated_to_int():
     meter = CpuMeter(speed_hz=1000)
     meter.charge(10.9)
     assert meter.total_cycles == 10
+
+
+def _reference_charge(total, cycles):
+    """The running total after ``CpuMeter.charge(cycles)`` as it was
+    computed before ints skipped ``int()``."""
+    if cycles < 0:
+        cycles = 0
+    return total + int(cycles)
+
+
+REFERENCE_CHARGES = [
+    0, 1, 7, 10**15, -3, -10**9, True, False,
+    2.9, -0.5, 0.5, -0.0, 10.0, 1e3, 3.999, float("-inf"),
+]
+
+
+def test_charge_adds_what_the_int_converting_reference_adds():
+    meter = CpuMeter(speed_hz=1000)
+    total = 0
+    for cycles in REFERENCE_CHARGES:
+        meter.charge(cycles)
+        total = _reference_charge(total, cycles)
+        assert meter.total_cycles == total, cycles
+        assert type(meter.total_cycles) is int
+
+
+@pytest.mark.parametrize("cycles", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+def test_charge_rejects_what_the_reference_rejects(cycles):
+    with pytest.raises(Exception) as reference:
+        _reference_charge(0, cycles)
+    meter = CpuMeter(speed_hz=1000)
+    with pytest.raises(reference.type):
+        meter.charge(cycles)
+    assert meter.total_cycles == 0

@@ -1,26 +1,17 @@
 """Unit tests for the simulator kernel."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.sim.errors import SchedulingError
+from repro.sim.events import PURGE_MIN_ENTRIES, EventQueue
 from repro.sim.kernel import Simulator
 
 
 def test_clock_starts_at_zero():
     assert Simulator().now == 0.0
-
-
-def test_schedule_and_step_advances_clock():
-    sim = Simulator()
-    fired = []
-    sim.schedule(2.5, fired.append, "x")
-    assert sim.step()
-    assert sim.now == 2.5
-    assert fired == ["x"]
-
-
-def test_step_on_empty_queue_returns_false():
-    assert Simulator().step() is False
 
 
 def test_schedule_negative_delay_rejected():
@@ -32,7 +23,7 @@ def test_schedule_negative_delay_rejected():
 def test_schedule_at_in_past_rejected():
     sim = Simulator()
     sim.schedule(5.0, lambda: None)
-    sim.run()
+    sim.run_until(5.0)
     with pytest.raises(SchedulingError):
         sim.schedule_at(1.0, lambda: None)
 
@@ -77,7 +68,7 @@ def test_events_scheduled_during_execution_run_in_order():
         fired.append("second")
 
     sim.schedule(1.0, first)
-    sim.run()
+    sim.run_until(1.5)
     assert fired == ["first", "second"]
     assert sim.now == 1.5
 
@@ -87,23 +78,16 @@ def test_cancel_prevents_firing():
     fired = []
     event = sim.schedule(1.0, fired.append, "no")
     sim.cancel(event)
-    sim.run()
+    sim.run_until(2.0)
     assert fired == []
-
-
-def test_run_max_events_cap():
-    sim = Simulator()
-    for _ in range(10):
-        sim.schedule(1.0, lambda: None)
-    assert sim.run(max_events=4) == 4
-    assert len(sim.events) == 6
+    assert len(sim.events) == 0
 
 
 def test_events_fired_counter():
     sim = Simulator()
     for i in range(5):
         sim.schedule(float(i), lambda: None)
-    sim.run()
+    sim.run_until(4.0)
     assert sim.events_fired == 5
 
 
@@ -129,8 +113,50 @@ def test_deterministic_execution_order():
         rng = sim.rng_for("load")
         for i in range(50):
             sim.schedule(rng.uniform(0, 10), trace.append, i)
-        sim.run()
+        sim.run_until(10.0)
         return trace
 
     assert build(3) == build(3)
     assert build(3) != build(4)
+
+
+def test_inlined_queue_matches_event_queue():
+    """``schedule`` and ``run_until`` run ``EventQueue.push`` and
+    ``pop`` inlined: the same events fire in the same order, with the
+    same live count and the same purges, as through the queue's own
+    methods."""
+    rng = random.Random(2004)
+    sim = Simulator()
+    reference = EventQueue()
+    fired, expected = [], []
+    pending = {}
+    purges = 0
+    keys = itertools.count()
+    for _ in range(4 * PURGE_MIN_ENTRIES):
+        for key in itertools.islice(keys, rng.randint(1, 4)):
+            # Few distinct times, so many ties fall back to sequence.
+            delay = rng.randint(0, 40) / 4
+            pending[key] = (
+                sim.schedule(delay, fired.append, key),
+                reference.push(sim.now + delay, expected.append, (key,)),
+            )
+        for key in rng.sample(sorted(pending),
+                              min(len(pending), rng.randint(0, 4))):
+            size = len(sim.events._heap)
+            event, twin = pending.pop(key)
+            sim.cancel(event)
+            reference.cancel(twin)
+            purges += len(sim.events._heap) < size
+        if rng.random() < 0.2:
+            until = sim.now + rng.randint(0, 4) / 8
+            before = len(fired)
+            sim.run_until(until)
+            while (event := reference.pop(until)) is not None:
+                event.callback(*event.args)
+            for key in fired[before:]:
+                del pending[key]
+        assert fired == expected
+        assert len(sim.events) == len(reference) == len(pending)
+        assert len(sim.events._heap) == len(reference._heap)
+    assert purges > 0
+    assert sim.events_fired == len(fired) > 0

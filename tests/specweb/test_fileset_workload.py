@@ -1,5 +1,6 @@
 """Tests for the SPECWeb99 fileset and workload generator."""
 
+import pickle
 import random
 from itertools import accumulate
 
@@ -18,6 +19,7 @@ from repro.specweb.workload import (
     _CLASS_DRAW,
     _FILE_DRAW,
     _KIND_DRAW,
+    DYNAMIC_WRAPPER_BYTES,
     OPERATION_MIX,
     OperationKind,
     WorkloadGenerator,
@@ -216,3 +218,66 @@ def test_class_mix_respects_weights(fileset):
         class_counts[int(name[5])] += 1
     assert class_counts[1] > class_counts[0] > class_counts[2]
     assert class_counts[3] < draws * 0.03
+
+
+def test_rows_hold_each_files_url_and_entry(fileset):
+    assert len(fileset.rows) == fileset.directories
+    for dir_index in range(fileset.directories):
+        for class_index in range(CLASS_COUNT):
+            for file_index in range(FILES_PER_CLASS):
+                url = fileset.url_path(dir_index, class_index, file_index)
+                row = fileset.rows[dir_index][
+                    class_index * FILES_PER_CLASS + file_index
+                ]
+                assert row == (url, fileset.entry(url))
+
+
+def test_rows_stay_out_of_pickles_and_are_rebuilt_on_load(fileset):
+    assert "rows" not in fileset.__getstate__()
+    restored = pickle.loads(pickle.dumps(fileset))
+    assert restored.rows == fileset.rows
+    assert restored.entries == fileset.entries
+
+
+def _reference_operations(fileset, stream, count):
+    """``(kind, path, expected size, content id)`` of ``count`` draws,
+    made as the generator made them before the rows: the directory by
+    ``randint``, its URL formatted and looked up."""
+    operations = []
+    for _ in range(count):
+        kind = _KIND_DRAW.draw(stream.random)
+        if kind is OperationKind.POST:
+            operations.append((kind, fileset.post_target, -1, 0))
+            continue
+        class_index = _CLASS_DRAW.draw(stream.random)
+        file_index = _FILE_DRAW.draw(stream.random)
+        dir_index = stream.randint(0, fileset.directories - 1)
+        path = fileset.url_path(dir_index, class_index, file_index)
+        entry = fileset.entry(path)
+        if kind is OperationKind.DYNAMIC_GET:
+            operations.append(
+                (kind, path, entry.size + DYNAMIC_WRAPPER_BYTES, 0)
+            )
+        else:
+            operations.append((kind, path, entry.size, entry.content_id))
+    return operations
+
+
+@pytest.mark.parametrize("directories", [1, 3, 8])
+def test_directory_draw_is_randint(directories):
+    """The generator draws what ``randint(0, directories - 1)`` draws
+    for the directory, and leaves its stream where ``randint`` leaves
+    it."""
+    fileset = SpecWebFileset(directories=directories)
+    fileset.populate(VirtualFileSystem())
+    for seed in range(200):
+        generator = WorkloadGenerator(fileset, SeededRng(seed))
+        reference = SeededRng(seed)._random
+        expected = _reference_operations(fileset, reference, 8)
+        drawn = [generator.next_operation() for _ in range(8)]
+        assert [
+            (op.kind, op.request.path, op.expected_size,
+             op.expected_content_id)
+            for op in drawn
+        ] == expected
+        assert generator.rng._random.getstate() == reference.getstate()

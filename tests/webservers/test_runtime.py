@@ -235,3 +235,33 @@ def test_health_snapshot_keys():
         "state", "hung_workers", "queue", "last_success_time",
         "cpu_hog_recent",
     }
+
+
+class ThreadRecordingServer(ScriptedServer):
+    """Three workers; records which worker handled each request."""
+
+    worker_count = 3
+    backlog = 8
+
+    def __init__(self, script=None):
+        super().__init__(script)
+        self.workers_used = []
+
+    def handle(self, ctx, request):
+        self.workers_used.append(ctx.current_thread.rsplit(":", 1)[1])
+        return super().handle(ctx, request)
+
+
+def test_each_request_goes_to_the_lowest_index_idle_worker():
+    """Worker 1 hangs on its request; the two requests queued behind
+    the busy workers go to worker 0, then worker 2, as each frees."""
+    server = ThreadRecordingServer(["ok", "hang"])
+    sim, runtime = _runtime(server)
+    for _ in range(5):
+        runtime.deliver(HttpRequest("GET", "/x"), lambda response: None)
+    assert len(runtime.queue) == 2
+    sim.run_until(sim.now + 1.0)
+    assert server.workers_used == [
+        "worker0", "worker1", "worker2", "worker0", "worker2",
+    ]
+    assert runtime.hung_workers() == 1
