@@ -11,37 +11,36 @@ Shape targets: clean baselines for both engines; under the same
 faultload the WAL engine (walnut) keeps integrity violations at zero
 while the write-back engine (breezy) loses acknowledged transactions;
 breezy is faster at baseline (the classic safety/performance trade).
+
+Each engine is one :class:`ParallelCampaign` at the default worker
+count (a baseline and one injection iteration), so its digest is the
+same for any worker count.
 """
+
+from dataclasses import replace
 
 from _bench_common import bench_config
 
-from repro.harness.experiment import WebServerExperiment
-from repro.harness.results import BenchmarkResult
+from repro.harness.campaign import ParallelCampaign
 from repro.harness.telemetry import metrics_digest
 from repro.oltp import ENGINES
 from repro.pipeline import build_tuned_faultload
-from repro.reporting.tables import TableBuilder
+from repro.reporting.report import oltp_results
 
 
 def _run_case_study():
     config = bench_config(server_name="walnut")
     config.fault_sample = 48
+    config.rules = replace(config.rules, iterations=1)
     tuned = build_tuned_faultload(
         config, servers=ENGINES, profile_seconds=15.0
     )
-    results = {}
-    for engine in ENGINES:
-        engine_config = config.with_target(server_name=engine)
-        experiment = WebServerExperiment(engine_config)
-        results[engine] = BenchmarkResult(
-            server_name=engine,
-            os_codename=engine_config.os_codename,
-            os_display=experiment.build.display_name,
-            baseline=experiment.run_baseline(),
-            iterations=[
-                experiment.run_injection(faultload=tuned, iteration=1)
-            ],
-        )
+    results = {
+        engine: ParallelCampaign(
+            config.with_target(server_name=engine)
+        ).run(faultload=tuned, include_profile_mode=False)
+        for engine in ENGINES
+    }
     return tuned, results
 
 
@@ -49,26 +48,8 @@ def test_oltp_case_study(benchmark):
     tuned, results = benchmark.pedantic(
         _run_case_study, rounds=1, iterations=1
     )
-    table = TableBuilder(
-        ["Engine", "Row", "TPS", "RTM(ms)", "ER%", "violations",
-         "MIS", "KNS", "KCP"],
-        title="OLTP case study - same faultload, different domain",
-    )
-    for engine, result in results.items():
-        baseline = result.baseline
-        injection = result.iterations[0]
-        table.add_row(engine, "baseline", f"{baseline.tps:.1f}",
-                      f"{baseline.rtm_ms:.1f}",
-                      f"{baseline.er_percent:.2f}",
-                      baseline.integrity_violations, 0, 0, 0)
-        metrics = injection.metrics
-        table.add_row(engine, "faultload", f"{metrics.tps:.1f}",
-                      f"{metrics.rtm_ms:.1f}",
-                      f"{metrics.er_percent:.2f}",
-                      metrics.integrity_violations,
-                      injection.mis, injection.kns, injection.kcp)
     print()
-    print(table.render())
+    print(oltp_results(results).render())
     print(f"({len(tuned)} OLTP-domain fault locations)")
     print("metrics digests:")
     for engine, result in results.items():

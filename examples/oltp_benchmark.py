@@ -8,14 +8,21 @@ logging, supervised) against BreezyDB (write-back cache, no WAL) — and
 the client audits *integrity* on top of the performance measures: does a
 crash lose transactions the engine had already acknowledged?
 
+Each engine runs as one campaign (a baseline and two injection
+iterations) on the harness's own engine: the target name picks the
+machine, and each campaign prints its metrics digest.
+
 Run with:  python examples/oltp_benchmark.py
 """
 
+from dataclasses import replace
+
+from repro.harness.campaign import ParallelCampaign
 from repro.harness.config import ExperimentConfig
-from repro.harness.experiment import WebServerExperiment
+from repro.harness.telemetry import metrics_digest
 from repro.oltp import ENGINES
 from repro.pipeline import build_tuned_faultload
-from repro.reporting.tables import TableBuilder
+from repro.reporting.report import oltp_results
 
 
 def main():
@@ -25,6 +32,7 @@ def main():
     base_config = ExperimentConfig.scaled(
         fault_sample=56, connections=10
     )
+    base_config.rules = replace(base_config.rules, iterations=2)
     print("Fine-tuning the faultload for the OLTP domain...")
     tuned = build_tuned_faultload(
         base_config, servers=ENGINES, profile_seconds=20.0
@@ -32,33 +40,17 @@ def main():
     print(f"  {len(tuned)} fault locations in the engines' common "
           f"API footprint: {', '.join(tuned.functions()[:6])}, ...")
 
-    table = TableBuilder(
-        ["Engine", "Row", "TPS", "RTM(ms)", "ER%",
-         "violations", "MIS", "KNS", "KCP"],
-        title="OLTP dependability benchmark (NT 5.0, same faultload)",
-    )
+    results = {}
     for engine in ENGINES:
-        config = base_config.with_target(server_name=engine)
-        # The harness's own phases: the target name picks the machine.
-        experiment = WebServerExperiment(config)
         print(f"... benchmarking {engine}")
-        baseline = experiment.run_baseline()
-        table.add_row(engine, "baseline",
-                      f"{baseline.tps:.1f}", f"{baseline.rtm_ms:.1f}",
-                      f"{baseline.er_percent:.2f}",
-                      baseline.integrity_violations, 0, 0, 0)
-        for iteration in (1, 2):
-            result = experiment.run_injection(
-                faultload=tuned, iteration=iteration
-            )
-            metrics = result.metrics
-            table.add_row(engine, f"iteration {iteration}",
-                          f"{metrics.tps:.1f}", f"{metrics.rtm_ms:.1f}",
-                          f"{metrics.er_percent:.2f}",
-                          metrics.integrity_violations,
-                          result.mis, result.kns, result.kcp)
+        results[engine] = ParallelCampaign(
+            base_config.with_target(server_name=engine)
+        ).run(faultload=tuned, include_profile_mode=False)
     print()
-    print(table.render())
+    print(oltp_results(results).render())
+    print("metrics digests:")
+    for engine, result in results.items():
+        print(f"  {engine}: {metrics_digest(result)}")
     print(
         "\nReading: BreezyDB is faster when nothing goes wrong, but "
         "under the same software faultload it silently loses "

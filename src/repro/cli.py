@@ -10,7 +10,8 @@ Subcommands mirror the methodology's steps and the paper's exhibits:
   checkpoint/resume; each shard's machine is seeded from (``--seed``,
   shard index), so the numbers are the same for any worker count
 * ``oltp``      — the OLTP case study: walnut vs breezy under a
-  domain-tuned faultload
+  domain-tuned faultload, each engine one campaign with its metrics
+  digest
 * ``tables``    — regenerate Tables 1, 3 and 5 at scaled cost, each
   Table 5 row a campaign with its metrics digest
 """
@@ -18,6 +19,7 @@ Subcommands mirror the methodology's steps and the paper's exhibits:
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from repro.faults.types import iter_fault_types
 from repro.gswfit.scanner import scan_build
@@ -28,6 +30,7 @@ from repro.ossim.builds import ALL_BUILDS, get_build
 from repro.pipeline import FaultloadPipeline
 from repro.profiling.usage import UsageTable
 from repro.reporting.report import (
+    oltp_results,
     table1_fault_types,
     table2_api_usage,
     table3_faultload_details,
@@ -413,40 +416,29 @@ def _cmd_campaign(args):
 
 
 def _cmd_oltp(args):
-    from repro.harness.experiment import WebServerExperiment
+    from repro.harness.campaign import ParallelCampaign
+    from repro.harness.telemetry import metrics_digest
     from repro.oltp import ENGINES
     from repro.pipeline import build_tuned_faultload
-    from repro.reporting.tables import TableBuilder
 
     config = _make_config(
         args, fault_sample=args.faults, connections=args.connections
     )
+    config.rules = replace(config.rules, iterations=1)
     print("fine-tuning the faultload for the OLTP domain...")
     tuned = build_tuned_faultload(
         config, servers=ENGINES, profile_seconds=args.seconds
     )
-    table = TableBuilder(
-        ["Engine", "Row", "TPS", "RTM(ms)", "ER%", "violations",
-         "MIS", "KNS", "KCP"],
-        title="OLTP dependability benchmark",
-    )
-    for engine in ENGINES:
-        experiment = WebServerExperiment(
+    results = {
+        engine: ParallelCampaign(
             config.with_target(server_name=engine)
-        )
-        baseline = experiment.run_baseline()
-        table.add_row(engine, "baseline", f"{baseline.tps:.1f}",
-                      f"{baseline.rtm_ms:.1f}",
-                      f"{baseline.er_percent:.2f}",
-                      baseline.integrity_violations, 0, 0, 0)
-        result = experiment.run_injection(faultload=tuned, iteration=1)
-        metrics = result.metrics
-        table.add_row(engine, "faultload", f"{metrics.tps:.1f}",
-                      f"{metrics.rtm_ms:.1f}",
-                      f"{metrics.er_percent:.2f}",
-                      metrics.integrity_violations,
-                      result.mis, result.kns, result.kcp)
-    print(table.render())
+        ).run(faultload=tuned, include_profile_mode=False)
+        for engine in ENGINES
+    }
+    print(oltp_results(results).render())
+    print("metrics digests:")
+    for engine, result in results.items():
+        print(f"  {engine}: {metrics_digest(result)}")
     return 0
 
 

@@ -38,6 +38,8 @@ class StateFault:
 
     name = "state-fault"
     fault_class = HARDWARE
+    # No mutant, probe or G-SWFIT fault type (FaultLocation's flag).
+    mutates_code = False
 
     def apply(self, machine):
         """Perturb the machine; returns opaque revert info."""

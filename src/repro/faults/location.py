@@ -40,6 +40,10 @@ class FaultLocation:
         Human-readable account of the mutation this location produces.
     """
 
+    # A class flag, not a field (ids, ``to_dict`` and equality ignore
+    # it): a slot compiles this fault's mutant and plants a probe.
+    mutates_code = True
+
     module: str
     display_module: str
     function: str

@@ -12,10 +12,10 @@ Determinism is the design constraint:
 * the shard plan depends only on the prepared faultload and the shard
   size (a config field, so part of the campaign key) — never on the
   worker count;
-* each shard runs on a private :class:`ServerMachine` seeded from
+* each shard runs on a private machine seeded from
   ``derive_seed(config.seed, "campaign-shard", shard.index)``, so its
   behaviour is independent of scheduling;
-* workers return :class:`~repro.specweb.metrics.MetricsPartial` sums,
+* workers return their machine's partial sums (``partial_type``),
   which the parent merges in slot order, together with each shard's
   :class:`~repro.harness.results.SlotTally` (MIS/KNS/KCP, runtime
   stats, integrity and activation records).
@@ -49,7 +49,6 @@ from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 
-from repro.extensions.statefaults import StateFault
 from repro.faults.faultload import Faultload
 from repro.gswfit.cache import (
     library_fingerprint,
@@ -62,6 +61,7 @@ from repro.harness.experiment import (
     profile_servers,
 )
 from repro.harness.jsonl import drop_torn_tail, read_jsonl
+from repro.harness.machine import machine_class
 from repro.harness.results import (
     BenchmarkResult,
     InjectionIteration,
@@ -81,7 +81,6 @@ from repro.harness.telemetry import (
 )
 from repro.ossim.builds import get_build
 from repro.sim.rng import derive_seed
-from repro.specweb.metrics import MetricsPartial, SpecWebMetrics
 
 __all__ = [
     "CampaignJournal",
@@ -156,23 +155,21 @@ def plan_shards(faultload, slots_per_shard):
 @dataclass
 class ShardOutcome(SlotTally):
     """What one shard contributes to an iteration's merged result: its
-    slot range, its metrics partial, and its tally (slot-global
-    records)."""
+    slot range, its machine's metrics partial, and its tally
+    (slot-global records)."""
 
     shard_index: int
     first_slot: int
     num_slots: int
-    partial: MetricsPartial
+    partial: object
 
     def to_dict(self):
-        data = asdict(self)
-        data["partial"] = self.partial.to_dict()
-        return data
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, data):
+    def from_dict(cls, data, partial_type):
         data = dict(data)
-        data["partial"] = MetricsPartial.from_dict(data["partial"])
+        data["partial"] = partial_type(**data["partial"])
         return cls(**data)
 
 
@@ -255,19 +252,22 @@ def run_shard(config, iteration, shard, mutant_cache_dir=None):
 # ----------------------------------------------------------------------
 # Merge
 # ----------------------------------------------------------------------
-def merge_outcomes(outcomes, iteration, num_connections):
-    """Fold shard outcomes into one :class:`InjectionIteration`.
+def merge_outcomes(outcomes, iteration, config):
+    """Fold one ``config`` campaign's shard outcomes into one
+    :class:`InjectionIteration`.
 
     Outcomes are re-sorted by slot index first, so arrival order (which
-    *does* depend on scheduling) never leaks into the result.
+    *does* depend on scheduling) never leaks into the result.  Partials
+    merge through the type the config's machine class names, so an
+    iteration whose every shard was quarantined still merges, to zeros.
     """
     ordered = sorted(outcomes, key=lambda outcome: outcome.first_slot)
-    partial = MetricsPartial.merge(
+    partial = machine_class(config.server_name).partial_type.merge(
         outcome.partial for outcome in ordered
     )
     return InjectionIteration.merge(
         ordered, iteration=iteration,
-        metrics=partial.to_metrics(num_connections),
+        metrics=partial.to_metrics(config.client.connections),
     )
 
 
@@ -295,7 +295,7 @@ class CampaignJournal:
     * ``header`` — journal version + campaign key + shape metadata,
       written once; resume refuses a journal whose key differs.
     * ``phase``  — a completed baseline / profile-mode phase with its
-      :class:`SpecWebMetrics` fields.
+      metrics' fields (the machine's ``metrics_type``).
     * ``shard``  — a completed ``(iteration, shard)`` with its
       :class:`ShardOutcome`.
     * ``batch``  — a sequential-mode stopping record: which stratum the
@@ -313,10 +313,11 @@ class CampaignJournal:
         self.batches = {}
 
     @classmethod
-    def load(cls, path):
-        """Read a journal back; raises :class:`JournalMismatch` for one
-        of another version or with a shard record today's classes cannot
-        rebuild — replaying either could change the digest."""
+    def load(cls, path, machine):
+        """Read a journal back through ``machine``'s result types;
+        raises :class:`JournalMismatch` for one of another version or
+        with a phase or shard record they cannot rebuild — replaying
+        either could change the digest."""
         journal = cls(path)
         # The shared torn-tail reader (also behind the telemetry
         # reader): a torn final line reruns its unit, a torn interior
@@ -332,22 +333,21 @@ class CampaignJournal:
                         "--resume"
                     )
                 journal.header = entry
-            elif kind == "phase":
-                journal.phases[entry["phase"]] = SpecWebMetrics(
-                    **entry["metrics"]
-                )
-            elif kind == "shard":
+            elif kind in ("phase", "shard"):
                 try:
-                    outcome = ShardOutcome.from_dict(entry["outcome"])
+                    if kind == "phase":
+                        journal.phases[entry["phase"]] = (
+                            machine.metrics_type(**entry["metrics"]))
+                    else:
+                        key = (entry["iteration"], entry["shard"])
+                        journal.shards[key] = ShardOutcome.from_dict(
+                            entry["outcome"], machine.partial_type)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise JournalMismatch(
                         f"journal {journal.path} line {lineno}: "
-                        f"unreadable shard record ({exc!r}); rerun "
+                        f"unreadable {kind} record ({exc!r}); rerun "
                         "without --resume"
                     ) from exc
-                journal.shards[
-                    (entry["iteration"], entry["shard"])
-                ] = outcome
             elif kind == "batch":
                 journal.batches[
                     (entry["iteration"], entry["shard"])
@@ -494,7 +494,9 @@ class ParallelCampaign:
         if self.journal_path is None:
             return None
         if self.resume:
-            journal = CampaignJournal.load(self.journal_path)
+            journal = CampaignJournal.load(
+                self.journal_path, self.experiment.machine_class
+            )
             if (journal.header is not None
                     and journal.header.get("campaign_key") != key):
                 raise JournalMismatch(
@@ -560,9 +562,7 @@ class ParallelCampaign:
     def _run_iteration(self, journal, shards, iteration, supervisor):
         done = {}
         self._dispatch(journal, shards, iteration, supervisor, done)
-        return merge_outcomes(
-            done.values(), iteration, self.config.client.connections
-        )
+        return merge_outcomes(done.values(), iteration, self.config)
 
     def _run_sequential_iteration(self, journal, strata, iteration,
                                   supervisor):
@@ -600,9 +600,7 @@ class ParallelCampaign:
                         iteration, batch.index, state.plan.fault_type,
                         state.executed_slots, state.stop_reason,
                     )
-        merged = merge_outcomes(
-            done.values(), iteration, self.config.client.connections
-        )
+        merged = merge_outcomes(done.values(), iteration, self.config)
         return merged, controller.summary()
 
     def _sequential_summary(self, per_iteration, strata):
@@ -689,8 +687,7 @@ class ParallelCampaign:
         # have no mutant.
         started = time.perf_counter()
         self.warmup_stats = warm_mutant_cache(
-            [fault for fault in faultload
-             if not isinstance(fault, StateFault)],
+            [fault for fault in faultload if fault.mutates_code],
             cache_dir=self.cache_dir, probed=True,
         )
         timings["warm_mutants"] = round(time.perf_counter() - started, 6)
@@ -888,7 +885,7 @@ class ParallelCampaign:
                 not record["rebooted"] for record in tally.contaminated_slots
             )
         return {
-            "enabled": bool(self.config.integrity_audit),
+            "enabled": bool(self.experiment.audited),
             "reboot_budget": self.config.reboot_budget,
             "contaminated_slots": len(tally.contaminated_slots),
             "reboots": len(tally.reboots),

@@ -14,14 +14,15 @@ picked from ``config.server_name``
    During a slot one fault is active and the workload runs; between slots
    the workload pauses, the fault is removed, and the watchdog repairs the
    server if needed.  :meth:`WebServerExperiment.run_slots` is the one
-   walk over such slots.  Each slot's fault picks its injector: a
-   G-SWFIT location is mutated code, a
+   walk over such slots.  Each slot's fault says what it does
+   (``mutates_code``): a G-SWFIT location mutates code, a
    :class:`~repro.extensions.statefaults.StateFault` (hardware or
-   operator fault) is perturbed state.
+   operator fault) perturbs state, and each goes to its own injector.
 
 A whole campaign (baseline, profile mode, then three iterations per
 SPECWeb99 rules) is :class:`~repro.harness.campaign.ParallelCampaign`,
-which calls these phases and runs each iteration's slots as shards.
+which calls these phases and runs each iteration's slots as shards, for
+a web server and an OLTP engine alike.
 
 ``profile_servers`` implements the profiling phase of the methodology
 (Section 3.3): run every benchmark target under the workload with the API
@@ -30,13 +31,13 @@ tracer attached and collect per-function usage.
 
 from dataclasses import dataclass, field
 
-from repro.extensions.statefaults import StateFault, StateFaultInjector
+from repro.extensions.statefaults import StateFaultInjector
 from repro.gswfit.activation import ActivationTracker
 from repro.gswfit.injector import FaultInjector
 from repro.gswfit.mutator import MutantError
 from repro.gswfit.scanner import scan_build
 from repro.harness.machine import machine_class
-from repro.harness.results import InjectionIteration, SlotTally
+from repro.harness.results import SlotTally
 from repro.harness.snapshot import (
     MachineSnapshot,
     snapshot_cache,
@@ -69,11 +70,9 @@ class SlotRunResult(SlotTally):
     ``(partial, windows)`` pair from one machine's own simulated
     timeline, the partial reduced when that machine was retired, so no
     retired machine outlives its epoch.  Metrics merge across segments
-    through the machine's partial
-    (:class:`~repro.specweb.metrics.MetricsPartial` or
-    :class:`~repro.oltp.workload.OltpPartial`: associative,
-    slot-ordered), so a run with reboots reduces exactly like a campaign
-    merging shards.
+    through the machine's ``partial_type`` (associative, slot-ordered),
+    so a run with reboots reduces exactly like a campaign merging
+    shards.
     Activation records' ``first_hit`` is sim-seconds from slot start
     (None if never hit).
     """
@@ -233,8 +232,7 @@ class WebServerExperiment:
         # skew the Table 4 intrusiveness measurement.  A state fault has
         # no mutant to prepare: its window runs without preparation.
         for index, (_w_start, w_end) in enumerate(windows):
-            if (index < len(faultload)
-                    and not isinstance(faultload[index], StateFault)):
+            if index < len(faultload) and faultload[index].mutates_code:
                 try:
                     injector.inject(faultload[index])
                 except MutantError:
@@ -407,18 +405,19 @@ class WebServerExperiment:
 
         Returns a :class:`SlotRunResult` with every machine epoch
         quiesced (faults detached, client paused, rampdown elapsed,
-        watchdog stopped) — the raw state both :meth:`run_injection` and
-        the parallel campaign's shard workers reduce to metrics.  The
-        faultload is injected as given (no preparation).  Mutants come
-        from the precompilation cache; ``mutant_cache_dir`` additionally
-        enables its on-disk tier so separate worker processes share one
-        compilation pass.
+        watchdog stopped) — the raw state a campaign shard
+        (:func:`~repro.harness.campaign.run_shard`) reduces to its
+        outcome.  The faultload is injected as given (no preparation).
+        Mutants come from the precompilation cache;
+        ``mutant_cache_dir`` additionally enables its on-disk tier so
+        separate worker processes share one compilation pass.
 
         The faultload may hold G-SWFIT locations, state faults, or both:
-        each slot hands its fault to the epoch's injector for that kind.
-        Only a G-SWFIT slot plants an activation probe, gets an
-        activation record and can be truncated adaptively; a run of
-        state faults alone reports activation as not tracked.
+        each slot hands its fault to the epoch's injector for that kind,
+        as the fault's ``mutates_code`` says.  Only a slot whose fault
+        mutates code plants an activation probe, gets an activation
+        record and can be truncated adaptively; a run of state faults
+        alone reports activation as not tracked.
 
         Containment protocol (DESIGN.md §10): with integrity auditing
         enabled, each slot's injection-free gap ends with a state audit.
@@ -446,8 +445,8 @@ class WebServerExperiment:
         pristine = config.pristine_slots
         result = SlotRunResult(
             integrity_enabled=self.audited,
-            activation_enabled=track and not all(
-                isinstance(fault, StateFault) for fault in faultload
+            activation_enabled=track and any(
+                fault.mutates_code for fault in faultload
             ),
         )
         epoch = self._note_epoch(
@@ -458,7 +457,7 @@ class WebServerExperiment:
                 machine = epoch.machine
                 slot = first_slot + index
                 slot_start = machine.sim.now
-                probed = not isinstance(fault, StateFault)
+                probed = fault.mutates_code
                 injector = epoch.injector if probed else epoch.state_injector
                 try:
                     injector.inject(fault)
@@ -571,18 +570,6 @@ class WebServerExperiment:
             # detached, client paused, watchdog no longer polling.
             self._quiesce_epoch(result, epoch, rules)
         return result
-
-    def run_injection(self, faultload=None, iteration=0):
-        """One full pass over the faultload on one machine (a campaign
-        iteration runs the same pass as shards instead, through
-        :func:`~repro.harness.campaign.run_shard`).  The OLTP case study
-        runs its engines through this pass."""
-        faultload = self.prepared_faultload(faultload)
-        run = self.run_slots(faultload, iteration=iteration)
-        metrics = run.compute_metrics(self.config.client.connections)
-        return InjectionIteration.merge(
-            [run], iteration=iteration, metrics=metrics
-        )
 
 
 def profile_servers(config, server_names, seconds=None):

@@ -16,6 +16,7 @@ from repro.ossim.dispatch import OsInstance
 from repro.sim.kernel import Simulator
 from repro.specweb.client import SpecWebClient
 from repro.specweb.fileset import SpecWebFileset
+from repro.specweb.metrics import MetricsPartial, SpecWebMetrics
 from repro.specweb.rules import CONFORMANCE_SLOTS
 from repro.webservers.registry import create_server
 from repro.webservers.runtime import ServerRuntime
@@ -41,8 +42,10 @@ class Machine:
     """What every SUB shares: a seeded simulator and the OS build booted
     on a machine kernel.  Subclasses deploy a target under a
     :class:`ServerRuntime` (``runtime``) with a client driving it
-    (``client``, with ``start``/``pause``/``resume``), and reduce their
-    measurement windows with :meth:`partial`."""
+    (``client``, with ``start``/``pause``/``resume``), and name the
+    result types a campaign merges and journals: :meth:`partial` reduces
+    measurement windows to a ``partial_type`` (``merge`` over partials,
+    ``to_metrics(connections)``), which reduces to a ``metrics_type``."""
 
     # Whether the slot-gap integrity audit (DESIGN.md §10) applies to
     # this kind of machine.
@@ -84,6 +87,9 @@ class Machine:
 
 class ServerMachine(Machine):
     """One deployed server/OS combination plus its client."""
+
+    metrics_type = SpecWebMetrics
+    partial_type = MetricsPartial
 
     def __init__(self, config, iteration=0):
         super().__init__(config, iteration)

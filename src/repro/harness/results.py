@@ -2,8 +2,6 @@
 
 from dataclasses import dataclass, field, fields
 
-from repro.specweb.metrics import SpecWebMetrics
-
 __all__ = [
     "BenchmarkResult",
     "InjectionIteration",
@@ -103,12 +101,11 @@ class SlotTally:
 
 @dataclass
 class InjectionIteration(SlotTally):
-    """One full pass over the faultload (one of the paper's iterations).
-    An OLTP engine's pass carries :class:`~repro.oltp.workload.OltpMetrics`
-    as its ``metrics``."""
+    """One full pass over the faultload (one of the paper's iterations),
+    with its machine's ``metrics_type`` as ``metrics``."""
 
     iteration: int
-    metrics: SpecWebMetrics
+    metrics: object
 
     @property
     def admf(self):
@@ -151,8 +148,8 @@ class BenchmarkResult:
     server_name: str
     os_codename: str
     os_display: str
-    baseline: SpecWebMetrics | None = None
-    profile_mode: SpecWebMetrics | None = None
+    baseline: object = None
+    profile_mode: object = None
     iterations: list = field(default_factory=list)
     # Supervised execution: True when at least one shard was quarantined
     # (its slots are missing from the merged metrics); the quarantine

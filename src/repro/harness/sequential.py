@@ -28,7 +28,6 @@ which the parity harness (``tests/harness/test_parity.py``) enforces.
 
 from dataclasses import dataclass, field
 
-from repro.extensions.statefaults import StateFault
 from repro.harness.metrics import (
     SEQUENTIAL_TRACKED_METRICS,
     StratumEstimator,
@@ -78,7 +77,7 @@ def plan_sequential_strata(faultload, batch_slots):
     if batch_slots < 1:
         raise ValueError("batch_slots must be >= 1")
     for location in faultload:
-        if isinstance(location, StateFault):
+        if not location.mutates_code:
             raise ValueError(
                 f"sequential mode stratifies by G-SWFIT fault type, and "
                 f"{location.fault_id} is a state fault"

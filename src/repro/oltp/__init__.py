@@ -18,14 +18,14 @@ benchmark two *transactional database engines* instead of web servers.
   acknowledged transfers and counts durability violations when a
   post-recovery balance contradicts an acknowledged transaction;
 * :class:`~repro.oltp.machine.OltpMachine` — engine, OS and terminals on
-  one simulated machine.  The harness runs it through the same phases
-  as a web server's (:class:`~repro.harness.experiment.WebServerExperiment`
-  picks the machine from ``config.server_name``), and the faultload is
-  fine-tuned by :class:`~repro.pipeline.FaultloadPipeline` with the
+  one simulated machine.  The harness runs it as it runs a web server's
+  (the machine is picked from ``config.server_name``), and the faultload
+  is fine-tuned by :class:`~repro.pipeline.FaultloadPipeline` with the
   engines as the profiled targets.
 
 ``repro oltp``, ``examples/oltp_benchmark.py`` and
-``benchmarks/test_oltp_case_study.py`` run the comparison.
+``benchmarks/test_oltp_case_study.py`` run the comparison, each engine
+as one :class:`~repro.harness.campaign.ParallelCampaign`.
 """
 
 from repro.oltp.engines import ENGINES, BreezyDb, WalnutDb, create_engine

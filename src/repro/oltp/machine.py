@@ -3,15 +3,20 @@
 :class:`OltpMachine` assembles OS build + engine + terminals the way
 :class:`~repro.harness.machine.ServerMachine` does for web servers, on
 the same :class:`~repro.harness.machine.Machine` base, so the harness's
-one-machine phases (baseline, profiling, the slot walk) run it as they
-are: :func:`~repro.harness.machine.machine_class` picks it for an engine
-name.  Its measures carry one extra column: the client's integrity
-violations.
+phases and its campaign engine run it as they are:
+:func:`~repro.harness.machine.machine_class` picks it for an engine
+name, and a campaign merges and journals its result types.  Its
+measures carry one extra column: the client's integrity violations.
 """
 
 from repro.harness.machine import Machine
 from repro.oltp.engines import create_engine
-from repro.oltp.workload import OltpClient, OltpClientConfig
+from repro.oltp.workload import (
+    OltpClient,
+    OltpClientConfig,
+    OltpMetrics,
+    OltpPartial,
+)
 from repro.webservers.runtime import ServerRuntime
 
 __all__ = ["OltpMachine"]
@@ -30,6 +35,9 @@ class OltpMachine(Machine):
     # smoke walk took two verified reboots and breezy's 9 lost
     # transactions read 0.
     audited = False
+
+    metrics_type = OltpMetrics
+    partial_type = OltpPartial
 
     def __init__(self, config, iteration=0):
         super().__init__(config, iteration)

@@ -367,7 +367,7 @@ class OltpClient:
     # Reduction
     # ------------------------------------------------------------------
     def partial(self, windows):
-        """The mergeable sums behind :meth:`compute`."""
+        """The records completed in ``windows``, as mergeable sums."""
         total = 0
         errors = 0
         latency_sum = 0.0
@@ -391,8 +391,3 @@ class OltpClient:
             uncertain_accounts=len(self.uncertain),
             measured_seconds=sum(end - start for start, end in windows),
         )
-
-    def compute(self, windows):
-        """Reduce the records completed in ``windows`` to
-        :class:`OltpMetrics`."""
-        return self.partial(windows).to_metrics()

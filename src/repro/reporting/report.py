@@ -10,6 +10,7 @@ from repro.reporting.tables import TableBuilder
 
 __all__ = [
     "figure5_series",
+    "oltp_results",
     "sequential_strata_table",
     "table1_fault_types",
     "table2_api_usage",
@@ -159,6 +160,30 @@ def table5_results(results_by_combo):
                 f"{average['KNS']:.1f}", average.get("RES"),
                 _percent(average.get("ACT%")),
             )
+    return table
+
+
+def oltp_results(results_by_engine):
+    """The OLTP case study's table: each engine's baseline and injection
+    iterations, with the client's integrity violations.
+    ``results_by_engine`` maps an engine name to its
+    :class:`~repro.harness.results.BenchmarkResult`."""
+    table = TableBuilder(
+        ["Engine", "Row", "TPS", "RTM(ms)", "ER%", "violations",
+         "MIS", "KNS", "KCP"],
+        title="OLTP dependability benchmark",
+    )
+    for engine, result in results_by_engine.items():
+        rows = [("baseline", result.baseline, (0, 0, 0))] + [
+            (f"iteration {iteration.iteration}", iteration.metrics,
+             (iteration.mis, iteration.kns, iteration.kcp))
+            for iteration in result.iterations
+        ]
+        for row, metrics, interventions in rows:
+            table.add_row(engine, row, f"{metrics.tps:.1f}",
+                          f"{metrics.rtm_ms:.1f}",
+                          f"{metrics.er_percent:.2f}",
+                          metrics.integrity_violations, *interventions)
     return table
 
 

@@ -151,21 +151,6 @@ class MetricsPartial:
             measured_seconds=self.measured_seconds,
         )
 
-    def to_dict(self):
-        return {
-            "total_ops": self.total_ops,
-            "total_errors": self.total_errors,
-            "latency_sum": self.latency_sum,
-            "latency_count": self.latency_count,
-            "conforming_sum": self.conforming_sum,
-            "group_count": self.group_count,
-            "measured_seconds": self.measured_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
-
 
 class MetricsCollector:
     """Accumulates operation records in completion order."""

@@ -20,6 +20,7 @@ from repro.harness.campaign import (
     run_shard,
 )
 from repro.harness.experiment import WebServerExperiment
+from repro.harness.machine import ServerMachine
 from repro.specweb.metrics import MetricsPartial
 from tests.harness.configs import tiny_config
 
@@ -81,7 +82,7 @@ def test_shard_outcome_roundtrips_through_json():
         epochs_booted=1, epochs_restored=1, pristine_restarts=2,
     )
     restored = ShardOutcome.from_dict(
-        json.loads(json.dumps(outcome.to_dict()))
+        json.loads(json.dumps(outcome.to_dict())), MetricsPartial
     )
     assert restored == outcome
 
@@ -113,9 +114,10 @@ def test_merge_outcomes_ignores_arrival_order():
         )
 
     outcomes = [outcome(2, 30), outcome(0, 10), outcome(1, 20)]
-    merged = merge_outcomes(outcomes, iteration=1, num_connections=8)
+    config = tiny_config()
+    merged = merge_outcomes(outcomes, iteration=1, config=config)
     shuffled = merge_outcomes(list(reversed(outcomes)), iteration=1,
-                              num_connections=8)
+                              config=config)
     assert merged == shuffled
     assert merged.metrics.total_ops == 60
     assert merged.mis == 3
@@ -158,7 +160,7 @@ def test_campaign_merge_matches_manual_shard_runs():
     faultload = campaign.prepared_faultload()
     shards = plan_shards(faultload, config.slots_per_shard)
     outcomes = [run_shard(config, 1, shard) for shard in shards]
-    manual = merge_outcomes(outcomes, 1, config.client.connections)
+    manual = merge_outcomes(outcomes, 1, config)
     result = ParallelCampaign(config, workers=1).run(
         include_baseline=False, include_profile_mode=False
     )
@@ -236,7 +238,7 @@ def test_campaign_key_sensitive_to_config_and_faultload():
 
 
 def test_journal_load_tolerates_missing_file(tmp_path):
-    journal = CampaignJournal.load(tmp_path / "nope.jsonl")
+    journal = CampaignJournal.load(tmp_path / "nope.jsonl", ServerMachine)
     assert journal.header is None
     assert journal.phases == {}
     assert journal.shards == {}
@@ -250,13 +252,13 @@ def test_journal_load_drops_truncated_final_line(tmp_path):
     ParallelCampaign(config, workers=1, journal_path=journal_path).run(
         include_baseline=False, include_profile_mode=False
     )
-    intact = CampaignJournal.load(journal_path)
+    intact = CampaignJournal.load(journal_path, ServerMachine)
     assert intact.shards
     whole = journal_path.read_text()
     lines = whole.rstrip("\n").split("\n")
     torn = "\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2]
     journal_path.write_text(torn)
-    journal = CampaignJournal.load(journal_path)
+    journal = CampaignJournal.load(journal_path, ServerMachine)
     assert journal.header is not None
     assert len(journal.shards) == len(intact.shards) - 1
 
@@ -270,7 +272,7 @@ def test_journal_load_raises_on_mid_file_corruption(tmp_path):
         % JOURNAL_VERSION
     )
     with pytest.raises(json.JSONDecodeError):
-        CampaignJournal.load(journal_path)
+        CampaignJournal.load(journal_path, ServerMachine)
 
 
 def test_campaign_resumes_after_hard_kill_with_torn_journal(tmp_path):
@@ -320,7 +322,7 @@ def test_resumes_after_a_torn_final_record_keep_the_journal_whole(
     assert [json.loads(line)["kind"] for line in lines] == (
         ["header"] + ["shard"] * 4
     )
-    assert len(CampaignJournal.load(journal_path).shards) == 4
+    assert len(CampaignJournal.load(journal_path, ServerMachine).shards) == 4
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.harness.campaign import (
 )
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import WebServerExperiment
+from repro.harness.results import InjectionIteration
 from repro.specweb.metrics import MetricsPartial
 
 LEAK_FAULT = "repro.ossim.modules.ntdll50:RtlFreeHeap:MIA:5"
@@ -107,16 +108,21 @@ def test_auditing_can_be_disabled():
     assert run.audits_performed == 0
     assert run.contaminated_slots == []
     assert len(run.segments) == 1
-    iteration = experiment.run_injection(faultload, iteration=1)
+    iteration = InjectionIteration.merge(
+        [run], iteration=1,
+        metrics=run.compute_metrics(config.client.connections),
+    )
     assert iteration.residual_errors is None
     assert iteration.as_row()["RES"] is None
 
 
-def test_run_injection_carries_contamination_records():
+def test_campaign_iteration_carries_contamination_records():
     config = smoke_config()
-    experiment = WebServerExperiment(config)
-    faultload = seeded_faultload(config)
-    iteration = experiment.run_injection(faultload, iteration=1)
+    result = ParallelCampaign(config, workers=1).run(
+        faultload=seeded_faultload(config),
+        include_baseline=False, include_profile_mode=False,
+    )
+    iteration = result.iterations[0]
     assert iteration.integrity_enabled
     assert iteration.residual_errors == 1
     assert iteration.as_row()["RES"] == 1
@@ -230,7 +236,7 @@ def test_shard_outcome_roundtrips_contamination_records():
         integrity_enabled=True,
     )
     restored = ShardOutcome.from_dict(
-        json.loads(json.dumps(outcome.to_dict()))
+        json.loads(json.dumps(outcome.to_dict())), MetricsPartial
     )
     assert restored == outcome
 
@@ -249,7 +255,7 @@ def test_merge_outcomes_concatenates_in_slot_order():
         )
 
     merged = merge_outcomes(
-        [outcome(1, 1), outcome(0, 0)], iteration=1, num_connections=8
+        [outcome(1, 1), outcome(0, 0)], iteration=1, config=smoke_config()
     )
     assert [r["slot"] for r in merged.contaminated_slots] == [0, 1]
     assert [r["after_slot"] for r in merged.reboots] == [0, 1]

@@ -1,9 +1,10 @@
 """Tier-1 tests: journal version skew and unreadable records.
 
 A journal written by an older (or newer) build of this repo, or one
-holding a shard record today's classes cannot rebuild, is never merged:
-half-schema outcomes would silently change the digest.  Resuming over
-one is an error that names the journal; the fix is to rerun without
+holding a phase or shard record the campaign's machine cannot rebuild
+(another target's, or another schema's), is never merged: half-schema
+outcomes would silently change the digest.  Resuming over one is an
+error that names the journal; the fix is to rerun without
 ``--resume``.
 """
 
@@ -18,15 +19,16 @@ from repro.harness.campaign import (
     JournalMismatch,
     ParallelCampaign,
 )
+from repro.harness.machine import ServerMachine
 from tests.harness.configs import tiny_config
 
 
-def _run(tmp_path, name, resume=False):
+def _run(tmp_path, name, resume=False, baseline=False, **overrides):
     campaign = ParallelCampaign(
-        tiny_config(), workers=1,
+        tiny_config(**overrides), workers=1,
         journal_path=tmp_path / name / "journal.jsonl", resume=resume,
     )
-    campaign.run(include_baseline=False, include_profile_mode=False)
+    campaign.run(include_baseline=baseline, include_profile_mode=False)
     return campaign
 
 
@@ -51,7 +53,7 @@ def test_skewed_journal_is_an_error(tmp_path, skewed_version):
         f"current {JOURNAL_VERSION}: rerun without --resume"
     )
     with pytest.raises(JournalMismatch, match=message):
-        CampaignJournal.load(journal_path)
+        CampaignJournal.load(journal_path, ServerMachine)
     with pytest.raises(JournalMismatch, match=message):
         _run(tmp_path, "seed", resume=True)
     # Nothing deleted the journal or appended to it.
@@ -109,6 +111,39 @@ def test_unreadable_shard_record_is_an_error(tmp_path):
     journal_path.write_text("\n".join(lines) + "\n")
     message = re.escape(f"journal {journal_path} line {broken}: ")
     with pytest.raises(JournalMismatch, match=message):
-        CampaignJournal.load(journal_path)
+        CampaignJournal.load(journal_path, ServerMachine)
     with pytest.raises(JournalMismatch, match=message):
         _run(tmp_path, "seed", resume=True)
+
+
+def test_unreadable_phase_record_is_an_error(tmp_path):
+    """A phase record the machine's metrics type cannot rebuild (here,
+    one foreign key) is an error naming its line, not a traceback."""
+    campaign = _run(tmp_path, "seed", baseline=True)
+    journal_path = campaign.journal_path
+    lines = journal_path.read_text().splitlines()
+    entry = json.loads(lines[1])
+    assert entry["kind"] == "phase"
+    entry["metrics"]["tps"] = 1.0
+    lines[1] = json.dumps(entry, sort_keys=True)
+    journal_path.write_text("\n".join(lines) + "\n")
+    before = journal_path.read_text()
+    message = re.escape(
+        f"journal {journal_path} line 2: unreadable phase record"
+    )
+    with pytest.raises(JournalMismatch, match=message):
+        CampaignJournal.load(journal_path, ServerMachine)
+    with pytest.raises(JournalMismatch, match=message):
+        _run(tmp_path, "seed", resume=True, baseline=True)
+    assert journal_path.read_text() == before
+
+
+def test_engine_journal_does_not_resume_a_web_campaign(tmp_path):
+    """Records decode through the campaign's machine: an OLTP engine's
+    baseline is unreadable as a web server's."""
+    campaign = _run(tmp_path, "seed", baseline=True, server_name="walnut")
+    message = re.escape(
+        f"journal {campaign.journal_path} line 2: unreadable phase record"
+    )
+    with pytest.raises(JournalMismatch, match=message):
+        _run(tmp_path, "seed", resume=True, baseline=True)

@@ -61,13 +61,14 @@ def test_campaign_journal_shares_torn_tail_policy(tmp_path):
     tolerate a torn final line (rerunning that unit) exactly as the
     telemetry reader does."""
     from repro.harness.campaign import CampaignJournal
+    from repro.harness.machine import ServerMachine
 
     path = tmp_path / "journal.jsonl"
     journal = CampaignJournal(path)
     journal.write_header("key", num_shards=2, iterations=1)
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"kind": "shard", "iteration": 1, "sha')
-    loaded = CampaignJournal.load(path)
+    loaded = CampaignJournal.load(path, ServerMachine)
     assert loaded.header["campaign_key"] == "key"
     assert loaded.shards == {}  # torn record dropped → unit reruns
 

@@ -20,6 +20,7 @@ from repro.harness.campaign import (
     ParallelCampaign,
 )
 from repro.harness.experiment import WebServerExperiment
+from repro.harness.machine import ServerMachine
 from repro.harness.metrics import (
     SEQUENTIAL_TRACKED_METRICS,
     StratumEstimator,
@@ -336,8 +337,8 @@ def test_sequential_resume_mid_batch_matches_uninterrupted(tmp_path):
     # all identical to the uninterrupted run.
     assert resumed_manifest.sequential == full_manifest.sequential
     # And its journal's batch audit records agree with the original's.
-    original = CampaignJournal.load(journal_path)
-    rerun = CampaignJournal.load(cut)
+    original = CampaignJournal.load(journal_path, ServerMachine)
+    rerun = CampaignJournal.load(cut, ServerMachine)
     for key, entry in rerun.batches.items():
         if key in original.batches:
             assert entry == original.batches[key]

@@ -27,7 +27,7 @@ from repro.harness.campaign import (
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import WebServerExperiment
 from repro.harness.machine import ServerMachine
-from repro.harness.results import BenchmarkResult
+from repro.harness.results import BenchmarkResult, InjectionIteration
 from repro.harness.snapshot import (
     MachineSnapshot,
     SnapshotCache,
@@ -54,17 +54,20 @@ def smoke_config(**overrides):
 
 
 def single_run_digest(config, faultload=None, iteration=1):
-    """Digest of one injection iteration under ``config``."""
-    snapshot_cache().clear()
+    """Digest of one unsharded walk over the prepared faultload under
+    ``config``, hashed as one injection iteration; and the walk."""
     experiment = WebServerExperiment(config)
     prepared = experiment.prepared_faultload(faultload)
-    run = experiment.run_injection(prepared, iteration=iteration)
+    run = experiment.run_slots(prepared, iteration=iteration)
     result = BenchmarkResult(
         server_name=config.server_name,
         os_codename=config.os_codename,
         os_display=experiment.build.display_name,
     )
-    result.add_iteration(run)
+    result.add_iteration(InjectionIteration.merge(
+        [run], iteration=iteration,
+        metrics=run.compute_metrics(config.client.connections),
+    ))
     return metrics_digest(result), run
 
 
@@ -192,16 +195,8 @@ def test_pristine_digest_stable_across_runs_and_warm_cache():
     first_digest, first_run = single_run_digest(config)
     # Second run WITHOUT clearing the cache: every epoch including the
     # first is served from the warm snapshot — digest must not move.
-    experiment = WebServerExperiment(config)
-    prepared = experiment.prepared_faultload()
-    second_run = experiment.run_injection(prepared, iteration=1)
-    result = BenchmarkResult(
-        server_name=config.server_name,
-        os_codename=config.os_codename,
-        os_display=experiment.build.display_name,
-    )
-    result.add_iteration(second_run)
-    assert metrics_digest(result) == first_digest
+    second_digest, second_run = single_run_digest(config)
+    assert second_digest == first_digest
     assert second_run.epochs_booted == 0
     assert second_run.epochs_restored == first_run.epochs_restored + 1
 

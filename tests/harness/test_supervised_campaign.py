@@ -117,7 +117,7 @@ def test_crash_and_hang_complete_degraded_with_exact_quarantine(tmp_path):
         shard for shard in shards if shard.index not in (1, 2)
     ]
     outcomes = [run_shard(config, 1, shard) for shard in survivors]
-    serial = merge_outcomes(outcomes, 1, config.client.connections)
+    serial = merge_outcomes(outcomes, 1, config)
     iterations_equal(result.iterations[0], serial)
 
     # Telemetry recorded the whole story.

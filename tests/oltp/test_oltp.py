@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.campaign import ParallelCampaign
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import WebServerExperiment
 from repro.harness.snapshot import MachineSnapshot
@@ -126,11 +127,20 @@ def test_client_baseline_is_clean_and_audited():
     assert metrics.tps > 50
 
 
+def _injection_campaign(config, faultload=None):
+    """One engine campaign's digest and its one injection iteration."""
+    campaign = ParallelCampaign(config, workers=1)
+    result = campaign.run(faultload=faultload, include_baseline=False,
+                          include_profile_mode=False)
+    return campaign.manifest.metrics_digest, result.iterations[0]
+
+
 def test_experiment_repeatable():
     config = ExperimentConfig.smoke(server_name="breezy")
     config.fault_sample = 10
-    a = WebServerExperiment(config).run_injection(iteration=1)
-    b = WebServerExperiment(config).run_injection(iteration=1)
+    digest_a, a = _injection_campaign(config)
+    digest_b, b = _injection_campaign(config)
+    assert digest_a == digest_b
     assert a.metrics.total_txns == b.metrics.total_txns
     assert (a.metrics.integrity_violations
             == b.metrics.integrity_violations)
@@ -160,10 +170,7 @@ def test_integrity_audit_distinguishes_engines():
     for engine in ENGINES:
         config = ExperimentConfig.smoke(server_name=engine)
         config.fault_sample = 24
-        experiment = WebServerExperiment(config)
-        results[engine] = experiment.run_injection(
-            faultload=tuned, iteration=1
-        )
+        _digest, results[engine] = _injection_campaign(config, tuned)
     walnut = results["walnut"].metrics
     breezy = results["breezy"].metrics
     assert walnut.integrity_violations == 0

@@ -319,20 +319,24 @@ def test_tables_command_prints_tables_1_3_and_5(capsys):
 OLTP_TABLE = """\
 fine-tuning the faultload for the OLTP domain...
 OLTP dependability benchmark
-Engine | Row       | TPS   | RTM(ms) | ER%  | violations | MIS | KNS | KCP
--------+-----------+-------+---------+------+------------+-----+-----+----
-walnut | baseline  | 216.9 | 6.5     | 0.00 | 0          | 0   | 0   | 0
-walnut | faultload | 106.9 | 12.5    | 2.78 | 0          | 5   | 0   | 0
-breezy | baseline  | 253.9 | 3.7     | 0.00 | 0          | 0   | 0   | 0
-breezy | faultload | 173.7 | 5.1     | 1.57 | 16         | 10  | 0   | 0
+Engine | Row         | TPS   | RTM(ms) | ER%  | violations | MIS | KNS | KCP
+-------+-------------+-------+---------+------+------------+-----+-----+----
+walnut | baseline    | 216.9 | 6.5     | 0.00 | 0          | 0   | 0   | 0
+walnut | iteration 1 | 107.0 | 12.5    | 2.78 | 0          | 5   | 0   | 0
+breezy | baseline    | 253.9 | 3.7     | 0.00 | 0          | 0   | 0   | 0
+breezy | iteration 1 | 173.4 | 5.1     | 1.57 | 14         | 10  | 0   | 0
+metrics digests:
+  walnut: cf0630d7ae6ac86800590bd5657cc3bbe403361fb75824ec1a76d5973532b08f
+  breezy: 7098616989f2bedff321c9f51901e02b3b0190431c6c417953cbe0149658ecdc
 """
 
 
 def test_oltp_command_prints_the_pinned_table(capsys):
-    """The OLTP case study's numbers, pinned as the command prints them
-    (the same text on Python 3.10 to 3.13; the table pads its last
-    column, so trailing blanks are not compared): a change to how the
-    engines are booted, injected or measured shows up here first."""
+    """The OLTP case study's numbers and each engine's campaign digest,
+    pinned as the command prints them (the same text on Python 3.10 to
+    3.13; the table pads its last column, so trailing blanks are not
+    compared): a change to how the engines are booted, injected or
+    measured shows up here first."""
     assert main(["oltp", "--faults", "4", "--connections", "4",
                  "--seconds", "3"]) == 0
     out = capsys.readouterr().out
