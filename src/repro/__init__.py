@@ -47,7 +47,7 @@ from repro.harness import (
 from repro.harness.experiment import profile_servers
 from repro.ossim import NT50, NT51, get_build
 from repro.pipeline import FaultloadPipeline, build_tuned_faultload
-from repro.profiling import ApiCallTracer, FineTuner, UsageTable
+from repro.profiling import ApiCallTracer, UsageTable
 from repro.specweb import RunRules, SpecWebFileset
 from repro.webservers import (
     BENCHMARKED_SERVERS,
@@ -66,7 +66,6 @@ __all__ = [
     "FaultType",
     "Faultload",
     "FaultloadPipeline",
-    "FineTuner",
     "FitBoundaryError",
     "NT50",
     "NT51",

@@ -31,7 +31,6 @@ __all__ = [
     "lookup_fault_type",
     "register_fault_type",
     "reset_dynamic_fault_types",
-    "unregister_fault_type",
 ]
 
 
@@ -233,13 +232,6 @@ def register_fault_type(name, description, nature, odc_type,
     )
     _DYNAMIC_INFOS[token] = info
     return token
-
-
-def unregister_fault_type(name):
-    """Remove a dynamic fault type registration (no-op if absent)."""
-    token = DynamicFaultType._interned.get(name)
-    if token is not None:
-        _DYNAMIC_INFOS.pop(token, None)
 
 
 def reset_dynamic_fault_types():

@@ -57,13 +57,12 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_faultload(faultload, resolve_limit=None):
+def validate_faultload(faultload):
     """Validate ``faultload``; returns a :class:`ValidationReport`.
 
     Checks, in order of severity:
 
-    * every location's mutant builds against the current FIT source
-      (``resolve_limit`` bounds how many are tried; None = all);
+    * every location's mutant builds against the current FIT source;
     * no duplicate fault ids;
     * the empty faultload is flagged;
     * type-mix sanity (warnings): all locations of a single type, or a
@@ -89,10 +88,7 @@ def validate_faultload(faultload, resolve_limit=None):
             ))
         seen.add(location.fault_id)
 
-    to_resolve = locations
-    if resolve_limit is not None:
-        to_resolve = locations[:resolve_limit]
-    for location in to_resolve:
+    for location in locations:
         try:
             build_mutant(location)
         except MutantError as exc:
@@ -129,4 +125,4 @@ def validate_faultload(faultload, resolve_limit=None):
             f"missing-construct faults ({missing_total}); field data "
             f"shows the opposite",
         ))
-    return ValidationReport(faultload.name, len(to_resolve), findings)
+    return ValidationReport(faultload.name, len(locations), findings)

@@ -18,8 +18,8 @@ every call/slot.  This module caches each at two levels:
   processes fork from a warmed parent, free across a parallel
   campaign's workers too);
 * **on disk** — the faultload JSON, and marshalled mutant code objects,
-  persisted under a cache directory so repeat *runs* and freshly
-  spawned worker processes skip the work entirely.
+  persisted under a cache directory so repeat *runs* skip the work
+  entirely.
 
 The scan cache key is ``(build codename, library fingerprint)``; the
 mutant cache key is ``(source fingerprint, fault_id, probed)`` where the
@@ -321,12 +321,11 @@ def _unread_definition(module_source, location):
 def warm_mutant_cache(faultload, cache_dir=None, probed=False):
     """Batch-compile every location of ``faultload`` into the cache.
 
-    A campaign calls this once after sampling, *before* spawning worker
-    processes: on fork-based platforms the workers inherit the warm
-    in-process memo outright, and with a ``cache_dir`` even spawn-based
-    workers (or later runs) pick the mutants up from disk.  Locations that
-    cannot be compiled are counted, not raised — the injection slot will
-    surface the error in context.  ``probed`` must match what the slots
+    A campaign calls this once after sampling, *before* forking worker
+    processes, which inherit the warm in-process memo outright; with a
+    ``cache_dir``, later runs pick the mutants up from disk.  Locations
+    that cannot be compiled are counted, not raised — the injection slot
+    will surface the error in context.  ``probed`` must match what the slots
     will request (activation tracking on → probed mutants).
 
     Locations are built one module at a time, and within it one

@@ -5,18 +5,18 @@ back, without restarting anything — the running web server's next OS call
 simply executes the faulty code.  Two guarantees are enforced:
 
 * **FIT boundary**: faults may only be injected into modules on the FIT
-  allowlist.  Mutating the benchmark target itself would invalidate the
-  experiment (the paper's BT/FIT separation), so such attempts raise
-  :class:`FitBoundaryError` instead of proceeding.
+  allowlist (``FIT_PREFIXES``).  Mutating the benchmark target itself
+  would invalidate the experiment (the paper's BT/FIT separation), so
+  such attempts raise :class:`FitBoundaryError` instead of proceeding.
 * **Restorability**: the original code object of every mutated function is
   retained; :meth:`FaultInjector.restore_all` returns the OS to pristine
   state and is idempotent.
 
 Mutants come precompiled from the
 :mod:`~repro.gswfit.cache` mutant cache: a campaign compiles each fault
-location once (optionally warmed up-front and shared with worker
-processes), and every subsequent inject of the same location is a pair of
-dictionary lookups plus the code swap.
+location once, up-front, before it forks any worker process, and every
+subsequent inject of the same location is a pair of dictionary lookups
+plus the code swap.
 
 ``profile_mode`` performs every step of an injection except the final code
 swap — the mechanism behind the paper's intrusiveness measurements
@@ -31,25 +31,26 @@ from repro.gswfit.mutator import resolve_module
 
 __all__ = ["FaultInjector", "FitBoundaryError", "check_fit_boundary"]
 
-DEFAULT_FIT_PREFIXES = ("repro.ossim.modules",)
+# Module-path prefixes that constitute the fault injection target.
+FIT_PREFIXES = ("repro.ossim.modules",)
 
 
 class FitBoundaryError(Exception):
     """Attempt to inject a fault outside the fault injection target."""
 
 
-def check_fit_boundary(module_name, fit_prefixes):
+def check_fit_boundary(module_name):
     """Raise :class:`FitBoundaryError` unless ``module_name`` is FIT.
 
     Shared by every injector flavour: the BT/FIT separation is the same
     contract whether faults arrive as code swaps or intercepted returns.
     """
-    for prefix in fit_prefixes:
+    for prefix in FIT_PREFIXES:
         if module_name == prefix or module_name.startswith(prefix + "."):
             return
     raise FitBoundaryError(
         f"refusing to inject into {module_name!r}: outside the "
-        f"fault injection target {tuple(fit_prefixes)!r} — injecting "
+        f"fault injection target {FIT_PREFIXES!r} — injecting "
         f"into the benchmark target would invalidate the experiment"
     )
 
@@ -59,17 +60,12 @@ class FaultInjector:
 
     Parameters
     ----------
-    fit_prefixes:
-        Module-path prefixes that constitute the fault injection target.
     os_instances:
         :class:`~repro.ossim.dispatch.OsInstance` objects whose
         ``fault_mode`` flag should track whether any fault is active.
     profile_mode:
         When True, injections do all the work (mutant compilation
         included) but never swap code — used to measure intrusiveness.
-    mutant_cache_dir:
-        Optional directory for the on-disk mutant cache tier; the
-        in-process memo is always used.
     activation_tracker:
         Optional :class:`~repro.gswfit.activation.ActivationTracker`.
         When attached, mutants are compiled with the activation probe and
@@ -80,13 +76,10 @@ class FaultInjector:
         to the untracked harness.
     """
 
-    def __init__(self, fit_prefixes=DEFAULT_FIT_PREFIXES,
-                 os_instances=(), profile_mode=False,
-                 mutant_cache_dir=None, activation_tracker=None):
-        self.fit_prefixes = tuple(fit_prefixes)
+    def __init__(self, os_instances=(), profile_mode=False,
+                 activation_tracker=None):
         self.os_instances = list(os_instances)
         self.profile_mode = profile_mode
-        self.mutant_cache_dir = mutant_cache_dir
         self.activation_tracker = activation_tracker
         self._originals = {}
         self._active = {}
@@ -104,9 +97,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Guards
     # ------------------------------------------------------------------
-    def _check_boundary(self, location):
-        check_fit_boundary(location.module, self.fit_prefixes)
-
     def _sync_fault_mode(self):
         active = bool(self._active)
         for os_instance in self.os_instances:
@@ -146,7 +136,7 @@ class FaultInjector:
         pristine source — would silently erase the active one and leave
         restore bookkeeping pointing at dead state.
         """
-        self._check_boundary(location)
+        check_fit_boundary(location.module)
         if location.fault_id in self._active:
             raise ValueError(f"fault already active: {location.fault_id}")
         key = (location.module, location.function)
@@ -161,7 +151,7 @@ class FaultInjector:
                 )
         probed = self.activation_tracker is not None
         function, mutant_code = _cache.build_mutant_cached(
-            location, cache_dir=self.mutant_cache_dir, probed=probed
+            location, probed=probed
         )
         self.injection_count += 1
         if self.profile_mode:

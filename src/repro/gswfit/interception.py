@@ -18,7 +18,7 @@ import ast
 from contextlib import contextmanager
 
 from repro.gswfit.astutils import FunctionImage
-from repro.gswfit.injector import DEFAULT_FIT_PREFIXES, check_fit_boundary
+from repro.gswfit.injector import check_fit_boundary
 from repro.gswfit.mutator import resolve_function
 
 __all__ = ["InterceptionFault", "InterceptionInjector"]
@@ -88,13 +88,9 @@ class InterceptionFault:
 class InterceptionInjector:
     """Applies and removes interception stubs on live FIT functions."""
 
-    def __init__(self, fit_prefixes=DEFAULT_FIT_PREFIXES, os_instances=()):
-        self.fit_prefixes = tuple(fit_prefixes)
+    def __init__(self, os_instances=()):
         self.os_instances = list(os_instances)
         self._originals = {}
-
-    def _check_boundary(self, fault):
-        check_fit_boundary(fault.module, self.fit_prefixes)
 
     def _stub_code(self, fault, function):
         image = FunctionImage(function, module_name=fault.module)
@@ -118,7 +114,7 @@ class InterceptionInjector:
 
     def inject(self, fault):
         """Swap the target for its interception stub."""
-        self._check_boundary(fault)
+        check_fit_boundary(fault.module)
         function = resolve_function(_Location(fault))
         key = (fault.module, fault.function)
         if key not in self._originals:

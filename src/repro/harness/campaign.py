@@ -61,7 +61,7 @@ from repro.harness.experiment import (
     profile_servers,
 )
 from repro.harness.jsonl import drop_torn_tail, read_jsonl
-from repro.harness.machine import machine_class
+from repro.harness.machine import ServerMachine, machine_class
 from repro.harness.results import (
     BenchmarkResult,
     InjectionIteration,
@@ -210,14 +210,13 @@ def shard_seed(base_seed, shard_index):
     return derive_seed(base_seed, "campaign-shard", shard_index)
 
 
-def run_shard(config, iteration, shard, mutant_cache_dir=None):
+def run_shard(config, iteration, shard):
     """Run one shard's slots on a private machine (worker entry point).
 
     Top-level so it pickles by reference into a worker's assignment; it
     is also what ``workers=1`` calls directly, keeping the two modes on
-    one code path.  ``mutant_cache_dir`` is passed alongside the config (not
-    inside it) so the campaign key — a pure function of the experiment's
-    parameters — is unaffected by where a machine keeps its caches.
+    one code path.  Its mutants come from the in-process memo the
+    campaign warmed before forking any worker.
     """
     if config.operator_specs:
         # Workers may be remote or freshly started processes:
@@ -236,9 +235,7 @@ def run_shard(config, iteration, shard, mutant_cache_dir=None):
     )
     experiment = WebServerExperiment(shard_config)
     run = experiment.run_slots(
-        faultload, iteration=iteration,
-        mutant_cache_dir=mutant_cache_dir,
-        first_slot=shard.first_slot,
+        faultload, iteration=iteration, first_slot=shard.first_slot
     )
     return ShardOutcome.merge(
         [run],
@@ -267,7 +264,7 @@ def merge_outcomes(outcomes, iteration, config):
     )
     return InjectionIteration.merge(
         ordered, iteration=iteration,
-        metrics=partial.to_metrics(config.client.connections),
+        metrics=partial.to_metrics(config.connections),
     )
 
 
@@ -426,11 +423,11 @@ class ParallelCampaign:
         Checkpointing (see :class:`CampaignJournal`).
     cache_dir:
         Disk cache directory for the build scan and the precompiled
-        mutants (see :mod:`repro.gswfit.cache`).  :meth:`run` compiles
-        the sampled faultload's mutants once, up-front, before any
-        worker process exists: on fork-based platforms every worker
-        inherits the warm in-process memo, and with a ``cache_dir`` the
-        compiled code objects are shared on disk too.
+        mutants (see :mod:`repro.gswfit.cache`), read and written by
+        this process.  :meth:`run` compiles the sampled faultload's
+        mutants once, up-front, before any worker process exists, so
+        every forked worker inherits the warm in-process memo and never
+        reaches the disk tier.
     shard_timeout:
         Wall-clock deadline in seconds for one shard attempt; a shard
         exceeding it is treated as hung (default None: no deadline).
@@ -533,8 +530,7 @@ class ParallelCampaign:
 
     def _shard_task(self, iteration):
         """The picklable per-shard callable one iteration dispatches."""
-        return partial(run_shard, self.config, iteration,
-                       mutant_cache_dir=self.cache_dir)
+        return partial(run_shard, self.config, iteration)
 
     def _dispatch(self, journal, shards, iteration, supervisor, done):
         """Replay the journaled ``shards`` into ``done`` and run the
@@ -681,10 +677,9 @@ class ParallelCampaign:
                 time.perf_counter() - started, 6
             )
         # Compile every sampled mutant exactly once, before any worker
-        # process exists: fork-started workers inherit the warm memo,
-        # and the disk tier covers spawn-started ones.  Probed variants:
-        # the same entries the slot runs will request.  State faults
-        # have no mutant.
+        # process exists: forked workers inherit the warm memo.  Probed
+        # variants: the same entries the slot runs will request.  State
+        # faults have no mutant.
         started = time.perf_counter()
         self.warmup_stats = warm_mutant_cache(
             [fault for fault in faultload if fault.mutates_code],
@@ -693,6 +688,13 @@ class ParallelCampaign:
         timings["warm_mutants"] = round(time.perf_counter() - started, 6)
         strata = None
         if self.config.sequential:
+            # The stopping rule estimates SPECWeb measures (DESIGN.md
+            # §14), which an OLTP engine's results do not carry.
+            if self.experiment.machine_class is not ServerMachine:
+                raise ValueError(
+                    f"sequential mode estimates SPECWeb measures, and "
+                    f"{self.config.server_name} is an OLTP engine"
+                )
             # Sequential mode: the shard plan is the stratified batch
             # plan — still a pure function of (faultload, config), so
             # the campaign key and every shard seed are unchanged by

@@ -4,8 +4,9 @@ One :class:`ExperimentConfig` describes a full benchmark campaign for one
 server/OS pair: workload scale, run rules, the slot protocol's variants,
 and the knobs that trade fidelity for host time (connection count,
 faultload subsampling).  Model constants that nothing varies live next
-to the code that uses them: the watchdog thresholds in
-:class:`~repro.harness.watchdog.Watchdog`, the server CPU in
+to the code that uses them (DESIGN.md §10): the client's timings in
+:mod:`repro.specweb.client`, the watchdog thresholds in
+:mod:`repro.harness.watchdog`, the server CPU in
 :mod:`repro.webservers.runtime`, the injector's CPU share in
 :mod:`repro.harness.machine`, the conformance batch in
 :mod:`repro.specweb.rules` and the activation-deadline fractions in
@@ -17,7 +18,6 @@ default) preserves the structure at laptop cost.
 
 from dataclasses import dataclass, field, replace
 
-from repro.specweb.client import ClientConfig
 from repro.specweb.rules import CONFORMANCE_SLOTS, RunRules
 
 __all__ = ["ExperimentConfig"]
@@ -32,7 +32,8 @@ class ExperimentConfig:
     seed: int = 2004
 
     rules: RunRules = field(default_factory=RunRules)
-    client: ClientConfig = field(default_factory=ClientConfig)
+    # Simultaneous client connections (terminals, for an OLTP engine).
+    connections: int = 40
 
     # Fileset scale (directories of 36 files each).
     fileset_directories: int = 8
@@ -147,14 +148,14 @@ class ExperimentConfig:
         """The paper's parameters (24 h-class runs; heavy on host CPU)."""
         config = cls(
             rules=RunRules.paper(),
-            client=ClientConfig(connections=40),
+            connections=40,
             fileset_directories=16,
             fault_sample=None,
         )
         return replace(config, **overrides)
 
     @classmethod
-    def scaled(cls, fault_sample=96, connections=16, **overrides):
+    def scaled(cls, **overrides):
         """Laptop-scale preset: same structure, compressed time.
 
         ``fault_sample`` stratified-samples the faultload per fault type;
@@ -162,9 +163,9 @@ class ExperimentConfig:
         """
         config = cls(
             rules=RunRules.scaled(),
-            client=ClientConfig(connections=connections),
+            connections=16,
             fileset_directories=4,
-            fault_sample=fault_sample,
+            fault_sample=96,
         )
         return replace(config, **overrides)
 
@@ -181,7 +182,7 @@ class ExperimentConfig:
                 slot_gap_seconds=1.0,
                 baseline_seconds=20.0,
             ),
-            client=ClientConfig(connections=8),
+            connections=8,
             fileset_directories=2,
             fault_sample=12,
         )

@@ -200,7 +200,7 @@ class WebServerExperiment:
         machine.client.pause()
         machine.run_for(rules.rampdown_seconds)
         return machine.partial(windows).to_metrics(
-            self.config.client.connections
+            self.config.connections
         )
 
     def run_profile_mode(self, iteration=0, faultload=None):
@@ -241,18 +241,17 @@ class WebServerExperiment:
         machine.client.pause()
         machine.run_for(rules.rampdown_seconds)
         return machine.partial(windows).to_metrics(
-            self.config.client.connections
+            self.config.connections
         )
 
-    def _make_injector(self, machine, tracker, mutant_cache_dir):
+    def _make_injector(self, machine, tracker):
         return FaultInjector(
             os_instances=[machine.os_instance],
-            mutant_cache_dir=mutant_cache_dir,
             profile_mode=not self.config.inject_faults,
             activation_tracker=tracker,
         )
 
-    def _bring_up(self, iteration, mutant_cache_dir):
+    def _bring_up(self, iteration):
         """Boot or restore one machine epoch, ready to run.
 
         Deterministic for a given ``iteration``: the replacement machine
@@ -264,12 +263,12 @@ class WebServerExperiment:
         first epoch and is the fallback when the restore-verify audit
         rejects an image.
         """
-        epoch = self._restore_epoch(iteration, mutant_cache_dir)
+        epoch = self._restore_epoch(iteration)
         if epoch is not None:
             return epoch
-        return self._boot_epoch(iteration, mutant_cache_dir)
+        return self._boot_epoch(iteration)
 
-    def _boot_epoch(self, iteration, mutant_cache_dir):
+    def _boot_epoch(self, iteration):
         """Full boot + warm-up, captured as the epoch snapshot.
 
         Epoch assembly order is load-bearing: the watchdog starts (its
@@ -303,12 +302,12 @@ class WebServerExperiment:
                 internal=True,
             ).to_dict()
         snapshot_cache().put(snapshot)
-        injector = self._make_injector(machine, tracker, mutant_cache_dir)
+        injector = self._make_injector(machine, tracker)
         watchdog = Watchdog(machine.sim, machine.runtime)
         watchdog.start()
         return _Epoch(machine, injector, watchdog, auditor, tracker)
 
-    def _restore_epoch(self, iteration, mutant_cache_dir):
+    def _restore_epoch(self, iteration):
         """Restore a captured epoch; None = no usable snapshot.
 
         Restore-verify protocol: the restored machine is re-audited and
@@ -331,7 +330,7 @@ class WebServerExperiment:
                 snapshot_cache().discard(key)
                 return None
         tracker = machine.os_instance.activation
-        injector = self._make_injector(machine, tracker, mutant_cache_dir)
+        injector = self._make_injector(machine, tracker)
         watchdog = Watchdog(machine.sim, machine.runtime)
         watchdog.start()
         return _Epoch(machine, injector, watchdog, auditor, tracker,
@@ -399,8 +398,7 @@ class WebServerExperiment:
         )
         return max(0.0, min(float(deadline), slot_seconds))
 
-    def run_slots(self, faultload, iteration=0, mutant_cache_dir=None,
-                  first_slot=0):
+    def run_slots(self, faultload, iteration=0, first_slot=0):
         """Boot a machine and walk ``faultload`` slot by slot (Fig. 4).
 
         Returns a :class:`SlotRunResult` with every machine epoch
@@ -408,9 +406,7 @@ class WebServerExperiment:
         watchdog stopped) — the raw state a campaign shard
         (:func:`~repro.harness.campaign.run_shard`) reduces to its
         outcome.  The faultload is injected as given (no preparation).
-        Mutants come from the precompilation cache;
-        ``mutant_cache_dir`` additionally enables its on-disk tier so
-        separate worker processes share one compilation pass.
+        Mutants come from the in-process precompilation cache.
 
         The faultload may hold G-SWFIT locations, state faults, or both:
         each slot hands its fault to the epoch's injector for that kind,
@@ -449,9 +445,7 @@ class WebServerExperiment:
                 fault.mutates_code for fault in faultload
             ),
         )
-        epoch = self._note_epoch(
-            result, self._bring_up(iteration, mutant_cache_dir)
-        )
+        epoch = self._note_epoch(result, self._bring_up(iteration))
         try:
             for index, fault in enumerate(faultload):
                 machine = epoch.machine
@@ -539,8 +533,7 @@ class WebServerExperiment:
                             # the next slot.
                             self._quiesce_epoch(result, epoch, rules)
                             epoch = self._note_epoch(
-                                result,
-                                self._bring_up(iteration, mutant_cache_dir),
+                                result, self._bring_up(iteration)
                             )
                             verify = epoch.auditor.audit(
                                 epoch.machine.runtime.ctx,
@@ -560,7 +553,7 @@ class WebServerExperiment:
                     # finally block quiesces the last epoch anyway.
                     self._quiesce_epoch(result, epoch, rules)
                     epoch = self._note_epoch(
-                        result, self._bring_up(iteration, mutant_cache_dir)
+                        result, self._bring_up(iteration)
                     )
                     result.pristine_restarts += 1
                     continue

@@ -104,7 +104,7 @@ class ServerMachine(Machine):
             self.sim,
             self.runtime.deliver,
             self.fileset,
-            config=config.client,
+            config.connections,
             rng=self.sim.rng_for("client", iteration),
         )
         self._environment_ready = False

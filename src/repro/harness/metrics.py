@@ -35,6 +35,11 @@ __all__ = [
 # of different sizes stay comparable.
 SEQUENTIAL_TRACKED_METRICS = ("SPCf", "THRf", "RTMf", "ADMf", "ER%f")
 
+# A stratum with fewer batches than this gets a percentile bootstrap
+# interval of this many resamples instead of the normal approximation.
+BOOTSTRAP_BELOW = 8
+BOOTSTRAP_RESAMPLES = 200
+
 
 def normal_quantile(p):
     """Inverse standard-normal CDF (Acklam's rational approximation).
@@ -110,7 +115,7 @@ class StratumEstimator:
     Observations are *batch means*: each completed batch of injection
     slots contributes one value per tracked metric.  Half-widths use the
     normal approximation ``z * sd / sqrt(n)`` once ``n >=
-    bootstrap_below`` batches exist; below that a percentile bootstrap
+    BOOTSTRAP_BELOW`` batches exist; below that a percentile bootstrap
     of the mean is used instead (small-sample normality is exactly what
     cannot be assumed for a stratum of a handful of batches).  The
     bootstrap draws from the :class:`~repro.sim.rng.SeededRng` passed to
@@ -120,15 +125,12 @@ class StratumEstimator:
     count.
     """
 
-    def __init__(self, confidence=0.95, bootstrap_below=8,
-                 bootstrap_resamples=200):
+    def __init__(self, confidence=0.95):
         if not 0.0 < confidence < 1.0:
             raise ValueError(
                 f"confidence must be in (0, 1), got {confidence}"
             )
         self.confidence = confidence
-        self.bootstrap_below = bootstrap_below
-        self.bootstrap_resamples = bootstrap_resamples
         self._z = normal_quantile(0.5 + confidence / 2.0)
         self.estimators = {
             metric: StreamingEstimator()
@@ -158,7 +160,7 @@ class StratumEstimator:
     def _bootstrap_half_width(self, values, rng):
         count = len(values)
         resampled = []
-        for _ in range(self.bootstrap_resamples):
+        for _ in range(BOOTSTRAP_RESAMPLES):
             total = 0.0
             for _ in range(count):
                 total += values[rng.randint(0, count - 1)]
@@ -189,7 +191,7 @@ class StratumEstimator:
                 # sample size — a constant-metric stratum stops at the
                 # slot floor instead of looping.
                 widths[metric] = 0.0
-            elif estimator.count < self.bootstrap_below and rng is not None:
+            elif estimator.count < BOOTSTRAP_BELOW and rng is not None:
                 widths[metric] = self._bootstrap_half_width(
                     self.observations[metric], rng
                 )

@@ -1,6 +1,8 @@
 """Result records for benchmark campaigns."""
 
 from dataclasses import dataclass, field, fields
+from functools import reduce
+from operator import add
 
 __all__ = [
     "BenchmarkResult",
@@ -25,11 +27,12 @@ def _summed_stats(parts):
     return dict(sorted(stats.items()))
 
 
-# How each field type combines when tallies merge.
+# How each field type combines when tallies merge.  Floats add left to
+# right, as ``sum()`` does only before Python 3.12.
 _MERGE_RULES = {
     int: sum,
     bool: any,
-    float: lambda parts: round(sum(parts), 6),
+    float: lambda parts: round(reduce(add, parts, 0), 6),
     list: _sorted_records,
     dict: _summed_stats,
 }

@@ -216,7 +216,7 @@ class SequentialController:
             return
         state.executed_slots += outcome.num_slots
         state.estimator.observe(
-            batch_observation(outcome, self.config.client.connections)
+            batch_observation(outcome, self.config.connections)
         )
         # Half-widths are computed for every observed batch — including
         # ones below the slot floor — so the bootstrap rng advances the

@@ -45,23 +45,14 @@ import hashlib
 import io
 import json
 import pickle
-from collections import OrderedDict
 from dataclasses import asdict
 
 __all__ = [
-    "DEFAULT_CACHE_ENTRIES",
     "MachineSnapshot",
     "SnapshotCache",
     "snapshot_cache",
     "snapshot_key",
 ]
-
-# Snapshots are a few hundred KB each.  A key hashes the shard's own
-# config, seed included, and a worker runs one shard at a time, so the
-# one entry serves that shard's reboots, its pristine restarts and a
-# retry of it in the same process; an older shard's image is never
-# restored again.
-DEFAULT_CACHE_ENTRIES = 1
 
 
 def snapshot_key(config, iteration):
@@ -173,50 +164,48 @@ class MachineSnapshot:
 
 
 class SnapshotCache:
-    """Process-level LRU of captured epochs, keyed by snapshot key.
+    """The process's last captured epoch, looked up by snapshot key.
 
     One instance per process (module singleton below): shard workers
     that rerun the same ``(config, iteration)`` — contamination
     reboots, pristine-slot restarts, supervisor retries landing on the
-    same worker — restore instead of booting again.
+    same worker — restore instead of booting again.  It holds one
+    snapshot (a few hundred KB): a key hashes the shard's own config,
+    seed included, and a worker runs one shard at a time, so an older
+    shard's image is never restored again.
     """
 
-    def __init__(self, max_entries=DEFAULT_CACHE_ENTRIES):
-        self.max_entries = max_entries
-        self._entries = OrderedDict()
+    def __init__(self):
+        self._snapshot = None
         self.hits = 0
         self.misses = 0
 
     def get(self, key):
-        snapshot = self._entries.get(key)
-        if snapshot is None:
+        snapshot = self._snapshot
+        if snapshot is None or snapshot.key != key:
             self.misses += 1
             return None
-        self._entries.move_to_end(key)
         self.hits += 1
         return snapshot
 
     def put(self, snapshot):
-        self._entries[snapshot.key] = snapshot
-        self._entries.move_to_end(snapshot.key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+        self._snapshot = snapshot
 
     def discard(self, key):
-        self._entries.pop(key, None)
+        if self._snapshot is not None and self._snapshot.key == key:
+            self._snapshot = None
 
     def clear(self):
-        self._entries.clear()
+        self._snapshot = None
         self.hits = 0
         self.misses = 0
 
     def __len__(self):
-        return len(self._entries)
+        return 0 if self._snapshot is None else 1
 
     def __repr__(self):
         return (
-            f"SnapshotCache(entries={len(self._entries)}/"
-            f"{self.max_entries}, hits={self.hits}, "
+            f"SnapshotCache(entries={len(self)}, hits={self.hits}, "
             f"misses={self.misses})"
         )
 

@@ -14,34 +14,37 @@ like the paper's tooling, producing the three administration counters:
 A restart attempted while the fault is still active can fail (the child
 crashes during startup); the watchdog retries on its polling cadence but
 counts the death only once per incident.  Retries per incident are capped
-(``max_restart_attempts``): a fault that keeps killing the child at
+(``MAX_RESTART_ATTEMPTS``): a fault that keeps killing the child at
 startup would otherwise turn every poll into a futile restart storm.  At
 the cap the watchdog records one ``RESTART_EXHAUSTED`` incident and waits;
 the harness re-arms it from the slot gap (``retry_exhausted=True``) once
 the fault has been removed, when a restart can actually succeed.
+
+The thresholds below are part of the benchmark's definition; tests set
+them with ``monkeypatch``.
 """
 
 __all__ = ["Watchdog"]
+
+POLL_SECONDS = 1.0
+# Demand without any service for this long reads as unresponsive.
+UNRESPONSIVE_AFTER = 4.0
+# After killing and restarting the server, give it this long to prove
+# itself before judging responsiveness again — otherwise a stale
+# last-success timestamp earns an immediate second kill.
+RESTART_GRACE = 5.0
+# Consecutive *failed* restart attempts allowed per death incident
+# before the watchdog stops storming and waits for the harness to re-arm
+# it (fault removed at the slot boundary).
+MAX_RESTART_ATTEMPTS = 5
 
 
 class Watchdog:
     """Polls one server runtime and repairs it."""
 
-    def __init__(self, sim, runtime, poll_seconds=1.0,
-                 unresponsive_after=4.0, restart_grace=5.0,
-                 max_restart_attempts=5):
+    def __init__(self, sim, runtime):
         self.sim = sim
         self.runtime = runtime
-        self.poll_seconds = poll_seconds
-        self.unresponsive_after = unresponsive_after
-        # Consecutive *failed* restart attempts allowed per death
-        # incident before the watchdog stops storming and waits for the
-        # harness to re-arm it (fault removed at the slot boundary).
-        self.max_restart_attempts = max_restart_attempts
-        # After killing and restarting the server, give it this long to
-        # prove itself before judging responsiveness again — otherwise a
-        # stale last-success timestamp earns an immediate second kill.
-        self.restart_grace = restart_grace
         self.mis = 0
         self.kns = 0
         self.kcp = 0
@@ -65,7 +68,7 @@ class Watchdog:
         if self._running:
             return
         self._running = True
-        self._poll_event = self.sim.schedule(self.poll_seconds, self._poll)
+        self._poll_event = self.sim.schedule(POLL_SECONDS, self._poll)
 
     def stop(self):
         self._running = False
@@ -81,7 +84,7 @@ class Watchdog:
         if not self._running:
             return
         self.check_now()
-        self._poll_event = self.sim.schedule(self.poll_seconds, self._poll)
+        self._poll_event = self.sim.schedule(POLL_SECONDS, self._poll)
 
     def check_now(self, retry_exhausted=False):
         """One health check + repair cycle (also used at slot cleanup).
@@ -99,7 +102,7 @@ class Watchdog:
             if retry_exhausted and self._exhaustion_recorded:
                 self._failed_restart_attempts = 0
                 self._exhaustion_recorded = False
-            if self._failed_restart_attempts >= self.max_restart_attempts:
+            if self._failed_restart_attempts >= MAX_RESTART_ATTEMPTS:
                 if not self._exhaustion_recorded:
                     self._record_incident("RESTART_EXHAUSTED")
                     self._exhaustion_recorded = True
@@ -112,17 +115,14 @@ class Watchdog:
                 self._exhaustion_recorded = False
             else:
                 self._failed_restart_attempts += 1
-                if (self._failed_restart_attempts
-                        >= self.max_restart_attempts):
+                if self._failed_restart_attempts >= MAX_RESTART_ATTEMPTS:
                     self._record_incident("RESTART_EXHAUSTED")
                     self._exhaustion_recorded = True
             return
         self._death_counted = False
         self._failed_restart_attempts = 0
         self._exhaustion_recorded = False
-        in_grace = (
-            self.sim.now - self._last_restart_time < self.restart_grace
-        )
+        in_grace = self.sim.now - self._last_restart_time < RESTART_GRACE
         if not in_grace and self._looks_unresponsive():
             if runtime.cpu_hog_recent:
                 self.kcp += 1
@@ -138,7 +138,7 @@ class Watchdog:
         """Alive, being asked for service, delivering none."""
         runtime = self.runtime
         now = self.sim.now
-        horizon = now - self.unresponsive_after
+        horizon = now - UNRESPONSIVE_AFTER
         if runtime.last_attempt_time < horizon:
             return False  # no recent demand; nothing observable
         if runtime.last_success_time >= horizon:

@@ -31,7 +31,6 @@ as one :class:`~repro.harness.campaign.ParallelCampaign`.
 from repro.oltp.engines import ENGINES, BreezyDb, WalnutDb, create_engine
 from repro.oltp.workload import (
     OltpClient,
-    OltpClientConfig,
     OltpMetrics,
     OltpPartial,
     Transaction,
@@ -43,7 +42,6 @@ __all__ = [
     "BreezyDb",
     "ENGINES",
     "OltpClient",
-    "OltpClientConfig",
     "OltpMachine",
     "OltpMetrics",
     "OltpPartial",

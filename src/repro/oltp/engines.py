@@ -10,7 +10,7 @@ G-SWFIT faultload reaches every byte the engines consider durable.
 """
 
 from repro.ossim.status import NtStatus
-from repro.oltp.workload import TxnResult
+from repro.oltp.workload import INITIAL_BALANCE, TxnResult
 from repro.webservers.base import ServerStartupError
 
 __all__ = [
@@ -26,7 +26,6 @@ _FILE_BEGIN = 0
 _FILE_END = 2
 
 RECORD_BYTES = 64
-INITIAL_BALANCE = 1_000
 
 
 class DbStartupError(ServerStartupError):

@@ -11,12 +11,7 @@ measures carry one extra column: the client's integrity violations.
 
 from repro.harness.machine import Machine
 from repro.oltp.engines import create_engine
-from repro.oltp.workload import (
-    OltpClient,
-    OltpClientConfig,
-    OltpMetrics,
-    OltpPartial,
-)
+from repro.oltp.workload import OltpClient, OltpMetrics, OltpPartial
 from repro.webservers.runtime import ServerRuntime
 
 __all__ = ["OltpMachine"]
@@ -45,14 +40,11 @@ class OltpMachine(Machine):
         self.runtime = ServerRuntime(
             self.engine, self.os_instance, self.sim
         )
-        client_config = OltpClientConfig(
-            terminals=config.client.connections,
-            accounts=self.engine.accounts,
-        )
         self.client = OltpClient(
             self.sim,
             self.runtime.deliver,
-            config=client_config,
+            config.connections,
+            self.engine.accounts,
             rng=self.sim.rng_for("oltp", iteration),
         )
 

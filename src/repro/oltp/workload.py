@@ -10,15 +10,30 @@ acknowledged transaction the system lost (or conjured).
 """
 
 from dataclasses import dataclass, fields
+from functools import reduce
+from operator import add
 
 __all__ = [
     "OltpClient",
-    "OltpClientConfig",
     "OltpMetrics",
     "OltpPartial",
     "Transaction",
     "TxnResult",
 ]
+
+# Every account's opening balance.  The engines fill their account
+# tables with it and the client's ledger starts from it: the integrity
+# audit is sound only while both read this one value.
+INITIAL_BALANCE = 1_000
+# The terminals' transaction mix and timings, fixed by the benchmark.
+TRANSFER_FRACTION = 0.70
+BALANCE_FRACTION = 0.25  # the remainder is scans
+THINK_MIN = 0.004
+THINK_MAX = 0.020
+MAX_AMOUNT = 50
+TXN_TIMEOUT = 6.0
+LINK_LATENCY = 0.0003
+ERROR_BACKOFF = 0.35
 
 
 class Transaction:
@@ -59,21 +74,6 @@ class TxnResult:
     def __repr__(self):
         state = "ok" if self.ok else f"failed ({self.detail})"
         return f"<TxnResult {state} value={self.value}>"
-
-
-@dataclass
-class OltpClientConfig:
-    terminals: int = 10
-    accounts: int = 200
-    initial_balance: int = 1_000
-    transfer_fraction: float = 0.70
-    balance_fraction: float = 0.25  # remainder is scans
-    think_min: float = 0.004
-    think_max: float = 0.020
-    max_amount: int = 50
-    txn_timeout: float = 6.0
-    link_latency: float = 0.0003
-    error_backoff: float = 0.35
 
 
 @dataclass
@@ -118,10 +118,13 @@ class OltpPartial:
 
     @classmethod
     def merge(cls, partials):
-        """Sum partials field by field (callers pass them in slot order)."""
+        """Sum partials field by field, left to right from each field's
+        default (callers pass them in slot order; ``sum()`` would
+        compensate float rounding from Python 3.12 on)."""
         partials = list(partials)
         return cls(**{
-            spec.name: sum(getattr(partial, spec.name) for partial in partials)
+            spec.name: reduce(add, (getattr(partial, spec.name)
+                                    for partial in partials), spec.default)
             for spec in fields(cls)
         })
 
@@ -158,8 +161,7 @@ class _Responder:
     def __call__(self, result):
         client = self.client
         client.sim.schedule(
-            client.config.link_latency, client._finish,
-            self.terminal, self.seq, result,
+            LINK_LATENCY, client._finish, self.terminal, self.seq, result
         )
 
 
@@ -179,30 +181,21 @@ class _Terminal:
 class OltpClient:
     """Terminal driver plus ledger-based integrity audit."""
 
-    def __init__(self, sim, transport, config=None, rng=None):
+    def __init__(self, sim, transport, terminals, accounts, rng=None):
         self.sim = sim
         self.transport = transport
-        self.config = config or OltpClientConfig()
+        self.accounts = accounts
         self.rng = rng or sim.rng_for("oltp-client")
         self.running = False
-        self.terminals = [
-            _Terminal(index) for index in range(self.config.terminals)
-        ]
+        self.terminals = [_Terminal(index) for index in range(terminals)]
         self._txn_counter = 0
         # The audit state.
-        self.ledger = {
-            account: self.config.initial_balance
-            for account in range(self.config.accounts)
-        }
-        self.pending_on_account = {
-            account: 0 for account in range(self.config.accounts)
-        }
+        self.ledger = {account: INITIAL_BALANCE for account in range(accounts)}
+        self.pending_on_account = {account: 0 for account in range(accounts)}
         # Last simulated time a transfer touching the account was issued
         # or finished; balance reads overlapping such activity cannot be
         # audited (the read and the ledger may legitimately disagree).
-        self.account_activity = {
-            account: -1.0 for account in range(self.config.accounts)
-        }
+        self.account_activity = {account: -1.0 for account in range(accounts)}
         self.uncertain = set()
         self.integrity_violations = 0
         self.violation_log = []
@@ -237,23 +230,21 @@ class OltpClient:
     def _draw_transaction(self, terminal):
         self._txn_counter += 1
         draw = self.rng.random()
-        if draw < self.config.transfer_fraction:
-            source = self.rng.randint(0, self.config.accounts - 1)
-            target = self.rng.randint(0, self.config.accounts - 1)
+        last = self.accounts - 1
+        if draw < TRANSFER_FRACTION:
+            source = self.rng.randint(0, last)
+            target = self.rng.randint(0, last)
             while target == source:
-                target = self.rng.randint(0, self.config.accounts - 1)
+                target = self.rng.randint(0, last)
             return Transaction(
                 "transfer", self._txn_counter, source, target,
-                amount=self.rng.randint(1, self.config.max_amount),
+                amount=self.rng.randint(1, MAX_AMOUNT),
                 connection_id=terminal.index,
             )
-        if draw < (self.config.transfer_fraction
-                   + self.config.balance_fraction):
+        if draw < TRANSFER_FRACTION + BALANCE_FRACTION:
             return Transaction(
                 "balance", self._txn_counter,
-                account_from=self.rng.randint(
-                    0, self.config.accounts - 1
-                ),
+                account_from=self.rng.randint(0, last),
                 connection_id=terminal.index,
             )
         return Transaction(
@@ -276,11 +267,11 @@ class OltpClient:
             self.account_activity[transaction.account_from] = now
             self.account_activity[transaction.account_to] = now
         self.sim.schedule(
-            self.config.link_latency, self.transport, transaction,
+            LINK_LATENCY, self.transport, transaction,
             _Responder(self, terminal, seq),
         )
         terminal.timeout_event = self.sim.schedule(
-            self.config.txn_timeout, self._on_timeout, terminal, seq
+            TXN_TIMEOUT, self._on_timeout, terminal, seq
         )
 
     def _release_pending(self, transaction):
@@ -319,11 +310,7 @@ class OltpClient:
                 read_issued_at=terminal.issued_at,
             )
         self.records.append((self.sim.now, ok, latency))
-        delay = (
-            self.rng.uniform(self.config.think_min,
-                             self.config.think_max)
-            if ok else self.config.error_backoff
-        )
+        delay = self.rng.uniform(THINK_MIN, THINK_MAX) if ok else ERROR_BACKOFF
         self.sim.schedule(delay, self._issue, terminal)
 
     def _on_timeout(self, terminal, seq):
@@ -389,5 +376,7 @@ class OltpClient:
             latency_count=latency_count,
             integrity_violations=self.integrity_violations,
             uncertain_accounts=len(self.uncertain),
-            measured_seconds=sum(end - start for start, end in windows),
+            measured_seconds=reduce(
+                add, (end - start for start, end in windows), 0
+            ),
         )

@@ -45,9 +45,9 @@ __all__ = [
 
 AUDIT_DOMAINS = ("heap", "handles", "vfs", "sync")
 
-# Default path prefixes whose file *content* legitimately changes under
-# the workload (access/POST logs).  Existence is still checked.
-DEFAULT_MUTABLE_PREFIXES = ("/logs", "/postlog")
+# Path prefixes whose file *content* legitimately changes under the
+# workload (access/POST logs).  Existence is still checked.
+MUTABLE_PREFIXES = ("/logs", "/postlog")
 
 
 def _short_thread(thread_id):
@@ -111,19 +111,14 @@ class IntegrityReport:
 class IntegrityAuditor:
     """Snapshots a reference view of kernel state and audits against it.
 
-    Parameters
-    ----------
-    kernel:
-        The :class:`~repro.ossim.context.SimKernel` under audit (the
-        machine-wide state; per-process state arrives per audit call).
-    mutable_prefixes:
-        Path prefixes whose file contents change legitimately under the
-        workload.  Their existence is still audited.
+    ``kernel`` is the :class:`~repro.ossim.context.SimKernel` under audit
+    (the machine-wide state; per-process state arrives per audit call).
+    File contents under ``MUTABLE_PREFIXES`` change legitimately under
+    the workload; their existence is still audited.
     """
 
-    def __init__(self, kernel, mutable_prefixes=DEFAULT_MUTABLE_PREFIXES):
+    def __init__(self, kernel):
         self.kernel = kernel
-        self.mutable_prefixes = tuple(mutable_prefixes)
         self._fs_reference = None
         self._pid_seen = None
         self._process_reference = None
@@ -162,7 +157,7 @@ class IntegrityAuditor:
                     stack.append((path + "/" + name, node.children[name]))
 
     def _mutable(self, path):
-        for prefix in self.mutable_prefixes:
+        for prefix in MUTABLE_PREFIXES:
             if path == prefix or path.startswith(prefix + "/"):
                 return True
         return False

@@ -14,7 +14,7 @@ benchmark consumes — one per OS build, shared by every benchmark target.
 from repro.gswfit.scanner import scan_build
 from repro.harness.experiment import profile_servers
 from repro.ossim.builds import get_build
-from repro.profiling.finetune import FineTuner
+from repro.profiling.finetune import tuned_faultload
 from repro.profiling.usage import UsageTable
 from repro.webservers.registry import PROFILING_SERVERS
 
@@ -33,7 +33,6 @@ class FaultloadPipeline:
         self.raw_faultload = None
         self.tracers = None
         self.usage_table = None
-        self.tuner = None
         self.tuned = None
 
     def scan(self):
@@ -55,9 +54,11 @@ class FaultloadPipeline:
             self.scan()
         if self.usage_table is None:
             self.profile()
-        self.tuner = FineTuner(self.build)
-        self.tuner.usage_table = self.usage_table
-        self.tuned = self.tuner.tune(self.raw_faultload)
+        self.tuned = tuned_faultload(
+            self.raw_faultload,
+            self.usage_table.selected_function_names(),
+            self.build,
+        )
         return self.tuned
 
     def run(self):

@@ -11,11 +11,10 @@ the benchmark fair.
 
 from repro.profiling.tracer import ApiCallTracer
 from repro.profiling.usage import UsageRow, UsageTable
-from repro.profiling.finetune import FineTuner, tuned_faultload
+from repro.profiling.finetune import tuned_faultload
 
 __all__ = [
     "ApiCallTracer",
-    "FineTuner",
     "UsageRow",
     "UsageTable",
     "tuned_faultload",

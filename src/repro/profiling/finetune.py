@@ -8,9 +8,7 @@ selected services (called or inlined subroutines), so excluding it would
 under-approximate the injectable surface.
 """
 
-from repro.profiling.usage import DEFAULT_NEGLIGIBLE_PERCENT, UsageTable
-
-__all__ = ["FineTuner", "tuned_faultload"]
+__all__ = ["tuned_faultload"]
 
 
 def tuned_faultload(raw_faultload, selected_functions, build):
@@ -21,31 +19,3 @@ def tuned_faultload(raw_faultload, selected_functions, build):
         if exports & allowed:
             allowed |= set(getattr(module, "__internal__", []))
     return raw_faultload.restrict_to_functions(allowed)
-
-
-class FineTuner:
-    """End-to-end fine-tuning: tracers in, tuned faultload out."""
-
-    def __init__(self, build,
-                 negligible_percent=DEFAULT_NEGLIGIBLE_PERCENT):
-        self.build = build
-        self.negligible_percent = negligible_percent
-        self.usage_table = None
-
-    def analyze(self, tracers):
-        """Build the usage table from ``{target_name: tracer}``."""
-        self.usage_table = UsageTable.from_tracers(tracers)
-        return self.usage_table
-
-    def selected_functions(self):
-        if self.usage_table is None:
-            raise RuntimeError("call analyze() before selected_functions()")
-        return self.usage_table.selected_function_names(
-            self.negligible_percent
-        )
-
-    def tune(self, raw_faultload):
-        """Apply the selection to a raw faultload."""
-        return tuned_faultload(
-            raw_faultload, self.selected_functions(), self.build
-        )

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 
 __all__ = ["UsageRow", "UsageTable"]
 
-DEFAULT_NEGLIGIBLE_PERCENT = 0.1
+# Percent of a target's API calls at or below which a function's average
+# share is negligible.
+NEGLIGIBLE_PERCENT = 0.1
 
 
 @dataclass
@@ -65,38 +67,32 @@ class UsageTable:
     # ------------------------------------------------------------------
     # Selection (the fine-tuning rules)
     # ------------------------------------------------------------------
-    def select_relevant(self, negligible_percent=DEFAULT_NEGLIGIBLE_PERCENT):
+    def select_relevant(self):
         """Rows passing both rules: used by all targets, non-negligible.
 
         A function is negligible when its *average* share across targets
-        is at or below ``negligible_percent``.
+        is at or below ``NEGLIGIBLE_PERCENT``.
         """
         selected = []
         for row in self.rows():
             if not row.used_by_all(self.target_names):
                 continue
-            if row.average() <= negligible_percent:
+            if row.average() <= NEGLIGIBLE_PERCENT:
                 continue
             selected.append(row)
         return selected
 
-    def selected_function_names(
-        self, negligible_percent=DEFAULT_NEGLIGIBLE_PERCENT
-    ):
+    def selected_function_names(self):
         """Names of the selected functions (the FIT subset)."""
-        return [row.function
-                for row in self.select_relevant(negligible_percent)]
+        return [row.function for row in self.select_relevant()]
 
-    def total_call_coverage(
-        self, negligible_percent=DEFAULT_NEGLIGIBLE_PERCENT
-    ):
+    def total_call_coverage(self):
         """Average share of all calls covered by the selected set.
 
         The paper reports 68.34% for the four web servers — the headline
         that a small function set still dominates the OS traffic.
         """
-        selected = self.select_relevant(negligible_percent)
-        return sum(row.average() for row in selected)
+        return sum(row.average() for row in self.select_relevant())
 
     def __len__(self):
         return len(self._rows)

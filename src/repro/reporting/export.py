@@ -87,7 +87,7 @@ def export_campaign(result, directory, config=None, manifest=None,
     if config is not None:
         payload["config"] = {
             "seed": config.seed,
-            "connections": config.client.connections,
+            "connections": config.connections,
             "fault_sample": config.fault_sample,
             "slot_seconds": config.rules.slot_seconds,
             "iterations": config.rules.iterations,

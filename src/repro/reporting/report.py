@@ -48,19 +48,19 @@ def table1_fault_types():
     return table
 
 
-def table2_api_usage(usage_table, negligible_percent=0.1):
+def table2_api_usage(usage_table):
     """Table 2: relevant API calls with per-server usage percentages."""
     targets = usage_table.target_names
     headers = ["Function name", "Module"] + list(targets) + ["Average"]
     table = TableBuilder(headers, title="Table 2 - Relevant API calls")
-    for row in usage_table.select_relevant(negligible_percent):
+    for row in usage_table.select_relevant():
         cells = [row.function, row.module]
         cells.extend(
             f"{row.per_target.get(target, 0.0):.2f}" for target in targets
         )
         cells.append(f"{row.average():.2f}")
         table.add_row(*cells)
-    coverage = usage_table.total_call_coverage(negligible_percent)
+    coverage = usage_table.total_call_coverage()
     table.add_row("Total call coverage", "", *([""] * len(targets)),
                   f"{coverage:.2f}")
     return table

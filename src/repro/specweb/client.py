@@ -12,40 +12,34 @@ right content length *and* the right content fingerprint; wrong bytes from
 a mutated OS read are counted as errors even though the server said 200.
 """
 
-from dataclasses import dataclass
-
 from repro.ossim.vfs import SimBuffer
 from repro.specweb.metrics import MetricsCollector, OpRecord
 from repro.specweb.workload import OperationKind, WorkloadGenerator
 
-__all__ = ["ClientConfig", "SpecWebClient"]
+__all__ = ["SpecWebClient"]
 
 _POST = OperationKind.POST
 _STATIC_GET = OperationKind.STATIC_GET
 
-
-@dataclass
-class ClientConfig:
-    """Client-side knobs (paper testbed analogues)."""
-
-    connections: int = 40
-    # Long enough for the largest class-3 file at modem rates (~21 s).
-    op_timeout: float = 30.0
-    link_latency: float = 0.0002
-    # Last-mile rate band: SPECWeb99 models connection speeds around
-    # 400 kbit/s; the band straddles the 320 kbit/s conformance threshold
-    # so server efficiency decides how many connections conform.
-    min_rate_bps: int = 330_000
-    max_rate_bps: int = 430_000
-    think_min: float = 0.002
-    think_max: float = 0.008
-    refused_backoff: float = 0.55
-    # After any failed operation the client closes and re-establishes the
-    # connection (as the SPECWeb99 client does): TCP setup plus slow-start
-    # before the next request.  Without this, tiny error pages let a
-    # failing server absorb requests far faster than a healthy one serves
-    # them, inflating both THR and ER%.
-    error_backoff: float = 0.42
+# The paper testbed's client-side values, fixed by the benchmark.  The
+# timeout is long enough for the largest class-3 file at modem rates
+# (~21 s).
+OP_TIMEOUT = 30.0
+LINK_LATENCY = 0.0002
+# Last-mile rate band: SPECWeb99 models connection speeds around
+# 400 kbit/s; the band straddles the 320 kbit/s conformance threshold so
+# server efficiency decides how many connections conform.
+MIN_RATE_BPS = 330_000
+MAX_RATE_BPS = 430_000
+THINK_MIN = 0.002
+THINK_MAX = 0.008
+REFUSED_BACKOFF = 0.55
+# After any failed operation the client closes and re-establishes the
+# connection (as the SPECWeb99 client does): TCP setup plus slow-start
+# before the next request.  Without this, tiny error pages let a failing
+# server absorb requests far faster than a healthy one serves them,
+# inflating both THR and ER%.
+ERROR_BACKOFF = 0.42
 
 
 class _Responder:
@@ -88,21 +82,20 @@ class _Connection:
 class SpecWebClient:
     """N simultaneous connections against one transport."""
 
-    def __init__(self, sim, transport, fileset, config=None, rng=None):
+    def __init__(self, sim, transport, fileset, connections, rng=None):
         self.sim = sim
         self.transport = transport
         self.fileset = fileset
-        self.config = config or ClientConfig()
         self.rng = rng or sim.rng_for("specweb-client")
-        self.collector = MetricsCollector(self.config.connections)
+        self.collector = MetricsCollector(connections)
         self.running = False
         base_generator = WorkloadGenerator(
             fileset, self.rng.substream("workload")
         )
         self.connections = []
-        for index in range(self.config.connections):
+        for index in range(connections):
             rate = self.rng.substream("rate", index).uniform(
-                self.config.min_rate_bps, self.config.max_rate_bps
+                MIN_RATE_BPS, MAX_RATE_BPS
             )
             self.connections.append(_Connection(
                 index, rate, base_generator.for_connection(index)
@@ -146,21 +139,19 @@ class SpecWebClient:
         )
         connection.pending = operation
         sim = self.sim
-        config = self.config
         now = sim.now
         connection.issued_at = now
         request = operation.request
         request.issued_at = now
         request_delay = (
-            config.link_latency
-            + request.wire_size() * 8.0 / connection.rate_bps
+            LINK_LATENCY + request.wire_size() * 8.0 / connection.rate_bps
         )
         sim.schedule(
             request_delay, self.transport, request,
             _Responder(self, connection, seq),
         )
         connection.timeout_event = sim.schedule(
-            config.op_timeout, self._on_timeout, connection, seq
+            OP_TIMEOUT, self._on_timeout, connection, seq
         )
 
     def _on_response(self, connection, seq, response):
@@ -171,8 +162,7 @@ class SpecWebClient:
             self._finish(connection, seq, None, True)
             return
         transfer = (
-            self.config.link_latency
-            + response.wire_size() * 8.0 / connection.rate_bps
+            LINK_LATENCY + response.wire_size() * 8.0 / connection.rate_bps
         )
         self.sim.schedule(transfer, self._finish, connection, seq, response)
 
@@ -182,22 +172,21 @@ class SpecWebClient:
         operation = connection.pending
         connection.pending = None
         sim = self.sim
-        config = self.config
         if connection.timeout_event is not None:
             sim.cancel(connection.timeout_event)
             connection.timeout_event = None
         latency = sim.now - connection.issued_at
         if refused:
             self._record(connection, False, latency, 0, "refused")
-            sim.schedule(config.refused_backoff, self._issue, connection)
+            sim.schedule(REFUSED_BACKOFF, self._issue, connection)
             return
         ok, error_kind = self._validate(operation, response)
         nbytes = response.wire_size() if response is not None else 0
         self._record(connection, ok, latency, nbytes, error_kind)
         if ok:
-            delay = self.rng.uniform(config.think_min, config.think_max)
+            delay = self.rng.uniform(THINK_MIN, THINK_MAX)
         else:
-            delay = config.error_backoff
+            delay = ERROR_BACKOFF
         sim.schedule(delay, self._issue, connection)
 
     def _on_timeout(self, connection, seq):

@@ -16,9 +16,7 @@ CONFORMING_BITRATE_BPS = 320_000
 CONFORMING_MAX_ERROR_FRACTION = 0.01
 
 
-def connection_conforms(bytes_received, window_seconds, ops, errors,
-                        bitrate_threshold=CONFORMING_BITRATE_BPS,
-                        max_error_fraction=CONFORMING_MAX_ERROR_FRACTION):
+def connection_conforms(bytes_received, window_seconds, ops, errors):
     """Apply the conformance rule to one connection's window totals.
 
     A connection that performed no operations in the window cannot conform
@@ -26,7 +24,7 @@ def connection_conforms(bytes_received, window_seconds, ops, errors,
     """
     if ops <= 0 or window_seconds <= 0:
         return False
-    if errors / ops >= max_error_fraction:
+    if errors / ops >= CONFORMING_MAX_ERROR_FRACTION:
         return False
     bitrate = bytes_received * 8.0 / window_seconds
-    return bitrate >= bitrate_threshold
+    return bitrate >= CONFORMING_BITRATE_BPS

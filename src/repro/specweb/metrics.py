@@ -16,7 +16,9 @@ windows for baseline runs) and reduced to the paper's measures:
 """
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 from repro.specweb.conformance import connection_conforms
@@ -100,26 +102,15 @@ class MetricsPartial:
 
     @classmethod
     def merge(cls, partials):
-        """Sum partials (callers must pass them in slot order)."""
-        total_ops = total_errors = latency_count = group_count = 0
-        latency_sum = conforming_sum = measured_seconds = 0.0
-        for partial in partials:
-            total_ops += partial.total_ops
-            total_errors += partial.total_errors
-            latency_sum += partial.latency_sum
-            latency_count += partial.latency_count
-            conforming_sum += partial.conforming_sum
-            group_count += partial.group_count
-            measured_seconds += partial.measured_seconds
-        return cls(
-            total_ops=total_ops,
-            total_errors=total_errors,
-            latency_sum=latency_sum,
-            latency_count=latency_count,
-            conforming_sum=conforming_sum,
-            group_count=group_count,
-            measured_seconds=measured_seconds,
-        )
+        """Sum partials field by field, left to right from each field's
+        default (callers must pass them in slot order; ``sum()`` would
+        compensate float rounding from Python 3.12 on)."""
+        partials = list(partials)
+        return cls(**{
+            spec.name: reduce(add, (getattr(partial, spec.name)
+                                    for partial in partials), spec.default)
+            for spec in fields(cls)
+        })
 
     def to_metrics(self, num_connections):
         """Reduce the sums to :class:`SpecWebMetrics`."""

@@ -48,14 +48,14 @@ class RunRules:
         )
 
     @classmethod
-    def scaled(cls, factor=1.0):
+    def scaled(cls):
         """Compressed rules for laptop-scale runs (structure preserved)."""
         return cls(
-            warmup_seconds=20.0 * factor,
-            rampup_seconds=5.0 * factor,
-            rampdown_seconds=5.0 * factor,
+            warmup_seconds=20.0,
+            rampup_seconds=5.0,
+            rampdown_seconds=5.0,
             iterations=3,
             slot_seconds=10.0,
             slot_gap_seconds=2.0,
-            baseline_seconds=120.0 * factor,
+            baseline_seconds=120.0,
         )

@@ -102,14 +102,10 @@ class RuntimeStats:
 class ServerRuntime:
     """One deployed server: child process + supervision policy."""
 
-    def __init__(self, server, os_instance, sim,
-                 cpu_hz=DEFAULT_CPU_HZ,
-                 operation_budget=DEFAULT_OPERATION_BUDGET):
+    def __init__(self, server, os_instance, sim):
         self.server = server
         self.os_instance = os_instance
         self.sim = sim
-        self.cpu_hz = cpu_hz
-        self.operation_budget = operation_budget
         # Fraction of the machine's CPU available to the server.  The
         # experiment harness lowers this slightly while an injector shares
         # the machine, modelling the injector's competition for cycles
@@ -138,7 +134,7 @@ class ServerRuntime:
         accumulated damage.
         """
         meter = CpuMeter(
-            speed_hz=self.cpu_hz, operation_budget=self.operation_budget
+            speed_hz=DEFAULT_CPU_HZ, operation_budget=DEFAULT_OPERATION_BUDGET
         )
         ctx = self.os_instance.new_process(
             cpu=meter, name=f"{self.server.name}-child"
@@ -262,7 +258,7 @@ class ServerRuntime:
             self._child_crashed()
             return
         cycles = ctx.cpu.end_operation()
-        service_time = cycles / (self.cpu_hz * self.cpu_scale)
+        service_time = cycles / (DEFAULT_CPU_HZ * self.cpu_scale)
         worker.completion_event = self.sim.schedule(
             service_time, self._complete, worker, response
         )

@@ -93,7 +93,7 @@ def test_campaign_with_single_class():
     assert run.activations == []
     assert run.integrity_enabled
     assert run.audits_performed >= 2
-    assert run.compute_metrics(config.client.connections).total_ops > 0
+    assert run.compute_metrics(config.connections).total_ops > 0
 
 
 def test_injection_count_tracked(machine):
@@ -139,6 +139,6 @@ def test_slot_gap_rearms_an_exhausted_restart_budget():
     assert run.epochs_booted + run.epochs_restored == 1
     kinds = [incident["kind"] for incident in run.incidents]
     assert "RESTART_EXHAUSTED" in kinds
-    metrics = run.compute_metrics(config.client.connections)
+    metrics = run.compute_metrics(config.connections)
     # The first slot's server stays dead; the last two serve.
     assert metrics.er_percent < 50.0

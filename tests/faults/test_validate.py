@@ -30,9 +30,7 @@ def test_empty_faultload_invalid():
 
 def test_duplicate_locations_flagged(scanned):
     location = scanned[0]
-    report = validate_faultload(
-        Faultload("nt50", [location, location]), resolve_limit=0
-    )
+    report = validate_faultload(Faultload("nt50", [location, location]))
     assert not report.ok
     assert any(f.code == "duplicate" for f in report.findings)
 
@@ -52,7 +50,7 @@ def test_unresolvable_location_flagged():
 
 def test_single_type_warning(scanned):
     only_mia = scanned.restrict_to_types([FaultType.MIA]).sample(5)
-    report = validate_faultload(only_mia, resolve_limit=0)
+    report = validate_faultload(only_mia)
     assert report.ok  # warnings don't invalidate
     assert any(f.code == "single-type" for f in report.warnings())
 
@@ -66,18 +64,11 @@ def test_inverted_mix_warning(scanned):
                  if loc.fault_type is not FaultType.MVI]
     locations += [loc for loc in wrong_heavy
                   if loc.fault_type is FaultType.MVI][:1]
-    report = validate_faultload(
-        Faultload("nt50", locations), resolve_limit=0
-    )
+    report = validate_faultload(Faultload("nt50", locations))
     assert any(f.code == "mix-inverted" for f in report.warnings())
 
 
-def test_resolve_limit_bounds_work(scanned):
-    report = validate_faultload(scanned, resolve_limit=5)
-    assert report.checked == 5
-
-
 def test_report_renders(scanned):
-    report = validate_faultload(scanned.sample(5), resolve_limit=0)
+    report = validate_faultload(scanned.sample(5))
     text = str(report)
     assert "OK" in text or "INVALID" in text

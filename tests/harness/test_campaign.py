@@ -21,6 +21,8 @@ from repro.harness.campaign import (
 )
 from repro.harness.experiment import WebServerExperiment
 from repro.harness.machine import ServerMachine
+from repro.harness.results import SlotTally
+from repro.oltp.workload import OltpPartial
 from repro.specweb.metrics import MetricsPartial
 from tests.harness.configs import tiny_config
 
@@ -131,6 +133,22 @@ def test_merge_outcomes_ignores_arrival_order():
     assert merged.truncated_seconds == 0.3
     assert merged.activation_enabled and merged.integrity_enabled
     assert (merged.epochs_booted, merged.epochs_restored) == (3, 3)
+
+
+@pytest.mark.parametrize("kind, name", [
+    (MetricsPartial, "latency_sum"),
+    (MetricsPartial, "conforming_sum"),
+    (MetricsPartial, "measured_seconds"),
+    (OltpPartial, "latency_sum"),
+    (OltpPartial, "measured_seconds"),
+    (SlotTally, "truncated_seconds"),
+])
+def test_merges_add_floats_left_to_right(kind, name):
+    """Every interpreter merges accounting floats the same way: left to
+    right, without the compensated summation ``sum()`` does on floats
+    from Python 3.12 on (which would read 1.0 here)."""
+    parts = [kind(**{name: value}) for value in (1e16, 1.0, -1e16)]
+    assert getattr(kind.merge(parts), name) == 0.0
 
 
 # ----------------------------------------------------------------------

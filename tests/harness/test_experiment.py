@@ -85,7 +85,7 @@ def test_profile_mode_close_to_baseline(experiment, baseline):
 
 def test_injection_degrades_service(config, experiment, baseline,
                                     injection):
-    metrics = injection.compute_metrics(config.client.connections)
+    metrics = injection.compute_metrics(config.connections)
     assert metrics.er_percent > baseline.er_percent
     assert injection.faults_injected == len(
         experiment.prepared_faultload()
@@ -95,8 +95,8 @@ def test_injection_degrades_service(config, experiment, baseline,
 
 def test_injection_repeatable_with_same_seed(config, injection):
     again = injection_walk(WebServerExperiment(config), 1)
-    first = injection.compute_metrics(config.client.connections)
-    second = again.compute_metrics(config.client.connections)
+    first = injection.compute_metrics(config.connections)
+    second = again.compute_metrics(config.connections)
     assert second.total_ops == first.total_ops
     assert again.mis == injection.mis
     assert again.kns == injection.kns
@@ -104,7 +104,7 @@ def test_injection_repeatable_with_same_seed(config, injection):
 
 
 def test_iterations_vary_but_resemble(config, experiment, injection):
-    connections = config.client.connections
+    connections = config.connections
     other = injection_walk(experiment, 2).compute_metrics(connections)
     metrics = injection.compute_metrics(connections)
     # Different draws...

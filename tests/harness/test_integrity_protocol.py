@@ -73,7 +73,7 @@ def test_heap_leak_triggers_verified_reboot_and_clean_continuation():
     assert len(run.segments) == 2
     assert [len(windows) for _partial, windows in run.segments] == [1, 2]
     # The merged metrics cover all three slots.
-    metrics = run.compute_metrics(config.client.connections)
+    metrics = run.compute_metrics(config.connections)
     assert metrics.total_ops > 0
     assert metrics.measured_seconds == pytest.approx(
         3 * config.rules.slot_seconds
@@ -110,7 +110,7 @@ def test_auditing_can_be_disabled():
     assert len(run.segments) == 1
     iteration = InjectionIteration.merge(
         [run], iteration=1,
-        metrics=run.compute_metrics(config.client.connections),
+        metrics=run.compute_metrics(config.connections),
     )
     assert iteration.residual_errors is None
     assert iteration.as_row()["RES"] is None

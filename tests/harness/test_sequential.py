@@ -96,7 +96,7 @@ def test_stratum_estimator_zero_variance_converges_immediately():
 
 
 def test_stratum_estimator_normal_half_width_formula():
-    estimator = StratumEstimator(confidence=0.95, bootstrap_below=2)
+    estimator = StratumEstimator(confidence=0.95)
     values = [1.0, 2.0, 3.0, 4.0]
     for value in values:
         estimator.observe(_observation(value))

@@ -66,7 +66,7 @@ def single_run_digest(config, faultload=None, iteration=1):
     )
     result.add_iteration(InjectionIteration.merge(
         [run], iteration=iteration,
-        metrics=run.compute_metrics(config.client.connections),
+        metrics=run.compute_metrics(config.connections),
     ))
     return metrics_digest(result), run
 
@@ -176,14 +176,14 @@ def test_dirty_snapshot_falls_back_to_boot():
     config = smoke_config()
     experiment = WebServerExperiment(config)
     key = snapshot_key(config, 1)
-    experiment._bring_up(1, None)
+    experiment._bring_up(1)
     snapshot = snapshot_cache().get(key)
     assert snapshot is not None
     snapshot.reference = dict(snapshot.reference, sim_time=-1.0)
-    assert experiment._restore_epoch(1, None) is None
+    assert experiment._restore_epoch(1) is None
     assert snapshot_cache().get(key) is None
     # The dispatcher then boots: the epoch is usable, just not restored.
-    epoch = experiment._bring_up(1, None)
+    epoch = experiment._bring_up(1)
     assert epoch.restored is False
 
 
@@ -276,22 +276,19 @@ def _fake_snapshot(key):
 
 
 def test_snapshot_cache_lru_eviction_and_counters():
-    cache = SnapshotCache(max_entries=2)
+    cache = SnapshotCache()
     cache.put(_fake_snapshot("a"))
-    cache.put(_fake_snapshot("b"))
-    assert cache.get("a").key == "a"  # refreshes "a"
-    cache.put(_fake_snapshot("c"))  # evicts "b", the LRU entry
-    assert cache.get("b") is None
-    assert cache.get("a") is not None
-    assert cache.get("c") is not None
-    assert (cache.hits, cache.misses) == (3, 1)
-    cache.discard("a")
+    cache.put(_fake_snapshot("b"))  # one snapshot: evicts "a"
+    assert len(cache) == 1
     assert cache.get("a") is None
+    assert cache.get("b").key == "b"
+    assert (cache.hits, cache.misses) == (1, 1)
+    cache.discard("a")  # not held: "b" stays
+    assert cache.get("b") is not None
+    cache.discard("b")
+    assert cache.get("b") is None
+    assert len(cache) == 0
+    cache.put(_fake_snapshot("c"))
     cache.clear()
     assert len(cache) == 0
     assert (cache.hits, cache.misses) == (0, 0)
-    single = SnapshotCache(max_entries=1)
-    single.put(_fake_snapshot("a"))
-    single.put(_fake_snapshot("b"))
-    assert len(single) == 1
-    assert single.get("a") is None

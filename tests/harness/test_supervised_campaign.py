@@ -20,8 +20,7 @@ from repro.harness.telemetry import RunManifest, read_telemetry
 from tests.harness.configs import tiny_config
 
 
-def _sabotaged_run_shard(config, iteration, cache_dir, plan, marker_dir,
-                         shard):
+def _sabotaged_run_shard(config, iteration, plan, marker_dir, shard):
     """Worker entry point with scripted failures per shard index.
 
     ``plan`` maps a shard index to "crash" / "hang" / "crash_once";
@@ -42,8 +41,7 @@ def _sabotaged_run_shard(config, iteration, cache_dir, plan, marker_dir,
         raise RuntimeError(f"sabotaged shard {shard.index}")
     if behaviour == "hang":
         time.sleep(60.0)
-    return run_shard(config, iteration, shard,
-                     mutant_cache_dir=cache_dir)
+    return run_shard(config, iteration, shard)
 
 
 class SabotagedCampaign(ParallelCampaign):
@@ -56,8 +54,7 @@ class SabotagedCampaign(ParallelCampaign):
 
     def _shard_task(self, iteration):
         return partial(
-            _sabotaged_run_shard, self.config, iteration,
-            self.cache_dir, self.plan,
+            _sabotaged_run_shard, self.config, iteration, self.plan,
             str(self.marker_dir) if self.marker_dir else None,
         )
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness import watchdog as watchdog_module
 from repro.harness.watchdog import Watchdog
 from repro.sim.kernel import Simulator
 
@@ -36,8 +37,7 @@ class FakeRuntime:
 def world():
     sim = Simulator()
     runtime = FakeRuntime()
-    watchdog = Watchdog(sim, runtime, poll_seconds=1.0,
-                        unresponsive_after=4.0)
+    watchdog = Watchdog(sim, runtime)
     return sim, runtime, watchdog
 
 
@@ -146,8 +146,7 @@ def test_restart_storm_capped_at_max_attempts():
     poll into a futile restart — unbounded restart storm."""
     sim = Simulator()
     runtime = FakeRuntime()
-    watchdog = Watchdog(sim, runtime, poll_seconds=1.0,
-                        max_restart_attempts=5)
+    watchdog = Watchdog(sim, runtime)
     runtime.dead = True
     runtime.restart_results = [False] * 100
     watchdog.start()
@@ -159,11 +158,11 @@ def test_restart_storm_capped_at_max_attempts():
     assert len(exhausted) == 1  # recorded once, not per poll
 
 
-def test_retry_exhausted_rearms_the_budget():
+def test_retry_exhausted_rearms_the_budget(monkeypatch):
+    monkeypatch.setattr(watchdog_module, "MAX_RESTART_ATTEMPTS", 2)
     sim = Simulator()
     runtime = FakeRuntime()
-    watchdog = Watchdog(sim, runtime, poll_seconds=1.0,
-                        max_restart_attempts=2)
+    watchdog = Watchdog(sim, runtime)
     runtime.dead = True
     runtime.restart_results = [False] * 10
     watchdog.start()
@@ -183,11 +182,11 @@ def test_retry_exhausted_rearms_the_budget():
     assert watchdog.mis == 2
 
 
-def test_plain_check_now_does_not_rearm_exhausted_budget():
+def test_plain_check_now_does_not_rearm_exhausted_budget(monkeypatch):
+    monkeypatch.setattr(watchdog_module, "MAX_RESTART_ATTEMPTS", 1)
     sim = Simulator()
     runtime = FakeRuntime()
-    watchdog = Watchdog(sim, runtime, poll_seconds=1.0,
-                        max_restart_attempts=1)
+    watchdog = Watchdog(sim, runtime)
     runtime.dead = True
     runtime.restart_results = [False] * 10
     watchdog.check_now()

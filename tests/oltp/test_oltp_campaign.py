@@ -8,7 +8,10 @@ stays out of that table: its variant factor includes sequential mode,
 which OLTP cannot run.
 """
 
+import pytest
+
 from repro.harness.campaign import ParallelCampaign, merge_outcomes
+from repro.harness.experiment import WebServerExperiment
 from repro.harness.snapshot import snapshot_cache
 from repro.harness.supervisor import CHAOS_KILL_ENV
 from repro.oltp import OltpPartial
@@ -64,3 +67,38 @@ def test_iteration_of_quarantined_shards_merges_to_engine_zeros():
     merged = merge_outcomes([], 1, tiny_config(server_name="walnut"))
     assert merged.metrics == OltpPartial().to_metrics()
     assert merged.metrics.total_txns == 0
+
+
+def test_walnut_digest_is_the_same_on_every_interpreter():
+    """An OLTP digest, pinned: the merges add floats left to right, so
+    every interpreter of the CI matrix reproduces it (Python 3.12's
+    compensated ``sum()`` once moved the last bit of RTM)."""
+    snapshot_cache().clear()
+    config = tiny_config(server_name="walnut", iterations=1,
+                         fault_sample=12, slots_per_shard=2)
+    campaign = ParallelCampaign(config, workers=1)
+    campaign.run(include_profile_mode=False)
+    assert campaign.manifest.metrics_digest == (
+        "94aaaf7e975bb32b1f1ce39cd987bb7838798d516d470d8ed6177b7b49bda1c7"
+    )
+
+
+def test_sequential_oltp_campaign_is_refused_before_any_phase(
+        tmp_path, monkeypatch):
+    """Sequential mode's stopping rule estimates SPECWeb measures, which
+    an engine's results lack: the campaign refuses it in one line,
+    before the baseline or the journal exist."""
+    ran = []
+    monkeypatch.setattr(
+        WebServerExperiment, "run_baseline",
+        lambda self, *args, **kwargs: ran.append("baseline"))
+    config = tiny_config(server_name="walnut", fault_sample=24,
+                         sequential=True, ci_target=0.5, slots_per_shard=2)
+    journal = tmp_path / "journal.jsonl"
+    campaign = ParallelCampaign(config, workers=1, journal_path=journal)
+    with pytest.raises(ValueError, match=(
+            r"^sequential mode estimates SPECWeb measures, and walnut is "
+            r"an OLTP engine$")):
+        campaign.run(include_profile_mode=False)
+    assert ran == []
+    assert not journal.exists()

@@ -118,7 +118,7 @@ def test_mutable_prefix_content_changes_tolerated():
     kernel.vfs.create_file("/logs/access.log", size=10)
     ctx = kernel.new_process()
     ctx.record_startup_footprint()
-    auditor = IntegrityAuditor(kernel, mutable_prefixes=("/logs",))
+    auditor = IntegrityAuditor(kernel)
     auditor.snapshot(ctx)
     node = kernel.vfs.lookup("/logs/access.log")
     node.size = 999

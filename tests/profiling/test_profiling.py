@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.profiling.finetune import FineTuner, tuned_faultload
+from repro.profiling import usage
+from repro.profiling.finetune import tuned_faultload
 from repro.profiling.tracer import ApiCallTracer
 from repro.profiling.usage import UsageTable
 
@@ -72,14 +73,15 @@ def test_usage_table_intersection_rule(tracers):
     assert "NtReadFile" in selected
 
 
-def test_usage_table_negligible_rule(tracers):
+def test_usage_table_negligible_rule(tracers, monkeypatch):
     table = UsageTable.from_tracers(tracers)
     selected = {row.function for row in table.select_relevant()}
     # GetTickCount is used by alpha and gamma only; even if it were used
     # by all, its share is negligible.
     assert "GetTickCount" not in selected
     # With an absurdly high threshold nothing survives.
-    assert table.selected_function_names(negligible_percent=99.0) == []
+    monkeypatch.setattr(usage, "NEGLIGIBLE_PERCENT", 99.0)
+    assert table.selected_function_names() == []
 
 
 def test_usage_table_averages(tracers):
@@ -119,16 +121,7 @@ def test_fine_tuner_end_to_end(tracers):
     from repro.gswfit.scanner import scan_build
     from repro.ossim.builds import NT50
 
-    tuner = FineTuner(NT50)
-    tuner.analyze(tracers)
-    selected = tuner.selected_functions()
+    selected = UsageTable.from_tracers(tracers).selected_function_names()
     assert "RtlAllocateHeap" in selected
-    tuned = tuner.tune(scan_build(NT50))
+    tuned = tuned_faultload(scan_build(NT50), selected, NT50)
     assert 0 < len(tuned) < len(scan_build(NT50))
-
-
-def test_fine_tuner_requires_analyze_first():
-    from repro.ossim.builds import NT50
-
-    with pytest.raises(RuntimeError):
-        FineTuner(NT50).selected_functions()

@@ -61,7 +61,7 @@ def test_campaign_json_includes_config(tmp_path, result):
     payload = json.loads((tmp_path / "campaign.json").read_text())
     assert payload["config"]["seed"] == config.seed
     assert payload["config"]["connections"] == (
-        config.client.connections
+        config.connections
     )
 
 

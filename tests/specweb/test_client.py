@@ -4,7 +4,8 @@ import pytest
 
 from repro.ossim.vfs import SimBuffer, VirtualFileSystem
 from repro.sim.kernel import Simulator
-from repro.specweb.client import ClientConfig, SpecWebClient
+from repro.specweb import client as client_module
+from repro.specweb.client import SpecWebClient
 from repro.specweb.fileset import SpecWebFileset
 from repro.webservers.http import HttpResponse
 
@@ -39,7 +40,7 @@ def test_client_runs_and_records_clean_ops(world):
     sim, fileset = world
     client = SpecWebClient(
         sim, _perfect_transport(fileset), fileset,
-        config=ClientConfig(connections=4),
+        connections=4,
     )
     client.start()
     sim.run_until(30.0)
@@ -61,7 +62,7 @@ def test_client_detects_wrong_content(world):
         respond(HttpResponse(200, content_length=size, buffer=buffer))
 
     client = SpecWebClient(sim, corrupting, fileset,
-                           config=ClientConfig(connections=2))
+                           connections=2)
     client.start()
     sim.run_until(20.0)
     assert client.collector.error_kinds.get("content", 0) > 0
@@ -78,7 +79,7 @@ def test_client_detects_truncated_length(world):
         respond(HttpResponse(200, content_length=max(0, entry.size - 1)))
 
     client = SpecWebClient(sim, truncating, fileset,
-                           config=ClientConfig(connections=2))
+                           connections=2)
     client.start()
     sim.run_until(20.0)
     assert client.collector.error_kinds.get("length", 0) > 0
@@ -91,21 +92,21 @@ def test_client_counts_error_statuses(world):
         respond(HttpResponse.error(503))
 
     client = SpecWebClient(sim, failing, fileset,
-                           config=ClientConfig(connections=2))
+                           connections=2)
     client.start()
     sim.run_until(10.0)
     assert client.total_errors() == client.total_ops()
     assert client.collector.error_kinds.get("status_503", 0) > 0
 
 
-def test_refused_connection_backs_off(world):
+def test_refused_connection_backs_off(world, monkeypatch):
     sim, fileset = world
 
     def refusing(request, respond):
         respond(None)
 
-    config = ClientConfig(connections=1, refused_backoff=0.5)
-    client = SpecWebClient(sim, refusing, fileset, config=config)
+    monkeypatch.setattr(client_module, "REFUSED_BACKOFF", 0.5)
+    client = SpecWebClient(sim, refusing, fileset, connections=1)
     client.start()
     sim.run_until(10.0)
     # Roughly one attempt per backoff period, not a tight loop.
@@ -113,29 +114,29 @@ def test_refused_connection_backs_off(world):
     assert client.collector.error_kinds.get("refused", 0) > 0
 
 
-def test_silent_transport_triggers_timeouts(world):
+def test_silent_transport_triggers_timeouts(world, monkeypatch):
     sim, fileset = world
 
     def blackhole(request, respond):
         pass  # never respond
 
-    config = ClientConfig(connections=2, op_timeout=3.0)
-    client = SpecWebClient(sim, blackhole, fileset, config=config)
+    monkeypatch.setattr(client_module, "OP_TIMEOUT", 3.0)
+    client = SpecWebClient(sim, blackhole, fileset, connections=2)
     client.start()
     sim.run_until(10.0)
     timeouts = client.collector.error_kinds.get("timeout", 0)
     assert timeouts >= 4  # ~3 per connection in 10 s
 
 
-def test_late_response_after_timeout_ignored(world):
+def test_late_response_after_timeout_ignored(world, monkeypatch):
     sim, fileset = world
     pending = []
 
     def slow(request, respond):
         pending.append(respond)
 
-    config = ClientConfig(connections=1, op_timeout=1.0)
-    client = SpecWebClient(sim, slow, fileset, config=config)
+    monkeypatch.setattr(client_module, "OP_TIMEOUT", 1.0)
+    client = SpecWebClient(sim, slow, fileset, connections=1)
     client.start()
     sim.run_until(2.0)
     ops_after_timeout = client.total_ops()
@@ -150,7 +151,7 @@ def test_pause_stops_new_operations(world):
     sim, fileset = world
     client = SpecWebClient(
         sim, _perfect_transport(fileset), fileset,
-        config=ClientConfig(connections=2),
+        connections=2,
     )
     client.start()
     sim.run_until(5.0)
@@ -164,12 +165,12 @@ def test_pause_stops_new_operations(world):
     assert client.total_ops() > ops_at_pause
 
 
-def test_connection_rates_span_configured_band(world):
+def test_connection_rates_span_configured_band(world, monkeypatch):
     sim, fileset = world
-    config = ClientConfig(connections=30, min_rate_bps=300_000,
-                          max_rate_bps=500_000)
+    monkeypatch.setattr(client_module, "MIN_RATE_BPS", 300_000)
+    monkeypatch.setattr(client_module, "MAX_RATE_BPS", 500_000)
     client = SpecWebClient(sim, _perfect_transport(fileset), fileset,
-                           config=config)
+                           connections=30)
     rates = [connection.rate_bps for connection in client.connections]
     assert min(rates) >= 300_000
     assert max(rates) <= 500_000
@@ -183,7 +184,7 @@ def test_two_clients_same_seed_identical(world):
     for sim in (sim_a, sim_b):
         client = SpecWebClient(
             sim, _perfect_transport(fileset), fileset,
-            config=ClientConfig(connections=3),
+            connections=3,
             rng=sim.rng_for("client"),
         )
         client.start()

@@ -19,15 +19,6 @@ def test_scaled_preserves_structure():
     assert rules.warmup_seconds < RunRules.paper().warmup_seconds
 
 
-def test_scaled_factor_scales_durations():
-    single = RunRules.scaled(factor=1.0)
-    double = RunRules.scaled(factor=2.0)
-    assert double.warmup_seconds == 2 * single.warmup_seconds
-    assert double.baseline_seconds == 2 * single.baseline_seconds
-    # Slot structure is cadence, not duration: unaffected by the factor.
-    assert double.slot_seconds == single.slot_seconds
-
-
 def test_rules_are_frozen():
     import dataclasses
 

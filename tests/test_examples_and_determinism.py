@@ -1,10 +1,29 @@
 """Smoke tests for the example scripts and cross-process determinism."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+EXAMPLES = sorted(
+    (Path(__file__).resolve().parents[1] / "examples").glob("*.py")
+)
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
+def test_example_imports(path):
+    """Every example imports as a module (its ``main()`` runs only as a
+    script), so one that names a public item that no longer exists
+    fails here."""
+    spec = importlib.util.spec_from_file_location(
+        f"example_{path.stem}", path
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
 
 
 def _run(script, *args, timeout=240):

@@ -35,7 +35,7 @@ def test_selected_functions_used_by_all_servers(pipeline):
 
 def test_server_specific_calls_excluded(pipeline):
     """Per-server idiosyncratic traffic must not survive intersection."""
-    selected = set(pipeline.tuner.selected_functions())
+    selected = set(pipeline.usage_table.selected_function_names())
     assert "RtlSizeHeap" not in selected        # apache-only
     assert "NtDelayExecution" not in selected   # savant-only
     assert "GetLastError" not in selected       # abyss+sambar only
@@ -43,7 +43,7 @@ def test_server_specific_calls_excluded(pipeline):
 
 
 def test_core_hot_functions_selected(pipeline):
-    selected = set(pipeline.tuner.selected_functions())
+    selected = set(pipeline.usage_table.selected_function_names())
     for name in ("RtlAllocateHeap", "RtlFreeHeap", "NtReadFile",
                  "NtClose", "RtlEnterCriticalSection",
                  "RtlDosPathNameToNtPathName_U"):
