@@ -41,6 +41,7 @@ by writing a :class:`~repro.harness.telemetry.RunManifest` whose
 parity harness (``tests/harness/test_parity.py``) checks determinism on.
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -217,6 +218,11 @@ def run_shard(config, iteration, shard):
     is also what ``workers=1`` calls directly, keeping the two modes on
     one code path.  Its mutants come from the in-process memo the
     campaign warmed before forking any worker.
+
+    Every machine the shard brought up is freed before it returns: a
+    retired machine is held by reference cycles, which only a full
+    collection reclaims (DESIGN.md §12), so each campaign process holds
+    at most the current shard's machines.
     """
     if config.operator_specs:
         # Workers may be remote or freshly started processes:
@@ -237,13 +243,15 @@ def run_shard(config, iteration, shard):
     run = experiment.run_slots(
         faultload, iteration=iteration, first_slot=shard.first_slot
     )
-    return ShardOutcome.merge(
+    outcome = ShardOutcome.merge(
         [run],
         shard_index=shard.index,
         first_slot=shard.first_slot,
         num_slots=len(shard.locations),
         partial=run.compute_partial(),
     )
+    gc.collect()
+    return outcome
 
 
 # ----------------------------------------------------------------------
@@ -662,6 +670,28 @@ class ParallelCampaign:
         started = time.perf_counter()
         faultload = self.prepared_faultload(faultload)
         timings["prepare"] = round(time.perf_counter() - started, 6)
+        # Plan before any other phase: a sequential campaign the planner
+        # refuses is refused before it profiles or compiles anything.
+        # Neither planner reads the deadline table derived below.
+        strata = None
+        if self.config.sequential:
+            # The stopping rule estimates SPECWeb measures (DESIGN.md
+            # §14), which an OLTP engine's results do not carry.
+            if self.experiment.machine_class is not ServerMachine:
+                raise ValueError(
+                    f"sequential mode estimates SPECWeb measures, and "
+                    f"{self.config.server_name} is an OLTP engine"
+                )
+            # Sequential mode: the shard plan is the stratified batch
+            # plan — still a pure function of (faultload, config), so
+            # the campaign key and every shard seed are unchanged by
+            # worker count.
+            strata = plan_sequential_strata(
+                faultload, self.config.slots_per_shard
+            )
+            shards = [batch for plan in strata for batch in plan.batches]
+        else:
+            shards = plan_shards(faultload, self.config.slots_per_shard)
         if (self.config.adaptive_slots
                 and self.config.activation_deadlines is None):
             # Derive the deadline table before the campaign key is
@@ -686,25 +716,6 @@ class ParallelCampaign:
             cache_dir=self.cache_dir, probed=True,
         )
         timings["warm_mutants"] = round(time.perf_counter() - started, 6)
-        strata = None
-        if self.config.sequential:
-            # The stopping rule estimates SPECWeb measures (DESIGN.md
-            # §14), which an OLTP engine's results do not carry.
-            if self.experiment.machine_class is not ServerMachine:
-                raise ValueError(
-                    f"sequential mode estimates SPECWeb measures, and "
-                    f"{self.config.server_name} is an OLTP engine"
-                )
-            # Sequential mode: the shard plan is the stratified batch
-            # plan — still a pure function of (faultload, config), so
-            # the campaign key and every shard seed are unchanged by
-            # worker count.
-            strata = plan_sequential_strata(
-                faultload, self.config.slots_per_shard
-            )
-            shards = [batch for plan in strata for batch in plan.batches]
-        else:
-            shards = plan_shards(faultload, self.config.slots_per_shard)
         key = campaign_key(self.config, faultload)
         journal = self._open_journal(key, len(shards))
         telemetry.emit(

@@ -68,11 +68,13 @@ class SlotRunResult(SlotTally):
 
     A verified reboot splits the run into *segments* — each a
     ``(partial, windows)`` pair from one machine's own simulated
-    timeline, the partial reduced when that machine was retired, so no
-    retired machine outlives its epoch.  Metrics merge across segments
-    through the machine's ``partial_type`` (associative, slot-ordered),
-    so a run with reboots reduces exactly like a campaign merging
-    shards.
+    timeline, the partial reduced when that machine was retired, so the
+    result holds no machine.  A retired machine is still held by its
+    own reference cycles until the shard ends, when
+    :func:`~repro.harness.campaign.run_shard` collects them.  Metrics
+    merge across segments through the machine's ``partial_type``
+    (associative, slot-ordered), so a run with reboots reduces exactly
+    like a campaign merging shards.
     Activation records' ``first_hit`` is sim-seconds from slot start
     (None if never hit).
     """
@@ -257,7 +259,8 @@ class WebServerExperiment:
         Deterministic for a given ``iteration``: the replacement machine
         built by a verified reboot is seeded exactly like the original.
         The post-warm-up state is captured once per ``(config,
-        iteration)`` and every later epoch is a restore of that image —
+        iteration)`` — once per shard, since each shard's config carries
+        its own seed — and every later epoch is a restore of that image,
         digest-identical to a fresh boot because boot + warm-up is itself
         deterministic (DESIGN.md §12).  The boot path brings up the
         first epoch and is the fallback when the restore-verify audit

@@ -9,11 +9,12 @@ kill-and-resume, as the parity table demands of software campaigns.
 import pytest
 
 from repro.extensions.statefaults import class_faultload
+from repro.harness import campaign as campaign_module
 from repro.harness.campaign import ParallelCampaign
 from repro.harness.experiment import WebServerExperiment
 from repro.harness.supervisor import CHAOS_KILL_ENV
 from repro.harness.snapshot import snapshot_cache
-from tests.harness.configs import tiny_config
+from tests.harness.configs import passing_through, tiny_config
 from tests.harness.test_parity import cut_journal
 
 
@@ -72,12 +73,16 @@ def test_state_fault_campaign_runs_its_default_phases():
 def test_sequential_state_fault_campaign_is_refused_before_any_phase(
         tmp_path, monkeypatch):
     """Sequential mode stratifies by G-SWFIT fault type, which a state
-    fault lacks: the campaign refuses it in one line, before the
-    baseline or the journal exist."""
+    fault lacks: the campaign refuses it in one line, before it warms
+    mutants and before the baseline or the journal exist."""
     ran = []
     monkeypatch.setattr(
         WebServerExperiment, "run_baseline",
         lambda self, *args, **kwargs: ran.append("baseline"))
+    for name in ("warm_mutant_cache", "derive_activation_deadlines"):
+        monkeypatch.setattr(
+            campaign_module, name,
+            passing_through(ran, name, getattr(campaign_module, name)))
     config = tiny_config()
     config.sequential = True
     config.slots_per_shard = 2

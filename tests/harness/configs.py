@@ -1,4 +1,5 @@
-"""The campaign-sized experiment config shared by the harness tests."""
+"""The campaign-sized experiment config, and a call recorder, shared by
+the harness tests."""
 
 from repro.harness.config import ExperimentConfig
 
@@ -25,3 +26,13 @@ def tiny_config(iterations=1, fault_sample=8, **overrides):
         baseline_seconds=12.0,
     )
     return config
+
+
+def passing_through(log, name, function):
+    """``function``, appending ``name`` to ``log`` at each call."""
+
+    def wrapper(*args, **kwargs):
+        log.append(name)
+        return function(*args, **kwargs)
+
+    return wrapper

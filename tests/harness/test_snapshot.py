@@ -20,9 +20,11 @@ import pytest
 
 from repro.faults.faultload import Faultload
 from repro.harness.campaign import (
+    CampaignShard,
     ParallelCampaign,
     campaign_key,
     plan_shards,
+    run_shard,
 )
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiment import WebServerExperiment
@@ -201,8 +203,14 @@ def test_pristine_digest_stable_across_runs_and_warm_cache():
     assert second_run.epochs_restored == first_run.epochs_restored + 1
 
 
-def test_retired_pristine_epochs_free_their_machines(monkeypatch):
-    """A retired epoch keeps its reduced metrics, not its machine."""
+@pytest.mark.parametrize("protocol", ["pristine-restarts",
+                                      "contamination-reboot"])
+def test_shard_frees_its_retired_machines_when_it_ends(monkeypatch,
+                                                       protocol):
+    """A retired machine is held by its own reference cycles, yet every
+    machine a shard brought up is freed when ``run_shard`` returns: a
+    campaign process holds at most the current shard's machines, without
+    waiting for the collector's own schedule."""
     machines = []
     note_epoch = WebServerExperiment._note_epoch
 
@@ -211,13 +219,31 @@ def test_retired_pristine_epochs_free_their_machines(monkeypatch):
         return note_epoch(self, result, epoch)
 
     monkeypatch.setattr(WebServerExperiment, "_note_epoch", watch)
-    config = smoke_config(pristine_slots=True)
-    experiment = WebServerExperiment(config)
-    run = experiment.run_slots(experiment.prepared_faultload(), iteration=1)
-    assert run.pristine_restarts > 0
-    assert len(machines) == len(run.segments) == run.pristine_restarts + 1
-    gc.collect()
-    assert [ref() for ref in machines] == [None] * len(machines)
+    if protocol == "pristine-restarts":
+        config = smoke_config(pristine_slots=True)
+        faultload = WebServerExperiment(config).prepared_faultload()
+    else:
+        config = smoke_config()
+        faultload = seeded_leak_faultload(config)
+    shard = CampaignShard(index=0, first_slot=0,
+                          locations=tuple(faultload))
+    # Checked before automatic collection is back on: the first young
+    # collection after it would find the shard's garbage anyway.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        outcome = run_shard(config, 1, shard)
+        live = [ref for ref in machines if ref() is not None]
+    finally:
+        if enabled:
+            gc.enable()
+    if protocol == "pristine-restarts":
+        assert outcome.pristine_restarts == len(shard) - 1
+    else:
+        assert outcome.reboots == [{"after_slot": 0, "verified": True}]
+    assert len(machines) == outcome.epochs_booted + outcome.epochs_restored
+    assert len(machines) > 1
+    assert live == []
 
 
 def test_contamination_reboot_served_by_restore(monkeypatch):

@@ -48,7 +48,13 @@ def test_client_runs_and_records_clean_ops(world):
     assert client.total_errors() == 0
 
 
-def test_client_detects_wrong_content(world):
+@pytest.mark.parametrize("body", [
+    lambda size: SimBuffer.for_content(0xBAD, 0, size),
+    lambda size: None,
+    # What a mutated read may hand back: no SimBuffer at all.
+    bytes,
+], ids=["wrong-bytes", "no-body", "not-a-buffer"])
+def test_client_detects_wrong_content(world, body):
     sim, fileset = world
 
     def corrupting(request, respond):
@@ -57,9 +63,9 @@ def test_client_detects_wrong_content(world):
             respond(HttpResponse(200, content_length=200))
             return
         size = entry.size if not request.dynamic else entry.size + 128
-        # Right length, wrong bytes.
-        buffer = SimBuffer.for_content(0xBAD, 0, entry.size)
-        respond(HttpResponse(200, content_length=size, buffer=buffer))
+        # Right length, wrong body.
+        respond(HttpResponse(200, content_length=size,
+                             buffer=body(entry.size)))
 
     client = SpecWebClient(sim, corrupting, fileset,
                            connections=2)
