@@ -87,16 +87,6 @@ def _add_sequential(parser):
         help="two-sided confidence level of the intervals "
              "(default: 0.95)",
     )
-    parser.add_argument(
-        "--min-slots", type=int, default=None, metavar="SLOTS",
-        help="per-stratum floor: never stop on confidence before this "
-             "many slots (default: two shards)",
-    )
-    parser.add_argument(
-        "--max-slots", type=int, default=None, metavar="SLOTS",
-        help="per-stratum ceiling: stop after this many slots even "
-             "without convergence (default: the stratum's full size)",
-    )
 
 
 def _validate_sequential_args(args):
@@ -104,8 +94,6 @@ def _validate_sequential_args(args):
     knobs = (
         ("--ci-target", args.ci_target),
         ("--ci-confidence", args.ci_confidence),
-        ("--min-slots", args.min_slots),
-        ("--max-slots", args.max_slots),
     )
     if not args.sequential:
         for name, value in knobs:
@@ -118,14 +106,6 @@ def _validate_sequential_args(args):
             0.0 < args.ci_confidence < 1.0):
         return (f"--ci-confidence must be in (0, 1), "
                 f"got {args.ci_confidence}")
-    if args.min_slots is not None and args.min_slots < 1:
-        return f"--min-slots must be >= 1, got {args.min_slots}"
-    if args.max_slots is not None:
-        if args.max_slots < 1:
-            return f"--max-slots must be >= 1, got {args.max_slots}"
-        if args.min_slots is not None and args.max_slots < args.min_slots:
-            return (f"--max-slots ({args.max_slots}) must be >= "
-                    f"--min-slots ({args.min_slots})")
     return None
 
 
@@ -135,8 +115,6 @@ def _apply_sequential(args, config):
         config.ci_target = args.ci_target
     if args.ci_confidence is not None:
         config.ci_confidence = args.ci_confidence
-    config.sequential_min_slots = args.min_slots
-    config.sequential_max_slots = args.max_slots
 
 
 def _make_config(args, **overrides):
@@ -295,7 +273,6 @@ def _cmd_campaign(args):
         workers=args.workers,
         journal_path=args.journal,
         resume=args.resume,
-        cache_dir=args.cache_dir,
         shard_timeout=args.shard_timeout,
         max_retries=args.max_retries,
         telemetry_path=args.telemetry,
@@ -355,13 +332,6 @@ def _cmd_campaign(args):
                   f"sim-seconds saved "
                   f"({activation['deadline_functions']} profiled "
                   f"deadline(s))")
-    fabric = manifest.fabric
-    if fabric["backend"] == "fabric":
-        alive = sum(1 for worker in fabric["roster"] if worker["alive"])
-        print(f"fabric: {fabric['workers']} worker(s) "
-              f"({alive} alive), {fabric['steals']} steal(s), "
-              f"{fabric['requeues']} requeue(s), "
-              f"{fabric['worker_deaths']} death(s)")
     sequential = manifest.sequential
     if sequential["enabled"]:
         saved = sequential["slots_saved_percent"]
@@ -548,10 +518,6 @@ def build_parser():
     campaign.add_argument(
         "--resume", action="store_true",
         help="skip units already recorded in --journal",
-    )
-    campaign.add_argument(
-        "--cache-dir",
-        help="disk cache directory for build scans and compiled mutants",
     )
     campaign.add_argument(
         "--shard-timeout", type=float, default=None,

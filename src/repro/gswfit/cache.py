@@ -11,15 +11,10 @@ Both expensive halves of the pipeline are pure functions of source text:
 
 A campaign therefore never needs more than one scan per build and one
 compilation per fault location — yet the harness used to redo both on
-every call/slot.  This module caches each at two levels:
-
-* **in process** — memo tables keyed by the fingerprints below, so
-  repeat scans/injections inside one run are free (and, because worker
-  processes fork from a warmed parent, free across a parallel
-  campaign's workers too);
-* **on disk** — the faultload JSON, and marshalled mutant code objects,
-  persisted under a cache directory so repeat *runs* skip the work
-  entirely.
+every call/slot.  This module memoizes each in process, keyed by the
+fingerprints below, so repeat scans/injections inside one run are free;
+because a campaign's workers fork from a warmed parent, they are free
+across its workers too.
 
 The scan cache key is ``(build codename, library fingerprint)``; the
 mutant cache key is ``(source fingerprint, fault_id, probed)`` where the
@@ -27,17 +22,11 @@ source fingerprint hashes the target function's current source plus the
 operator's implementation and ``probed`` distinguishes
 activation-instrumented variants.  Fingerprints hash the source they
 depend on, so editing it invalidates the cache automatically — stale
-entries are simply never looked up again (their key no longer matches)
-and can be garbage-collected at leisure.
+entries are simply never looked up again (their key no longer matches).
 """
 
 import hashlib
 import inspect
-import marshal
-import os
-import sys
-import types
-from pathlib import Path
 
 from repro.faults.faultload import Faultload
 from repro.gswfit.astutils import ModuleSource
@@ -61,11 +50,9 @@ __all__ = [
     "MUTANT_CACHE_STATS",
     "build_mutant_cached",
     "cache_key",
-    "cache_path",
     "clear_mutant_cache",
     "clear_scan_cache",
     "library_fingerprint",
-    "mutant_cache_path",
     "mutant_fingerprint",
     "scan_build_cached",
     "warm_mutant_cache",
@@ -110,13 +97,7 @@ def cache_key(build):
     return (build.codename, library_fingerprint(build))
 
 
-def cache_path(cache_dir, key):
-    """Disk location for one cache key (fingerprint is in the name)."""
-    codename, fingerprint = key
-    return Path(cache_dir) / f"scan-{codename}-{fingerprint[:16]}.json"
-
-
-def scan_build_cached(build, cache_dir=None):
+def scan_build_cached(build):
     """:func:`~repro.gswfit.scanner.scan_build` behind the cache.
 
     Returns a fresh :class:`Faultload` wrapper on every call (the
@@ -125,25 +106,16 @@ def scan_build_cached(build, cache_dir=None):
     """
     key = cache_key(build)
     faultload = _memory_cache.get(key)
-    if faultload is None and cache_dir is not None:
-        path = cache_path(cache_dir, key)
-        if path.exists():
-            faultload = Faultload.load(path)
-            _memory_cache[key] = faultload
     if faultload is None:
         faultload = scan_build(build)
         _memory_cache[key] = faultload
-        if cache_dir is not None:
-            path = cache_path(cache_dir, key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            faultload.save(path)
     return Faultload(
         faultload.os_codename, faultload.locations, name=faultload.name
     )
 
 
 def clear_scan_cache():
-    """Drop the in-process memo (the disk cache is left alone)."""
+    """Drop the in-process scan and library-fingerprint memos."""
     _memory_cache.clear()
     _fingerprint_cache.clear()
 
@@ -166,7 +138,7 @@ _operator_fp_memo = {}
 class _MutantCacheStats:
     """Counters for the mutant cache (reset with :func:`clear_mutant_cache`)."""
 
-    __slots__ = ("compiles", "memory_hits", "disk_hits")
+    __slots__ = ("compiles", "memory_hits")
 
     def __init__(self):
         self.reset()
@@ -174,14 +146,6 @@ class _MutantCacheStats:
     def reset(self):
         self.compiles = 0
         self.memory_hits = 0
-        self.disk_hits = 0
-
-    def as_dict(self):
-        return {
-            "compiles": self.compiles,
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-        }
 
 
 MUTANT_CACHE_STATS = _MutantCacheStats()
@@ -225,53 +189,14 @@ def mutant_fingerprint(location, function=None):
     return hasher.hexdigest()
 
 
-def mutant_cache_path(cache_dir, fingerprint, fault_id, probed=False):
-    """Disk location of one precompiled mutant.
-
-    ``marshal`` output is only stable within one interpreter build, so the
-    implementation cache tag is folded into the name — a different Python
-    simply misses and recompiles.  Probed mutants (activation tracking)
-    differ from unprobed ones by one planted statement, so the probe flag
-    is part of the name too.
-    """
-    variant = "probed" if probed else "plain"
-    digest = hashlib.sha256(
-        f"{sys.implementation.cache_tag}:{fingerprint}:{fault_id}:{variant}"
-        .encode("utf-8")
-    ).hexdigest()[:24]
-    return Path(cache_dir) / f"mutant-{digest}.marshal"
-
-
-def _load_mutant_code(path):
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return None
-    try:
-        code = marshal.loads(data)
-    except (EOFError, ValueError, TypeError):
-        return None  # truncated/corrupt entry: recompile and overwrite
-    if not isinstance(code, types.CodeType):
-        return None
-    return code
-
-
-def _store_mutant_code(path, code):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    tmp.write_bytes(marshal.dumps(code))
-    os.replace(tmp, path)  # atomic: concurrent workers race benignly
-
-
-def build_mutant_cached(location, cache_dir=None, probed=False, sites=None):
+def build_mutant_cached(location, probed=False, sites=None):
     """:func:`~repro.gswfit.mutator.build_mutant` behind the cache.
 
     Returns the same ``(original_function, mutant_code)`` pair.  The code
     object is compiled at most once per ``(source fingerprint, fault_id,
-    probed)`` — per process via the in-memory memo, per machine via the
-    optional ``cache_dir`` marshal tier shared by campaign worker
-    processes.  Probed and unprobed variants are distinct cache entries:
-    they compile to different bytecode.  ``sites`` (a
+    probed)`` in a process, and a campaign's forked workers inherit the
+    memo its warm-up filled.  Probed and unprobed variants are distinct
+    cache entries: they compile to different bytecode.  ``sites`` (a
     :class:`~repro.gswfit.mutator.FunctionSites`) is handed to the
     build on a miss.
     """
@@ -282,24 +207,9 @@ def build_mutant_cached(location, cache_dir=None, probed=False, sites=None):
     if code is not None:
         MUTANT_CACHE_STATS.memory_hits += 1
         return function, code
-    if cache_dir is not None:
-        code = _load_mutant_code(
-            mutant_cache_path(cache_dir, key[0], location.fault_id,
-                              probed=probed)
-        )
-        if code is not None:
-            MUTANT_CACHE_STATS.disk_hits += 1
-            _mutant_memory[key] = code
-            return function, code
     function, code = build_mutant(location, probed=probed, sites=sites)
     MUTANT_CACHE_STATS.compiles += 1
     _mutant_memory[key] = code
-    if cache_dir is not None:
-        _store_mutant_code(
-            mutant_cache_path(cache_dir, key[0], location.fault_id,
-                              probed=probed),
-            code,
-        )
     return function, code
 
 
@@ -318,14 +228,13 @@ def _unread_definition(module_source, location):
     return definition
 
 
-def warm_mutant_cache(faultload, cache_dir=None, probed=False):
+def warm_mutant_cache(faultload, probed=False):
     """Batch-compile every location of ``faultload`` into the cache.
 
     A campaign calls this once after sampling, *before* forking worker
-    processes, which inherit the warm in-process memo outright; with a
-    ``cache_dir``, later runs pick the mutants up from disk.  Locations
-    that cannot be compiled are counted, not raised — the injection slot
-    will surface the error in context.  ``probed`` must match what the slots
+    processes, which inherit the warm in-process memo outright.
+    Locations that cannot be compiled are counted, not raised — the
+    injection slot will surface the error in context.  ``probed`` must match what the slots
     will request (activation tracking on → probed mutants).
 
     Locations are built one module at a time, and within it one
@@ -357,8 +266,7 @@ def warm_mutant_cache(faultload, cache_dir=None, probed=False):
                 before = MUTANT_CACHE_STATS.compiles
                 try:
                     build_mutant_cached(
-                        location, cache_dir=cache_dir, probed=probed,
-                        sites=sites,
+                        location, probed=probed, sites=sites
                     )
                 except MutantError:
                     failed += 1

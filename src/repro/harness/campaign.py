@@ -69,6 +69,7 @@ from repro.harness.results import (
     SlotTally,
 )
 from repro.harness.sequential import (
+    MIN_BATCHES,
     SequentialController,
     plan_sequential_strata,
 )
@@ -429,13 +430,6 @@ class ParallelCampaign:
         for every value.
     journal_path / resume:
         Checkpointing (see :class:`CampaignJournal`).
-    cache_dir:
-        Disk cache directory for the build scan and the precompiled
-        mutants (see :mod:`repro.gswfit.cache`), read and written by
-        this process.  :meth:`run` compiles the sampled faultload's
-        mutants once, up-front, before any worker process exists, so
-        every forked worker inherits the warm in-process memo and never
-        reaches the disk tier.
     shard_timeout:
         Wall-clock deadline in seconds for one shard attempt; a shard
         exceeding it is treated as hung (default None: no deadline).
@@ -453,8 +447,7 @@ class ParallelCampaign:
     """
 
     def __init__(self, config, workers=None,
-                 journal_path=None, resume=False, cache_dir=None,
-                 shard_timeout=None,
+                 journal_path=None, resume=False, shard_timeout=None,
                  max_retries=DEFAULT_MAX_RETRIES,
                  telemetry_path=None, manifest_path=None):
         if workers is None:
@@ -472,7 +465,6 @@ class ParallelCampaign:
         self.config = config
         self.journal_path = journal_path
         self.resume = resume
-        self.cache_dir = cache_dir
         self.shard_timeout = shard_timeout
         self.max_retries = max_retries
         if journal_path is not None:
@@ -492,7 +484,7 @@ class ParallelCampaign:
         """Scan (through the cache) and prepare, exactly once."""
         if faultload is None:
             build = get_build(self.config.os_codename)
-            faultload = scan_build_cached(build, cache_dir=self.cache_dir)
+            faultload = scan_build_cached(build)
         return self.experiment.prepared_faultload(faultload)
 
     def _open_journal(self, key, num_shards):
@@ -634,8 +626,7 @@ class ParallelCampaign:
             "ci_target": self.config.ci_target,
             "ci_confidence": self.config.ci_confidence,
             "batch_slots": self.config.slots_per_shard,
-            "min_slots": self.config.resolved_sequential_min_slots(),
-            "max_slots": self.config.sequential_max_slots,
+            "min_slots": MIN_BATCHES * self.config.slots_per_shard,
             "planned_slots": planned,
             "executed_slots": executed,
             "slots_skipped": skipped,
@@ -713,7 +704,7 @@ class ParallelCampaign:
         started = time.perf_counter()
         self.warmup_stats = warm_mutant_cache(
             [fault for fault in faultload if fault.mutates_code],
-            cache_dir=self.cache_dir, probed=True,
+            probed=True,
         )
         timings["warm_mutants"] = round(time.perf_counter() - started, 6)
         key = campaign_key(self.config, faultload)
@@ -787,7 +778,6 @@ class ParallelCampaign:
                     seconds=timings[f"iteration-{iteration}"],
                     quarantined=len(added),
                 )
-            fabric = supervisor.backend_stats()
         finally:
             supervisor.close()
         result.quarantine = quarantine
@@ -825,7 +815,6 @@ class ParallelCampaign:
             integrity=integrity,
             activation=activation,
             snapshot=snapshot,
-            fabric=fabric,
             sequential=sequential,
             metrics_digest=digest,
             created_at=round(time.time(), 6),
@@ -835,7 +824,6 @@ class ParallelCampaign:
         telemetry.emit("integrity_summary", **integrity)
         telemetry.emit("activation_summary", **activation)
         telemetry.emit("snapshot_summary", **snapshot)
-        telemetry.emit("fabric_summary", **fabric)
         telemetry.emit(
             "sequential_summary",
             **{key: value for key, value in sequential.items()

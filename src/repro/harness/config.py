@@ -104,14 +104,6 @@ class ExperimentConfig:
     # Two-sided confidence level of the intervals.
     ci_confidence: float = 0.95
 
-    # Per-stratum floor: never stop on confidence before this many
-    # slots.  None = two shards (the minimum that yields a variance).
-    sequential_min_slots: int | None = None
-
-    # Per-stratum ceiling: stop after this many slots even without
-    # convergence.  None = the stratum's full planned size.
-    sequential_max_slots: int | None = None
-
     # Declarative operator specs (DESIGN.md §16): a tuple of *canonical*
     # spec dicts, installed into the operator registry by the campaign
     # parent and by every worker before scanning (the config pickles to
@@ -120,12 +112,6 @@ class ExperimentConfig:
     # canonical JSON is the operator's cache fingerprint, so scan and
     # mutant caches stay sound across spec edits.  None = built-ins only.
     operator_specs: tuple | None = None
-
-    def resolved_sequential_min_slots(self):
-        """The effective per-stratum slot floor (>= two shards)."""
-        if self.sequential_min_slots is not None:
-            return int(self.sequential_min_slots)
-        return 2 * self.slots_per_shard
 
     def iteration_seed(self, iteration):
         """Seed for one iteration: same workload family, fresh draws."""

@@ -14,7 +14,7 @@ statistical injection" speed-up of the DAVOS line of work:
 * after a batch completes, the stratum's
   :class:`~repro.harness.metrics.StratumEstimator` updates and the
   stratum **stops** once every tracked metric's confidence interval is
-  tighter than the target (or its slots run out, or its ceiling hits).
+  tighter than the target (or its slots run out).
 
 Determinism is by construction, exactly like the rest of the campaign
 engine: the batch plan is a pure function of (faultload, batch size);
@@ -35,12 +35,17 @@ from repro.harness.metrics import (
 from repro.sim.rng import SeededRng, derive_seed
 
 __all__ = [
+    "MIN_BATCHES",
     "SequentialController",
     "StratumPlan",
     "StratumState",
     "batch_observation",
     "plan_sequential_strata",
 ]
+
+# A stratum never stops on confidence before this many batches: two are
+# the fewest that yield a variance.
+MIN_BATCHES = 2
 
 
 # ----------------------------------------------------------------------
@@ -169,8 +174,7 @@ class SequentialController:
     def __init__(self, config, strata):
         self.config = config
         self.ci_target = float(config.ci_target)
-        self.min_slots = config.resolved_sequential_min_slots()
-        self.max_slots = config.sequential_max_slots
+        self.min_slots = MIN_BATCHES * config.slots_per_shard
         self.states = [
             StratumState(
                 plan=plan,
@@ -230,9 +234,6 @@ class SequentialController:
         })
         if state.pending_batch() is None:
             state.stop_reason = "exhausted"
-        elif (self.max_slots is not None
-                and state.executed_slots >= self.max_slots):
-            state.stop_reason = "max-slots"
         elif (state.executed_slots >= self.min_slots
                 and _converged(widths, means, self.ci_target)):
             state.stop_reason = "confidence"

@@ -271,20 +271,18 @@ class _Attempt:
 class _Worker:
     """The supervisor's record of one forked worker and its socket."""
 
-    __slots__ = ("name", "process", "conn", "alive", "ready", "last_seen",
-                 "attempt", "started", "deadline", "shards_done")
+    __slots__ = ("name", "process", "conn", "ready", "last_seen",
+                 "attempt", "started", "deadline")
 
-    def __init__(self, name, process, conn, shards_done):
+    def __init__(self, name, process, conn):
         self.name = name
         self.process = process
         self.conn = conn
-        self.alive = True
         self.ready = False           # has sent a message since its fork
         self.last_seen = time.monotonic()
         self.attempt = None          # the shard it runs, if any
         self.started = 0.0
         self.deadline = None
-        self.shards_done = shards_done
 
 
 # ----------------------------------------------------------------------
@@ -317,11 +315,8 @@ class ShardSupervisor:
         self.serial_fallback = False
         self.quarantined = []
         self._rebuilds_before = 0    # pool_rebuilds as this run began
-        self._workers = {}           # name -> _Worker, the whole roster
+        self._workers = {}           # name -> its latest _Worker
         self._live = {}              # supervisor end -> live _Worker
-        self._counters = dict.fromkeys(
-            ("steals", "requeues", "heartbeats", "worker_deaths",
-             "results"), 0)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -344,23 +339,6 @@ class ShardSupervisor:
             if worker.process.is_alive():
                 worker.process.kill()
                 worker.process.join(timeout=2.0)
-
-    def backend_stats(self):
-        """The manifest's ``fabric`` block: ``serial`` until workers are
-        forked, then their roster and counters."""
-        if not self._workers:
-            return {"backend": "serial", "workers": self.workers}
-        roster = [
-            {
-                "name": worker.name,
-                "pid": worker.process.pid,
-                "shards_done": worker.shards_done,
-                "alive": worker.alive,
-            }
-            for _name, worker in sorted(self._workers.items())
-        ]
-        return {"backend": "fabric", "workers": len(roster),
-                "roster": roster, **self._counters}
 
     # ------------------------------------------------------------------
     # Entry point
@@ -445,9 +423,7 @@ class ShardSupervisor:
         process.start()
         theirs.close()
         ours.settimeout(READ_TIMEOUT)
-        previous = self._workers.get(name)
-        worker = _Worker(name, process, ours,
-                         previous.shards_done if previous else 0)
+        worker = _Worker(name, process, ours)
         self._workers[name] = worker
         self._live[ours] = worker
         self.telemetry.emit("fabric_worker_register", worker=name,
@@ -477,11 +453,9 @@ class ShardSupervisor:
         worker.started = now
         if self.shard_timeout is not None:
             worker.deadline = now + self.shard_timeout
-        self._counters["steals"] += 1
-        shard = attempt.shard.index
-        self.telemetry.emit("shard_dispatch", shard=shard,
-                            attempt=len(attempt.failures) + 1)
-        self.telemetry.emit("fabric_steal", worker=worker.name, shard=shard)
+        self.telemetry.emit("shard_dispatch", shard=attempt.shard.index,
+                            attempt=len(attempt.failures) + 1,
+                            worker=worker.name)
 
     def _serve(self, pending):
         """Read every waiting message, waiting up to ``TICK_SECONDS``
@@ -533,13 +507,10 @@ class ShardSupervisor:
         worker.ready = True
         kind, value = message
         if kind == "heartbeat":
-            self._counters["heartbeats"] += 1
             return
         attempt = worker.attempt
         worker.attempt = worker.deadline = None
         if kind == "result":
-            self._counters["results"] += 1
-            worker.shards_done += 1
             done.append((attempt, value, worker.last_seen - worker.started))
         else:
             self._fail(attempt, f"crash: {value}", pending)
@@ -570,16 +541,11 @@ class ShardSupervisor:
         """
         del self._live[worker.conn]
         worker.conn.close()
-        worker.alive = False
         worker.process.kill()
         worker.process.join(timeout=5.0)
-        self._counters["worker_deaths"] += 1
-        self.telemetry.emit("fabric_worker_dead", worker=worker.name,
-                            reason=reason)
         self.pool_rebuilds += 1
         self.telemetry.emit("pool_rebuild", reason=reason, worker=worker.name)
         if worker.attempt is not None:
-            self._counters["requeues"] += 1
             self._fail(worker.attempt,
                        charge or f"worker died: {worker.name} ({reason})",
                        pending)

@@ -46,6 +46,10 @@ __all__ = [
     "read_telemetry",
 ]
 
+# v9: the ``fabric`` block is gone: its counters repeated what
+# ``supervision`` records (each worker death is a pool rebuild, each
+# steal a ``shard_dispatch`` event).  The ``sequential`` block drops
+# ``max_slots``: a stratum has no ceiling but its planned size.
 # v8: the ``fabric`` block drops its loopback-worker count, its
 # fragment version-skew counter and each roster entry's host: every
 # worker is forked by the campaign on its own host.
@@ -59,7 +63,7 @@ __all__ = [
 # never part of the metrics digest.
 # v4: snapshot summary (epoch-setup accounting: booted vs restored
 # epochs, pristine restarts).
-MANIFEST_VERSION = 8
+MANIFEST_VERSION = 9
 TELEMETRY_VERSION = 1
 
 
@@ -230,16 +234,9 @@ class RunManifest:
       always on, so the block has no on/off flag.  Diagnostic only —
       restored and booted epochs are digest-identical by construction,
       which the parity harness enforces.
-    * ``fabric`` — the executor summary: what ran the shards
-      (``serial`` in-process, or ``fabric``) and, for the fabric, the
-      worker roster (name/pid/shards done/alive) with
-      steal/requeue/heartbeat/worker-death/result counters.
-      Diagnostic only — the shard plan, seeds, and merge ignore where
-      a shard ran, so the digest is identical for any worker count,
-      which the parity harness enforces.
     * ``sequential`` — the sequential-sampling summary: whether the
       mode ran, the full stopping schedule (target, confidence, batch /
-      min / max slots), planned vs executed slots with
+      min slots), planned vs executed slots with
       ``slots_skipped``, per-stratum stopping points and stop reasons,
       and each stratum's confidence-interval trajectory.  Diagnostic
       only — the stopping decisions are *reflected in* the executed
@@ -270,7 +267,6 @@ class RunManifest:
     integrity: dict = dataclasses.field(default_factory=dict)
     activation: dict = dataclasses.field(default_factory=dict)
     snapshot: dict = dataclasses.field(default_factory=dict)
-    fabric: dict = dataclasses.field(default_factory=dict)
     sequential: dict = dataclasses.field(default_factory=dict)
     metrics_digest: str = ""
     created_at: float = 0.0

@@ -1,16 +1,16 @@
 """Tests for the mutant precompilation cache (tier-1).
 
 The load-bearing properties: a fault location is compiled exactly once
-per campaign no matter how many slots inject it, worker processes share
-one compilation pass through the disk tier, and the cache never changes
-what the injector actually swaps in.
+per campaign no matter how many slots inject it, forked worker
+processes share the parent's one compilation pass, and the cache never
+changes what the injector actually swaps in.
 """
 
 import ast
 import inspect
+import os
 import sys
 import types
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -21,7 +21,6 @@ from repro.gswfit.cache import (
     MUTANT_CACHE_STATS,
     build_mutant_cached,
     clear_mutant_cache,
-    mutant_cache_path,
     mutant_fingerprint,
     warm_mutant_cache,
 )
@@ -30,6 +29,8 @@ from repro.gswfit.injector import FaultInjector
 from repro.gswfit.mutator import build_mutant
 from repro.gswfit.operators import base
 from repro.gswfit.scanner import scan_build
+from repro.harness.campaign import plan_shards
+from repro.harness.supervisor import ShardSupervisor
 from repro.ossim.builds import NT50, NT51
 
 
@@ -271,51 +272,23 @@ def test_cold_warm_up_renders_no_description_and_walks_no_tree(
     ]
 
 
-def test_disk_tier_survives_memory_clear(faultload, tmp_path):
-    location = faultload.locations[0]
-    build_mutant_cached(location, cache_dir=tmp_path)
-    path = mutant_cache_path(
-        tmp_path, mutant_fingerprint(location), location.fault_id
-    )
-    assert path.exists()
-    clear_mutant_cache()
-    build_mutant_cached(location, cache_dir=tmp_path)
-    assert MUTANT_CACHE_STATS.as_dict() == {
-        "compiles": 0, "memory_hits": 0, "disk_hits": 1
-    }
+def _compile_shard(shard):
+    """Worker task: build each of the shard's mutants as its slots
+    would, and say how many compiled and in which process."""
+    before = MUTANT_CACHE_STATS.compiles
+    for location in shard.locations:
+        build_mutant_cached(location, probed=True)
+    return MUTANT_CACHE_STATS.compiles - before, os.getpid()
 
 
-def test_corrupt_disk_entry_recompiles(faultload, tmp_path):
-    location = faultload.locations[0]
-    build_mutant_cached(location, cache_dir=tmp_path)
-    path = mutant_cache_path(
-        tmp_path, mutant_fingerprint(location), location.fault_id
-    )
-    path.write_bytes(b"not a marshalled code object")
-    clear_mutant_cache()
-    function, code = build_mutant_cached(location, cache_dir=tmp_path)
-    assert MUTANT_CACHE_STATS.compiles == 1
-    assert code.co_argcount == function.__code__.co_argcount
-
-
-def _worker_compile_stats(location, cache_dir):
-    # Runs in a worker process.  Drop any state inherited through fork so
-    # the only way to avoid compiling is the on-disk tier.
-    clear_mutant_cache()
-    build_mutant_cached(location, cache_dir=cache_dir)
-    return MUTANT_CACHE_STATS.as_dict()
-
-
-def test_worker_processes_share_one_compilation_pass(faultload, tmp_path):
-    """A parent warm-up means fresh worker processes compile nothing."""
+def test_worker_processes_share_one_compilation_pass(faultload):
+    """A parent warm-up means forked workers compile nothing: they
+    inherit the warm memo, the only thing between them and a compile."""
     sample = faultload.locations[:4]
-    for location in sample:
-        build_mutant_cached(location, cache_dir=tmp_path)
-    assert MUTANT_CACHE_STATS.compiles == len(sample)
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(
-            _worker_compile_stats, sample, [tmp_path] * len(sample)
-        ))
-    for stats in results:
-        assert stats["compiles"] == 0
-        assert stats["disk_hits"] == 1
+    assert warm_mutant_cache(sample, probed=True)["compiled"] == len(sample)
+    with ShardSupervisor(workers=2) as supervisor:
+        report = supervisor.run(plan_shards(sample, 1), _compile_shard)
+    assert sorted(report.outcomes) == [0, 1, 2, 3]
+    for compiles, pid in report.outcomes.values():
+        assert compiles == 0
+        assert pid != os.getpid()

@@ -209,21 +209,19 @@ def _retry_reasons(recorder):
 
 
 def test_coordinator_completes_work_and_counts_steals():
+    """Each shard is stolen once: one ``shard_dispatch`` per shard,
+    naming the worker that took it."""
     recorder = _Recorder()
     with ShardSupervisor(workers=2, telemetry=recorder) as supervisor:
         report = supervisor.run([_shard(i) for i in range(3)], _ok_task)
-        stats = supervisor.backend_stats()
     assert report.outcomes == {i: {"shard": i} for i in range(3)}
-    assert stats["backend"] == "fabric"
-    assert stats["steals"] == 3
-    assert stats["results"] == 3
-    assert stats["worker_deaths"] == 0
-    assert [worker["name"] for worker in stats["roster"]] == [
-        "loopback-0", "loopback-1"]
-    assert sum(worker["shards_done"] for worker in stats["roster"]) == 3
-    assert len(recorder.named("fabric_worker_register")) == 2
-    assert sorted(fields["shard"]
-                  for fields in recorder.named("fabric_steal")) == [0, 1, 2]
+    assert report.pool_rebuilds == 0
+    workers = [fields["worker"]
+               for fields in recorder.named("fabric_worker_register")]
+    assert workers == ["loopback-0", "loopback-1"]
+    dispatches = recorder.named("shard_dispatch")
+    assert sorted(fields["shard"] for fields in dispatches) == [0, 1, 2]
+    assert {fields["worker"] for fields in dispatches} <= set(workers)
 
 
 def test_each_worker_exits_once_its_coordinator_end_closes():
@@ -253,15 +251,13 @@ def test_unpicklable_outcome_is_charged_and_never_merged():
     reaches the outcomes."""
     with ShardSupervisor(workers=2, max_retries=1) as supervisor:
         report = supervisor.run([_shard(4)], _unpicklable_task)
-        stats = supervisor.backend_stats()
     [quarantined] = report.quarantined
     assert quarantined.shard_index == 4
     assert quarantined.attempts == 2
     assert all(reason.startswith("crash: unsendable outcome")
                for reason in quarantined.failures)
     assert report.outcomes == {}
-    assert stats["results"] == 0
-    assert stats["worker_deaths"] == 0
+    assert report.pool_rebuilds == 0
 
 
 def _exits(conn):
@@ -273,35 +269,35 @@ def test_coordinator_charges_shard_of_dead_worker(monkeypatch):
     recorder = _Recorder()
     with ShardSupervisor(workers=2, telemetry=recorder) as supervisor:
         report = supervisor.run([_shard(5), _shard(6)], _ok_task)
-        stats = supervisor.backend_stats()
     assert sorted(report.outcomes) == [5, 6]
     reasons = _retry_reasons(recorder)
     assert len(reasons) == 2
     assert all(reason.startswith("worker died: loopback-")
                and reason.endswith("(connection lost)")
                for reason in reasons)
-    assert stats["worker_deaths"] == 2
-    assert stats["requeues"] == 2
+    assert report.retries == 2
     assert report.pool_rebuilds == 2
-    assert len(recorder.named("fabric_worker_dead")) == 2
+    assert sorted(
+        (fields["worker"], fields["reason"])
+        for fields in recorder.named("pool_rebuild")
+    ) == [("loopback-0", "connection lost"),
+          ("loopback-1", "connection lost")]
 
 
 def test_coordinator_charges_hung_shard_despite_heartbeats(monkeypatch):
     """Heartbeats prove liveness, not progress: a shard past its
     wall-clock deadline is charged as hung.  Its worker outlives the
-    silence grace twice over first, so its heartbeats kept arriving
-    while the shard ran."""
+    silence grace twice over first, so only its heartbeats, arriving
+    while the shard ran, spared it a silence reap."""
     monkeypatch.setattr(supervisor_module, "HEARTBEAT_SECONDS", 0.05)
     monkeypatch.setattr(supervisor_module, "HEARTBEAT_GRACE", 1.0)
     with ShardSupervisor(workers=2, shard_timeout=2.0,
                          max_retries=0) as supervisor:
         report = supervisor.run([_shard(2)], _hang_task)
-        stats = supervisor.backend_stats()
     [quarantined] = report.quarantined
     assert quarantined.shard_index == 2
     assert quarantined.failures == ("hang: exceeded 2.0s deadline",)
-    assert stats["worker_deaths"] == 1
-    assert stats["heartbeats"] >= 1
+    assert report.pool_rebuilds == 1
 
 
 def test_coordinator_reaps_worker_with_stale_heartbeat(monkeypatch):
@@ -313,14 +309,12 @@ def test_coordinator_reaps_worker_with_stale_heartbeat(monkeypatch):
     with ShardSupervisor(workers=2, shard_timeout=60.0,
                          max_retries=0) as supervisor:
         report = supervisor.run([_shard(1)], _stop_task)
-        stats = supervisor.backend_stats()
     [quarantined] = report.quarantined
     assert quarantined.shard_index == 1
     [failure] = quarantined.failures
     assert failure.startswith("worker died: loopback-")
     assert failure.endswith("(heartbeat lost)")
-    assert stats["worker_deaths"] == 1
-    assert stats["requeues"] == 1
+    assert report.pool_rebuilds == 1
 
 
 # ----------------------------------------------------------------------
@@ -328,14 +322,14 @@ def test_coordinator_reaps_worker_with_stale_heartbeat(monkeypatch):
 # ----------------------------------------------------------------------
 def test_supervisor_completes_over_loopback_fabric():
     shards = [_shard(i) for i in range(6)]
-    with ShardSupervisor(workers=2) as supervisor:
+    recorder = _Recorder()
+    with ShardSupervisor(workers=2, telemetry=recorder) as supervisor:
         report = supervisor.run(shards, _ok_task)
-        stats = supervisor.backend_stats()
     assert sorted(report.outcomes) == list(range(6))
     assert report.quarantined == []
-    assert stats["backend"] == "fabric"
-    assert stats["workers"] == 2
-    assert stats["results"] == 6
+    assert report.pool_rebuilds == 0
+    assert len(recorder.named("fabric_worker_register")) == 2
+    assert len(recorder.named("shard_dispatch")) == 6
 
 
 def test_supervisor_survives_chaos_killed_loopback_worker(monkeypatch):
@@ -343,12 +337,10 @@ def test_supervisor_survives_chaos_killed_loopback_worker(monkeypatch):
     shards = [_shard(i) for i in range(6)]
     with ShardSupervisor(workers=2) as supervisor:
         report = supervisor.run(shards, _slow_task)
-        stats = supervisor.backend_stats()
     assert sorted(report.outcomes) == list(range(6))
     assert report.quarantined == []
     assert report.retries >= 1
-    assert stats["worker_deaths"] >= 1
-    assert stats["requeues"] >= 1
+    assert report.pool_rebuilds >= 1
 
 
 def _count_forks(monkeypatch):
@@ -467,15 +459,15 @@ def test_fabric_telemetry_and_manifest_surface(tmp_path):
     telemetry_path = tmp_path / "fabric" / "journal.telemetry.jsonl"
     events = [json.loads(line)
               for line in telemetry_path.read_text().splitlines()]
-    names = {event["event"] for event in events}
-    assert "fabric_worker_register" in names
-    assert "fabric_steal" in names
-    assert "fabric_summary" in names
-    summary = [e for e in events if e["event"] == "fabric_summary"][-1]
-    assert summary["backend"] == "fabric"
-    roster = {worker["name"] for worker in manifest.fabric["roster"]}
-    assert roster == {"loopback-0", "loopback-1"}
-    assert manifest.manifest_version >= 5
+    registered = {event["worker"] for event in events
+                  if event["event"] == "fabric_worker_register"}
+    assert registered == {"loopback-0", "loopback-1"}
+    dispatched = {event["worker"] for event in events
+                  if event["event"] == "shard_dispatch"}
+    assert dispatched and dispatched <= registered
+    assert manifest.supervision["pool_rebuilds"] == 0
+    assert "fabric" not in manifest.to_dict()
+    assert manifest.manifest_version >= 9
 
 
 # ----------------------------------------------------------------------

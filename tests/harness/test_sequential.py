@@ -210,20 +210,18 @@ def _drive(config, plan, outcome_for):
 
 
 def test_stratum_smaller_than_min_slots_stops_exhausted():
-    config = tiny_config(slots_per_shard=2,
-                         sequential_min_slots=8)
-    plan = _synthetic_plan(num_batches=2)  # 4 slots < min 8
+    config = tiny_config(slots_per_shard=2)
+    plan = _synthetic_plan(num_batches=1)  # 2 slots < min 4
     controller = _drive(
         config, plan, lambda batch: _synthetic_outcome(batch, 100, 5)
     )
     state = controller.states[0]
     assert state.stop_reason == "exhausted"
-    assert state.executed_slots == 4
+    assert state.executed_slots == 2
 
 
 def test_zero_variance_stratum_stops_at_min_slots():
-    config = tiny_config(ci_target=0.05, slots_per_shard=2,
-                         sequential_min_slots=4)
+    config = tiny_config(ci_target=0.05, slots_per_shard=2)
     plan = _synthetic_plan(num_batches=50)
     controller = _drive(
         config, plan,
@@ -235,24 +233,8 @@ def test_zero_variance_stratum_stops_at_min_slots():
     assert state.executed_slots == 4
 
 
-def test_max_slots_ceiling_stops_unconverged_stratum():
-    config = tiny_config(ci_target=1e-9, slots_per_shard=2,
-                         sequential_min_slots=4,
-                         sequential_max_slots=6)
-    plan = _synthetic_plan(num_batches=50)
-    noisy = iter(range(1, 1000))
-    controller = _drive(
-        config, plan,
-        lambda batch: _synthetic_outcome(batch, 100, next(noisy)),
-    )
-    state = controller.states[0]
-    assert state.stop_reason == "max-slots"
-    assert state.executed_slots == 6
-
-
 def test_quarantined_batch_stops_stratum():
-    config = tiny_config(slots_per_shard=2,
-                         sequential_min_slots=4)
+    config = tiny_config(slots_per_shard=2)
     plan = _synthetic_plan(num_batches=10)
 
     def outcome_for(batch):
@@ -268,8 +250,7 @@ def test_quarantined_batch_stops_stratum():
 
 
 def test_controller_summary_shape():
-    config = tiny_config(ci_target=0.05, slots_per_shard=2,
-                         sequential_min_slots=4)
+    config = tiny_config(ci_target=0.05, slots_per_shard=2)
     plan = _synthetic_plan(num_batches=10)
     controller = _drive(
         config, plan, lambda batch: _synthetic_outcome(batch, 100, 5)
@@ -353,8 +334,6 @@ def test_sequential_schedule_is_in_campaign_key():
         ("ci_target", 0.25),
         ("ci_confidence", 0.9),
         ("slots_per_shard", 3),
-        ("sequential_min_slots", 9),
-        ("sequential_max_slots", 12),
         ("sequential", False),
     ):
         changed = tiny_config(**SEQUENTIAL)
@@ -364,8 +343,7 @@ def test_sequential_schedule_is_in_campaign_key():
 
 def test_sequential_executes_a_subset_and_reports_savings(tmp_path):
     config = tiny_config(fault_sample=48, sequential=True, ci_target=0.8,
-                         slots_per_shard=2,
-                         sequential_min_slots=4)
+                         slots_per_shard=2)
     result, manifest = _run_sequential(config, tmp_path, "save")
     block = manifest.sequential
     assert block["executed_slots"] <= block["planned_slots"]

@@ -93,6 +93,8 @@ def test_all_shards_complete_in_pool_mode(tmp_path):
     shards = [make_shard(i) for i in range(4)]
     report = run_supervised(tmp_path, shards, workers=2)
     assert sorted(report.outcomes) == [0, 1, 2, 3]
+    assert all(outcome["pid"] != os.getpid()
+               for outcome in report.outcomes.values())
     assert report.quarantined == []
     assert report.retries == 0
     assert not report.degraded
@@ -102,6 +104,8 @@ def test_all_shards_complete_serially(tmp_path):
     shards = [make_shard(i) for i in range(3)]
     report = run_supervised(tmp_path, shards, workers=1)
     assert sorted(report.outcomes) == [0, 1, 2]
+    assert all(outcome["pid"] == os.getpid()
+               for outcome in report.outcomes.values())
     assert not report.degraded
 
 
@@ -334,7 +338,6 @@ def test_chaos_killed_loopback_worker_is_replaced_once(tmp_path,
                              telemetry=telemetry) as supervisor:
             report = supervisor.run(
                 [make_shard(i) for i in range(10)], _report_pid)
-            stats = supervisor.backend_stats()
     registered = [
         event["pid"] for event in read_telemetry(telemetry_path)
         if event["event"] == "fabric_worker_register"
@@ -348,7 +351,6 @@ def test_chaos_killed_loopback_worker_is_replaced_once(tmp_path,
     assert sorted(report.outcomes) == list(range(10))
     assert report.retries == 1
     assert report.pool_rebuilds == 1
-    assert stats["worker_deaths"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -44,8 +44,7 @@ def test_oltp_digest_holds_across_workers_death_and_resume(
 
     monkeypatch.setenv(CHAOS_KILL_ENV, "1")
     forked = walnut_campaign(workers=2)
-    assert forked.fabric["backend"] == "fabric"
-    assert forked.fabric["worker_deaths"] >= 1
+    assert forked.supervision["pool_rebuilds"] >= 1
     monkeypatch.delenv(CHAOS_KILL_ENV)
 
     journal = tmp_path / "journal.jsonl"

@@ -113,10 +113,14 @@ def test_campaign_rejects_unknown_backend():
     """There is one multi-worker backend, forked on this host: the flags
     that chose between two are parse errors, and so are the external
     workers' listen address and subcommand.  So are the removed
-    switches for epoch snapshots and activation probes."""
+    switches for epoch snapshots and activation probes, the disk cache
+    directory, and the sequential slot floor and ceiling."""
     for argv in (["--backend", "fabric"], ["--fabric-loopback", "2"],
                  ["--fabric-listen", "127.0.0.1:7044"],
-                 ["--no-snapshot-epochs"], ["--no-track-activation"]):
+                 ["--no-snapshot-epochs"], ["--no-track-activation"],
+                 ["--cache-dir", "cache"],
+                 ["--sequential", "--min-slots", "4"],
+                 ["--sequential", "--max-slots", "8"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", *argv])
     with pytest.raises(SystemExit):
@@ -199,11 +203,12 @@ def test_campaign_fabric_backend_end_to_end(tmp_path, capsys):
     ])
     assert code == 0
     out = capsys.readouterr().out
+    assert "campaign: 2 worker(s)" in out
     assert "metrics digest:" in out
-    assert "fabric:" in out
     payload = json.loads(manifest_path.read_text())
-    assert payload["fabric"]["backend"] == "fabric"
-    assert payload["fabric"]["results"] >= 1
+    assert payload["workers"] == 2
+    assert payload["supervision"]["pool_rebuilds"] == 0
+    assert "fabric" not in payload
     assert len(payload["metrics_digest"]) == 64
 
 
@@ -249,8 +254,7 @@ def test_sigkilled_campaign_leaves_no_workers_and_resumes_to_its_digest(
     ``--resume`` must finish with the uninterrupted run's digest,
     running no journaled unit twice."""
     journal = tmp_path / "killed" / "journal.jsonl"
-    argv = SIGKILL_CAMPAIGN + ["--journal", str(journal),
-                               "--cache-dir", str(tmp_path / "cache")]
+    argv = SIGKILL_CAMPAIGN + ["--journal", str(journal)]
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -281,9 +285,7 @@ def test_sigkilled_campaign_leaves_no_workers_and_resumes_to_its_digest(
 
     assert main(argv + ["--resume"]) == 0
     direct = tmp_path / "direct" / "journal.jsonl"
-    assert main(SIGKILL_CAMPAIGN + [
-        "--journal", str(direct), "--cache-dir", str(tmp_path / "cache"),
-    ]) == 0
+    assert main(SIGKILL_CAMPAIGN + ["--journal", str(direct)]) == 0
     capsys.readouterr()
 
     units = _journal_units(journal)
