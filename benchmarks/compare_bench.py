@@ -10,8 +10,7 @@ CI uses this for two gates:
   campaign's overall fault-activation rate must not drop more than
   ``--tolerance`` below the recorded floor.
 
-It also understands ``BENCH_fabric.json`` (fabric loopback scaling) and
-``BENCH_sequential.json`` (sequential-injection slot reduction), both
+It also understands ``BENCH_fabric.json`` (fabric loopback scaling),
 wired into the same bench-regression job.
 
 Under each hot-path ratio the script also prints the ratio's two
@@ -56,10 +55,6 @@ BENCH_KINDS = {
     "fabric": [
         ("fabric_scaling", "speedup",
          "fabric 4-worker loopback speedup"),
-    ],
-    "sequential": [
-        ("sequential_injection", "slot_reduction_percent",
-         "sequential-injection slot reduction"),
     ],
 }
 

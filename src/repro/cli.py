@@ -67,56 +67,6 @@ def _add_operator_specs(parser):
     )
 
 
-def _add_sequential(parser):
-    parser.add_argument(
-        "--sequential", action="store_true",
-        help="sequential statistical injection: stratify the faultload "
-             "by fault type, run batches, and stop each stratum once "
-             "the confidence interval of every tracked metric "
-             "(SPCf/THRf/RTMf, ADMf, ER%%f) is tighter than the target "
-             "— run until confidence, not until done",
-    )
-    parser.add_argument(
-        "--ci-target", type=float, default=None, metavar="FRACTION",
-        help="target relative interval half-width per metric "
-             "(default: 0.10; a stratum stops when half_width <= "
-             "target * max(|mean|, 1))",
-    )
-    parser.add_argument(
-        "--ci-confidence", type=float, default=None, metavar="LEVEL",
-        help="two-sided confidence level of the intervals "
-             "(default: 0.95)",
-    )
-
-
-def _validate_sequential_args(args):
-    """Flag-combination checks for the sequential sampling flags."""
-    knobs = (
-        ("--ci-target", args.ci_target),
-        ("--ci-confidence", args.ci_confidence),
-    )
-    if not args.sequential:
-        for name, value in knobs:
-            if value is not None:
-                return f"{name} requires --sequential"
-        return None
-    if args.ci_target is not None and args.ci_target <= 0:
-        return f"--ci-target must be positive, got {args.ci_target}"
-    if args.ci_confidence is not None and not (
-            0.0 < args.ci_confidence < 1.0):
-        return (f"--ci-confidence must be in (0, 1), "
-                f"got {args.ci_confidence}")
-    return None
-
-
-def _apply_sequential(args, config):
-    config.sequential = args.sequential
-    if args.ci_target is not None:
-        config.ci_target = args.ci_target
-    if args.ci_confidence is not None:
-        config.ci_confidence = args.ci_confidence
-
-
 def _make_config(args, **overrides):
     config = ExperimentConfig.scaled(**overrides)
     config.os_codename = args.os_codename
@@ -234,7 +184,7 @@ def _validate_campaign_args(args):
     if args.adaptive_slots and args.no_inject:
         return ("--adaptive-slots cannot be combined with --no-inject: "
                 "a no-inject run has no fault for a probe to hit")
-    return _validate_sequential_args(args)
+    return None
 
 
 def _campaign_config(args):
@@ -256,7 +206,6 @@ def _campaign_config(args):
         getattr(args, "operator_specs", None)
     )
     config.operator_specs = specs
-    _apply_sequential(args, config)
     return config
 
 
@@ -332,23 +281,6 @@ def _cmd_campaign(args):
                   f"sim-seconds saved "
                   f"({activation['deadline_functions']} profiled "
                   f"deadline(s))")
-    sequential = manifest.sequential
-    if sequential["enabled"]:
-        saved = sequential["slots_saved_percent"]
-        saved_text = "n/a" if saved is None else f"{saved:.1f}%"
-        print(f"sequential: {sequential['executed_slots']} of "
-              f"{sequential['planned_slots']} slot(s) executed "
-              f"({sequential['slots_skipped']} skipped, {saved_text} "
-              f"saved) at ci-target {sequential['ci_target']}, "
-              f"confidence {sequential['ci_confidence']}")
-        reasons = {}
-        for per_iteration in sequential["stop_reasons"].values():
-            for reason in per_iteration:
-                reasons[reason] = reasons.get(reason, 0) + 1
-        if reasons:
-            text = ", ".join(f"{reason}={count}" for reason, count
-                             in sorted(reasons.items()))
-            print(f"  stratum stop reasons: {text}")
     snapshot = manifest.snapshot
     total = snapshot["epochs_booted"] + snapshot["epochs_restored"]
     line = (f"snapshots: {snapshot['epochs_restored']} of "
@@ -412,6 +344,16 @@ def _cmd_oltp(args):
     return 0
 
 
+def _table5_config(args, os_codename, server_name):
+    """The config of one Table 5 campaign that ``tables`` runs."""
+    config = _make_config(
+        args, fault_sample=args.faults, connections=args.connections
+    )
+    config.os_codename = os_codename
+    config.server_name = server_name
+    return config
+
+
 def _cmd_tables(args):
     from repro.harness.campaign import ParallelCampaign
 
@@ -433,13 +375,9 @@ def _cmd_tables(args):
     for codename in sorted(ALL_BUILDS):
         build = get_build(codename)
         for server in BENCHMARKED_SERVERS:
-            config = _make_config(
-                args, fault_sample=args.faults,
-                connections=args.connections,
+            campaign = ParallelCampaign(
+                _table5_config(args, codename, server)
             )
-            config.os_codename = codename
-            config.server_name = server
-            campaign = ParallelCampaign(config)
             results[(build.display_name, server)] = campaign.run()
             digests.append(f"  {codename}/{server}: "
                            f"{campaign.manifest.metrics_digest}")
@@ -508,9 +446,8 @@ def build_parser():
     )
     campaign.add_argument(
         "--slots-per-shard", type=int, default=None,
-        help="slots per shard, each shard one machine's run and, with "
-             "--sequential, one batch; part of the campaign key "
-             "(default: one conformance batch)",
+        help="slots per shard, each shard one machine's run; part of "
+             "the campaign key (default: one conformance batch)",
     )
     campaign.add_argument(
         "--journal", help="JSONL checkpoint journal for this campaign"
@@ -579,7 +516,6 @@ def build_parser():
              "measured timeline so digests differ from the default "
              "back-to-back schedule",
     )
-    _add_sequential(campaign)
     _add_operator_specs(campaign)
     campaign.add_argument("--export",
                           help="write results to this directory")
@@ -599,7 +535,9 @@ def build_parser():
         "tables", help="regenerate all tables at scaled cost"
     )
     _add_common(tables)
-    tables.add_argument("--faults", type=int, default=64)
+    # The bench's sample size, so the defaults print the Table 5
+    # digests EXPERIMENTS.md publishes.
+    tables.add_argument("--faults", type=int, default=72)
     tables.add_argument("--connections", type=int, default=12)
     tables.set_defaults(func=_cmd_tables)
 

@@ -62,22 +62,6 @@ class Faultload:
             ) + 1
         return counts
 
-    def strata_by_type(self):
-        """Ordered fault-type strata, preserving prepared slot order.
-
-        Returns ``[(fault_type, [locations...]), ...]`` in Table 1/3
-        order, skipping empty types.  Within a stratum the locations
-        keep their faultload order, so a stratified campaign's slot
-        sequence is a pure function of the prepared faultload — the
-        property the sequential mode's digest parity rests on.
-        """
-        by_type = {}
-        for location in self.locations:
-            by_type.setdefault(location.fault_type, []).append(location)
-        return [(fault_type, by_type[fault_type])
-                for fault_type in iter_fault_types()
-                if fault_type in by_type]
-
     def counts_by_function(self):
         """Faults per (display_module, function)."""
         counts = {}

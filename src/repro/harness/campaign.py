@@ -62,16 +62,11 @@ from repro.harness.experiment import (
     profile_servers,
 )
 from repro.harness.jsonl import drop_torn_tail, read_jsonl
-from repro.harness.machine import ServerMachine, machine_class
+from repro.harness.machine import machine_class
 from repro.harness.results import (
     BenchmarkResult,
     InjectionIteration,
     SlotTally,
-)
-from repro.harness.sequential import (
-    MIN_BATCHES,
-    SequentialController,
-    plan_sequential_strata,
 )
 from repro.harness.supervisor import DEFAULT_MAX_RETRIES, ShardSupervisor
 from repro.harness.telemetry import (
@@ -106,9 +101,8 @@ class JournalMismatch(ValueError):
 
 # v7: shard outcomes are a SlotTally; the unread ``snapshot_enabled``
 # flag is gone.
-# v6: sequential campaigns append ``batch`` records — the per-stratum
-# stopping decisions — alongside the shard outcomes they were derived
-# from, so a resumed run can be audited against the uninterrupted one.
+# v6: sequential campaigns appended ``batch`` records, an audit copy of
+# their stopping decisions; the mode is gone, and so are they.
 # v5: shard outcomes carry epoch-setup accounting (booted vs restored
 # epochs, pristine restarts).
 # A journal of any other version is an error on resume, never merged.
@@ -304,11 +298,6 @@ class CampaignJournal:
       metrics' fields (the machine's ``metrics_type``).
     * ``shard``  — a completed ``(iteration, shard)`` with its
       :class:`ShardOutcome`.
-    * ``batch``  — a sequential-mode stopping record: which stratum the
-      shard belonged to, the slots executed so far, and the decision the
-      controller took after folding it in.  Audit trail only — resume
-      *recomputes* decisions from the replayed shard outcomes (a pure
-      function, so they match), and tests assert they do.
     """
 
     def __init__(self, path):
@@ -316,7 +305,6 @@ class CampaignJournal:
         self.header = None
         self.phases = {}
         self.shards = {}
-        self.batches = {}
 
     @classmethod
     def load(cls, path, machine):
@@ -354,10 +342,6 @@ class CampaignJournal:
                         f"unreadable {kind} record ({exc!r}); rerun "
                         "without --resume"
                     ) from exc
-            elif kind == "batch":
-                journal.batches[
-                    (entry["iteration"], entry["shard"])
-                ] = entry
         return journal
 
     def _append(self, entry):
@@ -396,19 +380,6 @@ class CampaignJournal:
             "shard": outcome.shard_index,
             "outcome": outcome.to_dict(),
         })
-
-    def record_batch(self, iteration, shard_index, stratum,
-                     executed_slots, stop_reason):
-        entry = {
-            "kind": "batch",
-            "iteration": iteration,
-            "shard": shard_index,
-            "stratum": stratum,
-            "executed_slots": executed_slots,
-            "stop_reason": stop_reason,
-        }
-        self.batches[(iteration, shard_index)] = entry
-        self._append(entry)
 
 
 # ----------------------------------------------------------------------
@@ -532,111 +503,26 @@ class ParallelCampaign:
         """The picklable per-shard callable one iteration dispatches."""
         return partial(run_shard, self.config, iteration)
 
-    def _dispatch(self, journal, shards, iteration, supervisor, done):
-        """Replay the journaled ``shards`` into ``done`` and run the
-        rest, journaling each outcome as it lands; returns the replayed
-        shard indices."""
-        replayed = set()
+    def _run_iteration(self, journal, shards, iteration, supervisor):
+        """Replay the journaled ``shards`` and run the rest, journaling
+        each outcome as it lands; returns the merged iteration."""
+        done = {}
         if journal is not None:
             for shard in shards:
                 outcome = journal.shards.get((iteration, shard.index))
                 if outcome is not None:
                     done[shard.index] = outcome
-                    replayed.add(shard.index)
-        todo = [shard for shard in shards if shard.index not in replayed]
-        if not todo:
-            return replayed
+        todo = [shard for shard in shards if shard.index not in done]
 
         def record(outcome):
             done[outcome.shard_index] = outcome
             if journal is not None:
                 journal.record_shard(iteration, outcome)
 
-        supervisor.run(todo, self._shard_task(iteration), on_outcome=record)
-        return replayed
-
-    def _run_iteration(self, journal, shards, iteration, supervisor):
-        done = {}
-        self._dispatch(journal, shards, iteration, supervisor, done)
+        if todo:
+            supervisor.run(todo, self._shard_task(iteration),
+                           on_outcome=record)
         return merge_outcomes(done.values(), iteration, self.config)
-
-    def _run_sequential_iteration(self, journal, strata, iteration,
-                                  supervisor):
-        """One iteration in sequential mode: batch rounds until every
-        stratum stops.
-
-        Each round dispatches the next pending batch of every open
-        stratum through the supervisor, then feeds completions back to
-        the controller in fault-type order — arrival order never reaches
-        a decision.
-        Journaled batches replay instead of dispatching, and because the
-        controller's decisions are pure functions of the replayed
-        outcomes, a resumed campaign stops every stratum exactly where
-        the uninterrupted run would have.
-        """
-        controller = SequentialController(self.config, strata)
-        done = {}
-        while True:
-            round_batches = controller.next_round()
-            if not round_batches:
-                break
-            replayed = self._dispatch(
-                journal, [batch for _state, batch in round_batches],
-                iteration, supervisor, done,
-            )
-            for state, batch in round_batches:
-                # A quarantined batch never completed: done has no
-                # entry, and the stratum stops rather than sampling
-                # around the hole.
-                controller.complete_batch(
-                    state, batch, done.get(batch.index)
-                )
-                if journal is not None and batch.index not in replayed:
-                    journal.record_batch(
-                        iteration, batch.index, state.plan.fault_type,
-                        state.executed_slots, state.stop_reason,
-                    )
-        merged = merge_outcomes(done.values(), iteration, self.config)
-        return merged, controller.summary()
-
-    def _sequential_summary(self, per_iteration, strata):
-        """The manifest's ``sequential`` block (diagnostic, outside the
-        metrics digest — stopping decisions are *reflected in* the
-        executed slot set the digest covers, they are not hashed
-        themselves)."""
-        if strata is None:
-            return {"enabled": False}
-        planned = (
-            sum(plan.planned_slots for plan in strata)
-            * max(1, len(per_iteration))
-        )
-        executed = sum(
-            summary["executed_slots"] for summary in per_iteration
-        )
-        skipped = planned - executed
-        stopping_points = {}
-        stop_reasons = {}
-        for summary in per_iteration:
-            for fault_type, slots in summary["stopping_points"].items():
-                stopping_points.setdefault(fault_type, []).append(slots)
-            for fault_type, reason in summary["stop_reasons"].items():
-                stop_reasons.setdefault(fault_type, []).append(reason)
-        return {
-            "enabled": True,
-            "ci_target": self.config.ci_target,
-            "ci_confidence": self.config.ci_confidence,
-            "batch_slots": self.config.slots_per_shard,
-            "min_slots": MIN_BATCHES * self.config.slots_per_shard,
-            "planned_slots": planned,
-            "executed_slots": executed,
-            "slots_skipped": skipped,
-            "slots_saved_percent": (
-                round(100.0 * skipped / planned, 6) if planned else None
-            ),
-            "stopping_points": stopping_points,
-            "stop_reasons": stop_reasons,
-            "per_iteration": per_iteration,
-        }
 
     # ------------------------------------------------------------------
     def run(self, faultload=None, include_baseline=True,
@@ -661,28 +547,7 @@ class ParallelCampaign:
         started = time.perf_counter()
         faultload = self.prepared_faultload(faultload)
         timings["prepare"] = round(time.perf_counter() - started, 6)
-        # Plan before any other phase: a sequential campaign the planner
-        # refuses is refused before it profiles or compiles anything.
-        # Neither planner reads the deadline table derived below.
-        strata = None
-        if self.config.sequential:
-            # The stopping rule estimates SPECWeb measures (DESIGN.md
-            # §14), which an OLTP engine's results do not carry.
-            if self.experiment.machine_class is not ServerMachine:
-                raise ValueError(
-                    f"sequential mode estimates SPECWeb measures, and "
-                    f"{self.config.server_name} is an OLTP engine"
-                )
-            # Sequential mode: the shard plan is the stratified batch
-            # plan — still a pure function of (faultload, config), so
-            # the campaign key and every shard seed are unchanged by
-            # worker count.
-            strata = plan_sequential_strata(
-                faultload, self.config.slots_per_shard
-            )
-            shards = [batch for plan in strata for batch in plan.batches]
-        else:
-            shards = plan_shards(faultload, self.config.slots_per_shard)
+        shards = plan_shards(faultload, self.config.slots_per_shard)
         if (self.config.adaptive_slots
                 and self.config.activation_deadlines is None):
             # Derive the deadline table before the campaign key is
@@ -745,22 +610,13 @@ class ParallelCampaign:
             telemetry=telemetry,
         )
         quarantine = []
-        sequential_iterations = []
         try:
             for iteration in range(1, self.config.rules.iterations + 1):
                 telemetry.emit("iteration_start", iteration=iteration)
                 started = time.perf_counter()
-                if strata is not None:
-                    merged, stratum_summary = (
-                        self._run_sequential_iteration(
-                            journal, strata, iteration, supervisor
-                        )
-                    )
-                    sequential_iterations.append(stratum_summary)
-                else:
-                    merged = self._run_iteration(
-                        journal, shards, iteration, supervisor
-                    )
+                merged = self._run_iteration(
+                    journal, shards, iteration, supervisor
+                )
                 timings[f"iteration-{iteration}"] = round(
                     time.perf_counter() - started, 6
                 )
@@ -793,8 +649,6 @@ class ParallelCampaign:
         integrity = self._integrity_summary(tally)
         activation = self._activation_summary(tally)
         snapshot = self._snapshot_summary(tally)
-        sequential = self._sequential_summary(sequential_iterations, strata)
-        result.sequential = sequential
         digest = metrics_digest(result)
         self.manifest = RunManifest(
             campaign_key=key,
@@ -815,7 +669,6 @@ class ParallelCampaign:
             integrity=integrity,
             activation=activation,
             snapshot=snapshot,
-            sequential=sequential,
             metrics_digest=digest,
             created_at=round(time.time(), 6),
         )
@@ -824,11 +677,6 @@ class ParallelCampaign:
         telemetry.emit("integrity_summary", **integrity)
         telemetry.emit("activation_summary", **activation)
         telemetry.emit("snapshot_summary", **snapshot)
-        telemetry.emit(
-            "sequential_summary",
-            **{key: value for key, value in sequential.items()
-               if key != "per_iteration"},
-        )
         telemetry.emit(
             "campaign_end",
             degraded=result.degraded,

@@ -44,8 +44,7 @@ class ExperimentConfig:
 
     # Slots per shard: the slots one machine runs, seeded from (seed,
     # shard index), so the shard size shapes the results and belongs to
-    # the campaign key.  A sequential batch is a shard (DESIGN.md §14).
-    # Default: one conformance batch.
+    # the campaign key.  Default: one conformance batch.
     slots_per_shard: int = CONFORMANCE_SLOTS
 
     # Slot-gap state-integrity auditing (DESIGN.md §10): after each
@@ -84,25 +83,6 @@ class ExperimentConfig:
 
     # Length of the profiling trace used to derive the deadline table.
     activation_profile_seconds: float = 20.0
-
-    # Sequential statistical injection (DESIGN.md §14).  When on, the
-    # campaign stratifies the faultload by fault type, runs each stratum
-    # in batches, and stops a stratum once the confidence interval of
-    # every tracked derived metric (SPCf/THRf/RTMf, ADMf, ER%f) is
-    # tighter than the target — "run until confidence, not until done".
-    # Every knob below is part of the campaign key, so two runs with the
-    # same stopping schedule produce byte-identical digests for any
-    # worker count.
-    sequential: bool = False
-
-    # Target relative half-width: a stratum's interval for a metric is
-    # tight enough when half_width <= ci_target * max(|mean|, 1.0) (the
-    # 1.0 floor keeps near-zero metrics such as ADMf from demanding an
-    # impossible relative precision).
-    ci_target: float = 0.10
-
-    # Two-sided confidence level of the intervals.
-    ci_confidence: float = 0.95
 
     # Declarative operator specs (DESIGN.md §16): a tuple of *canonical*
     # spec dicts, installed into the operator registry by the campaign

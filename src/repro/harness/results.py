@@ -159,12 +159,6 @@ class BenchmarkResult:
     # list records each poisoned shard with its iteration and fault ids.
     degraded: bool = False
     quarantine: list = field(default_factory=list)
-    # Sequential-sampling accounting (DESIGN.md §14): the campaign's
-    # ``sequential`` block — stopping schedule, per-stratum stopping
-    # points, interval trajectories, slots skipped.  Diagnostic, and
-    # deliberately excluded from the metrics digest: the decisions are
-    # reflected in which slots ran, not hashed themselves.
-    sequential: dict = field(default_factory=dict)
 
     def average_row(self):
         return average_iterations(self.iterations)

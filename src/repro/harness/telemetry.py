@@ -46,6 +46,7 @@ __all__ = [
     "read_telemetry",
 ]
 
+# v10: the ``sequential`` block is gone with the sequential mode.
 # v9: the ``fabric`` block is gone: its counters repeated what
 # ``supervision`` records (each worker death is a pool rebuild, each
 # steal a ``shard_dispatch`` event).  The ``sequential`` block drops
@@ -63,7 +64,7 @@ __all__ = [
 # never part of the metrics digest.
 # v4: snapshot summary (epoch-setup accounting: booted vs restored
 # epochs, pristine restarts).
-MANIFEST_VERSION = 9
+MANIFEST_VERSION = 10
 TELEMETRY_VERSION = 1
 
 
@@ -234,16 +235,6 @@ class RunManifest:
       always on, so the block has no on/off flag.  Diagnostic only —
       restored and booted epochs are digest-identical by construction,
       which the parity harness enforces.
-    * ``sequential`` — the sequential-sampling summary: whether the
-      mode ran, the full stopping schedule (target, confidence, batch /
-      min slots), planned vs executed slots with
-      ``slots_skipped``, per-stratum stopping points and stop reasons,
-      and each stratum's confidence-interval trajectory.  Diagnostic
-      only — the stopping decisions are *reflected in* the executed
-      slot set (which the digest covers); the block itself is never
-      hashed, so interval bookkeeping can evolve without breaking
-      digest parity.  The parity harness compares the whole block
-      across worker counts and resumes.
     * ``metrics_digest`` — :func:`metrics_digest` of the final result;
       the parity harness's main comparand.
     * ``created_at`` — unix time the manifest was written.
@@ -267,7 +258,6 @@ class RunManifest:
     integrity: dict = dataclasses.field(default_factory=dict)
     activation: dict = dataclasses.field(default_factory=dict)
     snapshot: dict = dataclasses.field(default_factory=dict)
-    sequential: dict = dataclasses.field(default_factory=dict)
     metrics_digest: str = ""
     created_at: float = 0.0
     manifest_version: int = MANIFEST_VERSION
@@ -286,5 +276,13 @@ class RunManifest:
 
     @classmethod
     def load(cls, path):
+        """Read a manifest back; raises ``ValueError`` for one of
+        another version, whose fields this class may not have."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        version = data.get("manifest_version")
+        if version != MANIFEST_VERSION:
+            raise ValueError(
+                f"manifest {path} is version {version}, "
+                f"current {MANIFEST_VERSION}"
+            )
         return cls(**data)

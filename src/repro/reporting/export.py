@@ -77,7 +77,6 @@ def export_campaign(result, directory, config=None, manifest=None,
         "average": result.average_row(),
         "degraded": result.degraded,
         "quarantine": result.quarantine,
-        "sequential": result.sequential or {"enabled": False},
         "dependability": (
             DependabilityMetrics.from_results(result).as_dict()
             if (result.profile_mode or result.baseline)
@@ -127,19 +126,6 @@ def export_campaign(result, directory, config=None, manifest=None,
                 for key, value in average.items()
             )
         )
-    sequential = result.sequential or {}
-    if sequential.get("enabled"):
-        saved = sequential.get("slots_saved_percent")
-        saved_text = "n/a" if saved is None else f"{saved:.1f}%"
-        summary_lines.append(
-            f"slots saved: {sequential['slots_skipped']} of "
-            f"{sequential['planned_slots']} planned slot(s) skipped "
-            f"({saved_text}) — sequential sampling at ci-target "
-            f"{sequential['ci_target']}, confidence "
-            f"{sequential['ci_confidence']}"
-        )
-        from repro.reporting.report import sequential_strata_table
-        summary_lines.append(sequential_strata_table(sequential).render())
     if result.degraded:
         summary_lines.append(
             f"DEGRADED: {len(result.quarantine)} shard(s) quarantined "

@@ -11,7 +11,6 @@ from repro.reporting.tables import TableBuilder
 __all__ = [
     "figure5_series",
     "oltp_results",
-    "sequential_strata_table",
     "table1_fault_types",
     "table2_api_usage",
     "table3_faultload_details",
@@ -184,46 +183,6 @@ def oltp_results(results_by_engine):
                           f"{metrics.rtm_ms:.1f}",
                           f"{metrics.er_percent:.2f}",
                           metrics.integrity_violations, *interventions)
-    return table
-
-
-def sequential_strata_table(sequential):
-    """Per-stratum stopping summary of a sequential campaign.
-
-    ``sequential`` is the manifest's ``sequential`` block (or
-    ``BenchmarkResult.sequential``).  One row per (iteration, stratum)
-    with the executed/planned slot counts, the stop reason, and each
-    tracked metric as ``mean ±half-width`` — "-" for an interval that
-    never became defined (a stratum of fewer than two batches).
-    """
-    metric_columns = ["SPCf", "THRf", "RTMf", "ADMf", "ER%f"]
-    table = TableBuilder(
-        ["Iter", "Fault type", "Slots", "Planned", "Stop reason"]
-        + [f"{metric} (CI±)" for metric in metric_columns],
-        title="Sequential sampling - per-stratum stopping summary",
-    )
-
-    def _interval(stratum, metric):
-        mean = stratum.get("means", {}).get(metric)
-        width = stratum.get("half_widths", {}).get(metric)
-        if mean is None:
-            return None
-        if width is None:
-            return f"{mean:.2f} ±-"
-        return f"{mean:.2f} ±{width:.2f}"
-
-    for number, iteration in enumerate(
-            sequential.get("per_iteration", []), start=1):
-        for stratum in iteration.get("strata", []):
-            table.add_row(
-                str(number),
-                stratum["fault_type"],
-                str(stratum["executed_slots"]),
-                str(stratum["planned_slots"]),
-                stratum.get("stop_reason") or "-",
-                *[_interval(stratum, metric)
-                  for metric in metric_columns],
-            )
     return table
 
 

@@ -1,17 +1,6 @@
-"""The campaign-sized experiment config, and a call recorder, shared by
-the harness tests."""
+"""The campaign-sized experiment config shared by the harness tests."""
 
 from repro.harness.config import ExperimentConfig
-
-#: The sequential campaign the end-to-end tests run: 24 faults in
-#: batches (shards) of 2 slots, each stratum stopping at a relative
-#: half-width of 0.5.
-SEQUENTIAL = {
-    "fault_sample": 24,
-    "sequential": True,
-    "ci_target": 0.5,
-    "slots_per_shard": 2,
-}
 
 
 def tiny_config(iterations=1, fault_sample=8, **overrides):
@@ -27,12 +16,3 @@ def tiny_config(iterations=1, fault_sample=8, **overrides):
     )
     return config
 
-
-def passing_through(log, name, function):
-    """``function``, appending ``name`` to ``log`` at each call."""
-
-    def wrapper(*args, **kwargs):
-        log.append(name)
-        return function(*args, **kwargs)
-
-    return wrapper

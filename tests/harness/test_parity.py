@@ -1,16 +1,16 @@
 """Digest parity across every way of executing a campaign (tier-1).
 
 A campaign's results are a function of what it measures — the variant
-(plain, adaptive slots, pristine slots, sequential stopping, or the
-no-inject control run), the OS build and the server — and never of how
-it was executed: worker count (in-process, or loopback fabric workers
-with one of them killed mid-run), epoch snapshots restored or every
-epoch booted, a built-in operator re-expressed through
-``operator_specs``, or a kill and resume.  That is what lets a
-faultload's results repeat across runs and port across hosts.
+(plain, adaptive slots, pristine slots, or the no-inject control run),
+the OS build and the server — and never of how it was executed:
+worker count (in-process, or loopback fabric workers with one of them
+killed mid-run), epoch snapshots restored or every epoch booted, a
+built-in operator re-expressed through ``operator_specs``, or a kill
+and resume.  That is what lets a faultload's results repeat across runs
+and port across hosts.
 
 Checking each toggle alone against a base run leaves their interactions
-unchecked, and the full product is 5 x 2^6 = 320 campaigns.  ``ROWS`` is
+unchecked, and the full product is 4 x 2^6 = 256 campaigns.  ``ROWS`` is
 a pairwise covering array instead: every pair of levels of any two
 factors appears in some row (``test_rows_cover_every_pair_of_levels``).
 Each row runs a two-iteration campaign, because a snapshot filed under
@@ -37,7 +37,7 @@ from repro.gswfit.operators import reset_dynamic_operators
 from repro.harness.campaign import ParallelCampaign
 from repro.harness.supervisor import CHAOS_KILL_ENV
 from repro.harness.snapshot import SnapshotCache, snapshot_cache
-from tests.harness.configs import SEQUENTIAL, tiny_config
+from tests.harness.configs import tiny_config
 
 
 class Row(NamedTuple):
@@ -51,7 +51,7 @@ class Row(NamedTuple):
 
 
 LEVELS = {
-    "variant": ("plain", "adaptive", "pristine", "sequential", "no-inject"),
+    "variant": ("plain", "adaptive", "pristine", "no-inject"),
     "os": ("nt50", "nt51"),
     "server": ("apache", "abyss"),
     "workers": (1, 2),
@@ -67,30 +67,27 @@ VARIANTS = {
     "plain": {},
     "adaptive": {"adaptive_slots": True},
     "pristine": {"pristine_slots": True},
-    "sequential": SEQUENTIAL,
     "no-inject": {"inject_faults": False},
 }
 
 # Each variant has two rows that differ in every other factor.  The
-# sequential and no-inject variants each have a base row; any other
-# base run is made on first use.
+# no-inject variant has a base row; any other base run is made on first
+# use.
 ROWS = [
-    #   variant       os      server  workers snaps specs resumed
-    Row("plain",      "nt50", "apache", 2, True,  True,  False),
-    Row("plain",      "nt51", "abyss",  1, False, False, True),
-    Row("adaptive",   "nt50", "abyss",  1, True,  True,  True),
-    Row("adaptive",   "nt51", "apache", 2, False, False, False),
-    Row("pristine",   "nt50", "abyss",  1, False, False, True),
-    Row("pristine",   "nt51", "apache", 2, True,  True,  False),
-    Row("sequential", "nt50", "abyss",  1, True,  False, False),
-    Row("sequential", "nt51", "apache", 2, False, True,  True),
-    Row("no-inject",  "nt51", "apache", 1, True,  False, False),
-    Row("no-inject",  "nt50", "abyss",  2, False, True,  True),
+    #   variant      os      server  workers snaps specs resumed
+    Row("plain",     "nt50", "apache", 2, True,  True,  False),
+    Row("plain",     "nt51", "abyss",  1, False, False, True),
+    Row("adaptive",  "nt50", "abyss",  1, True,  True,  True),
+    Row("adaptive",  "nt51", "apache", 2, False, False, False),
+    Row("pristine",  "nt50", "apache", 1, False, False, True),
+    Row("pristine",  "nt51", "abyss",  2, True,  True,  False),
+    Row("no-inject", "nt51", "apache", 1, True,  False, False),
+    Row("no-inject", "nt50", "abyss",  2, False, True,  True),
 ]
 
 #: Manifest fields no execution toggle may change.
 PARITY_FIELDS = ("metrics_digest", "faultload_digest", "build_fingerprint",
-                 "integrity", "activation", "sequential")
+                 "integrity", "activation")
 
 
 def row_id(row):
@@ -155,11 +152,6 @@ def check_toggles_engaged(row, manifest):
                 == manifest.num_shards * manifest.iterations)
         assert (snapshot["epochs_restored"]
                 == snapshot["pristine_restarts"] > 0)
-    if row.variant == "sequential":
-        reasons = itertools.chain.from_iterable(
-            manifest.sequential["stop_reasons"].values()
-        )
-        assert set(reasons) <= {"confidence", "exhausted"}
     if row.variant == "no-inject":
         integrity = manifest.integrity
         assert integrity["enabled"]

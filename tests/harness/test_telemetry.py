@@ -6,6 +6,7 @@ import pytest
 
 from repro.harness.results import BenchmarkResult, InjectionIteration
 from repro.harness.telemetry import (
+    MANIFEST_VERSION,
     RunManifest,
     TelemetryWriter,
     faultload_digest,
@@ -242,6 +243,21 @@ def test_manifest_roundtrips_through_disk(tmp_path):
     assert path.exists()
     loaded = RunManifest.load(path)
     assert loaded == manifest
+
+
+def test_manifest_of_another_version_is_refused_by_name(tmp_path):
+    """A v9 manifest carries a ``sequential`` block this class no
+    longer has: loading it names the file and both versions, as the
+    journal does, instead of failing on the first unknown field."""
+    payload = _manifest().to_dict()
+    payload.update(manifest_version=9, sequential={"enabled": False})
+    path = tmp_path / "old.manifest.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as excinfo:
+        RunManifest.load(path)
+    assert str(excinfo.value) == (
+        f"manifest {path} is version 9, current {MANIFEST_VERSION}"
+    )
 
 
 def test_manifest_json_is_sorted_and_complete(tmp_path):

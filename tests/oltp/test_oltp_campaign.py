@@ -4,19 +4,15 @@ A campaign journals and merges an engine's results through its
 machine's result types (``OltpMetrics``, ``OltpPartial``), so an OLTP
 digest must hold across worker counts, a worker death and a
 kill-and-resume, as the parity table demands of web campaigns.  OLTP
-stays out of that table: its variant factor includes sequential mode,
-which OLTP cannot run.
+stays out of that table: its no-inject rows assert a slot-gap audit,
+which an engine's walk does not run (``OltpMachine.audited``).
 """
 
-import pytest
-
-from repro.harness import campaign as campaign_module
 from repro.harness.campaign import ParallelCampaign, merge_outcomes
-from repro.harness.experiment import WebServerExperiment
 from repro.harness.snapshot import snapshot_cache
 from repro.harness.supervisor import CHAOS_KILL_ENV
 from repro.oltp import OltpPartial
-from tests.harness.configs import passing_through, tiny_config
+from tests.harness.configs import tiny_config
 from tests.harness.test_parity import cut_journal
 
 
@@ -81,30 +77,3 @@ def test_walnut_digest_is_the_same_on_every_interpreter():
     assert campaign.manifest.metrics_digest == (
         "94aaaf7e975bb32b1f1ce39cd987bb7838798d516d470d8ed6177b7b49bda1c7"
     )
-
-
-def test_sequential_oltp_campaign_is_refused_before_any_phase(
-        tmp_path, monkeypatch):
-    """Sequential mode's stopping rule estimates SPECWeb measures, which
-    an engine's results lack: the campaign refuses it in one line,
-    before it profiles deadlines or warms mutants and before the
-    baseline or the journal exist."""
-    ran = []
-    monkeypatch.setattr(
-        WebServerExperiment, "run_baseline",
-        lambda self, *args, **kwargs: ran.append("baseline"))
-    for name in ("warm_mutant_cache", "derive_activation_deadlines"):
-        monkeypatch.setattr(
-            campaign_module, name,
-            passing_through(ran, name, getattr(campaign_module, name)))
-    config = tiny_config(server_name="walnut", fault_sample=24,
-                         sequential=True, ci_target=0.5, slots_per_shard=2,
-                         adaptive_slots=True)
-    journal = tmp_path / "journal.jsonl"
-    campaign = ParallelCampaign(config, workers=1, journal_path=journal)
-    with pytest.raises(ValueError, match=(
-            r"^sequential mode estimates SPECWeb measures, and walnut is "
-            r"an OLTP engine$")):
-        campaign.run(include_profile_mode=False)
-    assert ran == []
-    assert not journal.exists()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import _campaign_config, build_parser, main
+from repro.cli import _campaign_config, _table5_config, build_parser, main
 from repro.harness.jsonl import read_jsonl
 
 
@@ -114,13 +114,14 @@ def test_campaign_rejects_unknown_backend():
     that chose between two are parse errors, and so are the external
     workers' listen address and subcommand.  So are the removed
     switches for epoch snapshots and activation probes, the disk cache
-    directory, and the sequential slot floor and ceiling."""
+    directory, and the sequential-stopping mode and its interval
+    target and confidence."""
     for argv in (["--backend", "fabric"], ["--fabric-loopback", "2"],
                  ["--fabric-listen", "127.0.0.1:7044"],
                  ["--no-snapshot-epochs"], ["--no-track-activation"],
                  ["--cache-dir", "cache"],
-                 ["--sequential", "--min-slots", "4"],
-                 ["--sequential", "--max-slots", "8"]):
+                 ["--sequential"], ["--ci-target", "0.2"],
+                 ["--ci-confidence", "0.9"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", *argv])
     with pytest.raises(SystemExit):
@@ -353,7 +354,8 @@ def test_experiments_command_lines_build_the_bench_config(
         monkeypatch, os_codename, server):
     """EXPERIMENTS.md gives each measured Table 5 row as a ``repro
     campaign`` command line; it must run the very campaign the paper
-    benches run, so its digest is the row's."""
+    benches run, so its digest is the row's.  ``repro tables`` with no
+    options runs the same four campaigns, so it prints those digests."""
     monkeypatch.syspath_prepend(
         str(Path(__file__).resolve().parent.parent / "benchmarks")
     )
@@ -364,3 +366,7 @@ def test_experiments_command_lines_build_the_bench_config(
         "--faults", "72", "--connections", "12", "--seed", "2004",
     ])
     assert _campaign_config(args) == bench_config(server, os_codename)
+    defaults = build_parser().parse_args(["tables"])
+    assert _table5_config(defaults, os_codename, server) == (
+        bench_config(server, os_codename)
+    )
